@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -186,6 +187,57 @@ def tau_m(m: int, d: int) -> int:
     for _, e in factorize(d).factors:
         out *= math.comb(e + m - 1, m - 1)
     return out
+
+
+def exact_exponent(e: float | Fraction) -> Fraction:
+    """A float exponent read as the decimal it prints as: Fraction(repr(e))."""
+    return e if isinstance(e, Fraction) else Fraction(repr(e))
+
+
+_MAX_EXPONENT_DENOMINATOR = 10**5
+
+
+def floor_power(x: float | Fraction, e: float | Fraction) -> int:
+    """Exact floor(x**e) for x >= 0 and e >= 0.
+
+    With e = num/den (see exact_exponent) this is the largest integer d >= 0
+    with d**den <= x**num, decided in integers; the float power only seeds
+    the search.
+    """
+    xf, ef = Fraction(x), exact_exponent(e)
+    if xf < 0 or ef < 0:
+        raise ValueError("need x >= 0 and e >= 0")
+    num, den = ef.numerator, ef.denominator
+    if den > _MAX_EXPONENT_DENOMINATOR:
+        raise ValueError(f"exponent {e} needs a denominator <= {_MAX_EXPONENT_DENOMINATOR}")
+    top, bottom = xf.numerator**num, xf.denominator**num
+
+    def fits(d: int) -> bool:
+        return d**den * bottom <= top
+
+    try:
+        d = int(float(xf) ** float(ef))
+    except OverflowError:
+        d = 0
+    # gallop from the float seed to a bracket lo <= floor < hi, then bisect
+    step = 1
+    if fits(d):
+        lo = d
+        while fits(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+    else:
+        hi = d
+        while not fits(max(hi - step, 0)):
+            hi, step = hi - step, 2 * step
+        lo = max(hi - step, 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +434,14 @@ def von_mangoldt_table(n: int) -> np.ndarray:
             lam[pk] = math.log(p)
             pk *= p
     return lam
+
+
+def phi_table(n: int) -> np.ndarray:
+    """Array T with T[m] = euler_phi(m) for 1 <= m <= n (T[0] = 0)."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in primes_up_to(n).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return phi
 
 
 def mobius_table(n: int) -> np.ndarray:

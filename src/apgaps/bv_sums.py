@@ -5,6 +5,11 @@ Measured quantities, each against its trivial normalizer:
 - compute_E_b: sum over moduli d <= x^b of the worst residue-class error
   |psi(x; q d, a) - x/phi(q d)|, the maximum taken over all reduced classes.
 - bdh_variance: the mean-square analogue, summed over all reduced classes.
+  Its sum of squares over all classes of one modulus m is read off the
+  autocorrelation R(h) = sum_n Lambda(n) Lambda(n + h), computed once by
+  FFT: sum_c psi(x; m, c)^2 = R(0) + 2 sum_{j >= 1} R(j m). The few
+  nonreduced classes that carry mass hold only powers of primes dividing
+  m, and are subtracted exactly, for all moduli at once.
 - smoothed_R / sandwich_check: the log-smoothed weighted sum and the
   two-sided bounds it implies for psi.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
@@ -24,14 +29,18 @@ import numpy as np
 
 from .arith import (
     euler_phi,
-    factorize,
+    exact_exponent,
+    floor_power,
     log_integral_Y1,
     mobius,
+    phi_table,
     prime_power_arrays,
     primes_in_range,
+    primes_up_to,
     psi_residue_sums,
     reduced_residue_mask,
     tau_m,
+    von_mangoldt_table,
 )
 from .reports import ErrorSumReport, MaynardConditionReport
 
@@ -84,15 +93,28 @@ def _chunked_fsum(d_values: list[int], per_d, threads: int = 1) -> float:
     return math.fsum(partials)
 
 
+def _modulus_cutoff(x: float, q: int, e: float, name: str) -> int:
+    """D = floor(x^e), after checking x^e * q <= x; both decided exactly.
+
+    e is read as the decimal it prints as (arith.exact_exponent), so that
+    x = 1e10, e = 0.3 gives D = 1000 and not the float power's 999.
+    """
+    ef = exact_exponent(e)
+    # for an integer q, x^e * q <= x  <=>  q <= floor(x^(1 - e))
+    if q > floor_power(x, 1 - ef):
+        raise ValueError(f"x^{name} * q exceeds x; classes would be emptier than the main term")
+    return floor_power(x, ef)
+
+
 def compute_E_b(x: float, q: int, b: float, threads: int = 1) -> ErrorSumReport:
     """Worst-case error sum over moduli q*d, d <= x^b coprime to q."""
     if not 0 < b < 0.5:
         raise ValueError("need 0 < b < 1/2")
     if q < 1:
         raise ValueError("need q >= 1")
-    if x**b * q > x:
-        raise ValueError("x^b * q exceeds x; classes would be emptier than the main term")
-    D = int(math.floor(x**b))
+    if threads < 1:
+        raise ValueError("need threads >= 1")
+    D = _modulus_cutoff(x, q, b, "b")
     ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
 
     def per_d(d: int) -> float:
@@ -107,49 +129,102 @@ def compute_E_b(x: float, q: int, b: float, threads: int = 1) -> ErrorSumReport:
     )
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n (a fast FFT length)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p235 = p35
+            while p235 < n:
+                p235 *= 2
+            best = min(best, p235)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _lambda_autocorrelation(lam: np.ndarray) -> np.ndarray:
+    """R[h] = sum_n lam[n] * lam[n + h] for 0 <= h < len(lam), by one FFT pair."""
+    n = len(lam)
+    size = _fft_length(2 * n - 1)  # no wrap-around for lags below n
+    F = np.fft.rfft(lam, size)
+    # the power spectrum |F|^2, formed in place so irfft gets it as complex
+    # input without a converted copy
+    re, im = F.real, F.imag
+    np.square(re, out=re)
+    np.square(im, out=im)
+    re += im
+    im.fill(0.0)
+    return np.fft.irfft(F, size)[:n]
+
+
+def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and sum of squares of psi(xi; m, c) over nonreduced classes c.
+
+    Returns arrays (N1, N2) indexed by the modulus m, for 1 <= m <= M <= xi.
+    A class with gcd(c, m) > 1 holds only powers of one prime p | m, so
+    psi(xi; m, c) = log p * #{j : p^j <= xi, p^j = c (mod m)}. Powers of p
+    can share a class (m = 6: 2 = 8 = 32), so the p-part of N2[m] is
+    (log p)^2 times the number of pairs (i, j) with p^i = p^j (mod m).
+    """
+    n1 = np.zeros(M + 1)
+    n2 = np.zeros(M + 1)
+    for p in primes_up_to(M).tolist():
+        logp = math.log(p)
+        powers = [p]
+        while powers[-1] * p <= xi:
+            powers.append(powers[-1] * p)
+        J = len(powers)
+        n1[p::p] += J * logp
+        if J == 1:
+            n2[p::p] += logp * logp
+            continue
+        C = np.array(powers)[:, None] % np.arange(p, M + 1, p)
+        pairs = np.full(C.shape[1], J)
+        for i in range(J - 1):
+            pairs += 2 * (C[i] == C[i + 1 :]).sum(axis=0)
+        n2[p::p] += logp * logp * pairs
+    return n1, n2
+
+
 def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport:
     """Mean-square error over all reduced classes of moduli q*d, d <= Q/q.
 
-    The inner sum expands as sum(psi^2) - 2T sum(psi) + phi(m) T^2 over
-    reduced classes with T = x/phi(m); only classes of prime powers p^k with
-    p | m are nonreduced yet carry mass, so the reduced-class restriction is
-    a small explicit correction instead of an O(m) gcd mask per modulus.
+    For m = q*d and T = x/phi(m) the inner sum expands as
+    S2 - 2T*S1 + phi(m)*T^2, with S1 and S2 the sum and the sum of squares
+    of psi(x; m, c) over reduced classes c. Over all classes,
+    sum_c psi(x; m, c)^2 = R(0) + 2 * sum_{j >= 1} R(j*m), where
+    R(h) = sum_n Lambda(n) Lambda(n + h) is computed once for every h <= x,
+    and sum_c psi(x; m, c) = psi(x). The nonreduced classes are then taken
+    off exactly (see _nonreduced_moments). The per-modulus terms are merged
+    in fixed chunks, so the value is bit-identical for any thread count.
     """
     if Q < q:
         raise ValueError("need Q >= q")
     if not Q <= x:
         raise ValueError("need Q <= x")
+    if threads < 1:
+        raise ValueError("need threads >= 1")
     dmax = int(math.floor(Q / q))
-    ds = [d for d in range(1, dmax + 1) if math.gcd(d, q) == 1]
+    ms = [q * d for d in range(1, dmax + 1) if math.gcd(d, q) == 1]
     xi = int(math.floor(x))
-    P, W = prime_power_arrays(xi)
-    P_mod = P.astype(np.int32) if xi < 2**31 else P
-    psi_total = math.fsum(W)
-    q_primes = [p for p, _ in factorize(q).factors]
-
-    def per_d(d: int) -> float:
-        m = q * d
-        vec = np.bincount(P_mod % m, weights=W, minlength=m)
-        phi_m = euler_phi(m)
-        T = x / phi_m
-        cls = set()
-        for p in q_primes + [p for p, _ in factorize(d).factors]:
-            pk = p
-            while pk <= xi:
-                cls.add(pk % m)
-                pk *= p
-        if cls:
-            nr = vec[sorted(cls)]
-            s_nr = float(nr.sum())
-            ss_nr = float(np.dot(nr, nr))
-        else:
-            s_nr = ss_nr = 0.0
-        return (float(np.dot(vec, vec)) - ss_nr) - 2.0 * T * (psi_total - s_nr) + phi_m * T * T
-
-    value = _chunked_fsum(ds, per_d, threads)
+    lam = von_mangoldt_table(xi)
+    psi_total = math.fsum(lam)
+    R = _lambda_autocorrelation(lam)
+    del lam
+    squares = R[0] + 2.0 * np.array([R[m::m].sum() for m in ms])
+    del R
+    n1, n2 = _nonreduced_moments(xi, ms[-1])
+    idx = np.array(ms)
+    phi = phi_table(ms[-1])[idx]
+    T = x / phi
+    terms = (squares - n2[idx]) - 2.0 * T * (psi_total - n1[idx]) + phi * T * T
+    value = _chunked_fsum(terms.tolist(), float, threads)
     normalizer = x * Q * math.log(x) / euler_phi(q)
     return ErrorSumReport(
-        x=x, q=q, param_name="Q", param=Q, value=value, normalizer=normalizer, term_count=len(ds)
+        x=x, q=q, param_name="Q", param=Q, value=value, normalizer=normalizer, term_count=len(ms)
     )
 
 
@@ -196,9 +271,7 @@ def maynard_condition_sums(
     """
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
-    if x**L * q > x:
-        raise ValueError("x^L * q exceeds x")
-    D = int(math.floor(x**L))
+    D = _modulus_cutoff(x, q, L, "L")
     Y = x / (2 * q)
     Y1 = log_integral_Y1(x, q)
     primes = _primes_array(int(math.floor(x)))

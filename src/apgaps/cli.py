@@ -1,6 +1,7 @@
 """Batch command surface: every experiment as a subcommand with JSON/CSV output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. A JSON config
+Exit codes: 0 success, 1 verification failure, 2 usage error or solver
+failure (a JSON error as the last line on stderr). A JSON config
 file supplies defaults that explicit flags override; the default seed is 0,
 and identical invocations produce byte-identical output files. Thread counts
 and output paths are excluded from the manifest hash so parallel reruns stay
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import bv_sums, checks, comb_lemmas, gaps, variational
 from .reports import ERROR_SUM_CSV_HEADER, RunManifest, default_versions, dump_csv, dump_json
-from .variational import CertificateCapExceeded, VariationalCertificate
+from .variational import CertificateCapExceeded, RayleighError, VariationalCertificate
 
 
 class UsageError(Exception):
@@ -114,6 +115,8 @@ def cmd_bv(args) -> int:
     seed = _get(args, conf, "seed", 0, cast=int)
     if q < 1:
         raise UsageError("q must be >= 1")
+    if threads < 1:
+        raise UsageError("threads must be >= 1")
     if args.grid:
         xs = _parse_grid(args.grid)
     else:
@@ -132,6 +135,8 @@ def cmd_bdh(args) -> int:
     seed = _get(args, conf, "seed", 0, cast=int)
     if q < 1:
         raise UsageError("q must be >= 1")
+    if threads < 1:
+        raise UsageError("threads must be >= 1")
     xs = _parse_grid(args.grid) if args.grid else [_get(args, conf, "x", required=True, cast=float)]
     Q_opt = _get(args, conf, "Q", cast=float)
     manifest = _manifest("bdh", {"x": xs, "q": q, "Q": Q_opt or "x/log(x)"}, seed)
@@ -454,7 +459,7 @@ def main(argv=None) -> int:
     except CertificateCapExceeded as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "threshold": exc.threshold}) + "\n")
         return 2
-    except (ValueError, OSError) as exc:
+    except (RayleighError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

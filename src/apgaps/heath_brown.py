@@ -15,23 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import mobius_table, von_mangoldt_table
+from .arith import floor_power, mobius_table, von_mangoldt_table
 
 
 def kth_root_floor(x: int, k: int) -> int:
     """Exact floor(x**(1/k)) for integers x >= 1, k >= 1."""
     if x < 1 or k < 1:
         raise ValueError("need x, k >= 1")
-    r = int(round(x ** (1.0 / k)))
-    while r > 1 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    return floor_power(x, Fraction(1, k))
 
 
 @lru_cache(maxsize=16)

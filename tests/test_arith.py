@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,7 @@ def test_phi_divisor_sum_exhaustive():
     for d in range(1, n + 1):
         acc[d::d] += phi[d]
     assert np.array_equal(acc[1:], np.arange(1, n + 1))
+    assert np.array_equal(arith.phi_table(n), phi)
 
 
 def test_tau_examples():
@@ -86,6 +88,27 @@ def test_tau_examples():
 def test_tau_multiplicative(m, a, b):
     if math.gcd(a, b) == 1:
         assert arith.tau_m(m, a * b) == arith.tau_m(m, a) * arith.tau_m(m, b)
+
+
+def test_floor_power_examples():
+    assert arith.floor_power(1e10, 0.3) == 1000  # the float power floors to 999
+    assert arith.floor_power(1024.0, 0.3) == 8
+    assert [arith.floor_power(x, b) for x, b in [(1e4, 0.2), (1e5, 0.2), (1e6, 0.2), (1e8, 0.25), (1e8, 0.2)]] == [
+        6, 10, 15, 100, 39
+    ]
+    assert arith.floor_power(0, 0.5) == 0 and arith.floor_power(7.5, 0) == 1
+    assert arith.floor_power(2.25, Fraction(1, 2)) == 1
+    with pytest.raises(ValueError):
+        arith.floor_power(-1.0, 0.5)
+    with pytest.raises(ValueError):
+        arith.floor_power(10.0, 0.1234567)  # denominator 10**7
+
+
+@given(st.integers(0, 10**12), st.integers(0, 40), st.integers(1, 40))
+def test_floor_power_bracket(x, num, den):
+    e = Fraction(num, den)
+    d = arith.floor_power(x, e)
+    assert d**den <= x**num < (d + 1) ** den
 
 
 def test_primes_in_ap_examples():

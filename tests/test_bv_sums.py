@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import apgaps.bv_sums as bv
 from apgaps.arith import (
     chebyshev_psi,
     euler_phi,
+    factorize,
     log_integral_Y1,
     mobius,
     prime_power_arrays,
@@ -126,6 +128,20 @@ def test_E_b_preconditions():
         bv.compute_E_b(1e4, 3, 0.6)
     with pytest.raises(ValueError):
         bv.compute_E_b(100.0, 60, 0.45)  # x^b q > x
+    for threads in (0, -2):
+        with pytest.raises(ValueError):
+            bv.compute_E_b(1e4, 3, 0.2, threads=threads)
+
+
+def test_E_b_cutoff_is_exact():
+    # 1024^0.3 = 8 and 243^0.4 * 27 = 243 exactly; the float powers give
+    # 7.999999999999999 and a product just above 243
+    assert bv.compute_E_b(1024.0, 1, 0.3).term_count == 8
+    rep = bv.compute_E_b(243.0, 27, 0.4)
+    assert rep.term_count == 6  # d <= 9 coprime to 27
+    assert rep.value == pytest.approx(naive_E_b(243.0, 27, 0.4), rel=1e-9)
+    with pytest.raises(ValueError):
+        bv.compute_E_b(243.0, 28, 0.4)
 
 
 def test_E_b_thread_invariance():
@@ -150,13 +166,86 @@ def test_variance_against_naive_oracle():
         assert rep.value == pytest.approx(naive_variance(x, q, Q), rel=1e-9)
 
 
+@settings(max_examples=40)
+@given(st.integers(2, 3000), st.integers(1, 12), st.data())
+def test_variance_random_against_naive(xi, q, data):
+    # most draws have moduli whose prime powers collide in one nonreduced
+    # class: 2 = 4 = 8 = 0 (mod 2), 2 = 8 = 32 (mod 6), 7 = 49 = 0 (mod 7)
+    x = xi + data.draw(st.sampled_from([0.0, 0.5]))
+    assume(q <= x)
+    Q = data.draw(st.floats(min_value=q, max_value=min(x, 120.0)))
+    rep = bv.bdh_variance(x, q, Q)
+    # The expanded square cancels terms of size ~x^2/phi(m), so a variance
+    # near 0 (say Q = q = 1) is exact only to rounding at that scale; a
+    # wrong class weight would move it by at least (log 2)^2.
+    scale = math.fsum(x * x / euler_phi(q * d) for d in range(1, int(Q / q) + 1) if math.gcd(d, q) == 1)
+    assert rep.value == pytest.approx(naive_variance(x, q, Q), rel=1e-9, abs=1e-12 * scale)
+
+
+def test_nonreduced_moments_against_class_dict():
+    # per modulus, psi over nonreduced classes summed into a dict keyed by p^j mod m
+    for xi, M in [(50, 50), (1000, 120), (3000, 40)]:
+        n1, n2 = bv._nonreduced_moments(xi, M)
+        for m in range(1, M + 1):
+            cls = {}
+            for p in factorize(m).primes:
+                pk = p
+                while pk <= xi:
+                    cls[pk % m] = cls.get(pk % m, 0.0) + math.log(p)
+                    pk *= p
+            assert n1[m] == pytest.approx(math.fsum(cls.values()), rel=1e-12, abs=1e-12)
+            assert n2[m] == pytest.approx(math.fsum(v * v for v in cls.values()), rel=1e-12, abs=1e-12)
+
+
+def bincount_variance(x, q, Q):
+    """One bincount over every prime power per modulus, O(Q * pi(x))."""
+    dmax = int(math.floor(Q / q))
+    xi = int(math.floor(x))
+    P, W = prime_power_arrays(xi)
+    psi_total = math.fsum(W)
+    terms = []
+    for d in range(1, dmax + 1):
+        if math.gcd(d, q) != 1:
+            continue
+        m = q * d
+        vec = np.bincount(P % m, weights=W, minlength=m)
+        phi_m = euler_phi(m)
+        T = x / phi_m
+        cls = set()
+        for p in {p for p, _ in factorize(m).factors}:
+            pk = p
+            while pk <= xi:
+                cls.add(pk % m)
+                pk *= p
+        nr = vec[sorted(cls)]
+        s_nr, ss_nr = float(nr.sum()), float(np.dot(nr, nr))
+        terms.append((float(np.dot(vec, vec)) - ss_nr) - 2.0 * T * (psi_total - s_nr) + phi_m * T * T)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("x", [1e4, 1e5])
+@pytest.mark.parametrize("q", [1, 3, 12])
+def test_variance_against_bincount_oracle(x, q):
+    # the criterion-9 grid points within the oracle's reach
+    Q = x / math.log(x)
+    assert bv.bdh_variance(x, q, Q).value == pytest.approx(bincount_variance(x, q, Q), rel=1e-9)
+
+
 def test_variance_preconditions_and_threads():
     with pytest.raises(ValueError):
         bv.bdh_variance(1e4, 10, 5.0)
     with pytest.raises(ValueError):
         bv.bdh_variance(1e4, 1, 1e5)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            bv.bdh_variance(1e4, 1, 500.0, threads=threads)
     a = bv.bdh_variance(1e4, 1, 500.0, threads=1)
     b = bv.bdh_variance(1e4, 1, 500.0, threads=3)
+    assert a.value == b.value
+    # q = 12 over several chunks of moduli
+    a = bv.bdh_variance(1e5, 12, 3e4, threads=1)
+    b = bv.bdh_variance(1e5, 12, 3e4, threads=4)
+    assert a.term_count > 2 * bv._CHUNK
     assert a.value == b.value
 
 
@@ -222,3 +311,5 @@ def test_maynard_preconditions():
         bv.maynard_condition_sums(1e5, 6, 2, 0, 2, 0.2)  # gcd(a, q) != 1
     with pytest.raises(ValueError):
         bv.maynard_condition_sums(100.0, 30, 1, 0, 2, 0.45)  # x^L q > x
+    # 243^0.4 * 27 = 243 exactly: allowed, with d <= 9
+    assert bv.maynard_condition_sums(243.0, 27, 1, 0, 2, 0.4).term_count == 4

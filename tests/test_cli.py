@@ -3,6 +3,7 @@ import json
 import pytest
 
 import apgaps.characters
+import apgaps.variational
 import apgaps.cli as cli
 from apgaps.reports import ERROR_SUM_CSV_HEADER
 
@@ -44,6 +45,25 @@ def test_usage_errors(capsys):
     assert run(["bv", "--x", "1e4", "--q", "0", "--b", "0.2"]) == 2
     assert run(["bv", "--q", "3", "--b", "0.2"]) == 2  # missing x
     assert run(["definitely-not-a-command"]) == 2
+
+
+def test_thread_count_rejected(capsys):
+    for argv in (["bv", "--x", "1e4", "--q", "3", "--b", "0.2"], ["bdh", "--x", "2e4", "--q", "3"]):
+        for threads in ("0", "-1"):
+            assert run(argv + ["--threads", threads]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert "threads" in json.loads(err[-1])["error"]
+
+
+def test_solver_failure_is_json_error(monkeypatch, capsys):
+    def fail(k, degree):
+        raise apgaps.variational.RayleighError("no convergence after 10000 iterations")
+
+    monkeypatch.setattr(apgaps.variational, "mk_lower_bound", fail)
+    for argv in (["mk", "--k", "20", "--degree", "5"], ["certify", "--ks", "2,20"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1]) == {"error": "no convergence after 10000 iterations"}
 
 
 def test_thread_count_invariance(tmp_path):
