@@ -1,8 +1,11 @@
 """Integer arithmetic, multiplicative functions, and segmented prime sieves.
 
 Intervals are half-open (lo, hi] throughout and all logarithms are natural.
-Von Mangoldt weights are IEEE doubles; weighted accumulations go through
-math.fsum so results do not depend on chunking or thread counts.
+The segmented sieve yields primes only. Von Mangoldt weights come from
+prime_power_arrays (the sparse prime powers P with weights W = log p) or
+von_mangoldt_table (the dense table Lambda(0..n)); both are IEEE doubles,
+and weighted accumulations go through math.fsum so results do not depend
+on chunking or thread counts.
 """
 
 from __future__ import annotations
@@ -259,46 +262,19 @@ def _base_primes(limit: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SieveSegment:
-    """Primality flags and von Mangoldt weights for n in (lo, hi].
-
-    Offset i corresponds to n = lo + 1 + i.
-    """
-
-    lo: int
-    hi: int
-    prime_flags: np.ndarray
-    lambda_weights: np.ndarray
-
-    def primes(self) -> np.ndarray:
-        return self.lo + 1 + np.flatnonzero(self.prime_flags).astype(np.int64)
-
-
-def sieve_segment(lo: int, hi: int) -> SieveSegment:
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Ascending primes in (lo, hi], by marking the composites of the segment."""
     if not 0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
-    width = hi - lo
-    flags = np.ones(width, dtype=bool)
+    flags = np.ones(hi - lo, dtype=bool)  # offset i is n = lo + 1 + i
     if lo == 0:
         flags[0] = False  # n = 1
-    base = _base_primes(math.isqrt(hi))
-    lam = np.zeros(width, dtype=np.float64)
-    for p in base.tolist():
+    for p in _base_primes(math.isqrt(hi)).tolist():
         # first composite multiple of p above lo, never killing p itself
         start = max(p * p, (lo // p + 1) * p)
         if start <= hi:
             flags[start - lo - 1 :: p] = False
-        # prime powers carry weight log p
-        pk = p
-        logp = math.log(p)
-        while pk <= hi:
-            if pk > lo:
-                lam[pk - lo - 1] = logp
-            pk *= p
-    idx = np.flatnonzero(flags)
-    lam[idx] = np.log(lo + 1 + idx.astype(np.float64))
-    return SieveSegment(lo, hi, flags, lam)
+    return lo + 1 + np.flatnonzero(flags).astype(np.int64)
 
 
 def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
@@ -309,7 +285,7 @@ def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np
     s = lo
     while s < hi:
         e = min(s + segment_size, hi)
-        parts.append(sieve_segment(s, e).primes())
+        parts.append(sieve_segment(s, e))
         s = e
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 

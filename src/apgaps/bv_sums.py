@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
@@ -253,13 +252,6 @@ def _crt_unit_lift(a: int, q: int, d: int) -> int:
     return n if n else q * d
 
 
-@lru_cache(maxsize=8)
-def _primes_array(limit: int) -> np.ndarray:
-    ps = primes_in_range(1, limit)
-    ps.setflags(write=False)
-    return ps
-
-
 def maynard_condition_sums(
     x: float, q: int, a: int, h_m: int, k: int, L: float
 ) -> MaynardConditionReport:
@@ -267,17 +259,15 @@ def maynard_condition_sums(
 
     lhs1 weighs integer counts in (x/2, x] against Y/d with Y = x/(2q);
     lhs2 weighs prime counts in (x/2 + h_m, x] against Y1/phi(d). The class
-    b_d is the CRT lift of a mod q with unit second coordinate.
+    b_d is the CRT lift of a mod q with unit second coordinate. Only the
+    primes of (x/2 + h_m, x] are sieved (from 0 when x/2 + h_m < 0).
     """
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
     D = _modulus_cutoff(x, q, L, "L")
     Y = x / (2 * q)
     Y1 = log_integral_Y1(x, q)
-    primes = _primes_array(int(math.floor(x)))
-    lo2 = x / 2 + h_m
-    start = int(np.searchsorted(primes, math.floor(lo2), side="right"))
-    tail = primes[start:]
+    tail = primes_in_range(max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)))
 
     terms1: list[float] = []
     terms2: list[float] = []

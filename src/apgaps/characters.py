@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, prime_power_arrays
+from .arith import euler_phi, factorize, mobius, prime_power_arrays
 
 __all__ = [
     "CharacterGroup",
@@ -343,16 +343,7 @@ def conductor_split(chi: Character, q: int, d: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def phi_star(r: int) -> int:
     """Number of primitive characters mod r (the constant function counts at r = 1)."""
-    return sum((1 if r // d == 1 else _mob(r // d)) * euler_phi(d) for d in divisors(r))
-
-
-def _mob(n: int) -> int:
-    m = 1
-    for _, e in factorize(n).factors:
-        if e > 1:
-            return 0
-        m = -m
-    return m
+    return sum(mobius(r // d) * euler_phi(d) for d in divisors(r))
 
 
 def phi_star_by_enumeration(r: int) -> int:

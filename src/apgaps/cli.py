@@ -303,6 +303,7 @@ def cmd_gap(args) -> int:
     manifest = _manifest("gap", {"x": x, "q": q, "a": a, "t": t, "eps": eps, "eta": eta, "C": C}, seed)
     if errors:
         _emit(dump_json({"errors": errors}, manifest), args.out)
+        sys.stderr.write(json.dumps({"error": "; ".join(errors)}) + "\n")
         return 2
     table = _load_table(args.table) if args.table else variational.certificate_table(
         [k for k in DEFAULT_KS if k <= kmax], degree
@@ -362,7 +363,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--manifest", help="write the full run manifest (with timestamps) here")
-    p.add_argument("--json", action="store_true", help="JSON lines output (default)")
     p.add_argument("--csv", action="store_true", help="CSV output where supported")
 
 

@@ -133,10 +133,6 @@ def dump_json(obj: dict, manifest: RunManifest | None = None) -> str:
     return json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def dump_json_lines(rows: list[dict], manifest: RunManifest | None = None) -> str:
-    return "".join(dump_json(r, manifest) for r in rows)
-
-
 def dump_csv(rows: list[str], header: str, manifest: RunManifest | None = None) -> str:
     lines = [header]
     lines.extend(rows)

@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .comb_lemmas import partitions_of
+
 BASIS_SIZE_CAP = 200
 
 
@@ -46,23 +48,10 @@ def basis_partitions(k: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of degree <= max_degree with at most k parts, low degree first."""
     out: list[tuple[int, ...]] = []
     for d in range(max_degree + 1):
-        out.extend(_partitions(d, min(k, d) if d else 0))
+        out.extend(partitions_of(d, min(k, d) if d else 0))
     if len(out) > BASIS_SIZE_CAP:
         raise ValueError(f"basis size {len(out)} exceeds cap {BASIS_SIZE_CAP}")
     return tuple(out)
-
-
-def _partitions(total: int, max_parts: int, max_part: int | None = None):
-    if max_part is None:
-        max_part = total
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, max_parts - 1, first):
-            yield (first,) + rest
 
 
 def _mult_factorial(partition) -> int:
@@ -377,6 +366,11 @@ def _eval_F(cert: VariationalCertificate, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+# Monte-Carlo samples drawn per batch. The batch sums are added in order, so
+# this value is part of the bit pattern of every Monte-Carlo result.
+_MC_BATCH = 50_000
+
+
 @dataclass(frozen=True)
 class MCVerification:
     ratio: float
@@ -391,9 +385,7 @@ class MCVerification:
         return {"mc_ratio": self.ratio, "mc_sigma": self.sigma, "mc_samples": self.samples}
 
 
-def verify_certificate(
-    cert: VariationalCertificate, sample_count: int = 100_000, seed: int = 0, batch: int = 50_000
-) -> MCVerification:
+def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000, seed: int = 0) -> MCVerification:
     """Independent Monte-Carlo estimate of the certified quotient.
 
     Uniform simplex sampling by exponential spacings; the inner t_1 integral
@@ -413,7 +405,7 @@ def verify_certificate(
     tot_sq = 0.0
     done = 0
     while done < sample_count:
-        m = min(batch, sample_count - done)
+        m = min(_MC_BATCH, sample_count - done)
         e = rng.exponential(size=(m, k + 1))
         pts = (e / e.sum(axis=1, keepdims=True))[:, :k]
         v = _eval_F(cert, pts) ** 2
@@ -432,7 +424,7 @@ def verify_certificate(
         tot_sq = 0.0
         done = 0
         while done < sample_count:
-            m = min(batch, sample_count - done)
+            m = min(_MC_BATCH, sample_count - done)
             e = rng.exponential(size=(m, k))
             rest = (e / e.sum(axis=1, keepdims=True))[:, : k - 1]
             u = 1.0 - rest.sum(axis=1)

@@ -279,10 +279,12 @@ def _is_prime(p):
 
 
 def test_maynard_condition_sums_against_naive():
-    rep = bv.maynard_condition_sums(1e5, 3, 1, 0, 2, 0.2)
-    want1, want2 = naive_maynard_sums(1e5, 3, 1, 0, 2, 0.2)
-    assert rep.lhs1 == pytest.approx(want1, rel=1e-9)
-    assert rep.lhs2 == pytest.approx(want2, rel=1e-9)
+    # h_m = -60000 puts x/2 + h_m below 0, where the sieved tail starts at 0
+    for h_m in (0, 37, -60000):
+        rep = bv.maynard_condition_sums(1e5, 3, 1, h_m, 2, 0.2)
+        want1, want2 = naive_maynard_sums(1e5, 3, 1, h_m, 2, 0.2)
+        assert rep.lhs1 == pytest.approx(want1, rel=1e-9)
+        assert rep.lhs2 == pytest.approx(want2, rel=1e-9)
 
 
 def test_maynard_inner_term_bound():

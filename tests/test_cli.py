@@ -130,12 +130,15 @@ def test_certify_table_then_gap(tmp_path):
         assert key in row
 
 
-def test_gap_validation_error(tmp_path):
+def test_gap_validation_error(tmp_path, capsys):
     out = tmp_path / "gap.jsonl"
     code = run(["gap", "--x", "1e10", "--q", "9973", "--a", "1", "--t", "1", "--out", str(out)])
     assert code == 2
     row = read_lines(out)[0]
     assert any("radical" in e for e in row["errors"])
+    # exit 2 always ends stderr with a JSON error line
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(last) == {"error": "; ".join(row["errors"])}
 
 
 def test_gap_cap_exceeded(capsys):
