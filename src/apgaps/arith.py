@@ -247,29 +247,26 @@ def floor_power(x: float | Fraction, e: float | Fraction) -> int:
 # sieving
 
 
-@lru_cache(maxsize=None)
-def _base_primes(limit: int) -> np.ndarray:
-    """Direct sieve up to limit (used for segment marking; limit <= sqrt(hi))."""
+def _base_primes(limit: int) -> list[int]:
+    """Direct sieve up to limit (the marking primes of segments with hi <= limit^2)."""
     if limit < 2:
-        return np.empty(0, dtype=np.int64)
+        return []
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    out = np.flatnonzero(flags).astype(np.int64)
-    out.setflags(write=False)
-    return out
+    return np.flatnonzero(flags).tolist()
 
 
-def sieve_segment(lo: int, hi: int) -> np.ndarray:
-    """Ascending primes in (lo, hi], by marking the composites of the segment."""
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
+def _sieve_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
+    """Ascending primes in (lo, hi], marking composites with the ascending primes `base`."""
     flags = np.ones(hi - lo, dtype=bool)  # offset i is n = lo + 1 + i
     if lo == 0:
         flags[0] = False  # n = 1
-    for p in _base_primes(math.isqrt(hi)).tolist():
+    for p in base:
+        if p * p > hi:
+            break
         # first composite multiple of p above lo, never killing p itself
         start = max(p * p, (lo // p + 1) * p)
         if start <= hi:
@@ -278,14 +275,21 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
 
 
 def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """Ascending primes in (lo, hi]; segment size never changes the output."""
+    """Ascending primes in (lo, hi]; segment size never changes the output.
+
+    The marking primes up to sqrt(hi) are sieved once and shared by every
+    segment.
+    """
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
+    if lo < 0:
+        raise ValueError("need 0 <= lo < hi")
+    base = _base_primes(math.isqrt(hi))
     parts = []
     s = lo
     while s < hi:
         e = min(s + segment_size, hi)
-        parts.append(sieve_segment(s, e))
+        parts.append(_sieve_segment(s, e, base))
         s = e
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 

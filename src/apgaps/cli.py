@@ -363,11 +363,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--manifest", help="write the full run manifest (with timestamps) here")
-    p.add_argument("--csv", action="store_true", help="CSV output where supported")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser whose errors end, like every other exit 2, with a JSON error line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
+        raise SystemExit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="apgaps", description=__doc__)
+    ap = _Parser(prog="apgaps", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-identities", help="run the exact-identity suites")
@@ -382,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float)
     p.add_argument("--grid", help="comma-separated x values")
     p.add_argument("--threads", type=int)
+    p.add_argument("--csv", action="store_true", help="CSV output")
     _add_common(p)
     p.set_defaults(func=cmd_bv)
 
@@ -391,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=float, help="default x/log(x)")
     p.add_argument("--grid", help="comma-separated x values")
     p.add_argument("--threads", type=int)
+    p.add_argument("--csv", action="store_true", help="CSV output")
     _add_common(p)
     p.set_defaults(func=cmd_bdh)
 

@@ -11,6 +11,16 @@ reduce to exact rational Gram matrices through the Dirichlet integral
 
     int_{R_n} (1 - sum t)^c  prod t_i^{a_i} dt = c! prod(a_i!) / (n + c + sum a_i)!
 
+An entry (lambda, mu) sums that integral over the placements of mu's parts
+on the k coordinates, with lambda's parts fixed on the first s coordinates
+(times lambda's own placement count; for J, coordinate 1 counts as
+occupied too). A placement's exponent multiset depends only on the parts
+it puts on those s coordinates and on the multiset nu of its other parts,
+and n!/((n - |nu|)! prod mult(nu)!) placements on the n = k - s free
+coordinates share each such pattern. Entries are therefore sums over
+overlap patterns of lambda and mu with closed-form multiplicities: the
+cost depends on the degree only, not on k.
+
 The best quotient over the span is the top generalized eigenvalue of
 (B, A); any feasible quotient is a valid lower bound for M_k, so the
 certificate records the quotient of the computed coefficient vector, also
@@ -69,24 +79,27 @@ def _n_arrangements(partition, coords: int) -> int:
     return math.factorial(coords) // (math.factorial(coords - s) * _mult_factorial(partition))
 
 
-def _arrangements(partition, coords: int):
-    """Yield sparse {coordinate: exponent} placements, distinct coordinates."""
-    values = sorted(set(partition), reverse=True)
-    mults = [partition.count(v) for v in values]
+@lru_cache(maxsize=None)
+def _overlap_counts(partition, slots: int, free: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Placements of `partition` on slots + free coordinates, grouped by pattern.
 
-    def rec(vi, free):
-        if vi == len(values):
-            yield {}
+    A pattern is (on_slots, nu): the exponent on every slot (0 where empty)
+    and the multiset nu of the other parts, descending. Its multiplicity
+    is _n_arrangements(nu, free); patterns with none are left out.
+    """
+
+    def rec(i, remaining):
+        if i == slots:
+            yield (), remaining
             return
-        for chosen in itertools.combinations(free, mults[vi]):
-            rest = tuple(c for c in free if c not in chosen)
-            for tail in rec(vi + 1, rest):
-                d = dict(tail)
-                for c in chosen:
-                    d[c] = values[vi]
-                yield d
+        yield from (((0,) + tail, nu) for tail, nu in rec(i + 1, remaining))
+        for v in sorted(set(remaining), reverse=True):
+            rest = list(remaining)
+            rest.remove(v)
+            yield from (((v,) + tail, nu) for tail, nu in rec(i + 1, tuple(rest)))
 
-    yield from rec(0, tuple(range(coords)))
+    counted = ((on_slots, nu, _n_arrangements(nu, free)) for on_slots, nu in rec(0, tuple(partition)))
+    return tuple(c for c in counted if c[2])
 
 
 @lru_cache(maxsize=None)
@@ -109,16 +122,14 @@ def gram_I(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     for i in range(n):
         lam = basis[i]
         n_lam = _n_arrangements(lam, k)
-        canon = {c: v for c, v in enumerate(lam)}
+        s = len(lam)
         for j in range(i, n):
             mu = basis[j]
             sig_counts: dict[tuple[int, ...], int] = {}
-            for beta in _arrangements(mu, k):
-                comb = dict(canon)
-                for c, v in beta.items():
-                    comb[c] = comb.get(c, 0) + v
-                sig = tuple(sorted(comb.values(), reverse=True))
-                sig_counts[sig] = sig_counts.get(sig, 0) + 1
+            for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
+                comb = [a + b for a, b in zip(lam, on_slots)] + list(nu)
+                sig = tuple(sorted(comb, reverse=True))
+                sig_counts[sig] = sig_counts.get(sig, 0) + mult
             val = n_lam * sum(cnt * _integral_by_signature(k, sig) for sig, cnt in sig_counts.items())
             exact[i][j] = exact[j][i] = val
     scale = math.factorial(k)
@@ -165,16 +176,13 @@ def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
             deg_sum = deg_lam + sum(mu)
             total = Fraction(0)
             for a1, rest_lam, cnt in first_choices:
-                canon = {c + 1: v for c, v in enumerate(rest_lam)}  # coords 1.. are t_2..t_k
+                # slot 0 is t_1; slots 1.. carry rest_lam on t_2, t_3, ...
+                s = 1 + len(rest_lam)
                 sig_counts: dict[tuple[int, tuple[int, ...]], int] = {}
-                for beta in _arrangements(mu, k):
-                    b1 = beta.get(0, 0)
-                    comb = dict(canon)
-                    for c, v in beta.items():
-                        if c:
-                            comb[c] = comb.get(c, 0) + v
-                    sig = (b1, tuple(sorted(comb.values(), reverse=True)))
-                    sig_counts[sig] = sig_counts.get(sig, 0) + 1
+                for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
+                    comb = [a + b for a, b in zip(rest_lam, on_slots[1:])] + list(nu)
+                    sig = (on_slots[0], tuple(sorted(comb, reverse=True)))
+                    sig_counts[sig] = sig_counts.get(sig, 0) + mult
                 total += cnt * sum(
                     m * _j_pair_value(k, a1, b1, rest_sig, deg_sum)
                     for (b1, rest_sig), m in sig_counts.items()
@@ -218,19 +226,20 @@ def max_rayleigh(
     y = np.ones(n) + np.arange(n) / (10.0 * max(n, 1))
     y /= np.linalg.norm(y)
     lam = 0.0
+    Cy = apply_C(y)
     for _ in range(maxiter):
-        Cy = apply_C(y)
         norm = np.linalg.norm(Cy)
         if norm == 0.0:
             raise RayleighError("operator annihilated the iterate; top eigenvalue is 0")
         y_next = Cy / norm
-        lam_next = float(y_next @ apply_C(y_next))
-        residual = float(np.linalg.norm(apply_C(y_next) - lam_next * y_next))
+        Cy_next = apply_C(y_next)  # also the next step's Cy
+        lam_next = float(y_next @ Cy_next)
+        residual = float(np.linalg.norm(Cy_next - lam_next * y_next))
         if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)) and residual <= 1e3 * tol * max(1.0, abs(lam_next)):
             c = np.linalg.solve(L.T, y_next)
             quot_den = float(c @ A @ c)
             return float(c @ B @ c) / quot_den, c
-        y, lam = y_next, lam_next
+        lam, Cy = lam_next, Cy_next
     raise RayleighError(f"no convergence after {maxiter} iterations; last residual {residual:.3e}")
 
 
@@ -343,26 +352,32 @@ def _powersum_expansion(partition: tuple[int, ...]) -> tuple[tuple[Fraction, tup
     return tuple((c, key) for key, c in sorted(terms.items()) if c != 0)
 
 
-def eval_monomial_sym(partition: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
-    """Evaluate m_lambda at points (rows of pts); pts has one column per coordinate."""
-    if len(partition) == 0:
-        return np.ones(len(pts))
-    maxpow = sum(partition)
-    psums = {r: np.sum(pts**r, axis=1) for r in range(1, maxpow + 1)}
-    out = np.zeros(len(pts))
+def _power_sums(pts: np.ndarray, maxpow: int) -> dict[int, np.ndarray]:
+    return {r: np.sum(pts**r, axis=1) for r in range(1, maxpow + 1)}
+
+
+def _eval_from_power_sums(partition: tuple[int, ...], psums: dict[int, np.ndarray], n: int) -> np.ndarray:
+    out = np.zeros(n)
     for coef, powers in _powersum_expansion(tuple(partition)):
-        term = np.full(len(pts), float(coef))
+        term = np.full(n, float(coef))
         for r in powers:
             term = term * psums[r]
         out += term
     return out
 
 
+def eval_monomial_sym(partition: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
+    """Evaluate m_lambda at points (rows of pts); pts has one column per coordinate."""
+    return _eval_from_power_sums(partition, _power_sums(pts, sum(partition)), len(pts))
+
+
 def _eval_F(cert: VariationalCertificate, pts: np.ndarray) -> np.ndarray:
+    """The trial function at pts, from one set of power sums for the whole basis."""
+    used = [(c, lam) for c, lam in zip(cert.coefficients, cert.basis) if c]
+    psums = _power_sums(pts, max((sum(lam) for _, lam in used), default=0))
     out = np.zeros(len(pts))
-    for c, lam in zip(cert.coefficients, cert.basis):
-        if c:
-            out += c * eval_monomial_sym(lam, pts)
+    for c, lam in used:
+        out += c * _eval_from_power_sums(lam, psums, len(pts))
     return out
 
 

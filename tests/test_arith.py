@@ -139,6 +139,20 @@ def test_segment_size_invariance():
         assert arith.primes_in_ap(2, 30000, 7, 3, segment_size=size) == arith.primes_in_ap(2, 30000, 7, 3)
 
 
+def test_base_primes_sieved_once_per_range(monkeypatch):
+    calls = []
+    base_primes = arith._base_primes
+
+    def counting(limit):
+        calls.append(limit)
+        return base_primes(limit)
+
+    monkeypatch.setattr(arith, "_base_primes", counting)
+    got = arith.primes_in_range(0, 200_000, segment_size=10_000)
+    assert calls == [math.isqrt(200_000)]
+    assert got.tolist() == [n for n in range(200_001) if arith.is_prime(n)]
+
+
 def test_chebyshev_psi_examples():
     want = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
     assert arith.chebyshev_psi(10) == pytest.approx(want, rel=1e-12)

@@ -47,6 +47,21 @@ def test_usage_errors(capsys):
     assert run(["definitely-not-a-command"]) == 2
 
 
+def test_parse_errors_end_with_json_error(capsys):
+    cases = (
+        (["bv", "--q", "x", "--b", "0.2", "--x", "1e4"], "--q"),  # bad type
+        (["bv", "--x", "1e4", "--q", "3", "--b", "0.2", "--frob"], "--frob"),  # unknown flag
+        (["maycond", "--x", "1e4", "--q", "3", "--a", "1", "--k", "2", "--L", "0.2", "--csv"], "--csv"),
+    )
+    for argv, flag in cases:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in json.loads(captured.err.strip().splitlines()[-1])["error"]
+    assert run(["maycond", "--help"]) == 0
+    assert "--csv" not in capsys.readouterr().out
+
+
 def test_thread_count_rejected(capsys):
     for argv in (["bv", "--x", "1e4", "--q", "3", "--b", "0.2"], ["bdh", "--x", "2e4", "--q", "3"]):
         for threads in ("0", "-1"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,87 @@ import numpy as np
 import pytest
 
 import apgaps.variational as var
+
+
+def _arrangements(partition, coords: int):
+    """Yield sparse {coordinate: exponent} placements, distinct coordinates."""
+    values = sorted(set(partition), reverse=True)
+    mults = [partition.count(v) for v in values]
+
+    def rec(vi, free):
+        if vi == len(values):
+            yield {}
+            return
+        for chosen in itertools.combinations(free, mults[vi]):
+            rest = tuple(c for c in free if c not in chosen)
+            for tail in rec(vi + 1, rest):
+                d = dict(tail)
+                for c in chosen:
+                    d[c] = values[vi]
+                yield d
+
+    yield from rec(0, tuple(range(coords)))
+
+
+def _gram_I_all_placements(k, basis):
+    """Oracle: gram_I by enumerating every placement of mu on all k coordinates."""
+    n = len(basis)
+    exact = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        lam = basis[i]
+        n_lam = var._n_arrangements(lam, k)
+        canon = {c: v for c, v in enumerate(lam)}
+        for j in range(i, n):
+            sig_counts = {}
+            for beta in _arrangements(basis[j], k):
+                comb = dict(canon)
+                for c, v in beta.items():
+                    comb[c] = comb.get(c, 0) + v
+                sig = tuple(sorted(comb.values(), reverse=True))
+                sig_counts[sig] = sig_counts.get(sig, 0) + 1
+            val = n_lam * sum(cnt * var.simplex_monomial_integral(k, sig) for sig, cnt in sig_counts.items())
+            exact[i][j] = exact[j][i] = val
+    scale = math.factorial(k)
+    return np.array([[float(v * scale) for v in row] for row in exact]), exact
+
+
+def _gram_J_all_placements(k, basis):
+    """Oracle: gram_J by enumerating every placement of mu on all k coordinates."""
+    n = len(basis)
+    exact = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        lam = basis[i]
+        first_choices = []
+        rest_count = var._n_arrangements(lam, k - 1)
+        if rest_count:
+            first_choices.append((0, lam, rest_count))
+        for v in sorted(set(lam), reverse=True):
+            rest = list(lam)
+            rest.remove(v)
+            cnt = var._n_arrangements(tuple(rest), k - 1)
+            if cnt:
+                first_choices.append((v, tuple(rest), cnt))
+        for j in range(i, n):
+            mu = basis[j]
+            deg_sum = sum(lam) + sum(mu)
+            total = Fraction(0)
+            for a1, rest_lam, cnt in first_choices:
+                canon = {c + 1: v for c, v in enumerate(rest_lam)}
+                sig_counts = {}
+                for beta in _arrangements(mu, k):
+                    b1 = beta.get(0, 0)
+                    comb = dict(canon)
+                    for c, v in beta.items():
+                        if c:
+                            comb[c] = comb.get(c, 0) + v
+                    sig = (b1, tuple(sorted(comb.values(), reverse=True)))
+                    sig_counts[sig] = sig_counts.get(sig, 0) + 1
+                total += cnt * sum(
+                    m * var._j_pair_value(k, a1, b1, rest_sig, deg_sum) for (b1, rest_sig), m in sig_counts.items()
+                )
+            exact[i][j] = exact[j][i] = k * total
+    scale = math.factorial(k)
+    return np.array([[float(v * scale) for v in row] for row in exact]), exact
 
 
 def test_simplex_monomial_integral_examples():
@@ -36,12 +118,42 @@ def test_monomial_sym_eval_matches_enumeration():
         got = var.eval_monomial_sym(lam, pts)
         # direct oracle: sum over distinct coordinate placements
         want = np.zeros(len(pts))
-        for placement in var._arrangements(lam, k):
+        for placement in _arrangements(lam, k):
             term = np.ones(len(pts))
             for c, e in placement.items():
                 term = term * pts[:, c] ** e
             want += term
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k,degree", [(k, d) for k in (1, 2, 3, 4, 5, 8, 12, 20) for d in range(4)] + [(5, 5), (8, 5)]
+)
+def test_gram_matrices_match_all_placements_oracle(k, degree):
+    basis = var.basis_partitions(k, degree)
+    for fast, oracle in ((var.gram_I, _gram_I_all_placements), (var.gram_J, _gram_J_all_placements)):
+        flt, exact = fast(k, basis)
+        want_flt, want_exact = oracle(k, basis)
+        assert exact == want_exact
+        assert np.array_equal(flt, want_flt)
+
+
+def test_eval_F_matches_per_function_sum():
+    rng = np.random.default_rng(21)
+    for k, degree in ((1, 4), (3, 3), (5, 6)):
+        basis = var.basis_partitions(k, degree)
+        coefs = rng.normal(size=len(basis))
+        coefs[1] = 0.0
+        cert = var.VariationalCertificate(
+            k=k, degree=degree, basis=basis, coefficients=tuple(float(c) for c in coefs),
+            lower_bound=0.0, exact_bound=Fraction(0),
+        )
+        pts = rng.uniform(0, 1.0 / k, size=(300, k))
+        want = np.zeros(len(pts))
+        for c, lam in zip(cert.coefficients, cert.basis):
+            if c:
+                want += c * var.eval_monomial_sym(lam, pts)
+        assert np.array_equal(var._eval_F(cert, pts), want)
 
 
 def test_gram_I_examples():
