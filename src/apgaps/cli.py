@@ -171,17 +171,20 @@ def cmd_hb(args) -> int:
     k = _get(args, conf, "k", 2, cast=int)
     trials = _get(args, conf, "trials", 3, cast=int)
     seed = _get(args, conf, "seed", 0, cast=int)
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
+    if not (math.isfinite(x) and x >= 1):
+        raise UsageError("x must be >= 1")
     manifest = _manifest("hb", {"x": x, "k": k, "trials": trials}, seed)
-    from .heath_brown import direct_lambda_sum, hb_decompose_sum_multi
+    from .heath_brown import check_decompose_args, direct_lambda_sum, hb_decompose_sum_multi
 
-    rng = np.random.default_rng(seed)
     xi = int(x)
-    rows = rng.normal(size=(trials, xi + 1))
-    fs = [lambda n, row=row: row[n] for row in rows]
-    totals, components = hb_decompose_sum_multi(x, k, fs)
+    check_decompose_args(xi, k)
+    rows = np.random.default_rng(seed).normal(size=(trials, xi + 1))
+    totals, components = hb_decompose_sum_multi(x, k, rows)
     worst = 0.0
-    for f, tot in zip(fs, totals):
-        direct = direct_lambda_sum(x, f)
+    for row, tot in zip(rows, totals):
+        direct = direct_lambda_sum(x, row)
         worst = max(worst, abs(tot - direct) / max(1.0, abs(direct)))
     ok = worst <= 1e-9
     _emit(
@@ -200,6 +203,10 @@ def cmd_comb(args) -> int:
     den = _get(args, conf, "denominator", 24, cast=int)
     n_random = _get(args, conf, "random", 0, cast=int)
     seed = _get(args, conf, "seed", 0, cast=int)
+    if den < 1:
+        raise UsageError("denominator must be >= 1")
+    if n_random < 0:
+        raise UsageError("random must be >= 0")
     manifest = _manifest("comb", {"denominator": den, "random": n_random}, seed)
     grid = sum(1 for d in range(1, den + 1) for _ in comb_lemmas.partitions_of(d, comb_lemmas.N_PARTS))
     tri = comb_lemmas.verify_trichotomy(den)

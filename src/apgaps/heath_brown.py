@@ -6,9 +6,21 @@ The k-fold form expands Lambda(n), for n <= x, as
         sum_{n = u_1 ... u_j v_1 ... v_j, v_i <= z} log(u_1) mu(v_1) ... mu(v_j)
 
 with the Moebius factors truncated at z = floor(x^(1/k)). hb_lambda evaluates
-the right-hand side pointwise (it must reproduce Lambda exactly); the
-decomposition routines split the same sum into dyadic boxes, one component
-per (j, box vector), and report a per-component breakdown.
+the right-hand side pointwise (it must reproduce Lambda exactly);
+hb_decompose_sum_multi splits sum_{n<=x} Lambda(n) f(n) into dyadic boxes,
+one component per (j, box vector), and reports a per-component breakdown.
+
+The decomposition enumerates every j-tuple as numpy arrays, one slot at a
+time in the order v_1 .. v_j, u_2 .. u_j, u_1. A prefix is held as its
+product, its coefficient (-1)^(j-1) C(k,j) mu(v_1)...mu(v_i) and an integer
+box key; a slot expands each prefix over its values (squarefree v <= z, or
+u <= x / product) with a ragged repeat. The last slot, u_1, gives n and the
+weight coeff * log(u_1), and one bincount per weight row sums the tuples of
+each box. Box keys are mixed-radix digits in the order u_1 .. u_j,
+v_1 .. v_j, so sorted keys are the components in (j, u_boxes, v_boxes)
+order. Expansion is depth-first in chunks of at most _CHUNK tuples, and
+per-chunk box sums are merged in bounded batches, so memory does not grow
+with the number of tuples (about 1.5e8 at x = 1e5, k = 3).
 """
 
 from __future__ import annotations
@@ -114,96 +126,157 @@ def component_constraints_ok(comp: HBComponent, x: int) -> bool:
     return prod <= x
 
 
-def hb_decompose_sum_multi(x: float, k: int, fs) -> tuple[list[complex], list[HBComponent]]:
-    """Decompose sum_{n<=x} Lambda(n) f(n) for several f at once.
+# Tuples expanded per chunk of the decomposition. The chunk size bounds the
+# working set; it changes neither the components nor their tuple counts.
+_CHUNK = 1 << 14
 
-    Returns (totals, components); totals[i] is the fsum of component values
-    for fs[i] and must match the direct Lambda-weighted sum.
+
+def check_decompose_args(x: int, k: int) -> None:
+    """Raise ValueError outside 1 <= x <= 1e5, 1 <= k <= 3, the range of hb_decompose_sum_multi."""
+    if not 1 <= x <= 10**5 or not 1 <= k <= 3:
+        raise ValueError("decomposition is desk-bounded to 1 <= x <= 1e5, 1 <= k <= 3")
+
+
+class _Groups:
+    """Running tuple counts and weight-row sums per integer key.
+
+    Chunks are added as (keys, counts, sums) with sums of shape (rows, keys);
+    they are merged once the unmerged keys outnumber both _CHUNK and the
+    merged ones, so memory stays bounded and each key is re-merged O(1)
+    times on average.
+    """
+
+    def __init__(self):
+        self.chunks = []
+        self.merged = self.fresh = 0
+
+    def add(self, keys, counts, sums):
+        self.chunks.append((keys, counts, sums))
+        self.fresh += len(keys)
+        if self.fresh > max(_CHUNK, self.merged):
+            self.merge()
+
+    def merge(self):
+        keys, inv = np.unique(np.concatenate([c[0] for c in self.chunks]), return_inverse=True)
+        # float sums of integer counts below 2^53 are exact
+        counts = np.bincount(inv, weights=np.concatenate([c[1] for c in self.chunks]), minlength=len(keys))
+        sums = np.concatenate([c[2] for c in self.chunks], axis=1)
+        sums = np.array([np.bincount(inv, weights=row, minlength=len(keys)) for row in sums])
+        self.chunks = [(keys, counts.astype(np.int64), sums)]
+        self.merged, self.fresh = len(keys), 0
+        return self.chunks[0]
+
+
+def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[complex], list[HBComponent]]:
+    """Decompose sum_{n<=x} Lambda(n) f(n) for several weight rows f at once.
+
+    weights has shape (nf, floor(x) + 1), real or complex; weights[i, n] is
+    f_i(n) (column 0 is never read). Returns (totals, components); totals[i]
+    is the fsum of component values for row i and must match
+    direct_lambda_sum(x, weights[i]).
     """
     xi = int(math.floor(x))
-    if xi > 10**5 or not 1 <= k <= 3:
-        raise ValueError("decomposition is desk-bounded to x <= 1e5, k <= 3")
+    check_decompose_args(xi, k)
+    w = np.asarray(weights)
+    if w.ndim != 2 or w.shape[1] != xi + 1:
+        raise ValueError(f"weights must have shape (nf, {xi + 1}), got {w.shape}")
+    nf = w.shape[0]
+    is_complex = np.iscomplexobj(w)
+    # float rows: the real parts, then (complex weights only) the imaginary parts
+    rows = np.concatenate([w.real, w.imag]) if is_complex else w.astype(np.float64)
     z = kth_root_floor(xi, k)
-    nf = len(fs)
-    farr = np.empty((nf, xi + 1), dtype=np.complex128)
-    for i, f in enumerate(fs):
-        farr[i] = [0.0] + [f(n) for n in range(1, xi + 1)]
     mu = mobius_table(xi)
     logs = np.zeros(xi + 1)
     logs[1:] = np.log(np.arange(1, xi + 1, dtype=np.float64))
+    radix = xi.bit_length()  # box exponents run over 0 .. radix - 1
+    box = np.zeros(xi + 1, dtype=np.int64)
+    for b in range(radix):
+        box[2**b : 2 ** (b + 1)] = b
+    sqf = np.flatnonzero(mu[1 : z + 1]) + 1  # the v values: mu(v) != 0, v <= z
+    mu_sqf = mu[sqf]
+    n_sqf = np.zeros(z + 1, dtype=np.int64)  # n_sqf[m] = #{v in sqf : v <= m}
+    n_sqf[1:] = np.cumsum(mu[1 : z + 1] != 0)
 
-    acc: dict[tuple, list] = {}  # key -> [count, value vector]
+    def expand(slots, prod, coeff, key, groups):
+        # fill slots[0] for every prefix: child t of the flat child list is
+        # value number t - starts[parent] of its parent; _CHUNK children at a time
+        kind, place = slots[0]
+        cap = xi // prod
+        lens = n_sqf[np.minimum(cap, z)] if kind == "v" else cap
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        last = len(slots) == 1
+        if last:
+            # u_1 is the most significant digit: key = prefix key + box(u_1) * place
+            prefixes, pid = np.unique(key, return_inverse=True)
+            nbins = len(prefixes) * radix
+        for lo in range(0, int(ends[-1]), _CHUNK):
+            hi = min(lo + _CHUNK, int(ends[-1]))
+            p0, p1 = np.searchsorted(ends, [lo, hi - 1], side="right")
+            span = np.minimum(ends[p0 : p1 + 1], hi) - np.maximum(starts[p0 : p1 + 1], lo)
+            parent = np.repeat(np.arange(p0, p1 + 1), span)
+            off = np.arange(lo, hi) - starts[parent]
+            if kind == "v":
+                val = sqf[off]
+                c = coeff[parent] * mu_sqf[off]
+            else:
+                val = off + 1
+                c = coeff[parent]
+            p = prod[parent] * val
+            if not last:
+                expand(slots[1:], p, c, key[parent] + box[val] * place, groups)
+                continue
+            local = pid[parent] * radix + box[val]
+            counts = np.bincount(local, minlength=nbins)
+            hit = np.flatnonzero(counts)
+            wt = c * logs[val]
+            sums = np.array([np.bincount(local, weights=row[p] * wt, minlength=nbins)[hit] for row in rows])
+            groups.add(prefixes[hit // radix] + hit % radix * place, counts[hit], sums)
 
-    def add(key, count, vals):
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [count, vals.copy()]
-        else:
-            slot[0] += count
-            slot[1] += vals
-
-    def u1_scan(j, coeff, prod, u_boxes, v_boxes):
-        # innermost slot carries the log weight; reduceat folds it per dyadic box
-        U = xi // prod
-        u = np.arange(1, U + 1)
-        contrib = farr[:, prod * u] * logs[u][None, :]
-        bounds = [2**b - 1 for b in range(U.bit_length())]
-        sums = np.add.reduceat(contrib, bounds, axis=1)
-        for bi, b0 in enumerate(bounds):
-            hi = bounds[bi + 1] if bi + 1 < len(bounds) else U
-            add((j, (bi,) + u_boxes, v_boxes), hi - b0, coeff * sums[:, bi])
-
-    def u_rec(j, slot, coeff, prod, u_boxes, v_boxes):
-        if slot > j:
-            u1_scan(j, coeff, prod, u_boxes, v_boxes)
-            return
-        for u in range(1, xi // prod + 1):
-            u_rec(j, slot + 1, coeff, prod * u, u_boxes + (u.bit_length() - 1,), v_boxes)
-
-    def v_rec(j, slot, coeff, prod, v_boxes):
-        if slot > j:
-            u_rec(j, 2, coeff, prod, (), v_boxes)
-            return
-        for v in range(1, min(z, xi // prod) + 1):
-            m = mu[v]
-            if m:
-                v_rec(j, slot + 1, coeff * int(m), prod * v, v_boxes + (v.bit_length() - 1,))
-
-    for j in range(1, k + 1):
-        base = (-1) ** (j - 1) * math.comb(k, j)
-        v_rec(j, 1, base, 1, ())
-
+    totals_parts = []
     components = []
-    for key in sorted(acc):
-        j, u_boxes, v_boxes = key
-        count, vals = acc[key]
-        components.append(
-            HBComponent(
-                k=k,
-                j=j,
-                sign=(-1) ** (j - 1),
-                weight=math.comb(k, j),
-                u_boxes=u_boxes,
-                v_boxes=v_boxes,
-                tuple_count=count,
-                values=tuple(complex(v) for v in vals),
+    for j in range(1, k + 1):
+        # key digits, most significant first: u_1 .. u_j, then v_1 .. v_j, so
+        # sorted keys are sorted (u_boxes, v_boxes); slots are filled v_1 .. v_j,
+        # u_2 .. u_j, u_1
+        slots = [("v", radix ** (j - i)) for i in range(1, j + 1)]
+        slots += [("u", radix ** (2 * j - i)) for i in range(2, j + 1)]
+        slots.append(("u", radix ** (2 * j - 1)))
+        groups = _Groups()
+        one = np.ones(1, dtype=np.int64)
+        expand(slots, one, (-1) ** (j - 1) * math.comb(k, j) * one, 0 * one, groups)
+        keys, counts, sums = groups.merge()
+        totals_parts.append(sums)
+        digits = (keys[:, None] // radix ** np.arange(2 * j - 1, -1, -1)) % radix
+        vals = sums[:nf] + 1j * sums[nf:] if is_complex else sums
+        for d, count, col in zip(digits.tolist(), counts.tolist(), vals.T.tolist()):
+            components.append(
+                HBComponent(
+                    k=k,
+                    j=j,
+                    sign=(-1) ** (j - 1),
+                    weight=math.comb(k, j),
+                    u_boxes=tuple(d[:j]),
+                    v_boxes=tuple(d[j:]),
+                    tuple_count=count,
+                    values=tuple(complex(v) for v in col),
+                )
             )
-        )
-    totals = [
-        complex(math.fsum(c.values[i].real for c in components), math.fsum(c.values[i].imag for c in components))
-        for i in range(nf)
-    ]
+    row_sums = [math.fsum(r) for r in np.concatenate(totals_parts, axis=1)]
+    totals = [complex(row_sums[i], row_sums[nf + i] if is_complex else 0.0) for i in range(nf)]
     return totals, components
 
 
-def hb_decompose_sum(x: float, k: int, f) -> tuple[complex, list[HBComponent]]:
-    totals, components = hb_decompose_sum_multi(x, k, [f])
-    return totals[0], components
+def direct_lambda_sum(x: float, weights) -> complex:
+    """Oracle side: sum_{n<=x} Lambda(n) f(n) straight from the Lambda table.
 
-
-def direct_lambda_sum(x: float, f) -> complex:
-    """Oracle side: sum_{n<=x} Lambda(n) f(n) straight from the Lambda table."""
+    weights is one row of length floor(x) + 1 with weights[n] = f(n).
+    """
     xi = int(math.floor(x))
+    w = np.asarray(weights)
+    if w.shape != (xi + 1,):
+        raise ValueError(f"weights must have shape ({xi + 1},), got {w.shape}")
     lam = von_mangoldt_table(xi)
-    vals = [lam[n] * f(n) for n in range(2, xi + 1) if lam[n]]
-    return complex(math.fsum(v.real for v in map(complex, vals)), math.fsum(v.imag for v in map(complex, vals)))
+    idx = np.flatnonzero(lam)
+    vals = lam[idx] * w[idx]
+    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))

@@ -63,12 +63,11 @@ def test_criterion_02_heath_brown_identity():
     rng = np.random.default_rng(0)
     x = 1e4
     rows = rng.normal(size=(20, int(x) + 1))
-    fs = [lambda n, row=row: row[n] for row in rows]
     for k in (1, 2):
-        totals, comps = hb.hb_decompose_sum_multi(x, k, fs)
+        totals, comps = hb.hb_decompose_sum_multi(x, k, rows)
         assert all(hb.component_constraints_ok(c, int(x)) for c in comps)
-        for f, tot in zip(fs, totals):
-            direct = hb.direct_lambda_sum(x, f)
+        for row, tot in zip(rows, totals):
+            direct = hb.direct_lambda_sum(x, row)
             assert abs(tot - direct) <= 1e-9 * max(1.0, abs(direct))
     elapsed = time.time() - start
     assert elapsed < 60

@@ -184,6 +184,37 @@ def test_hb_cmd(tmp_path):
     assert row["passed"] and row["components"] > 0
 
 
+def last_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err.strip().splitlines()[-1])["error"]
+
+
+def test_hb_rejects_bad_arguments(capsys):
+    cases = (
+        (["--trials", "0"], "trials"),
+        (["--trials", "-2"], "trials"),
+        (["--x", "-5"], "x must"),
+        (["--x", "0.5"], "x must"),
+        (["--x", "nan"], "x must"),
+        (["--x", "inf"], "x must"),
+        (["--x", "2e5"], "desk-bounded"),
+        (["--k", "4"], "desk-bounded"),
+    )
+    for extra, message in cases:
+        assert run(["hb", "--x", "100", "--k", "2", "--trials", "1"] + extra) == 2
+        assert message in last_error(capsys)
+
+
+def test_comb_rejects_bad_arguments(tmp_path, capsys):
+    for extra, message in ((["--random", "-1"], "random"), (["--denominator", "0"], "denominator")):
+        assert run(["comb", "--denominator", "6"] + extra) == 2
+        assert message in last_error(capsys)
+    out = tmp_path / "comb.jsonl"
+    assert run(["comb", "--denominator", "6", "--random", "0", "--out", str(out)]) == 0
+    assert {r["check"] for r in read_lines(out)} == {"trichotomy", "five-part-lemma"}
+
+
 def test_verify_identities_reduced_scope(tmp_path):
     out = tmp_path / "ids.jsonl"
     assert (
