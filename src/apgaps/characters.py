@@ -288,24 +288,6 @@ def conductor(chi: Character) -> int:
     return chi.conductor
 
 
-def conductor_by_enumeration(chi: Character) -> int:
-    """Reference conductor: smallest f | r with chi constant on unit classes mod f."""
-    r = chi.group.r
-    units = [int(u) for u in chi.group.unit_values]
-    for f in divisors(r):
-        buckets: dict[int, int] = {}
-        ok = True
-        for u in units:
-            k = chi.value_exponent(u)
-            prev = buckets.setdefault(u % f, k)
-            if prev != k:
-                ok = False
-                break
-        if ok:
-            return f
-    return r
-
-
 def primitivize(chi: Character) -> Character:
     """The primitive character mod conductor(chi) inducing chi."""
     f = chi.conductor

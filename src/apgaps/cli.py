@@ -284,7 +284,6 @@ def _load_table(path: str) -> list[VariationalCertificate]:
                     degree=row["degree"],
                     basis=tuple(tuple(p) for p in row["basis"]),
                     coefficients=tuple(row["coefficients"]),
-                    lower_bound=row["lambda"],
                     exact_bound=Fraction(row["exact_bound"]),
                 )
             )

@@ -111,21 +111,6 @@ class HBComponent:
         return tuple(2**b for b in self.u_boxes + self.v_boxes)
 
 
-def component_constraints_ok(comp: HBComponent, x: int) -> bool:
-    """Dyadic and truncation constraints for one component."""
-    z = kth_root_floor(x, comp.k)
-    if not 1 <= comp.j <= comp.k:
-        return False
-    if comp.weight != math.comb(comp.k, comp.j):
-        return False
-    if any(2**b > z for b in comp.v_boxes):
-        return False
-    prod = 1
-    for b in comp.u_boxes + comp.v_boxes:
-        prod <<= b
-    return prod <= x
-
-
 # Tuples expanded per chunk of the decomposition. The chunk size bounds the
 # working set; it changes neither the components nor their tuple counts.
 _CHUNK = 1 << 14

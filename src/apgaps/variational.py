@@ -22,10 +22,12 @@ overlap patterns of lambda and mu with closed-form multiplicities: the
 cost depends on the degree only, not on k.
 
 The best quotient over the span is the top generalized eigenvalue of
-(B, A); any feasible quotient is a valid lower bound for M_k, so the
-certificate records the quotient of the computed coefficient vector, also
-evaluated in exact rational arithmetic. Monte-Carlo integration gives an
-independent check of every certificate.
+(B, A), found by one dense eigensolve of L^-1 B L^-T where A = L L^T. Any
+feasible quotient is a valid lower bound for M_k, so the certificate keeps
+the quotient of the computed float coefficient vector in exact rational
+arithmetic (exact_bound); the float it reports and selects k by
+(lower_bound, the "lambda" column) is that rational rounded down.
+Monte-Carlo integration gives an independent check of every certificate.
 """
 
 from __future__ import annotations
@@ -201,46 +203,23 @@ class RayleighError(RuntimeError):
     pass
 
 
-def max_rayleigh(
-    A: np.ndarray, B: np.ndarray, tol: float = 1e-10, maxiter: int = 10_000
-) -> tuple[float, np.ndarray]:
+def max_rayleigh(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     """Top generalized eigenpair of (B, A) with A positive definite.
 
-    Cholesky-transform to an ordinary symmetric problem, then power
-    iteration; B must be positive semidefinite so the top eigenvalue is the
-    spectral radius.
+    With the Cholesky factor A = L L^T the pencil becomes the symmetric
+    matrix C = L^-1 B L^-T; one dense eigensolve of C gives its top
+    eigenpair (lam, y), and c = L^-T y.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    n = A.shape[0]
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         cond = float(np.linalg.cond(A))
         raise RayleighError(f"Gram matrix not numerically positive definite (cond ~ {cond:.3e})") from exc
-
-    def apply_C(y):
-        w = np.linalg.solve(L.T, y)
-        return np.linalg.solve(L, B @ w)
-
-    y = np.ones(n) + np.arange(n) / (10.0 * max(n, 1))
-    y /= np.linalg.norm(y)
-    lam = 0.0
-    Cy = apply_C(y)
-    for _ in range(maxiter):
-        norm = np.linalg.norm(Cy)
-        if norm == 0.0:
-            raise RayleighError("operator annihilated the iterate; top eigenvalue is 0")
-        y_next = Cy / norm
-        Cy_next = apply_C(y_next)  # also the next step's Cy
-        lam_next = float(y_next @ Cy_next)
-        residual = float(np.linalg.norm(Cy_next - lam_next * y_next))
-        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)) and residual <= 1e3 * tol * max(1.0, abs(lam_next)):
-            c = np.linalg.solve(L.T, y_next)
-            quot_den = float(c @ A @ c)
-            return float(c @ B @ c) / quot_den, c
-        lam, Cy = lam_next, Cy_next
-    raise RayleighError(f"no convergence after {maxiter} iterations; last residual {residual:.3e}")
+    C = np.linalg.solve(L, np.linalg.solve(L, B).T)
+    lams, ys = np.linalg.eigh(C)
+    return float(lams[-1]), np.linalg.solve(L.T, ys[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +232,17 @@ class VariationalCertificate:
     degree: int
     basis: tuple[tuple[int, ...], ...]
     coefficients: tuple[float, ...]
-    lower_bound: float
     exact_bound: Fraction  # the float coefficients' quotient, rationally exact
 
     @property
     def basis_size(self) -> int:
         return len(self.basis)
+
+    @property
+    def lower_bound(self) -> float:
+        """exact_bound rounded down to a float: the certified value reported and used."""
+        f = float(self.exact_bound)
+        return math.nextafter(f, -math.inf) if f > self.exact_bound else f
 
     def json_dict(self) -> dict:
         return {
@@ -295,7 +279,7 @@ def mk_lower_bound(k: int, max_degree: int) -> VariationalCertificate:
     basis = basis_partitions(k, max_degree)
     A, A_exact = gram_I(k, basis)
     B, B_exact = gram_J(k, basis)
-    lam, c = max_rayleigh(A, B)
+    _, c = max_rayleigh(A, B)
     if float(c @ B @ c) <= 0:
         raise RayleighError("optimizer returned a function with vanishing J mass")
     # normalize for reproducibility: unit A-norm, leading significant entry positive
@@ -308,7 +292,6 @@ def mk_lower_bound(k: int, max_degree: int) -> VariationalCertificate:
         degree=max_degree,
         basis=basis,
         coefficients=tuple(float(v) for v in c),
-        lower_bound=float(lam),
         exact_bound=_exact_quotient(c, A_exact, B_exact),
     )
 
@@ -371,19 +354,18 @@ def eval_monomial_sym(partition: tuple[int, ...], pts: np.ndarray) -> np.ndarray
     return _eval_from_power_sums(partition, _power_sums(pts, sum(partition)), len(pts))
 
 
-def _eval_F(cert: VariationalCertificate, pts: np.ndarray) -> np.ndarray:
-    """The trial function at pts, from one set of power sums for the whole basis."""
-    used = [(c, lam) for c, lam in zip(cert.coefficients, cert.basis) if c]
-    psums = _power_sums(pts, max((sum(lam) for _, lam in used), default=0))
-    out = np.zeros(len(pts))
-    for c, lam in used:
-        out += c * _eval_from_power_sums(lam, psums, len(pts))
+def _eval_F(cert: VariationalCertificate, psums: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """The trial function at n points, given their power sums p_1 ... p_degree."""
+    out = np.zeros(n)
+    for c, lam in zip(cert.coefficients, cert.basis):
+        if c:
+            out += c * _eval_from_power_sums(lam, psums, n)
     return out
 
 
 # Monte-Carlo samples drawn per batch. The batch sums are added in order, so
 # this value is part of the bit pattern of every Monte-Carlo result.
-_MC_BATCH = 50_000
+_MC_BATCH = 20_000
 
 
 @dataclass(frozen=True)
@@ -422,8 +404,8 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     while done < sample_count:
         m = min(_MC_BATCH, sample_count - done)
         e = rng.exponential(size=(m, k + 1))
-        pts = (e / e.sum(axis=1, keepdims=True))[:, :k]
-        v = _eval_F(cert, pts) ** 2
+        e /= e.sum(axis=1, keepdims=True)
+        v = _eval_F(cert, _power_sums(e[:, :k], cert.degree), m) ** 2
         tot += float(np.sum(v))
         tot_sq += float(np.sum(v * v))
         done += m
@@ -431,7 +413,8 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     var_i = max(tot_sq / sample_count - mean_i**2, 0.0) / sample_count
 
     if k == 1:
-        inner = 0.5 * float(np.dot(weights, _eval_F(cert, ((nodes[:, None] + 1) / 2))))
+        pts = (nodes[:, None] + 1) / 2
+        inner = 0.5 * float(np.dot(weights, _eval_F(cert, _power_sums(pts, cert.degree), len(nodes))))
         mean_j = inner * inner
         var_j = 0.0
     else:
@@ -441,13 +424,14 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
         while done < sample_count:
             m = min(_MC_BATCH, sample_count - done)
             e = rng.exponential(size=(m, k))
-            rest = (e / e.sum(axis=1, keepdims=True))[:, : k - 1]
+            e /= e.sum(axis=1, keepdims=True)
+            rest = e[:, : k - 1]
             u = 1.0 - rest.sum(axis=1)
+            rest_sums = _power_sums(rest, cert.degree)
             inner = np.zeros(m)
             for g, w in zip(nodes, weights):
                 t1 = (g + 1) / 2 * u
-                pts = np.column_stack([t1, rest])
-                inner += w * _eval_F(cert, pts)
+                inner += w * _eval_F(cert, {r: t1**r + p for r, p in rest_sums.items()}, m)
             inner *= u / 2
             v = inner**2
             tot += float(np.sum(v))
@@ -482,8 +466,9 @@ def certificate_table(ks, degree: int) -> list[VariationalCertificate]:
 def min_k_for(t: int, L: float, table) -> tuple[int, VariationalCertificate]:
     """Least tabulated k whose certified bound exceeds (2t - 2)/L.
 
-    Certificates are lower bounds, so the answer is sound but possibly not
-    minimal among all k.
+    The certified bound is lower_bound, exact_bound rounded down, so the
+    chosen k's exact quotient exceeds the threshold too. Certificates are
+    lower bounds, so the answer is sound but possibly not minimal among all k.
     """
     if L <= 0:
         raise ValueError("need L > 0")

@@ -25,6 +25,7 @@ import apgaps.gaps as gaps
 import apgaps.heath_brown as hb
 import apgaps.variational as var
 from apgaps.arith import euler_phi, is_prime, von_mangoldt_table
+from test_heath_brown import component_constraints_ok
 
 
 def record(n, msg):
@@ -65,7 +66,7 @@ def test_criterion_02_heath_brown_identity():
     rows = rng.normal(size=(20, int(x) + 1))
     for k in (1, 2):
         totals, comps = hb.hb_decompose_sum_multi(x, k, rows)
-        assert all(hb.component_constraints_ok(c, int(x)) for c in comps)
+        assert all(component_constraints_ok(c, int(x)) for c in comps)
         for row, tot in zip(rows, totals):
             direct = hb.direct_lambda_sum(x, row)
             assert abs(tot - direct) <= 1e-9 * max(1.0, abs(direct))

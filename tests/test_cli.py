@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -72,13 +73,13 @@ def test_thread_count_rejected(capsys):
 
 def test_solver_failure_is_json_error(monkeypatch, capsys):
     def fail(k, degree):
-        raise apgaps.variational.RayleighError("no convergence after 10000 iterations")
+        raise apgaps.variational.RayleighError("Gram matrix not numerically positive definite (cond ~ 4.522e+22)")
 
     monkeypatch.setattr(apgaps.variational, "mk_lower_bound", fail)
     for argv in (["mk", "--k", "20", "--degree", "5"], ["certify", "--ks", "2,20"]):
         assert run(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert json.loads(err[-1]) == {"error": "no convergence after 10000 iterations"}
+        assert json.loads(err[-1]) == {"error": "Gram matrix not numerically positive definite (cond ~ 4.522e+22)"}
 
 
 def test_thread_count_invariance(tmp_path):
@@ -122,6 +123,31 @@ def test_mk_anchor(tmp_path):
     row = read_lines(out)[0]
     assert row["lambda"] == pytest.approx(1.0, abs=1e-9)
     assert row["basis_size"] == 4
+
+
+def test_mk_degree_6_at_k_12(capsys):
+    assert run(["mk", "--k", "12", "--degree", "6", "--mc-samples", "100000"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert Fraction(row["lambda"]) <= Fraction(row["exact_bound"])
+    assert row["mc_ci"][0] <= row["lambda"] <= row["mc_ci"][1]
+
+
+def test_gap_table_lambda_is_ignored(tmp_path, capsys):
+    table = tmp_path / "table.jsonl"
+    assert run(["certify", "--ks", "1,2,3", "--degree", "2", "--out", str(table)]) == 0
+    raised = tmp_path / "raised.jsonl"
+    raised.write_text("".join(json.dumps(dict(r, **{"lambda": 99.0})) + "\n" for r in read_lines(table)))
+    outcomes = {}
+    for path in (table, raised):
+        for t in ("1", "2"):
+            code = run(["gap", "--x", str(2.0**60), "--q", str(2**20), "--a", "1", "--t", t, "--table", str(path)])
+            captured = capsys.readouterr()
+            row = json.loads(captured.out if code == 0 else captured.err.strip().splitlines()[-1])
+            outcomes.setdefault(t, []).append((code, row.get("k"), row.get("error")))
+    assert outcomes["1"][0] == outcomes["1"][1] == (0, 1, None)
+    # the certified bounds stay below the t = 2 threshold, whatever "lambda" says
+    assert outcomes["2"][0] == outcomes["2"][1]
+    assert outcomes["2"][0][0] == 2 and "threshold" in outcomes["2"][0][2]
 
 
 def test_certify_table_then_gap(tmp_path):

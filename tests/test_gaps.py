@@ -98,7 +98,7 @@ def test_is_admissible_examples():
 def _fake_table(pairs):
     return [
         VariationalCertificate(
-            k=k, degree=1, basis=((),), coefficients=(1.0,), lower_bound=lb, exact_bound=Fraction(1)
+            k=k, degree=1, basis=((),), coefficients=(1.0,), exact_bound=Fraction(lb)
         )
         for k, lb in pairs
     ]

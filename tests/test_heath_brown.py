@@ -12,6 +12,21 @@ def as_row(f, x):
     return np.array([0.0] + [f(n) for n in range(1, x + 1)])
 
 
+def component_constraints_ok(comp, x):
+    """Dyadic and truncation constraints for one component."""
+    z = hb.kth_root_floor(x, comp.k)
+    if not 1 <= comp.j <= comp.k:
+        return False
+    if comp.weight != math.comb(comp.k, comp.j):
+        return False
+    if any(2**b > z for b in comp.v_boxes):
+        return False
+    prod = 1
+    for b in comp.u_boxes + comp.v_boxes:
+        prod <<= b
+    return prod <= x
+
+
 def decompose_by_recursion(x, k, weights):
     """Oracle: the decomposition by recursion over every (v_1..v_j, u_2..u_j) prefix."""
     xi = int(math.floor(x))
@@ -153,7 +168,7 @@ def test_decompose_three_fold():
     row = as_row(lambda n: 1.0 / n, 2000)
     (total,), comps = hb.hb_decompose_sum_multi(2000, 3, row[None])
     assert abs(total - hb.direct_lambda_sum(2000, row)) <= 1e-9
-    assert all(hb.component_constraints_ok(c, 2000) for c in comps)
+    assert all(component_constraints_ok(c, 2000) for c in comps)
 
 
 def test_component_structure():
@@ -166,7 +181,7 @@ def test_component_structure():
         assert c.weight == math.comb(2, c.j)
         assert len(c.u_boxes) == c.j and len(c.v_boxes) == c.j
         assert all(2**b <= z for b in c.v_boxes)
-        assert hb.component_constraints_ok(c, x)
+        assert component_constraints_ok(c, x)
     # dyadic boxing keeps the component count polylogarithmic
     assert len(comps) <= (x.bit_length() + 1) ** 4
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import apgaps.variational as var
+from apgaps.cli import DEFAULT_KS
 
 
 def _arrangements(partition, coords: int):
@@ -89,6 +90,29 @@ def _gram_J_all_placements(k, basis):
     return np.array([[float(v * scale) for v in row] for row in exact]), exact
 
 
+def _power_iteration(A, B, tol=1e-10, maxiter=10_000):
+    """Oracle: the former solver, power iteration on L^-1 B L^-T; None if it does not converge."""
+    L = np.linalg.cholesky(A)
+
+    def apply_C(y):
+        return np.linalg.solve(L, B @ np.linalg.solve(L.T, y))
+
+    n = A.shape[0]
+    y = np.ones(n) + np.arange(n) / (10.0 * max(n, 1))
+    y /= np.linalg.norm(y)
+    lam = 0.0
+    Cy = apply_C(y)
+    for _ in range(maxiter):
+        y_next = Cy / np.linalg.norm(Cy)
+        Cy_next = apply_C(y_next)
+        lam_next = float(y_next @ Cy_next)
+        residual = float(np.linalg.norm(Cy_next - lam_next * y_next))
+        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)) and residual <= 1e3 * tol * max(1.0, abs(lam_next)):
+            return np.linalg.solve(L.T, y_next)
+        lam, Cy = lam_next, Cy_next
+    return None
+
+
 def test_simplex_monomial_integral_examples():
     assert var.simplex_monomial_integral(1, (0,)) == 1
     assert var.simplex_monomial_integral(2, (0, 0)) == Fraction(1, 2)
@@ -146,14 +170,14 @@ def test_eval_F_matches_per_function_sum():
         coefs[1] = 0.0
         cert = var.VariationalCertificate(
             k=k, degree=degree, basis=basis, coefficients=tuple(float(c) for c in coefs),
-            lower_bound=0.0, exact_bound=Fraction(0),
+            exact_bound=Fraction(0),
         )
         pts = rng.uniform(0, 1.0 / k, size=(300, k))
         want = np.zeros(len(pts))
         for c, lam in zip(cert.coefficients, cert.basis):
             if c:
                 want += c * var.eval_monomial_sym(lam, pts)
-        assert np.array_equal(var._eval_F(cert, pts), want)
+        assert np.array_equal(var._eval_F(cert, var._power_sums(pts, degree), len(pts)), want)
 
 
 def test_gram_I_examples():
@@ -258,6 +282,25 @@ def test_max_rayleigh_reports_singular_gram():
         var.max_rayleigh(A, np.eye(2))
 
 
+@pytest.mark.parametrize("k,degree", [(k, 3) for k in DEFAULT_KS] + [(5, 6)])
+def test_certificate_sound_and_not_below_power_iteration(k, degree):
+    cert = var.mk_lower_bound(k, degree)
+    assert Fraction(cert.lower_bound) <= cert.exact_bound < Fraction(math.nextafter(cert.lower_bound, math.inf))
+    basis = var.basis_partitions(k, degree)
+    A, A_exact = var.gram_I(k, basis)
+    B, B_exact = var.gram_J(k, basis)
+    c = _power_iteration(A, B)
+    assert c is not None
+    assert cert.exact_bound >= var._exact_quotient(c, A_exact, B_exact) * (1 - Fraction(1, 10**12))
+
+
+def test_solver_reaches_where_power_iteration_stalled():
+    for k, degree, floor in ((12, 6, Fraction("2.6871")), (105, 3, Fraction("3.478"))):
+        cert = var.mk_lower_bound(k, degree)
+        assert cert.exact_bound > floor
+        assert Fraction(cert.lower_bound) <= cert.exact_bound
+
+
 def test_k1_anchor():
     for degree in (0, 1, 3, 5):
         cert = var.mk_lower_bound(1, degree)
@@ -294,7 +337,7 @@ def test_certificate_serialization_fields():
 
 def test_verify_certificate_constant_function():
     cert = var.VariationalCertificate(
-        k=2, degree=0, basis=((),), coefficients=(1.0,), lower_bound=4 / 3, exact_bound=Fraction(4, 3)
+        k=2, degree=0, basis=((),), coefficients=(1.0,), exact_bound=Fraction(4, 3)
     )
     mc = var.verify_certificate(cert, 200_000, seed=5)
     assert mc.contains(4 / 3)
@@ -306,7 +349,7 @@ def test_verify_certificate_guards():
     with pytest.raises(ValueError):
         var.verify_certificate(cert, 10_000)
     zero = var.VariationalCertificate(
-        k=2, degree=0, basis=((),), coefficients=(0.0,), lower_bound=0.0, exact_bound=Fraction(0)
+        k=2, degree=0, basis=((),), coefficients=(0.0,), exact_bound=Fraction(0)
     )
     with pytest.raises(ValueError):
         var.verify_certificate(zero, 100_000)
