@@ -2,10 +2,13 @@
 
 Intervals are half-open (lo, hi] throughout and all logarithms are natural.
 The segmented sieve yields primes only. Von Mangoldt weights come from
-prime_power_arrays (the sparse prime powers P with weights W = log p) or
-von_mangoldt_table (the dense table Lambda(0..n)); both are IEEE doubles,
-and weighted accumulations go through math.fsum so results do not depend
-on chunking or thread counts.
+prime_power_arrays (the sparse prime powers P with weights W = log p, cached),
+von_mangoldt_table (the dense table Lambda(0..n)), or psi_residue_sums,
+which streams the sieve segments into per-residue float bincounts. Sums
+over one class (chebyshev_psi) use math.fsum; the residue vectors of
+psi_residue_sums are plain float sums in a fixed order (segment by
+segment, fixed modulus groups), so they too never depend on the caller's
+thread count.
 """
 
 from __future__ import annotations
@@ -274,24 +277,27 @@ def _sieve_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
     return lo + 1 + np.flatnonzero(flags).astype(np.int64)
 
 
-def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """Ascending primes in (lo, hi]; segment size never changes the output.
+def _segments(lo: int, hi: int, segment_size: int):
+    """The primes of (lo, hi], one ascending array per sieve segment.
 
     The marking primes up to sqrt(hi) are sieved once and shared by every
     segment.
     """
+    base = _base_primes(math.isqrt(hi))
+    s = lo
+    while s < hi:
+        e = min(s + segment_size, hi)
+        yield _sieve_segment(s, e, base)
+        s = e
+
+
+def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
+    """Ascending primes in (lo, hi]; segment size never changes the output."""
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
     if lo < 0:
         raise ValueError("need 0 <= lo < hi")
-    base = _base_primes(math.isqrt(hi))
-    parts = []
-    s = lo
-    while s < hi:
-        e = min(s + segment_size, hi)
-        parts.append(_sieve_segment(s, e, base))
-        s = e
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.concatenate(list(_segments(lo, hi, segment_size)))
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -356,10 +362,67 @@ def chebyshev_psi(x: float, q: int = 1, a: int = 0) -> float:
     return math.fsum(W)
 
 
-def psi_residue_sums(x: float, m: int) -> np.ndarray:
-    """Vector of psi(x; m, a) for all residues a mod m in one pass."""
-    P, W = prime_power_arrays(int(math.floor(x)))
-    return np.bincount((P % m).astype(np.int64), weights=W, minlength=m)
+# Group moduli for psi_residue_sums: one bincount into M bins serves every m | M.
+_GROUP_BINS = 1 << 16
+
+
+def _modulus_groups(moduli) -> dict[int, int]:
+    """Map each modulus m to a group modulus M with m | M.
+
+    Greedy cover in descending order of m: m joins the group whose lcm grows
+    least, provided the lcm stays at or below _GROUP_BINS or does not grow;
+    otherwise m opens a group of its own.
+    """
+    groups: list[list] = []  # [M, members]
+    for m in sorted(set(moduli), reverse=True):
+        best, best_growth = None, None
+        for g in groups:
+            lcm = math.lcm(g[0], m)
+            growth = lcm // g[0]
+            if (growth == 1 or lcm <= _GROUP_BINS) and (best is None or growth < best_growth):
+                best, best_growth = g, growth
+        if best is None:
+            groups.append([m, [m]])
+        else:
+            best[0] *= best_growth
+            best[1].append(m)
+    return {m: M for M, members in groups for m in members}
+
+
+def psi_residue_sums(x: float, moduli) -> list[np.ndarray]:
+    """For each m in moduli, the vector of psi(x; m, a) over all residues a mod m.
+
+    One pass of the segmented sieve over (0, x] serves every modulus. Each
+    segment's primes and their logs go into one weighted bincount per
+    modulus group (_modulus_groups), the higher prime powers into one more
+    after the last segment, and each group's vector is folded down to its
+    members. Memory is O(segment + sum of the group moduli), not O(pi(x)).
+    The float summation order is fixed by the segment size and the grouping.
+    """
+    moduli = [int(m) for m in moduli]
+    if any(m < 1 for m in moduli):
+        raise ValueError("moduli must be >= 1")
+    group_of = _modulus_groups(moduli)
+    acc = {M: np.zeros(M) for M in group_of.values()}
+    xi = int(math.floor(x))
+    if acc and xi >= 2:
+        for ps in _segments(0, xi, DEFAULT_SEGMENT):
+            logs = np.log(ps)
+            for M, vec in acc.items():
+                vec += np.bincount(ps % M, weights=logs, minlength=M)
+        powers, weights = [], []
+        for p in _base_primes(math.isqrt(xi)):
+            logp = math.log(p)
+            pk = p * p
+            while pk <= xi:
+                powers.append(pk)
+                weights.append(logp)
+                pk *= p
+        P = np.array(powers, dtype=np.int64)
+        W = np.array(weights)
+        for M, vec in acc.items():
+            vec += np.bincount(P % M, weights=W, minlength=M)
+    return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
 
 
 def reduced_residue_mask(m: int) -> np.ndarray:

@@ -115,10 +115,11 @@ def compute_E_b(x: float, q: int, b: float, threads: int = 1) -> ErrorSumReport:
         raise ValueError("need threads >= 1")
     D = _modulus_cutoff(x, q, b, "b")
     ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
+    vecs = dict(zip(ds, psi_residue_sums(x, [q * d for d in ds])))
 
     def per_d(d: int) -> float:
         m = q * d
-        vec = psi_residue_sums(x, m)
+        vec = vecs[d]
         dev = np.abs(vec[reduced_residue_mask(m)] - x / euler_phi(m))
         return float(np.max(dev)) if dev.size else 0.0
 

@@ -216,8 +216,7 @@ def cmd_comb(args) -> int:
         {"check": "five-part-lemma", "checked": grid, "counterexamples": [list(t[1]) for t in five]},
     ]
     if n_random:
-        c1, b1 = comb_lemmas.random_trichotomy_sweep(n_random, seed=seed)
-        c2, b2 = comb_lemmas.random_comblem_sweep(n_random, seed=seed)
+        (c1, b1), (c2, b2) = comb_lemmas.random_sweeps(n_random, seed=seed)
         out_rows.append({"check": "trichotomy-random", "checked": c1, "counterexamples": [list(t) for t in b1]})
         out_rows.append({"check": "five-part-lemma-random", "checked": c2, "counterexamples": [list(t) for t in b2]})
     text = "".join(dump_json(r, manifest) for r in out_rows)

@@ -202,48 +202,62 @@ def _exact_rows_with_subset(rows: np.ndarray, lo: float, hi: float) -> np.ndarra
     return out
 
 
-def random_trichotomy_sweep(n: int, seed: int = 0, batch: int = 100_000) -> tuple[int, list]:
-    """Sample n sorted simplex tuples; report (checked, counterexamples)."""
+def _trichotomy_rows(rows: np.ndarray) -> tuple[int, list]:
+    """(checked, counterexamples) of the trichotomy among sorted simplex rows."""
+    rows = rows[rows[:, 0] + rows[:, 1] < 0.5]
+    found = _greedy_hits_window(rows, 0.4, 0.6)
+    hard = rows[~found]
+    if not len(hard):
+        return len(rows), []
+    really = _exact_rows_with_subset(hard, 0.4, 0.6)
+    return len(rows), [tuple(row) for row in hard[~really]]
+
+
+def _comblem_rows(rows: np.ndarray) -> tuple[int, list]:
+    """(checked, counterexamples) of the five-part lemma among sorted simplex rows.
+
+    A counterexample passes both hypotheses yet fails a conclusion.
+    """
+    lo, hi = 5 / 12, 7 / 12
+    rows = rows[rows[:, 0] + rows[:, 1] < 0.5]
+    concl = (rows[:, 4] > 1 / 6) & (rows[:, 0] + rows[:, 1] + rows[:, 5:].sum(axis=1) < 5 / 12)
+    suspects = rows[~concl]
+    hard = suspects[~_greedy_hits_window(suspects, lo, hi)]
+    if not len(hard):
+        return len(rows), []
+    really = _exact_rows_with_subset(hard, lo, hi)
+    return len(rows), [tuple(row) for row in hard[~really]]
+
+
+def _random_sweep(n: int, seed: int, batch: int, checks) -> list[tuple[int, list]]:
+    """Run every check on each batch of n seeded sorted simplex tuples, drawn once."""
     rng = np.random.default_rng(seed)
-    checked = 0
-    bad: list = []
+    checked = [0] * len(checks)
+    bad: list[list] = [[] for _ in checks]
     remaining = n
     while remaining > 0:
         rows = _random_sorted_simplex(min(batch, remaining), rng)
         remaining -= len(rows)
-        hyp = rows[:, 0] + rows[:, 1] < 0.5
-        rows = rows[hyp]
-        checked += len(rows)
-        found = _greedy_hits_window(rows, 0.4, 0.6)
-        hard = rows[~found]
-        if len(hard):
-            really = _exact_rows_with_subset(hard, 0.4, 0.6)
-            for row in hard[~really]:
-                bad.append(tuple(row))
-    return checked, bad
+        for i, check in enumerate(checks):
+            c, b = check(rows)
+            checked[i] += c
+            bad[i] += b
+    return list(zip(checked, bad))
+
+
+def random_trichotomy_sweep(n: int, seed: int = 0, batch: int = 100_000) -> tuple[int, list]:
+    """Sample n sorted simplex tuples; report (checked, counterexamples)."""
+    return _random_sweep(n, seed, batch, (_trichotomy_rows,))[0]
 
 
 def random_comblem_sweep(n: int, seed: int = 0, batch: int = 100_000) -> tuple[int, list]:
     """Sample n tuples; counterexamples must pass both hypotheses yet fail a conclusion."""
-    rng = np.random.default_rng(seed)
-    lo, hi = 5 / 12, 7 / 12
-    checked = 0
-    bad: list = []
-    remaining = n
-    while remaining > 0:
-        rows = _random_sorted_simplex(min(batch, remaining), rng)
-        remaining -= len(rows)
-        hyp1 = rows[:, 0] + rows[:, 1] < 0.5
-        rows = rows[hyp1]
-        checked += len(rows)
-        concl = (rows[:, 4] > 1 / 6) & (rows[:, 0] + rows[:, 1] + rows[:, 5:].sum(axis=1) < 5 / 12)
-        suspects = rows[~concl]
-        if not len(suspects):
-            continue
-        in_window = _greedy_hits_window(suspects, lo, hi)
-        hard = suspects[~in_window]
-        if len(hard):
-            really = _exact_rows_with_subset(hard, lo, hi)
-            for row in hard[~really]:
-                bad.append(tuple(row))  # hypotheses hold, a conclusion fails
-    return checked, bad
+    return _random_sweep(n, seed, batch, (_comblem_rows,))[0]
+
+
+def random_sweeps(n: int, seed: int = 0, batch: int = 100_000) -> tuple[tuple[int, list], tuple[int, list]]:
+    """Both sweeps on one draw: what random_trichotomy_sweep and
+    random_comblem_sweep return for the same (n, seed, batch), at the cost
+    of one draw of n tuples.
+    """
+    return tuple(_random_sweep(n, seed, batch, (_trichotomy_rows, _comblem_rows)))

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import primes_in_ap, primes_in_range, radical
 from .variational import VariationalCertificate, min_k_for
 
@@ -270,13 +272,15 @@ def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResul
         raise ValueError("need t >= 1")
     if math.gcd(a % q if q > 1 else 0, q) != 1 and q > 1:
         raise ValueError("need gcd(a, q) = 1")
-    ps = primes_in_ap(int(math.floor(x / 2)), int(math.floor(x)), q, a % q)
+    lo, hi = int(math.floor(x / 2)), int(math.floor(x))
+    if not 0 <= lo < hi:
+        raise ValueError("need x >= 1")
+    if q < 1:
+        raise ValueError("need q >= 1")
+    ps = primes_in_range(lo, hi)
+    ps = ps[ps % q == a % q]
     if len(ps) < t:
         return ConstellationResult(False, len(ps), None, ())
-    best_i = 0
-    best = ps[t - 1] - ps[0]
-    for i in range(1, len(ps) - t + 1):
-        g = ps[i + t - 1] - ps[i]
-        if g < best:
-            best, best_i = g, i
-    return ConstellationResult(True, len(ps), best, tuple(ps[best_i : best_i + t]))
+    widths = ps[t - 1 :] - ps[: len(ps) - t + 1]
+    i = int(np.argmin(widths))  # the first minimal window, as a strict < scan finds it
+    return ConstellationResult(True, len(ps), int(widths[i]), tuple(int(p) for p in ps[i : i + t]))

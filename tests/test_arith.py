@@ -163,8 +163,8 @@ def test_chebyshev_psi_examples():
 def test_psi_class_sums_recover_total():
     for x in (1e3, 1e5, 1e6):
         total = arith.chebyshev_psi(x)
-        for q in (2, 7, 12, 30):
-            vec = arith.psi_residue_sums(x, q)
+        vecs = arith.psi_residue_sums(x, (2, 7, 12, 30))
+        for q, vec in zip((2, 7, 12, 30), vecs):
             assert math.fsum(vec) == pytest.approx(total, rel=1e-9)
             psum = math.fsum(arith.chebyshev_psi(x, q, a) for a in range(q))
             assert psum == pytest.approx(total, rel=1e-9)
@@ -198,3 +198,58 @@ def test_prime_power_arrays_consistency():
     for idx in (0, 10, len(P) // 2, len(P) - 1):
         n = int(P[idx])
         assert lam[n] == pytest.approx(W[idx], rel=1e-12)
+
+
+def _residue_sums_by_bincount(x, m):
+    """Oracle: one bincount of all prime powers up to x by their residue mod m."""
+    P, W = arith.prime_power_arrays(int(math.floor(x)))
+    return np.bincount((P % m).astype(np.int64), weights=W, minlength=m)
+
+
+def test_psi_residue_sums_against_bincount_oracle():
+    seg = arith.DEFAULT_SEGMENT
+    moduli = [1, 2, 3, 12, 30, 251, 257, 263, 4096, 70001, 140002, 2 * 3 * 5 * 7 * 11 * 13]
+    # the lcm of 251, 257 and 263 exceeds the group cap; 70001 is a prime above it
+    assert math.lcm(251, 257, 263) > arith._GROUP_BINS
+    assert 70001 > arith._GROUP_BINS
+    for x in (2.0, 3.5, 1000.0, 2**19, 3**12, seg - 7, seg, 2 * seg + 12345.6):
+        got = arith.psi_residue_sums(x, moduli)
+        assert [len(v) for v in got] == moduli
+        for m, vec in zip(moduli, got):
+            want = _residue_sums_by_bincount(x, m)
+            np.testing.assert_allclose(vec, want, rtol=1e-12, atol=0)
+        assert got[0][0] == pytest.approx(arith.chebyshev_psi(x), rel=1e-12)
+
+
+def test_psi_residue_sums_against_class_fsum():
+    for x in (1e4, 2**19, 3**12, 1_234_567.0):
+        moduli = (1, 4, 9, 15, 28, 97)
+        for m, vec in zip(moduli, arith.psi_residue_sums(x, moduli)):
+            want = [arith.chebyshev_psi(x, m, a) for a in range(m)]
+            np.testing.assert_allclose(vec, want, rtol=1e-12, atol=0)
+
+
+def test_psi_residue_sums_counts_the_prime_power_at_x():
+    for x, p in ((2**19, 2), (3**12, 3)):
+        below, at = arith.psi_residue_sums(x - 1, [x + 1]), arith.psi_residue_sums(x, [x + 1])
+        assert at[0][x] - below[0][x] == pytest.approx(math.log(p), rel=1e-12)
+
+
+def test_psi_residue_sums_edges():
+    assert arith.psi_residue_sums(1e5, []) == []
+    assert [v.tolist() for v in arith.psi_residue_sums(1.5, [1, 3])] == [[0.0], [0.0, 0.0, 0.0]]
+    a, b = arith.psi_residue_sums(1e4, [6, 6])
+    assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        arith.psi_residue_sums(1e4, [5, 0])
+
+
+def test_modulus_groups_cover():
+    moduli = [3 * d for d in range(1, 101) if d % 3] + [1, 65536, 65537, 131074, 200000]
+    group_of = arith._modulus_groups(moduli)
+    assert set(group_of) == set(moduli)
+    for m, M in group_of.items():
+        assert M % m == 0
+        assert M <= arith._GROUP_BINS or M in group_of
+    assert group_of[65537] == 131074  # a divisor joins a group above the cap
+    assert len(set(group_of.values())) < len(moduli) // 3

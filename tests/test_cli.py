@@ -232,6 +232,22 @@ def test_hb_rejects_bad_arguments(capsys):
         assert message in last_error(capsys)
 
 
+def test_comb_random_rows_match_two_draws(tmp_path):
+    import apgaps.comb_lemmas as cl
+
+    for seed in (0, 4, 9):
+        out = tmp_path / f"comb{seed}.jsonl"
+        assert run(["comb", "--denominator", "6", "--random", "150000", "--seed", str(seed), "--out", str(out)]) == 0
+        rows = read_lines(out)[2:]
+        want = [
+            ("trichotomy-random", cl.random_trichotomy_sweep(150000, seed=seed)),
+            ("five-part-lemma-random", cl.random_comblem_sweep(150000, seed=seed)),
+        ]
+        assert [(r["check"], r["checked"], r["counterexamples"]) for r in rows] == [
+            (name, checked, [list(t) for t in bad]) for name, (checked, bad) in want
+        ]
+
+
 def test_comb_rejects_bad_arguments(tmp_path, capsys):
     for extra, message in ((["--random", "-1"], "random"), (["--denominator", "0"], "denominator")):
         assert run(["comb", "--denominator", "6"] + extra) == 2

@@ -126,3 +126,21 @@ def test_greedy_fallback_agrees_with_exact():
     exact = cl._exact_rows_with_subset(rows, 5 / 12, 7 / 12)
     # greedy success always implies a subset exists
     assert not np.any(greedy & ~exact)
+
+
+def test_random_sweeps_share_one_draw():
+    # batch 30_000 makes partial last batches; each pair equals two separate draws
+    for seed in (0, 3, 11):
+        for n in (1, 45_000, 100_000):
+            both = cl.random_sweeps(n, seed=seed, batch=30_000)
+            assert both == (
+                cl.random_trichotomy_sweep(n, seed=seed, batch=30_000),
+                cl.random_comblem_sweep(n, seed=seed, batch=30_000),
+            )
+    # both checks see the same rows, batch by batch
+    def fingerprint(rows):
+        return len(rows), [float(rows.sum())]
+
+    one = cl._random_sweep(70_000, 5, 30_000, (fingerprint,))
+    assert cl._random_sweep(70_000, 5, 30_000, (fingerprint, fingerprint)) == one * 2
+    assert len(one[0][1]) == 3

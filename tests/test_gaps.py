@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apgaps.gaps as gaps
-from apgaps.arith import is_prime
+from apgaps.arith import is_prime, primes_in_ap
 from apgaps.variational import CertificateCapExceeded, VariationalCertificate, certificate_table
 
 
@@ -145,6 +145,34 @@ def naive_constellation(x, q, a, t):
     if len(ps) < t:
         return None
     return min(ps[i + t - 1] - ps[i] for i in range(len(ps) - t + 1))
+
+
+def loop_constellation(x, q, a, t):
+    """Oracle: the scan over a list of primes that constellation_search replaced."""
+    ps = primes_in_ap(int(math.floor(x / 2)), int(math.floor(x)), q, a % q)
+    if len(ps) < t:
+        return gaps.ConstellationResult(False, len(ps), None, ())
+    best_i = 0
+    best = ps[t - 1] - ps[0]
+    for i in range(1, len(ps) - t + 1):
+        g = ps[i + t - 1] - ps[i]
+        if g < best:
+            best, best_i = g, i
+    return gaps.ConstellationResult(True, len(ps), best, tuple(ps[best_i : best_i + t]))
+
+
+def test_constellation_matches_loop_oracle():
+    cases = [(1, 0), (2, 1), (4, 1), (4, 3), (5, 2), (7, 3), (12, 11), (30, 7)]
+    for x in (30.0, 1000.0, 123457.5):
+        for q, a in cases:
+            for t in (1, 2, 3, 4):
+                got = gaps.constellation_search(x, q, a, t)
+                assert got == loop_constellation(x, q, a, t)
+                assert all(type(p) is int for p in got.primes) and type(got.count) is int
+    # (15, 30] holds only 17, 23 and 29 from the class 2 mod 3: fewer than t = 4 primes
+    got = gaps.constellation_search(30.0, 3, 2, 4)
+    assert got == loop_constellation(30.0, 3, 2, 4)
+    assert not got.found and got.count == 3
 
 
 def test_constellation_examples():
