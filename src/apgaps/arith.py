@@ -210,6 +210,8 @@ def floor_power(x: float | Fraction, e: float | Fraction) -> int:
     with d**den <= x**num, decided in integers; the float power only seeds
     the search.
     """
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError("need finite x")
     xf, ef = Fraction(x), exact_exponent(e)
     if xf < 0 or ef < 0:
         raise ValueError("need x >= 0 and e >= 0")

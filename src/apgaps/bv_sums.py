@@ -201,6 +201,8 @@ def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport
     off exactly (see _nonreduced_moments). The per-modulus terms are merged
     in fixed chunks, so the value is bit-identical for any thread count.
     """
+    if not x > 1:
+        raise ValueError("need x > 1")
     if Q < q:
         raise ValueError("need Q >= q")
     if not Q <= x:
@@ -263,6 +265,8 @@ def maynard_condition_sums(
     b_d is the CRT lift of a mod q with unit second coordinate. Only the
     primes of (x/2 + h_m, x] are sieved (from 0 when x/2 + h_m < 0).
     """
+    if q < 1:
+        raise ValueError("need q >= 1")
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
     D = _modulus_cutoff(x, q, L, "L")

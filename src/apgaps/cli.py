@@ -1,10 +1,12 @@
 """Batch command surface: every experiment as a subcommand with JSON/CSV output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or solver
-failure (a JSON error as the last line on stderr). A JSON config
-file supplies defaults that explicit flags override; the default seed is 0,
-and identical invocations produce byte-identical output files. Thread counts
-and output paths are excluded from the manifest hash so parallel reruns stay
+failure (a JSON error as the last line on stderr). `apgaps <cmd> --help`
+lists each option's default. A JSON config file (--config) supplies any
+option that takes a value and is range-checked like the flag; explicit flags
+override it, and unknown keys are ignored. The default seed is 0, and
+identical invocations produce byte-identical output files. Thread counts and
+output paths are excluded from the manifest hash so parallel reruns stay
 byte-identical.
 """
 
@@ -24,27 +26,11 @@ from .reports import ERROR_SUM_CSV_HEADER, RunManifest, default_versions, dump_c
 from .variational import CertificateCapExceeded, RayleighError, VariationalCertificate
 
 
-class UsageError(Exception):
-    pass
-
-
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _get(args, conf: dict, name: str, default=None, required=False, cast=None):
-    v = getattr(args, name, None)
-    if v is None:
-        v = conf.get(name, default)
-    if v is None:
-        if required:
-            raise UsageError(f"missing required parameter: --{name.replace('_', '-')}")
-        return None
-    return cast(v) if cast else v
+def _require(args, *names: str) -> None:
+    """Options without a default, which a config file may still supply."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"missing required parameter: --{name}")
 
 
 def _manifest(command: str, params: dict, seed: int) -> RunManifest:
@@ -58,26 +44,27 @@ def _manifest(command: str, params: dict, seed: int) -> RunManifest:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
+def _emit(text: str, args, manifest: RunManifest) -> None:
+    """Write the output to --out or stdout, then the manifest to --manifest if given."""
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _finish_manifest(manifest: RunManifest, args) -> None:
-    path = getattr(args, "manifest", None)
-    if path:
+    if args.manifest:
         manifest.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        if getattr(args, "out", None):
+        if args.out:
             manifest.outputs.append(args.out)
-        with open(path, "w") as fh:
+        with open(args.manifest, "w") as fh:
             fh.write(json.dumps(manifest.json_dict(), sort_keys=True) + "\n")
 
 
-def _parse_grid(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+def _xs(args) -> list[float]:
+    """The x values of bv and bdh: the --grid list if given, else --x."""
+    if args.grid:
+        return [float(part) for part in args.grid.split(",") if part]
+    _require(args, "x")
+    return [args.x]
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +72,12 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_verify_identities(args) -> int:
-    conf = _load_config(args)
-    max_r = _get(args, conf, "max_r", 200, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    trials = _get(args, conf, "sandwich_trials", 200, cast=int)
-    manifest = _manifest("verify-identities", {"max_r": max_r, "sandwich_trials": trials}, seed)
-    results = checks.run_identity_suite(max_r=max_r, seed=seed, sandwich_trials=trials)
+    manifest = _manifest("verify-identities", {"max_r": args.max_r, "sandwich_trials": args.sandwich_trials}, args.seed)
+    results = checks.run_identity_suite(max_r=args.max_r, seed=args.seed, sandwich_trials=args.sandwich_trials)
     lines = "".join(dump_json(r.json_dict(), manifest) for r in results)
     ok = all(r.passed for r in results)
     lines += dump_json({"all_passed": ok, "checks": len(results)}, manifest)
-    _emit(lines, args.out)
-    _finish_manifest(manifest, args)
+    _emit(lines, args, manifest)
     return 0 if ok else 1
 
 
@@ -104,83 +86,49 @@ def _emit_error_reports(reports, args, manifest) -> None:
         text = dump_csv([r.csv_row() for r in reports], ERROR_SUM_CSV_HEADER, manifest)
     else:
         text = "".join(dump_json(r.json_dict(), manifest) for r in reports)
-    _emit(text, args.out)
+    _emit(text, args, manifest)
 
 
 def cmd_bv(args) -> int:
-    conf = _load_config(args)
-    q = _get(args, conf, "q", required=True, cast=int)
-    b = _get(args, conf, "b", required=True, cast=float)
-    threads = _get(args, conf, "threads", 1, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    if q < 1:
-        raise UsageError("q must be >= 1")
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
-    if args.grid:
-        xs = _parse_grid(args.grid)
-    else:
-        xs = [_get(args, conf, "x", required=True, cast=float)]
-    manifest = _manifest("bv", {"x": xs, "q": q, "b": b}, seed)
-    reports = [bv_sums.compute_E_b(x, q, b, threads=threads) for x in xs]
+    _require(args, "q", "b")
+    xs = _xs(args)
+    manifest = _manifest("bv", {"x": xs, "q": args.q, "b": args.b}, args.seed)
+    reports = [bv_sums.compute_E_b(x, args.q, args.b, threads=args.threads) for x in xs]
     _emit_error_reports(reports, args, manifest)
-    _finish_manifest(manifest, args)
     return 0
 
 
 def cmd_bdh(args) -> int:
-    conf = _load_config(args)
-    q = _get(args, conf, "q", required=True, cast=int)
-    threads = _get(args, conf, "threads", 1, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    if q < 1:
-        raise UsageError("q must be >= 1")
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
-    xs = _parse_grid(args.grid) if args.grid else [_get(args, conf, "x", required=True, cast=float)]
-    Q_opt = _get(args, conf, "Q", cast=float)
-    manifest = _manifest("bdh", {"x": xs, "q": q, "Q": Q_opt or "x/log(x)"}, seed)
+    _require(args, "q")
+    xs = _xs(args)
+    manifest = _manifest("bdh", {"x": xs, "q": args.q, "Q": args.Q or "x/log(x)"}, args.seed)
     reports = []
     for x in xs:
-        Q = Q_opt if Q_opt is not None else x / math.log(x)
-        reports.append(bv_sums.bdh_variance(x, q, Q, threads=threads))
+        if not x > 1:
+            raise ValueError("need x > 1")
+        Q = args.Q if args.Q is not None else x / math.log(x)
+        reports.append(bv_sums.bdh_variance(x, args.q, Q, threads=args.threads))
     _emit_error_reports(reports, args, manifest)
-    _finish_manifest(manifest, args)
     return 0
 
 
 def cmd_maycond(args) -> int:
-    conf = _load_config(args)
-    x = _get(args, conf, "x", required=True, cast=float)
-    q = _get(args, conf, "q", required=True, cast=int)
-    a = _get(args, conf, "a", required=True, cast=int)
-    k = _get(args, conf, "k", required=True, cast=int)
-    L = _get(args, conf, "L", required=True, cast=float)
-    h = _get(args, conf, "h", 0, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    manifest = _manifest("maycond", {"x": x, "q": q, "a": a, "k": k, "L": L, "h": h}, seed)
+    _require(args, "x", "q", "a", "k", "L")
+    x, q, a, k, L, h = args.x, args.q, args.a, args.k, args.L, args.h
+    manifest = _manifest("maycond", {"x": x, "q": q, "a": a, "k": k, "L": L, "h": h}, args.seed)
     rep = bv_sums.maynard_condition_sums(x, q, a, h, k, L)
-    _emit(dump_json(rep.json_dict(), manifest), args.out)
-    _finish_manifest(manifest, args)
+    _emit(dump_json(rep.json_dict(), manifest), args, manifest)
     return 0
 
 
 def cmd_hb(args) -> int:
-    conf = _load_config(args)
-    x = _get(args, conf, "x", 10000.0, cast=float)
-    k = _get(args, conf, "k", 2, cast=int)
-    trials = _get(args, conf, "trials", 3, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    if not (math.isfinite(x) and x >= 1):
-        raise UsageError("x must be >= 1")
-    manifest = _manifest("hb", {"x": x, "k": k, "trials": trials}, seed)
+    x, k, trials = args.x, args.k, args.trials
+    manifest = _manifest("hb", {"x": x, "k": k, "trials": trials}, args.seed)
     from .heath_brown import check_decompose_args, direct_lambda_sum, hb_decompose_sum_multi
 
     xi = int(x)
     check_decompose_args(xi, k)
-    rows = np.random.default_rng(seed).normal(size=(trials, xi + 1))
+    rows = np.random.default_rng(args.seed).normal(size=(trials, xi + 1))
     totals, components = hb_decompose_sum_multi(x, k, rows)
     worst = 0.0
     for row, tot in zip(rows, totals):
@@ -192,36 +140,27 @@ def cmd_hb(args) -> int:
             {"x": x, "k": k, "trials": trials, "components": len(components), "worst_rel_diff": worst, "passed": ok},
             manifest,
         ),
-        args.out,
+        args,
+        manifest,
     )
-    _finish_manifest(manifest, args)
     return 0 if ok else 1
 
 
 def cmd_comb(args) -> int:
-    conf = _load_config(args)
-    den = _get(args, conf, "denominator", 24, cast=int)
-    n_random = _get(args, conf, "random", 0, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    if den < 1:
-        raise UsageError("denominator must be >= 1")
-    if n_random < 0:
-        raise UsageError("random must be >= 0")
-    manifest = _manifest("comb", {"denominator": den, "random": n_random}, seed)
-    grid = sum(1 for d in range(1, den + 1) for _ in comb_lemmas.partitions_of(d, comb_lemmas.N_PARTS))
-    tri = comb_lemmas.verify_trichotomy(den)
-    five = comb_lemmas.verify_comblem(den)
+    manifest = _manifest("comb", {"denominator": args.denominator, "random": args.random}, args.seed)
+    grid = sum(1 for d in range(1, args.denominator + 1) for _ in comb_lemmas.partitions_of(d, comb_lemmas.N_PARTS))
+    tri = comb_lemmas.verify_trichotomy(args.denominator)
+    five = comb_lemmas.verify_comblem(args.denominator)
     out_rows = [
         {"check": "trichotomy", "checked": grid, "counterexamples": [list(t[1]) for t in tri]},
         {"check": "five-part-lemma", "checked": grid, "counterexamples": [list(t[1]) for t in five]},
     ]
-    if n_random:
-        (c1, b1), (c2, b2) = comb_lemmas.random_sweeps(n_random, seed=seed)
+    if args.random:
+        (c1, b1), (c2, b2) = comb_lemmas.random_sweeps(args.random, seed=args.seed)
         out_rows.append({"check": "trichotomy-random", "checked": c1, "counterexamples": [list(t) for t in b1]})
         out_rows.append({"check": "five-part-lemma-random", "checked": c2, "counterexamples": [list(t) for t in b2]})
     text = "".join(dump_json(r, manifest) for r in out_rows)
-    _emit(text, args.out)
-    _finish_manifest(manifest, args)
+    _emit(text, args, manifest)
     return 0 if not tri and not five and all(not r["counterexamples"] for r in out_rows) else 1
 
 
@@ -235,16 +174,11 @@ def _cert_row(cert: VariationalCertificate, mc=None) -> dict:
 
 
 def cmd_mk(args) -> int:
-    conf = _load_config(args)
-    k = _get(args, conf, "k", required=True, cast=int)
-    degree = _get(args, conf, "degree", 3, cast=int)
-    samples = _get(args, conf, "mc_samples", 100000, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    manifest = _manifest("mk", {"k": k, "degree": degree, "mc_samples": samples}, seed)
-    cert = variational.mk_lower_bound(k, degree)
-    mc = variational.verify_certificate(cert, samples, seed=seed) if samples else None
-    _emit(dump_json(_cert_row(cert, mc), manifest), args.out)
-    _finish_manifest(manifest, args)
+    _require(args, "k")
+    manifest = _manifest("mk", {"k": args.k, "degree": args.degree, "mc_samples": args.mc_samples}, args.seed)
+    cert = variational.mk_lower_bound(args.k, args.degree)
+    mc = variational.verify_certificate(cert, args.mc_samples, seed=args.seed) if args.mc_samples else None
+    _emit(dump_json(_cert_row(cert, mc), manifest), args, manifest)
     if mc and not mc.contains(cert.lower_bound):
         return 1
     return 0
@@ -254,18 +188,12 @@ DEFAULT_KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 26, 32, 40, 52, 64)
 
 
 def cmd_certify(args) -> int:
-    conf = _load_config(args)
-    degree = _get(args, conf, "degree", 3, cast=int)
-    kmax = _get(args, conf, "kmax", 64, cast=int)
-    ks_opt = _get(args, conf, "ks")
-    seed = _get(args, conf, "seed", 0, cast=int)
-    ks = [int(v) for v in str(ks_opt).split(",")] if ks_opt else [k for k in DEFAULT_KS if k <= kmax]
-    manifest = _manifest("certify", {"ks": ks, "degree": degree}, seed)
-    rows = [_cert_row(variational.mk_lower_bound(k, degree)) for k in ks]
+    ks = [int(v) for v in args.ks.split(",")] if args.ks else [k for k in DEFAULT_KS if k <= args.kmax]
+    manifest = _manifest("certify", {"ks": ks, "degree": args.degree}, args.seed)
+    rows = [_cert_row(variational.mk_lower_bound(k, args.degree)) for k in ks]
     for row, k in zip(rows, ks):
         row["log_k"] = math.log(k)
-    _emit("".join(dump_json(r, manifest) for r in rows), args.out)
-    _finish_manifest(manifest, args)
+    _emit("".join(dump_json(r, manifest) for r in rows), args, manifest)
     return 0
 
 
@@ -290,28 +218,17 @@ def _load_table(path: str) -> list[VariationalCertificate]:
 
 
 def cmd_gap(args) -> int:
-    conf = _load_config(args)
-    x = _get(args, conf, "x", required=True, cast=float)
-    q = _get(args, conf, "q", required=True, cast=int)
-    a = _get(args, conf, "a", required=True, cast=int)
-    t = _get(args, conf, "t", required=True, cast=int)
-    eps = _get(args, conf, "eps", 1e-3, cast=float)
-    eta = _get(args, conf, "eta", 0.01, cast=float)
-    C = _get(args, conf, "C", 2.0, cast=float)
-    degree = _get(args, conf, "degree", 3, cast=int)
-    kmax = _get(args, conf, "kmax", 64, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    if q < 1:
-        raise UsageError("q must be >= 1")
+    _require(args, "x", "q", "a", "t")
+    x, q, a, t, eps, eta, C = args.x, args.q, args.a, args.t, args.eps, args.eta, args.C
     cfg = gaps.GapConfig(x=x, q=q, a=a, t=t, eta=eta, C=C, eps=eps)
     errors = gaps.validate_config(cfg)
-    manifest = _manifest("gap", {"x": x, "q": q, "a": a, "t": t, "eps": eps, "eta": eta, "C": C}, seed)
+    manifest = _manifest("gap", {"x": x, "q": q, "a": a, "t": t, "eps": eps, "eta": eta, "C": C}, args.seed)
     if errors:
-        _emit(dump_json({"errors": errors}, manifest), args.out)
+        _emit(dump_json({"errors": errors}, manifest), args, manifest)
         sys.stderr.write(json.dumps({"error": "; ".join(errors)}) + "\n")
         return 2
     table = _load_table(args.table) if args.table else variational.certificate_table(
-        [k for k in DEFAULT_KS if k <= kmax], degree
+        [k for k in DEFAULT_KS if k <= args.kmax], args.degree
     )
     report = gaps.gap_bound(cfg, table)
     found_gap = None
@@ -336,26 +253,18 @@ def cmd_gap(args) -> int:
         "primes": found_primes,
         "fits_D0": report.fits_D0,
     }
-    _emit(dump_json(payload, manifest), args.out)
-    _finish_manifest(manifest, args)
+    _emit(dump_json(payload, manifest), args, manifest)
     return 0
 
 
 def cmd_constellation(args) -> int:
-    conf = _load_config(args)
-    x = _get(args, conf, "x", required=True, cast=float)
-    q = _get(args, conf, "q", required=True, cast=int)
-    a = _get(args, conf, "a", required=True, cast=int)
-    t = _get(args, conf, "t", required=True, cast=int)
-    seed = _get(args, conf, "seed", 0, cast=int)
-    if q < 1:
-        raise UsageError("q must be >= 1")
-    manifest = _manifest("constellation", {"x": x, "q": q, "a": a, "t": t}, seed)
+    _require(args, "x", "q", "a", "t")
+    x, q, a, t = args.x, args.q, args.a, args.t
+    manifest = _manifest("constellation", {"x": x, "q": q, "a": a, "t": t}, args.seed)
     res = gaps.constellation_search(x, q, a % q if q > 1 else 0, t)
     payload = {"x": x, "q": q, "a": a, "t": t}
     payload.update(res.json_dict())
-    _emit(dump_json(payload, manifest), args.out)
-    _finish_manifest(manifest, args)
+    _emit(dump_json(payload, manifest), args, manifest)
     return 0
 
 
@@ -363,11 +272,48 @@ def cmd_constellation(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of defaults, overridden by explicit flags")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
+def _checked(cast, ok, message: str):
+    """An argparse type: cast(text), rejected with message unless ok(value)."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{message}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value: 'z'"
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be >= 0")
+_HB_X = _checked(float, lambda v: math.isfinite(v) and v >= 1, "x must be finite and >= 1")
+
+
+def _add_common(p: argparse.ArgumentParser, func) -> None:
+    p.add_argument("--config", help="JSON file of option values, overridden by explicit flags")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--manifest", help="write the full run manifest (with timestamps) here")
+    p.set_defaults(func=func, parser=p)
+
+
+def _add_error_sum_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--x", type=float)
+    p.add_argument("--q", type=_POSITIVE_INT)
+    p.add_argument("--grid", help="comma-separated x values")
+    p.add_argument("--threads", type=_POSITIVE_INT, default=1, help="worker threads (default %(default)s)")
+    p.add_argument("--csv", action="store_true", help="CSV output")
+
+
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's values the subcommand's defaults, as strings argparse checks with each option's type."""
+    with open(path) as fh:
+        conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError("config file must hold a JSON object")
+    options = {a.dest for a in parser._actions if a.nargs != 0 and a.dest != "config"}
+    parser.set_defaults(**{k: str(v) for k, v in conf.items() if k in options and v is not None})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,78 +330,64 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-identities", help="run the exact-identity suites")
-    p.add_argument("--max-r", dest="max_r", type=int)
-    p.add_argument("--sandwich-trials", dest="sandwich_trials", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_identities)
+    p.add_argument("--max-r", type=_POSITIVE_INT, default=200, help="character-check moduli (default %(default)s)")
+    p.add_argument("--sandwich-trials", type=_POSITIVE_INT, default=200, help="sandwich trials (default %(default)s)")
+    _add_common(p, cmd_verify_identities)
 
     p = sub.add_parser("bv", help="worst-case error sum over moduli d <= x^b")
-    p.add_argument("--x", type=float)
-    p.add_argument("--q", type=int)
+    _add_error_sum_options(p)
     p.add_argument("--b", type=float)
-    p.add_argument("--grid", help="comma-separated x values")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--csv", action="store_true", help="CSV output")
-    _add_common(p)
-    p.set_defaults(func=cmd_bv)
+    _add_common(p, cmd_bv)
 
     p = sub.add_parser("bdh", help="mean-square error sum over moduli up to Q")
-    p.add_argument("--x", type=float)
-    p.add_argument("--q", type=int)
+    _add_error_sum_options(p)
     p.add_argument("--Q", type=float, help="default x/log(x)")
-    p.add_argument("--grid", help="comma-separated x values")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--csv", action="store_true", help="CSV output")
-    _add_common(p)
-    p.set_defaults(func=cmd_bdh)
+    _add_common(p, cmd_bdh)
 
     p = sub.add_parser("maycond", help="squarefree tau-weighted condition sums")
-    for name, typ in (("x", float), ("q", int), ("a", int), ("k", int), ("L", float), ("h", int)):
+    for name, typ in (("x", float), ("q", _POSITIVE_INT), ("a", int), ("k", int), ("L", float)):
         p.add_argument(f"--{name}", type=typ)
-    _add_common(p)
-    p.set_defaults(func=cmd_maycond)
+    p.add_argument("--h", type=int, default=0, help="shift of the prime window (default %(default)s)")
+    _add_common(p, cmd_maycond)
 
     p = sub.add_parser("hb", help="dyadic decomposition check on random weights")
-    p.add_argument("--x", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--trials", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_hb)
+    p.add_argument("--x", type=_HB_X, default=10000.0, help="sums over n <= x (default %(default)s)")
+    p.add_argument("--k", type=int, default=2, help="order of the identity (default %(default)s)")
+    p.add_argument("--trials", type=_POSITIVE_INT, default=3, help="random weight vectors (default %(default)s)")
+    _add_common(p, cmd_hb)
 
     p = sub.add_parser("comb", help="subset-sum lemma scans")
-    p.add_argument("--denominator", type=int)
-    p.add_argument("--random", type=int, help="also run this many random real tuples")
-    _add_common(p)
-    p.set_defaults(func=cmd_comb)
+    p.add_argument("--denominator", type=_POSITIVE_INT, default=24, help="grid denominator (default %(default)s)")
+    p.add_argument("--random", type=_NONNEGATIVE_INT, default=0, help="random tuples to scan (default %(default)s)")
+    _add_common(p, cmd_comb)
 
     p = sub.add_parser("mk", help="variational lower bound certificate for one k")
     p.add_argument("--k", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_mk)
+    p.add_argument("--degree", type=int, default=3, help="basis degree (default %(default)s)")
+    p.add_argument("--mc-samples", type=int, default=100000, help="Monte-Carlo samples, 0 skips (default %(default)s)")
+    _add_common(p, cmd_mk)
 
     p = sub.add_parser("certify", help="certificate table over a k range")
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--kmax", type=_POSITIVE_INT, default=64, help="largest k of the default list (default %(default)s)")
     p.add_argument("--ks", help="comma-separated explicit k list")
-    p.add_argument("--degree", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_certify)
+    p.add_argument("--degree", type=int, default=3, help="basis degree (default %(default)s)")
+    _add_common(p, cmd_certify)
 
     p = sub.add_parser("gap", help="end-to-end gap bound report")
-    for name, typ in (("x", float), ("q", int), ("a", int), ("t", int), ("eps", float), ("eta", float), ("C", float)):
+    for name, typ in (("x", float), ("q", _POSITIVE_INT), ("a", int), ("t", int)):
         p.add_argument(f"--{name}", type=typ)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--eps", type=float, default=gaps.GapConfig.eps, help="slack in L (default %(default)s)")
+    p.add_argument("--eta", type=float, default=gaps.GapConfig.eta, help="theta <= 5/12 - eta (default %(default)s)")
+    p.add_argument("--C", type=float, default=gaps.GapConfig.C, help="radical(q) <= (log x)^C (default %(default)s)")
+    p.add_argument("--degree", type=int, default=3, help="basis degree (default %(default)s)")
+    p.add_argument("--kmax", type=_POSITIVE_INT, default=64, help="largest tabulated k (default %(default)s)")
     p.add_argument("--table", help="certificate table (JSON lines from certify)")
-    _add_common(p)
-    p.set_defaults(func=cmd_gap)
+    _add_common(p, cmd_gap)
 
     p = sub.add_parser("constellation", help="tightest window of t primes of the class")
-    for name, typ in (("x", float), ("q", int), ("a", int), ("t", int)):
+    for name, typ in (("x", float), ("q", _POSITIVE_INT), ("a", int), ("t", int)):
         p.add_argument(f"--{name}", type=typ)
-    _add_common(p)
-    p.set_defaults(func=cmd_constellation)
+    _add_common(p, cmd_constellation)
 
     return ap
 
@@ -464,13 +396,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.config:
+            _config_defaults(args.parser, args.config)
+            args = ap.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
     except CertificateCapExceeded as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "threshold": exc.threshold}) + "\n")
         return 2

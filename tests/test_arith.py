@@ -102,6 +102,9 @@ def test_floor_power_examples():
         arith.floor_power(-1.0, 0.5)
     with pytest.raises(ValueError):
         arith.floor_power(10.0, 0.1234567)  # denominator 10**7
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            arith.floor_power(x, 0.5)
 
 
 @given(st.integers(0, 10**12), st.integers(0, 40), st.integers(1, 40))

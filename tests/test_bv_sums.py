@@ -131,6 +131,9 @@ def test_E_b_preconditions():
     for threads in (0, -2):
         with pytest.raises(ValueError):
             bv.compute_E_b(1e4, 3, 0.2, threads=threads)
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            bv.compute_E_b(x, 3, 0.2)
 
 
 def test_E_b_cutoff_is_exact():
@@ -236,6 +239,9 @@ def test_variance_preconditions_and_threads():
         bv.bdh_variance(1e4, 10, 5.0)
     with pytest.raises(ValueError):
         bv.bdh_variance(1e4, 1, 1e5)
+    for x in (1.0, 0.5, math.nan):  # the normalizer x * Q * log x vanishes at x = 1
+        with pytest.raises(ValueError, match="x > 1"):
+            bv.bdh_variance(x, 1, 1.0)
     for threads in (0, -1):
         with pytest.raises(ValueError):
             bv.bdh_variance(1e4, 1, 500.0, threads=threads)
@@ -313,5 +319,10 @@ def test_maynard_preconditions():
         bv.maynard_condition_sums(1e5, 6, 2, 0, 2, 0.2)  # gcd(a, q) != 1
     with pytest.raises(ValueError):
         bv.maynard_condition_sums(100.0, 30, 1, 0, 2, 0.45)  # x^L q > x
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="q >= 1"):
+            bv.maynard_condition_sums(1e4, q, 1, 0, 2, 0.2)
+    with pytest.raises(ValueError, match="finite"):
+        bv.maynard_condition_sums(math.inf, 3, 1, 0, 2, 0.2)
     # 243^0.4 * 27 = 243 exactly: allowed, with d <= 9
     assert bv.maynard_condition_sums(243.0, 27, 1, 0, 2, 0.4).term_count == 4

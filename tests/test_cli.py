@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,14 @@ def test_usage_errors(capsys):
     assert run(["bv", "--x", "1e4", "--q", "0", "--b", "0.2"]) == 2
     assert run(["bv", "--q", "3", "--b", "0.2"]) == 2  # missing x
     assert run(["definitely-not-a-command"]) == 2
+    # empty ranges that would pass vacuously
+    for argv in (
+        ["verify-identities", "--max-r", "0"],
+        ["verify-identities", "--sandwich-trials", "0"],
+        ["certify", "--kmax", "0"],
+        ["gap", "--x", "1e7", "--q", "3", "--a", "1", "--t", "1", "--kmax", "-1"],
+    ):
+        assert run(argv) == 2
 
 
 def test_parse_errors_end_with_json_error(capsys):
@@ -100,13 +109,32 @@ def test_repeat_run_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_file_merge(tmp_path):
+def test_config_file_merge(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"q": 3, "b": 0.2, "x": 1e3}))
     out = tmp_path / "out.jsonl"
     assert run(["bv", "--config", str(conf), "--x", "1e4", "--out", str(out)]) == 0
     row = read_lines(out)[0]
     assert row["x"] == 1e4 and row["q"] == 3  # flag overrides config, config fills the rest
+    # an int config value of a float option is read as a float
+    conf.write_text(json.dumps({"q": 3, "b": 0.2, "x": 1000}))
+    assert run(["bv", "--config", str(conf), "--out", str(out)]) == 0
+    row = read_lines(out)[0]
+    assert row["x"] == 1000.0 and isinstance(row["x"], float)
+    # a config seed is used, and a --seed flag overrides it
+    hb = ["hb", "--x", "500", "--trials", "2"]
+    conf.write_text(json.dumps({"seed": 4}))
+    outputs = {}
+    for name, extra in (("config", ["--config", str(conf)]), ("flag", ["--seed", "4"]), ("default", [])):
+        assert run(hb + extra) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["config"] == outputs["flag"] != outputs["default"]
+    assert run(hb + ["--config", str(conf), "--seed", "0"]) == 0
+    assert capsys.readouterr().out == outputs["default"]
+    # a config value is range-checked like the flag
+    conf.write_text(json.dumps({"q": 0, "b": 0.2, "x": 1e3}))
+    assert run(["bv", "--config", str(conf)]) == 2
+    assert "--q" in last_error(capsys)
 
 
 def test_comb_verdict(tmp_path):
@@ -173,10 +201,13 @@ def test_certify_table_then_gap(tmp_path):
 
 def test_gap_validation_error(tmp_path, capsys):
     out = tmp_path / "gap.jsonl"
-    code = run(["gap", "--x", "1e10", "--q", "9973", "--a", "1", "--t", "1", "--out", str(out)])
+    man = tmp_path / "manifest.json"
+    code = run(["gap", "--x", "1e10", "--q", "9973", "--a", "1", "--t", "1", "--out", str(out), "--manifest", str(man)])
     assert code == 2
     row = read_lines(out)[0]
     assert any("radical" in e for e in row["errors"])
+    # the written error report gets its manifest like any other output
+    assert json.loads(man.read_text())["manifest_hash"] == row["manifest_hash"]
     # exit 2 always ends stderr with a JSON error line
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert json.loads(last) == {"error": "; ".join(row["errors"])}
@@ -214,6 +245,41 @@ def last_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     return json.loads(captured.err.strip().splitlines()[-1])["error"]
+
+
+def test_help_lists_defaults(capsys):
+    defaults = {
+        "verify-identities": {"max-r": 200, "sandwich-trials": 200, "seed": 0},
+        "bv": {"threads": 1, "seed": 0},
+        "bdh": {"threads": 1, "seed": 0},
+        "maycond": {"h": 0, "seed": 0},
+        "hb": {"x": 10000.0, "k": 2, "trials": 3, "seed": 0},
+        "comb": {"denominator": 24, "random": 0, "seed": 0},
+        "mk": {"degree": 3, "mc-samples": 100000, "seed": 0},
+        "certify": {"kmax": 64, "degree": 3, "seed": 0},
+        "gap": {"eps": 0.001, "eta": 0.01, "C": 2.0, "degree": 3, "kmax": 64, "seed": 0},
+        "constellation": {"seed": 0},
+    }
+    for command, options in defaults.items():
+        assert run([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, value in options.items():
+            # the option's own help entry, up to the next option, names the default
+            assert re.search(rf"--{name} [A-Z_]+ (?:(?!--).)*\(default {value}\)", text), (command, name)
+
+
+def test_domain_edges_are_json_errors(capsys):
+    cases = (
+        (["bdh", "--x", "1", "--q", "1"], "x > 1"),
+        (["bdh", "--x", "1", "--q", "1", "--Q", "1"], "x > 1"),
+        (["bv", "--x", "inf", "--q", "3", "--b", "0.2"], "finite"),
+        (["bv", "--grid", "1e4,inf", "--q", "3", "--b", "0.2"], "finite"),
+        (["maycond", "--x", "inf", "--q", "3", "--a", "1", "--k", "2", "--L", "0.2"], "finite"),
+        (["maycond", "--x", "1e4", "--q", "0", "--a", "1", "--k", "2", "--L", "0.2"], "--q"),
+    )
+    for argv, message in cases:
+        assert run(argv) == 2
+        assert message in last_error(capsys)
 
 
 def test_hb_rejects_bad_arguments(capsys):
