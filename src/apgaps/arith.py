@@ -1,14 +1,21 @@
 """Integer arithmetic, multiplicative functions, and segmented prime sieves.
 
 Intervals are half-open (lo, hi] throughout and all logarithms are natural.
-The segmented sieve yields primes only. Von Mangoldt weights come from
-prime_power_arrays (the sparse prime powers P with weights W = log p, cached),
+The segmented sieve yields primes only. Each segment holds one flag per odd
+n, and its flags start as a slice of a cached wheel that has already struck
+the multiples of 3, 5, 7, 11 and 13 (period 15015 odd numbers), so only the
+primes from 17 up to sqrt(hi) are marked with strides; 2 and the wheel
+primes are added back. Von Mangoldt weights come from prime_power_arrays
+(the sparse prime powers P with weights W = log p, cached),
 von_mangoldt_table (the dense table Lambda(0..n)), or psi_residue_sums,
-which streams the sieve segments into per-residue float bincounts. Sums
-over one class (chebyshev_psi) use math.fsum; the residue vectors of
-psi_residue_sums are plain float sums in a fixed order (segment by
-segment, fixed modulus groups), so they too never depend on the caller's
-thread count.
+which streams the sieve segments into per-residue float bincounts;
+prime_residue_counts streams them into exact integer counts, and
+primes_in_class keeps only one residue class of each segment. While the
+numbers are below 2**31, these residues are taken on an int32 copy of each
+segment: the same integers, found faster. Sums over one class
+(chebyshev_psi) use math.fsum; the residue vectors of psi_residue_sums are
+plain float sums in a fixed order (segment by segment, fixed modulus
+groups), so they too never depend on the caller's thread count.
 """
 
 from __future__ import annotations
@@ -252,31 +259,65 @@ def floor_power(x: float | Fraction, e: float | Fraction) -> int:
 # sieving
 
 
-def _base_primes(limit: int) -> list[int]:
+def _base_primes(limit: int) -> np.ndarray:
     """Direct sieve up to limit (the marking primes of segments with hi <= limit^2)."""
     if limit < 2:
-        return []
+        return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).tolist()
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-def _sieve_segment(lo: int, hi: int, base: list[int]) -> np.ndarray:
-    """Ascending primes in (lo, hi], marking composites with the ascending primes `base`."""
-    flags = np.ones(hi - lo, dtype=bool)  # offset i is n = lo + 1 + i
+# Pre-sieve wheel over the odd numbers: the odd primes up to 13, period 15015.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)
+_SMALL_PRIMES = (2,) + _WHEEL_PRIMES
+
+
+@lru_cache(maxsize=None)
+def _wheel_tile(periods: int) -> np.ndarray:
+    """`periods` copies of the wheel: entry j is True iff 2j + 1 is prime to 15015."""
+    period = np.ones(_WHEEL, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        period[(p - 1) // 2 :: p] = False  # the odd multiples p, 3p, 5p, ...
+    tile = np.tile(period, periods)
+    tile.setflags(write=False)
+    return tile
+
+
+def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """Ascending primes in (lo, hi], marking composites with the ascending primes `base`.
+
+    Only odd n are flagged: offset i is n = n0 + 2i, with n0 the first odd
+    number above lo. The flags start as a slice of the wheel, which has
+    already struck the multiples of 3, 5, 7, 11 and 13, so strides mark only
+    the primes from 17 to sqrt(hi); 2 and the wheel primes are added back.
+    """
+    n0 = lo + 1 | 1
+    count = (hi + 1) // 2 - (lo + 1) // 2
+    j0 = (n0 - 1) // 2 % _WHEEL
+    # a power of two periods, so that few tile lengths are ever cached
+    flags = _wheel_tile(1 << ((j0 + count) // _WHEEL).bit_length())[j0 : j0 + count].copy()
     if lo == 0:
         flags[0] = False  # n = 1
-    for p in base:
-        if p * p > hi:
-            break
-        # first composite multiple of p above lo, never killing p itself
-        start = max(p * p, (lo // p + 1) * p)
-        if start <= hi:
-            flags[start - lo - 1 :: p] = False
-    return lo + 1 + np.flatnonzero(flags).astype(np.int64)
+    first, last = np.searchsorted(base, [_SMALL_PRIMES[-1], math.isqrt(hi)], side="right")
+    ps = base[first:last]
+    # first odd composite multiple of p above lo, never killing p itself;
+    # odd multiples of p are p flags apart
+    start = np.maximum(ps * ps, (lo // ps + 1) * ps)
+    start += ps * (start % 2 == 0)
+    for p, i in zip(ps.tolist(), ((start - n0) // 2).tolist()):
+        flags[i::p] = False
+    out = np.flatnonzero(flags).astype(np.int64, copy=False)
+    out *= 2
+    out += n0
+    if lo < _SMALL_PRIMES[-1]:
+        small = np.array([p for p in _SMALL_PRIMES if lo < p <= hi], dtype=np.int64)
+        out = np.concatenate([small, out])
+    return out
 
 
 def _segments(lo: int, hi: int, segment_size: int):
@@ -306,16 +347,28 @@ def primes_up_to(n: int) -> np.ndarray:
     return primes_in_range(0, n) if n >= 2 else np.empty(0, dtype=np.int64)
 
 
-def primes_in_ap(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> list[int]:
-    """Ascending primes p in (lo, hi] with p = a (mod q)."""
+def primes_in_class(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
+    """Ascending primes p in (lo, hi] with p = a (mod q), as an int64 array.
+
+    Each sieve segment is filtered as it comes, so only the class is ever
+    held; while hi and q are below 2**31 the residues are taken on an int32
+    copy of the segment.
+    """
     if not 0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
     if q < 1 or not 0 <= a < q:
         raise ValueError("need q >= 1 and 0 <= a < q")
-    ps = primes_in_range(lo, hi, segment_size)
     if q == 1:
-        return [int(p) for p in ps]
-    return [int(p) for p in ps[ps % q == a]]
+        return primes_in_range(lo, hi, segment_size)
+    narrow = max(hi, q) < 2**31
+    return np.concatenate(
+        [ps[(ps.astype(np.int32) if narrow else ps) % q == a] for ps in _segments(lo, hi, segment_size)]
+    )
+
+
+def primes_in_ap(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> list[int]:
+    """Ascending primes p in (lo, hi] with p = a (mod q), as Python ints."""
+    return primes_in_class(lo, hi, q, a, segment_size).tolist()
 
 
 def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,29 +444,46 @@ def _modulus_groups(moduli) -> dict[int, int]:
     return {m: M for M, members in groups for m in members}
 
 
+def _residue_bincounts(lo: int, hi: int, group_moduli, weighted: bool) -> dict[int, np.ndarray]:
+    """For each group modulus M, the primes of (lo, hi] binned by residue mod M.
+
+    One pass of the segmented sieve: each segment feeds one bincount per M,
+    of log p if weighted (float sums in segment order) and of 1 otherwise
+    (exact int64 counts). While hi and every M are below 2**31 the residues
+    are taken on an int32 copy of the segment; they are the same integers,
+    found faster.
+    """
+    acc = {M: np.zeros(M, dtype=np.float64 if weighted else np.int64) for M in group_moduli}
+    if acc and lo < hi:
+        narrow = hi < 2**31 and max(acc) < 2**31
+        for ps in _segments(lo, hi, DEFAULT_SEGMENT):
+            logs = np.log(ps) if weighted else None
+            r = ps.astype(np.int32) if narrow else ps
+            for M, vec in acc.items():
+                vec += np.bincount(r % M, weights=logs, minlength=M)
+    return acc
+
+
 def psi_residue_sums(x: float, moduli) -> list[np.ndarray]:
     """For each m in moduli, the vector of psi(x; m, a) over all residues a mod m.
 
     One pass of the segmented sieve over (0, x] serves every modulus. Each
     segment's primes and their logs go into one weighted bincount per
-    modulus group (_modulus_groups), the higher prime powers into one more
-    after the last segment, and each group's vector is folded down to its
-    members. Memory is O(segment + sum of the group moduli), not O(pi(x)).
-    The float summation order is fixed by the segment size and the grouping.
+    modulus group (_modulus_groups, _residue_bincounts), the higher prime
+    powers into one more after the last segment, and each group's vector is
+    folded down to its members. Memory is O(segment + sum of the group
+    moduli), not O(pi(x)). The float summation order is fixed by the segment
+    size and the grouping.
     """
     moduli = [int(m) for m in moduli]
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be >= 1")
     group_of = _modulus_groups(moduli)
-    acc = {M: np.zeros(M) for M in group_of.values()}
     xi = int(math.floor(x))
+    acc = _residue_bincounts(0, xi, dict.fromkeys(group_of.values()), weighted=True)
     if acc and xi >= 2:
-        for ps in _segments(0, xi, DEFAULT_SEGMENT):
-            logs = np.log(ps)
-            for M, vec in acc.items():
-                vec += np.bincount(ps % M, weights=logs, minlength=M)
         powers, weights = [], []
-        for p in _base_primes(math.isqrt(xi)):
+        for p in _base_primes(math.isqrt(xi)).tolist():
             logp = math.log(p)
             pk = p * p
             while pk <= xi:
@@ -424,6 +494,22 @@ def psi_residue_sums(x: float, moduli) -> list[np.ndarray]:
         W = np.array(weights)
         for M, vec in acc.items():
             vec += np.bincount(P % M, weights=W, minlength=M)
+    return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
+
+
+def prime_residue_counts(lo: int, hi: int, moduli) -> list[np.ndarray]:
+    """For each m in moduli, the number of primes of (lo, hi] in each residue class mod m.
+
+    The primes are streamed through the sieve segments into one integer
+    bincount per modulus group, as in psi_residue_sums; the counts are exact.
+    """
+    if lo < 0:
+        raise ValueError("need lo >= 0")
+    moduli = [int(m) for m in moduli]
+    if any(m < 1 for m in moduli):
+        raise ValueError("moduli must be >= 1")
+    group_of = _modulus_groups(moduli)
+    acc = _residue_bincounts(lo, hi, dict.fromkeys(group_of.values()), weighted=False)
     return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
 
 

@@ -34,7 +34,7 @@ from .arith import (
     mobius,
     phi_table,
     prime_power_arrays,
-    primes_in_range,
+    prime_residue_counts,
     primes_up_to,
     psi_residue_sums,
     reduced_residue_mask,
@@ -263,7 +263,9 @@ def maynard_condition_sums(
     lhs1 weighs integer counts in (x/2, x] against Y/d with Y = x/(2q);
     lhs2 weighs prime counts in (x/2 + h_m, x] against Y1/phi(d). The class
     b_d is the CRT lift of a mod q with unit second coordinate. Only the
-    primes of (x/2 + h_m, x] are sieved (from 0 when x/2 + h_m < 0).
+    primes of (x/2 + h_m, x] are sieved (from 0 when x/2 + h_m < 0), and
+    they are streamed: each sieve segment's primes are counted by residue
+    class (arith.prime_residue_counts), so the tail is never held whole.
     """
     if q < 1:
         raise ValueError("need q >= 1")
@@ -272,22 +274,19 @@ def maynard_condition_sums(
     D = _modulus_cutoff(x, q, L, "L")
     Y = x / (2 * q)
     Y1 = log_integral_Y1(x, q)
-    tail = primes_in_range(max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)))
+    ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1 and mobius(d) != 0]
+    tail_counts = prime_residue_counts(max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)), [q * d for d in ds])
 
     terms1: list[float] = []
     terms2: list[float] = []
     skipped = 0
-    count = 0
-    for d in range(1, D + 1):
-        if math.gcd(d, q) != 1 or mobius(d) == 0:
-            continue
+    for d, counts in zip(ds, tail_counts):
         w = tau_m(3 * k, d)
         b_d = _crt_unit_lift(a, q, d)
         m = q * d
-        count += 1
         cnt = _count_in_class(x / 2, x, m, b_d % m)
         terms1.append(w * abs(cnt - Y / d))
-        pcnt = int(np.count_nonzero(tail % m == b_d % m))
+        pcnt = int(counts[b_d % m])
         terms2.append(w * abs(pcnt - Y1 / euler_phi(d)))
     return MaynardConditionReport(
         x=x,
@@ -298,6 +297,6 @@ def maynard_condition_sums(
         L=L,
         lhs1=math.fsum(terms1),
         lhs2=math.fsum(terms2),
-        term_count=count,
+        term_count=len(ds),
         skipped=skipped,
     )

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import primes_in_ap, primes_in_range, radical
+from .arith import primes_in_ap, primes_in_class, primes_in_range, radical
 from .variational import VariationalCertificate, min_k_for
 
 THETA_MAX = Fraction(5, 12)
@@ -89,6 +89,9 @@ class GapConfig:
 def validate_config(cfg: GapConfig, shifts: tuple[int, ...] | None = None) -> list[str]:
     """Every failed constraint is reported separately; empty list means valid."""
     errors: list[str] = []
+    if not math.isfinite(cfg.x):
+        errors.append("need finite x")
+        return errors
     if cfg.x <= math.e:
         errors.append("x too small: need log x > 1")
         return errors
@@ -277,8 +280,7 @@ def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResul
         raise ValueError("need x >= 1")
     if q < 1:
         raise ValueError("need q >= 1")
-    ps = primes_in_range(lo, hi)
-    ps = ps[ps % q == a % q]
+    ps = primes_in_class(lo, hi, q, a % q)
     if len(ps) < t:
         return ConstellationResult(False, len(ps), None, ())
     widths = ps[t - 1 :] - ps[: len(ps) - t + 1]

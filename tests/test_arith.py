@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,8 @@ def test_primes_in_ap_examples():
     assert arith.primes_in_ap(2, 20, 4, 1) == oracle(2, 20, 4, 1) == [5, 13, 17]
     assert arith.primes_in_ap(2, 20, 4, 3) == oracle(2, 20, 4, 3) == [3, 7, 11, 19]
     assert arith.primes_in_ap(2, 20, 1, 0) == oracle(2, 20, 1, 1 % 1)
+    # above 2**31 the residues are taken in int64
+    assert arith.primes_in_ap(2**31 - 500, 2**31 + 500, 7, 3) == oracle(2**31 - 500, 2**31 + 500, 7, 3)
     # a noncoprime class holds at most the single prime dividing q
     assert arith.primes_in_ap(2, 40, 4, 2) == []
     assert arith.primes_in_ap(1, 40, 4, 2) == [2]
@@ -140,6 +143,45 @@ def test_segment_size_invariance():
         ).tolist()
     for size in (64, 1000):
         assert arith.primes_in_ap(2, 30000, 7, 3, segment_size=size) == arith.primes_in_ap(2, 30000, 7, 3)
+
+
+def plain_sieve_segment(lo, hi, base):
+    """Oracle: the marker the wheel sieve replaced, one flag per n in (lo, hi], a stride per base prime."""
+    flags = np.ones(hi - lo, dtype=bool)  # offset i is n = lo + 1 + i
+    if lo == 0:
+        flags[0] = False  # n = 1
+    for p in base:
+        if p * p > hi:
+            break
+        # first composite multiple of p above lo, never killing p itself
+        start = max(p * p, (lo // p + 1) * p)
+        if start <= hi:
+            flags[start - lo - 1 :: p] = False
+    return lo + 1 + np.flatnonzero(flags).astype(np.int64)
+
+
+def test_sieve_segment_matches_plain_marking():
+    period = 2 * arith._WHEEL  # the wheel repeats every 30030 integers
+    cases = [(lo, hi) for lo in range(41) for hi in range(lo + 1, lo + 101)]
+    for size in (1, 2, 3, 15015, 30029, 30030, 30031):
+        cases += [(lo, lo + size) for lo in (0, 1, 12, 13, 16, 10**6 + 1)]
+    for k in (1, 2, 3, 34, 33301):
+        for lo in range(k * period - 3, k * period + 4):
+            cases += [(lo, lo + 1), (lo, lo + 97), (lo, lo + period + 5)]
+    rng = random.Random(20261018)
+    for _ in range(30):
+        lo = rng.randrange(10**9)
+        cases.append((lo, lo + rng.randrange(1, 1 << 17)))
+    base = arith._base_primes(math.isqrt(max(hi for _, hi in cases)))
+    for lo, hi in cases:
+        got = arith._sieve_segment(lo, hi, base)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, plain_sieve_segment(lo, hi, base), err_msg=f"(lo, hi) = ({lo}, {hi})")
+
+
+def test_prime_counts():
+    assert len(arith.primes_up_to(10**6)) == 78498
+    assert len(arith.primes_up_to(10**7)) == 664579
 
 
 def test_base_primes_sieved_once_per_range(monkeypatch):
@@ -245,6 +287,25 @@ def test_psi_residue_sums_edges():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         arith.psi_residue_sums(1e4, [5, 0])
+
+
+def test_prime_residue_counts_against_class_filter():
+    seg = arith.DEFAULT_SEGMENT
+    moduli = [1, 2, 6, 12, 97, 256, 65537]
+    # several sieve segments, and a window past 2**31 where residues are taken in int64
+    for lo, hi in ((0, 1), (5, 6), (seg - 1000, 3 * seg + 777), (2**31 - 3000, 2**31 + 3000)):
+        ps = arith.primes_in_range(lo, hi).tolist()
+        got = arith.prime_residue_counts(lo, hi, moduli)
+        for m, vec in zip(moduli, got):
+            assert vec.dtype == np.int64 and len(vec) == m
+            want = np.zeros(m, dtype=np.int64)
+            for p in ps:
+                want[p % m] += 1
+            np.testing.assert_array_equal(vec, want)
+    assert arith.prime_residue_counts(0, 100, []) == []
+    for lo, moduli in ((0, [3, 0]), (-1, [3])):
+        with pytest.raises(ValueError):
+            arith.prime_residue_counts(lo, 100, moduli)
 
 
 def test_modulus_groups_cover():

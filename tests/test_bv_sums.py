@@ -13,6 +13,7 @@ from apgaps.arith import (
     log_integral_Y1,
     mobius,
     prime_power_arrays,
+    primes_in_range,
     tau_m,
 )
 from apgaps.reports import ERROR_SUM_CSV_HEADER
@@ -291,6 +292,35 @@ def test_maynard_condition_sums_against_naive():
         want1, want2 = naive_maynard_sums(1e5, 3, 1, h_m, 2, 0.2)
         assert rep.lhs1 == pytest.approx(want1, rel=1e-9)
         assert rep.lhs2 == pytest.approx(want2, rel=1e-9)
+
+
+def per_modulus_maynard_sums(x, q, a, h_m, k, L):
+    """Oracle: the whole sieved tail, one count_nonzero per modulus, as before streaming."""
+    D = bv._modulus_cutoff(x, q, L, "L")
+    Y = x / (2 * q)
+    Y1 = log_integral_Y1(x, q)
+    tail = primes_in_range(max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)))
+    terms1, terms2 = [], []
+    for d in range(1, D + 1):
+        if math.gcd(d, q) != 1 or mobius(d) == 0:
+            continue
+        w = tau_m(3 * k, d)
+        b_d = bv._crt_unit_lift(a, q, d)
+        m = q * d
+        cnt = bv._count_in_class(x / 2, x, m, b_d % m)
+        terms1.append(w * abs(cnt - Y / d))
+        pcnt = int(np.count_nonzero(tail % m == b_d % m))
+        terms2.append(w * abs(pcnt - Y1 / euler_phi(d)))
+    return math.fsum(terms1), math.fsum(terms2)
+
+
+def test_maynard_condition_sums_across_segments():
+    # the tail (x/2 + h_m, x] spans two sieve segments, or four when it starts at 0
+    x = 3.0 * 2**20 + 12345
+    for q, a, L in ((3, 1, 0.2), (4, 3, 0.3)):
+        for h_m in (0, 37, -(2**21)):
+            rep = bv.maynard_condition_sums(x, q, a, h_m, 2, L)
+            assert (rep.lhs1, rep.lhs2) == per_modulus_maynard_sums(x, q, a, h_m, 2, L)
 
 
 def test_maynard_inner_term_bound():

@@ -213,6 +213,15 @@ def test_gap_validation_error(tmp_path, capsys):
     assert json.loads(last) == {"error": "; ".join(row["errors"])}
 
 
+def test_gap_rejects_non_finite_x(tmp_path, capsys):
+    for x in ("nan", "inf", "-inf"):
+        out = tmp_path / f"gap-{x}.jsonl"
+        assert run(["gap", f"--x={x}", "--q", "3", "--a", "1", "--t", "1", "--out", str(out)]) == 2
+        assert read_lines(out)[0]["errors"] == ["need finite x"]
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(last) == {"error": "need finite x"}
+
+
 def test_gap_cap_exceeded(capsys):
     code = run(["gap", "--x", "1e7", "--q", "3", "--a", "1", "--t", "3", "--kmax", "6", "--degree", "1"])
     assert code == 2

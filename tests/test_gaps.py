@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apgaps.gaps as gaps
-from apgaps.arith import is_prime, primes_in_ap
+from apgaps.arith import DEFAULT_SEGMENT, is_prime, primes_in_range
 from apgaps.variational import CertificateCapExceeded, VariationalCertificate, certificate_table
 
 
@@ -149,7 +149,7 @@ def naive_constellation(x, q, a, t):
 
 def loop_constellation(x, q, a, t):
     """Oracle: the scan over a list of primes that constellation_search replaced."""
-    ps = primes_in_ap(int(math.floor(x / 2)), int(math.floor(x)), q, a % q)
+    ps = [p for p in primes_in_range(int(math.floor(x / 2)), int(math.floor(x))).tolist() if p % q == a % q]
     if len(ps) < t:
         return gaps.ConstellationResult(False, len(ps), None, ())
     best_i = 0
@@ -163,7 +163,8 @@ def loop_constellation(x, q, a, t):
 
 def test_constellation_matches_loop_oracle():
     cases = [(1, 0), (2, 1), (4, 1), (4, 3), (5, 2), (7, 3), (12, 11), (30, 7)]
-    for x in (30.0, 1000.0, 123457.5):
+    # (x/2, x] of the last x spans three sieve segments
+    for x in (30.0, 1000.0, 123457.5, 5 * DEFAULT_SEGMENT + 4321.5):
         for q, a in cases:
             for t in (1, 2, 3, 4):
                 got = gaps.constellation_search(x, q, a, t)
