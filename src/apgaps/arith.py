@@ -10,12 +10,13 @@ primes are added back. Von Mangoldt weights come from prime_power_arrays
 von_mangoldt_table (the dense table Lambda(0..n)), or psi_residue_sums,
 which streams the sieve segments into per-residue float bincounts;
 prime_residue_counts streams them into exact integer counts, and
-primes_in_class keeps only one residue class of each segment. While the
-numbers are below 2**31, these residues are taken on an int32 copy of each
-segment: the same integers, found faster. Sums over one class
-(chebyshev_psi) use math.fsum; the residue vectors of psi_residue_sums are
-plain float sums in a fixed order (segment by segment, fixed modulus
-groups), so they too never depend on the caller's thread count.
+class_segments (behind primes_in_class) keeps only one residue class of
+each segment. While the numbers are below 2**31, these residues are taken
+on an int32 copy of each segment: the same integers, found faster. Sums
+over one class (chebyshev_psi) use math.fsum; the residue vectors of
+psi_residue_sums are plain float sums in a fixed order (segment by
+segment, fixed modulus groups), so they too never depend on the caller's
+thread count.
 """
 
 from __future__ import annotations
@@ -347,23 +348,26 @@ def primes_up_to(n: int) -> np.ndarray:
     return primes_in_range(0, n) if n >= 2 else np.empty(0, dtype=np.int64)
 
 
-def primes_in_class(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """Ascending primes p in (lo, hi] with p = a (mod q), as an int64 array.
+def class_segments(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT):
+    """The primes p in (lo, hi] with p = a (mod q): one ascending int64 array
+    per sieve segment, possibly empty.
 
-    Each sieve segment is filtered as it comes, so only the class is ever
-    held; while hi and q are below 2**31 the residues are taken on an int32
-    copy of the segment.
+    Each segment is filtered as it comes, so only the class is ever held;
+    while hi and q are below 2**31 the residues are taken on an int32 copy of
+    the segment. The arguments are checked on the first step.
     """
     if not 0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
     if q < 1 or not 0 <= a < q:
         raise ValueError("need q >= 1 and 0 <= a < q")
-    if q == 1:
-        return primes_in_range(lo, hi, segment_size)
     narrow = max(hi, q) < 2**31
-    return np.concatenate(
-        [ps[(ps.astype(np.int32) if narrow else ps) % q == a] for ps in _segments(lo, hi, segment_size)]
-    )
+    for ps in _segments(lo, hi, segment_size):
+        yield ps if q == 1 else ps[(ps.astype(np.int32) if narrow else ps) % q == a]
+
+
+def primes_in_class(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
+    """Ascending primes p in (lo, hi] with p = a (mod q), as an int64 array."""
+    return np.concatenate(list(class_segments(lo, hi, q, a, segment_size)))
 
 
 def primes_in_ap(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> list[int]:

@@ -11,7 +11,9 @@ Measured quantities, each against its trivial normalizer:
   nonreduced classes that carry mass hold only powers of primes dividing
   m, and are subtracted exactly, for all moduli at once.
 - smoothed_R / sandwich_check: the log-smoothed weighted sum and the
-  two-sided bounds it implies for psi.
+  two-sided bounds it implies for psi. sandwich_check filters the class
+  once, up to x e^lam, and reads its three smoothed sums and psi from
+  prefixes of that one array.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
   moduli d <= x^L.
 
@@ -64,15 +66,32 @@ def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
 
     Returns (ok, lower, psi, upper) for
     (R(x) - R(x e^-lam))/lam <= psi(x; r, a) <= (R(x e^lam) - R(x))/lam.
+    The class is filtered once, up to x e^lam, and its logs taken once;
+    each R and psi reads a prefix of it. math.fsum is exact, so every
+    value equals its smoothed_R or chebyshev_psi call.
     """
     if lam <= 0:
         raise ValueError("need lam > 0")
-    from .arith import chebyshev_psi
+    x_lo, x_hi = x * math.exp(-lam), x * math.exp(lam)
+    if not x_lo >= 1:
+        raise ValueError("need x >= 1")
+    P, W = prime_power_arrays(int(math.floor(x_hi)))
+    if r > 1:
+        keep = P % r == a % r
+        P, W = P[keep], W[keep]
+    logs = np.log(P.astype(np.float64))
 
-    r_mid = smoothed_R(x, r, a)
-    lower = (r_mid - smoothed_R(x * math.exp(-lam), r, a)) / lam
-    upper = (smoothed_R(x * math.exp(lam), r, a) - r_mid) / lam
-    psi = chebyshev_psi(x, r, a % r)
+    def prefix(y: float) -> int:
+        return int(np.searchsorted(P, int(math.floor(y)), side="right"))
+
+    def R(y: float) -> float:
+        i = prefix(y)
+        return math.fsum(W[:i] * (math.log(y) - logs[:i]))
+
+    r_mid = R(x)
+    lower = (r_mid - R(x_lo)) / lam
+    upper = (R(x_hi) - r_mid) / lam
+    psi = math.fsum(W[: prefix(x)])
     ok = lower <= psi + slack and psi <= upper + slack
     return ok, lower, psi, upper
 
@@ -203,6 +222,8 @@ def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport
     """
     if not x > 1:
         raise ValueError("need x > 1")
+    if not math.isfinite(x):
+        raise ValueError("need finite x")
     if Q < q:
         raise ValueError("need Q >= q")
     if not Q <= x:

@@ -402,7 +402,7 @@ def farey_spacing_min(r: int, D: int) -> Fraction:
         raise ValueError("need r, D >= 1")
     if r * D * D > 10**6:
         raise ValueError("enumeration bound exceeded")
-    pts: set[Fraction] = set()
+    pts: set[tuple[int, int]] = set()  # reduced (j, m), so equal points coincide
     for r1 in divisors(r):
         for d in range(1, D + 1):
             if math.gcd(d, r) != 1:
@@ -410,11 +410,13 @@ def farey_spacing_min(r: int, D: int) -> Fraction:
             m = d * r1
             for j in range(1, m + 1):
                 if math.gcd(j, m) == 1:
-                    pts.add(Fraction(j, m))
+                    pts.add((j, m))
     if len(pts) < 2:
         return Fraction(1)
-    ordered = sorted(pts)
-    return min(b - a for a, b in zip(ordered, ordered[1:]))
+    # Distinct points with denominators <= r D differ by >= 1/(r D)^2 >= 1e-12,
+    # far above one ulp, so the float order of j/m is the exact order.
+    ordered = sorted(pts, key=lambda p: p[0] / p[1])
+    return min(Fraction(j2 * m1 - j1 * m2, m1 * m2) for (j1, m1), (j2, m2) in zip(ordered, ordered[1:]))
 
 
 @lru_cache(maxsize=512)

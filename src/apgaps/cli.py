@@ -104,6 +104,8 @@ def cmd_bdh(args) -> int:
     manifest = _manifest("bdh", {"x": xs, "q": args.q, "Q": args.Q or "x/log(x)"}, args.seed)
     reports = []
     for x in xs:
+        if not math.isfinite(x):
+            raise ValueError("need finite x")
         if not x > 1:
             raise ValueError("need x > 1")
         Q = args.Q if args.Q is not None else x / math.log(x)
@@ -148,9 +150,7 @@ def cmd_hb(args) -> int:
 
 def cmd_comb(args) -> int:
     manifest = _manifest("comb", {"denominator": args.denominator, "random": args.random}, args.seed)
-    grid = sum(1 for d in range(1, args.denominator + 1) for _ in comb_lemmas.partitions_of(d, comb_lemmas.N_PARTS))
-    tri = comb_lemmas.verify_trichotomy(args.denominator)
-    five = comb_lemmas.verify_comblem(args.denominator)
+    grid, tri, five = comb_lemmas.grid_scan(args.denominator)
     out_rows = [
         {"check": "trichotomy", "checked": grid, "counterexamples": [list(t[1]) for t in tri]},
         {"check": "five-part-lemma", "checked": grid, "counterexamples": [list(t[1]) for t in five]},

@@ -12,7 +12,11 @@ force verification over every rational tuple with bounded denominator:
 
 Interval endpoints are closed (the adversarially harder reading) and every
 grid decision runs in exact integer arithmetic via subset-sum bitsets.
-Randomized real sweeps supplement the grids but never replace them.
+grid_scan walks the partitions once and tests one bitset per tuple against
+both windows. Randomized real sweeps supplement the grids but never replace
+them: random_sweeps draws each batch once and checks both claims in one
+fused pass, a greedy subset sum per window carried over the columns, with
+the exact 2^14 subset scan only for the rows the greedy misses.
 """
 
 from __future__ import annotations
@@ -113,24 +117,63 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _window_bits(lo: int, hi: int) -> int:
+    """Bitmask of the closed window [lo, hi] of subset sums; 0 if it is empty."""
+    return ((1 << (hi - lo + 1)) - 1) << lo if hi >= lo else 0
+
+
+def _grid_decisions(max_denominator: int):
+    """(den, numers, trichotomy_ok, five_part_ok) for every grid tuple.
+
+    One subset-sum bitset per tuple is tested against both windows. A tuple
+    with alpha_1 + alpha_2 >= 1/2 fails the shared hypothesis and satisfies
+    both claims vacuously.
+    """
+    if max_denominator > 48:
+        raise ValueError("partition enumeration bound is 48")
+    for den in range(1, max_denominator + 1):
+        tri_window = _window_bits(_ceil_div(2 * den, 5), (3 * den) // 5)
+        five_window = _window_bits(_ceil_div(5 * den, 12), (7 * den) // 12)
+        for numers in partitions_of(den, N_PARTS):
+            a12 = numers[0] + (numers[1] if len(numers) > 1 else 0)
+            if 2 * a12 >= den:
+                yield den, numers, True, True
+                continue
+            bits = subset_sums_bitset(numers)
+            tri_ok = (bits & tri_window) != 0
+            if bits & five_window:
+                yield den, numers, tri_ok, True
+                continue
+            fifth_ok = len(numers) > 4 and 6 * numers[4] > den
+            list_ok = 12 * (a12 + sum(numers[5:])) < 5 * den
+            yield den, numers, tri_ok, fifth_ok and list_ok
+
+
+def grid_scan(max_denominator: int) -> tuple[int, list, list]:
+    """One pass over every tuple with denominator <= max_denominator.
+
+    Returns (tuples, trichotomy counterexamples, five-part counterexamples).
+    Each list holds sorted (denominator, numerators) pairs, as
+    verify_trichotomy and verify_comblem return them; both are expected
+    empty.
+    """
+    tuples = 0
+    tri: list = []
+    five: list = []
+    for den, numers, tri_ok, five_ok in _grid_decisions(max_denominator):
+        tuples += 1
+        if not tri_ok:
+            tri.append((den, numers))
+        if not five_ok:
+            five.append((den, numers))
+    return tuples, sorted(tri), sorted(five)
+
+
 def verify_trichotomy(max_denominator: int) -> list[tuple[int, tuple[int, ...]]]:
     """Counterexample scan: tuples with alpha_1 + alpha_2 < 1/2 and no subset
     sum in [2/5, 3/5]. Returns (denominator, numerators) pairs; expected empty.
     """
-    if max_denominator > 48:
-        raise ValueError("partition enumeration bound is 48")
-    bad = []
-    for den in range(1, max_denominator + 1):
-        lo = _ceil_div(2 * den, 5)
-        hi = (3 * den) // 5
-        for numers in partitions_of(den, N_PARTS):
-            a1 = numers[0]
-            a2 = numers[1] if len(numers) > 1 else 0
-            if 2 * (a1 + a2) >= den:
-                continue
-            if not _has_subset_in(numers, lo, hi):
-                bad.append((den, numers))
-    return sorted(bad)
+    return grid_scan(max_denominator)[1]
 
 
 def verify_comblem(max_denominator: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -143,52 +186,11 @@ def verify_comblem(max_denominator: int) -> list[tuple[int, tuple[int, ...]]]:
     The unit-sum normalization covers all fourteen parts; the twelve-part
     phrasing of the same statement is the zero-padded subcase of this grid.
     """
-    if max_denominator > 48:
-        raise ValueError("partition enumeration bound is 48")
-    bad = []
-    for den in range(1, max_denominator + 1):
-        lo = _ceil_div(5 * den, 12)
-        hi = (7 * den) // 12
-        for numers in partitions_of(den, N_PARTS):
-            padded = numers + (0,) * (N_PARTS - len(numers))
-            a1, a2 = padded[0], padded[1]
-            if 2 * (a1 + a2) >= den:
-                continue
-            if _has_subset_in(numers, lo, hi):
-                continue
-            fifth_ok = 6 * padded[4] > den
-            listed = a1 + a2 + sum(padded[5:])
-            list_ok = 12 * listed < 5 * den
-            if not (fifth_ok and list_ok):
-                bad.append((den, numers))
-    return sorted(bad)
+    return grid_scan(max_denominator)[2]
 
 
 # ---------------------------------------------------------------------------
 # randomized real sweeps (supplementary; exact fallback for greedy failures)
-
-
-def _random_sorted_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n rows of nonincreasing 14-tuples uniform on the unit simplex."""
-    e = rng.exponential(size=(n, N_PARTS))
-    t = e / e.sum(axis=1, keepdims=True)
-    return -np.sort(-t, axis=1)
-
-
-def _greedy_hits_window(rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Greedy subset build per row: keep adding parts while the sum stays <= hi.
-
-    Returns a bool mask of rows whose greedy sum lands in [lo, hi]. Rows that
-    miss may still contain a subset in the window; callers must follow up with
-    the exact scan.
-    """
-    s = np.zeros(len(rows))
-    for i in range(rows.shape[1]):
-        col = rows[:, i]
-        take = s + col <= hi
-        s = np.where(take, s + col, s)
-    return s >= lo
-
 
 _SUBSET_MATRIX = ((np.arange(1 << N_PARTS)[:, None] >> np.arange(N_PARTS)) & 1).astype(np.float64)
 
@@ -202,62 +204,102 @@ def _exact_rows_with_subset(rows: np.ndarray, lo: float, hi: float) -> np.ndarra
     return out
 
 
-def _trichotomy_rows(rows: np.ndarray) -> tuple[int, list]:
-    """(checked, counterexamples) of the trichotomy among sorted simplex rows."""
-    rows = rows[rows[:, 0] + rows[:, 1] < 0.5]
-    found = _greedy_hits_window(rows, 0.4, 0.6)
-    hard = rows[~found]
-    if not len(hard):
-        return len(rows), []
-    really = _exact_rows_with_subset(hard, 0.4, 0.6)
-    return len(rows), [tuple(row) for row in hard[~really]]
+# The greedy runs over blocks of rows whose 14 columns stay in cache.
+_BLOCK = 8192
+# Upper ends of the trichotomy and the five-part windows, one per greedy sum.
+_WINDOW_HI = np.array([[0.6], [7 / 12]])
 
 
-def _comblem_rows(rows: np.ndarray) -> tuple[int, list]:
-    """(checked, counterexamples) of the five-part lemma among sorted simplex rows.
+def _greedy_sums(rows: np.ndarray) -> np.ndarray:
+    """Greedy subset sums of every row for both windows, shape (2, len(rows)).
 
-    A counterexample passes both hypotheses yet fails a conclusion.
+    Per row and window: add each part, in row order, that keeps the sum
+    <= hi. Each block of rows is copied once into a column buffer, and one
+    loop over its columns carries both sums.
     """
-    lo, hi = 5 / 12, 7 / 12
-    rows = rows[rows[:, 0] + rows[:, 1] < 0.5]
-    concl = (rows[:, 4] > 1 / 6) & (rows[:, 0] + rows[:, 1] + rows[:, 5:].sum(axis=1) < 5 / 12)
-    suspects = rows[~concl]
-    hard = suspects[~_greedy_hits_window(suspects, lo, hi)]
-    if not len(hard):
-        return len(rows), []
-    really = _exact_rows_with_subset(hard, lo, hi)
-    return len(rows), [tuple(row) for row in hard[~really]]
+    sums = np.zeros((2, len(rows)))
+    width = min(_BLOCK, len(rows))
+    cols_buf = np.empty((rows.shape[1], width))
+    step_buf, take_buf = np.empty((2, width)), np.empty((2, width), dtype=bool)
+    for start in range(0, len(rows), _BLOCK):
+        width = min(_BLOCK, len(rows) - start)
+        cols, step, take = cols_buf[:, :width], step_buf[:, :width], take_buf[:, :width]
+        part = sums[:, start : start + width]
+        np.copyto(cols, rows[start : start + width].T)
+        for col in cols:
+            np.add(part, col, out=step)
+            np.less_equal(step, _WINDOW_HI, out=take)
+            # part + col where taken, part + 0.0 == part elsewhere
+            np.multiply(col, take, out=step)
+            part += step
+    return sums
 
 
-def _random_sweep(n: int, seed: int, batch: int, checks) -> list[tuple[int, list]]:
-    """Run every check on each batch of n seeded sorted simplex tuples, drawn once."""
+def _check_rows(rows: np.ndarray) -> tuple[int, list, list]:
+    """(checked, trichotomy counterexamples, five-part counterexamples) of
+    nonincreasing C-contiguous rows.
+
+    A greedy sum >= lo proves a subset in the window; only the rows that a
+    check needs and the greedy misses get the exact 2^14 scan.
+    """
+    tri_sum, five_sum = _greedy_sums(rows)
+    hyp = rows[:, 0] + rows[:, 1] < 0.5
+    # the five-part conclusions: alpha_5 > 1/6 and, read only where that
+    # holds, alpha_1 + alpha_2 + alpha_6 + ... + alpha_14 < 5/12
+    concl = rows[:, 4] > 1 / 6
+    sure = np.flatnonzero(hyp & concl)
+    fifth = rows[sure]
+    concl[sure] = fifth[:, 0] + fifth[:, 1] + fifth[:, 5:].sum(axis=1) < 5 / 12
+    bad: list[list] = [[], []]
+    tri_hard = np.flatnonzero(hyp & (tri_sum < 0.4))
+    five_hard = np.flatnonzero(hyp & ~concl & (five_sum < 5 / 12))
+    for i, (hard, lo, hi) in enumerate(((tri_hard, 0.4, 0.6), (five_hard, 5 / 12, 7 / 12))):
+        if len(hard):
+            suspects = rows[hard]
+            bad[i] = [tuple(row) for row in suspects[~_exact_rows_with_subset(suspects, lo, hi)]]
+    return int(np.count_nonzero(hyp)), bad[0], bad[1]
+
+
+def random_sweeps(n: int, seed: int = 0, batch: int = 100_000) -> tuple[tuple[int, list], tuple[int, list]]:
+    """Both randomized checks on one seeded draw of n sorted simplex tuples.
+
+    Returns ((checked, counterexamples) of the trichotomy, the same of the
+    five-part lemma). Each batch is drawn into one reused buffer, then
+    normalized and sorted in place as nonincreasing C-contiguous rows, so
+    the hypothesis and conclusion expressions read the same operands as a
+    row-by-row check.
+    """
     rng = np.random.default_rng(seed)
-    checked = [0] * len(checks)
-    bad: list[list] = [[] for _ in checks]
+    size = max(min(batch, n), 0)
+    rows_buf = np.empty((size, N_PARTS))
+    norm_buf = np.empty((size, 1))
+    checked = 0
+    tri_bad: list = []
+    five_bad: list = []
     remaining = n
     while remaining > 0:
-        rows = _random_sorted_simplex(min(batch, remaining), rng)
-        remaining -= len(rows)
-        for i, check in enumerate(checks):
-            c, b = check(rows)
-            checked[i] += c
-            bad[i] += b
-    return list(zip(checked, bad))
+        m = min(batch, remaining)
+        remaining -= m
+        rows, norm = rows_buf[:m], norm_buf[:m]
+        # the values of -np.sort(-(e / e.sum(axis=1, keepdims=True)), axis=1)
+        rng.standard_exponential(out=rows)
+        np.sum(rows, axis=1, keepdims=True, out=norm)
+        np.divide(rows, norm, out=rows)
+        np.negative(rows, out=rows)
+        rows.sort(axis=1)
+        np.negative(rows, out=rows)
+        c, tri, five = _check_rows(rows)
+        checked += c
+        tri_bad += tri
+        five_bad += five
+    return (checked, tri_bad), (checked, five_bad)
 
 
 def random_trichotomy_sweep(n: int, seed: int = 0, batch: int = 100_000) -> tuple[int, list]:
     """Sample n sorted simplex tuples; report (checked, counterexamples)."""
-    return _random_sweep(n, seed, batch, (_trichotomy_rows,))[0]
+    return random_sweeps(n, seed, batch)[0]
 
 
 def random_comblem_sweep(n: int, seed: int = 0, batch: int = 100_000) -> tuple[int, list]:
     """Sample n tuples; counterexamples must pass both hypotheses yet fail a conclusion."""
-    return _random_sweep(n, seed, batch, (_comblem_rows,))[0]
-
-
-def random_sweeps(n: int, seed: int = 0, batch: int = 100_000) -> tuple[tuple[int, list], tuple[int, list]]:
-    """Both sweeps on one draw: what random_trichotomy_sweep and
-    random_comblem_sweep return for the same (n, seed, batch), at the cost
-    of one draw of n tuples.
-    """
-    return tuple(_random_sweep(n, seed, batch, (_trichotomy_rows, _comblem_rows)))
+    return random_sweeps(n, seed, batch)[1]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import primes_in_ap, primes_in_class, primes_in_range, radical
+from .arith import class_segments, primes_in_ap, primes_in_range, radical
 from .variational import VariationalCertificate, min_k_for
 
 THETA_MAX = Fraction(5, 12)
@@ -268,7 +268,14 @@ class ConstellationResult:
 
 
 def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResult:
-    """Minimal window of t consecutive primes = a (mod q) in (x/2, x]."""
+    """Minimal window of t consecutive primes = a (mod q) in (x/2, x].
+
+    The class is streamed one sieve segment at a time. The last t - 1 primes
+    of each segment are carried into the next, so every window is seen once,
+    and a strict < across segments keeps the first minimal window.
+    """
+    if not math.isfinite(x):
+        raise ValueError("need finite x")
     if x > 10**8:
         raise ValueError("desk bound is x <= 1e8")
     if t < 1:
@@ -280,9 +287,15 @@ def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResul
         raise ValueError("need x >= 1")
     if q < 1:
         raise ValueError("need q >= 1")
-    ps = primes_in_class(lo, hi, q, a % q)
-    if len(ps) < t:
-        return ConstellationResult(False, len(ps), None, ())
-    widths = ps[t - 1 :] - ps[: len(ps) - t + 1]
-    i = int(np.argmin(widths))  # the first minimal window, as a strict < scan finds it
-    return ConstellationResult(True, len(ps), int(widths[i]), tuple(int(p) for p in ps[i : i + t]))
+    count, gap, window = 0, None, ()
+    carry = np.empty(0, dtype=np.int64)
+    for segment in class_segments(lo, hi, q, a % q):
+        count += len(segment)
+        ps = np.concatenate((carry, segment))
+        if len(ps) >= t:
+            widths = ps[t - 1 :] - ps[: len(ps) - t + 1]
+            i = int(np.argmin(widths))  # the first minimal window ending in this segment
+            if gap is None or widths[i] < gap:
+                gap, window = int(widths[i]), tuple(int(p) for p in ps[i : i + t])
+        carry = ps[max(len(ps) - (t - 1), 0) :]
+    return ConstellationResult(gap is not None, count, gap, window)

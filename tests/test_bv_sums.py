@@ -71,6 +71,43 @@ def test_sandwich_random(x, r, lam, data):
     assert bv.sandwich_check(x, r, a, lam)[0]
 
 
+def oracle_sandwich(x, r, a, lam, slack=1e-9):
+    """The sandwich as three smoothed_R calls and one chebyshev_psi call."""
+    if lam <= 0:
+        raise ValueError("need lam > 0")
+    r_mid = bv.smoothed_R(x, r, a)
+    lower = (r_mid - bv.smoothed_R(x * math.exp(-lam), r, a)) / lam
+    upper = (bv.smoothed_R(x * math.exp(lam), r, a) - r_mid) / lam
+    psi = chebyshev_psi(x, r, a % r)
+    ok = lower <= psi + slack and psi <= upper + slack
+    return ok, lower, psi, upper
+
+
+def test_sandwich_matches_separate_sums_exactly():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x = float(rng.uniform(1.5, 3e5))
+        r = int(rng.integers(1, 40))
+        a = int(rng.integers(0, r)) if r > 1 else int(rng.integers(0, 5))
+        lam = float(rng.uniform(0.001, 1.0))
+        if x * math.exp(-lam) < 1:
+            continue
+        assert bv.sandwich_check(x, r, a, lam) == oracle_sandwich(x, r, a, lam)
+    # the class is filtered once at x e^lam: windows across a cache cap too
+    for x, r, a, lam in ((1048575.5, 7, 3, 0.5), (2**20 + 0.5, 1, 0, 1.0), (3.0, 2, 1, 0.9)):
+        assert bv.sandwich_check(x, r, a, lam) == oracle_sandwich(x, r, a, lam)
+
+
+def test_sandwich_rejects_x_below_one_like_oracle():
+    for x, lam in ((1.5, 0.5), (0.5, 0.1), (1.0, 1e-9)):
+        assert x * math.exp(-lam) < 1
+        with pytest.raises(ValueError) as want:
+            oracle_sandwich(x, 3, 1, lam)
+        with pytest.raises(ValueError) as got:
+            bv.sandwich_check(x, 3, 1, lam)
+        assert str(got.value) == str(want.value)
+
+
 def naive_psi_by_class(x, m):
     """Independent per-class accumulation: plain dict loop, no bincount."""
     sums = {a: [] for a in range(m)}
@@ -233,6 +270,11 @@ def test_variance_against_bincount_oracle(x, q):
     # the criterion-9 grid points within the oracle's reach
     Q = x / math.log(x)
     assert bv.bdh_variance(x, q, Q).value == pytest.approx(bincount_variance(x, q, Q), rel=1e-9)
+
+
+def test_variance_rejects_infinite_x():
+    with pytest.raises(ValueError, match="need finite x"):
+        bv.bdh_variance(math.inf, 1, 100.0)
 
 
 def test_variance_preconditions_and_threads():

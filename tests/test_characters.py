@@ -194,6 +194,34 @@ def test_farey_spacing():
             assert chars.farey_spacing_min(r, D) >= Fraction(1, r * D * D)
 
 
+def farey_spacing_by_fractions(r, D):
+    """Oracle: the sorted set of Fractions that farey_spacing_min replaced."""
+    pts = set()
+    for r1 in chars.divisors(r):
+        for d in range(1, D + 1):
+            if math.gcd(d, r) != 1:
+                continue
+            m = d * r1
+            for j in range(1, m + 1):
+                if math.gcd(j, m) == 1:
+                    pts.add(Fraction(j, m))
+    if len(pts) < 2:
+        return Fraction(1)
+    ordered = sorted(pts)
+    return min(b - a for a, b in zip(ordered, ordered[1:]))
+
+
+def test_farey_spacing_matches_fraction_oracle():
+    for r in range(1, 21):
+        for D in range(1, 11):
+            assert chars.farey_spacing_min(r, D) == farey_spacing_by_fractions(r, D)
+    # about 8,600 points with denominators up to 930
+    assert chars.farey_spacing_min(31, 30) == farey_spacing_by_fractions(31, 30)
+    for r, D in ((0, 3), (3, 0), (-1, 2), (10**6 + 1, 1), (10**4, 11)):
+        with pytest.raises(ValueError):
+            chars.farey_spacing_min(r, D)
+
+
 def test_large_sieve_trivial_and_random():
     lhs, rhs, ratio = chars.large_sieve_check(6, 3, np.zeros(10))
     assert lhs == 0.0 and rhs == 0.0

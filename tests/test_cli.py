@@ -285,6 +285,13 @@ def test_domain_edges_are_json_errors(capsys):
         (["bv", "--grid", "1e4,inf", "--q", "3", "--b", "0.2"], "finite"),
         (["maycond", "--x", "inf", "--q", "3", "--a", "1", "--k", "2", "--L", "0.2"], "finite"),
         (["maycond", "--x", "1e4", "--q", "0", "--a", "1", "--k", "2", "--L", "0.2"], "--q"),
+        (["bdh", "--x", "nan", "--q", "1"], "need finite x"),
+        (["bdh", "--x", "inf", "--q", "1"], "need finite x"),
+        (["bdh", "--x=-inf", "--q", "1"], "need finite x"),
+        (["bdh", "--grid", "1e3,inf", "--q", "1", "--Q", "10"], "need finite x"),
+        (["constellation", "--x", "nan", "--q", "4", "--a", "1", "--t", "2"], "need finite x"),
+        (["constellation", "--x", "inf", "--q", "4", "--a", "1", "--t", "2"], "need finite x"),
+        (["constellation", "--x=-inf", "--q", "4", "--a", "1", "--t", "2"], "need finite x"),
     )
     for argv, message in cases:
         assert run(argv) == 2

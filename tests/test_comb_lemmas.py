@@ -7,6 +7,117 @@ from hypothesis import strategies as st
 
 import apgaps.comb_lemmas as cl
 
+# ---------------------------------------------------------------------------
+# oracles: the two-enumeration grid scans and the row-major random sweep that
+# grid_scan and random_sweeps replaced
+
+
+def _oracle_trichotomy_bad(den, numers):
+    lo = cl._ceil_div(2 * den, 5)
+    hi = (3 * den) // 5
+    a1 = numers[0]
+    a2 = numers[1] if len(numers) > 1 else 0
+    if 2 * (a1 + a2) >= den:
+        return False
+    return not cl._has_subset_in(numers, lo, hi)
+
+
+def _oracle_comblem_bad(den, numers):
+    lo = cl._ceil_div(5 * den, 12)
+    hi = (7 * den) // 12
+    padded = numers + (0,) * (cl.N_PARTS - len(numers))
+    a1, a2 = padded[0], padded[1]
+    if 2 * (a1 + a2) >= den:
+        return False
+    if cl._has_subset_in(numers, lo, hi):
+        return False
+    fifth_ok = 6 * padded[4] > den
+    listed = a1 + a2 + sum(padded[5:])
+    list_ok = 12 * listed < 5 * den
+    return not (fifth_ok and list_ok)
+
+
+def oracle_verify_trichotomy(max_denominator):
+    if max_denominator > 48:
+        raise ValueError("partition enumeration bound is 48")
+    bad = []
+    for den in range(1, max_denominator + 1):
+        for numers in cl.partitions_of(den, cl.N_PARTS):
+            if _oracle_trichotomy_bad(den, numers):
+                bad.append((den, numers))
+    return sorted(bad)
+
+
+def oracle_verify_comblem(max_denominator):
+    if max_denominator > 48:
+        raise ValueError("partition enumeration bound is 48")
+    bad = []
+    for den in range(1, max_denominator + 1):
+        for numers in cl.partitions_of(den, cl.N_PARTS):
+            if _oracle_comblem_bad(den, numers):
+                bad.append((den, numers))
+    return sorted(bad)
+
+
+def _random_sorted_simplex(n, rng):
+    """n rows of nonincreasing 14-tuples uniform on the unit simplex."""
+    e = rng.exponential(size=(n, cl.N_PARTS))
+    t = e / e.sum(axis=1, keepdims=True)
+    return -np.sort(-t, axis=1)
+
+
+def _greedy_hits_window(rows, lo, hi):
+    """Greedy subset build per row: keep adding parts while the sum stays <= hi."""
+    s = np.zeros(len(rows))
+    for i in range(rows.shape[1]):
+        col = rows[:, i]
+        take = s + col <= hi
+        s = np.where(take, s + col, s)
+    return s >= lo
+
+
+def _trichotomy_rows(rows):
+    rows = rows[rows[:, 0] + rows[:, 1] < 0.5]
+    found = _greedy_hits_window(rows, 0.4, 0.6)
+    hard = rows[~found]
+    if not len(hard):
+        return len(rows), []
+    really = cl._exact_rows_with_subset(hard, 0.4, 0.6)
+    return len(rows), [tuple(row) for row in hard[~really]]
+
+
+def _comblem_rows(rows):
+    lo, hi = 5 / 12, 7 / 12
+    rows = rows[rows[:, 0] + rows[:, 1] < 0.5]
+    concl = (rows[:, 4] > 1 / 6) & (rows[:, 0] + rows[:, 1] + rows[:, 5:].sum(axis=1) < 5 / 12)
+    suspects = rows[~concl]
+    hard = suspects[~_greedy_hits_window(suspects, lo, hi)]
+    if not len(hard):
+        return len(rows), []
+    really = cl._exact_rows_with_subset(hard, lo, hi)
+    return len(rows), [tuple(row) for row in hard[~really]]
+
+
+def _random_sweep(n, seed, batch, checks):
+    """Run every check on each batch of n seeded sorted simplex tuples, drawn once."""
+    rng = np.random.default_rng(seed)
+    checked = [0] * len(checks)
+    bad = [[] for _ in checks]
+    remaining = n
+    while remaining > 0:
+        rows = _random_sorted_simplex(min(batch, remaining), rng)
+        remaining -= len(rows)
+        for i, check in enumerate(checks):
+            c, b = check(rows)
+            checked[i] += c
+            bad[i] += b
+    return list(zip(checked, bad))
+
+
+def oracle_random_sweeps(n, seed, batch):
+    return tuple(_random_sweep(n, seed, batch, (_trichotomy_rows, _comblem_rows)))
+
+
 
 def _tuple_from(parts):
     parts = tuple(Fraction(p) for p in parts)
@@ -121,8 +232,8 @@ def test_random_sweeps_clean():
 
 def test_greedy_fallback_agrees_with_exact():
     rng = np.random.default_rng(2)
-    rows = cl._random_sorted_simplex(2000, rng)
-    greedy = cl._greedy_hits_window(rows, 5 / 12, 7 / 12)
+    rows = _random_sorted_simplex(2000, rng)
+    greedy = _greedy_hits_window(rows, 5 / 12, 7 / 12)
     exact = cl._exact_rows_with_subset(rows, 5 / 12, 7 / 12)
     # greedy success always implies a subset exists
     assert not np.any(greedy & ~exact)
@@ -141,6 +252,71 @@ def test_random_sweeps_share_one_draw():
     def fingerprint(rows):
         return len(rows), [float(rows.sum())]
 
-    one = cl._random_sweep(70_000, 5, 30_000, (fingerprint,))
-    assert cl._random_sweep(70_000, 5, 30_000, (fingerprint, fingerprint)) == one * 2
+    one = _random_sweep(70_000, 5, 30_000, (fingerprint,))
+    assert _random_sweep(70_000, 5, 30_000, (fingerprint, fingerprint)) == one * 2
     assert len(one[0][1]) == 3
+
+
+def test_grid_scan_matches_two_enumeration_oracle():
+    for D in range(1, 31):
+        tuples = sum(1 for d in range(1, D + 1) for _ in cl.partitions_of(d, cl.N_PARTS))
+        assert cl.grid_scan(D) == (tuples, oracle_verify_trichotomy(D), oracle_verify_comblem(D))
+    assert cl.grid_scan(30)[0] == 26173
+    assert cl.verify_trichotomy(30) == [] and cl.verify_comblem(30) == []
+    with pytest.raises(ValueError):
+        cl.grid_scan(49)
+    with pytest.raises(ValueError):
+        cl.verify_comblem(49)
+
+
+def test_grid_decisions_match_oracle_per_tuple():
+    # every tuple up to D = 24, hypothesis failures included
+    seen = {"hypothesis fails": 0, "five-part window hit": 0, "five-part window missed": 0}
+    decisions = list(cl._grid_decisions(24))
+    want = [
+        (den, numers) for den in range(1, 25) for numers in cl.partitions_of(den, cl.N_PARTS)
+    ]
+    assert [(den, numers) for den, numers, _, _ in decisions] == want
+    for den, numers, tri_ok, five_ok in decisions:
+        assert tri_ok is not _oracle_trichotomy_bad(den, numers)
+        assert five_ok is not _oracle_comblem_bad(den, numers)
+        if 2 * (numers[0] + (numers[1] if len(numers) > 1 else 0)) >= den:
+            seen["hypothesis fails"] += 1
+        elif cl._has_subset_in(numers, cl._ceil_div(5 * den, 12), (7 * den) // 12):
+            seen["five-part window hit"] += 1
+        else:
+            seen["five-part window missed"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("batch", [30_000, 100_000])
+def test_random_sweeps_match_row_major_oracle(batch):
+    for seed in (0, 3, 11):
+        for n in (1, 45_000, 100_000, 123_457):
+            assert cl.random_sweeps(n, seed=seed, batch=batch) == oracle_random_sweeps(n, seed, batch)
+
+
+def test_fused_batch_runs_exact_fallback_like_oracle():
+    # hand-built rows the greedy misses, so both paths reach the exact scan:
+    # (0.1, 0.1, 0.45, 0.45) has 0.45 in both windows, which the greedy
+    # (0.1 + 0.1, then 0.65 > hi twice) never reaches; (0.3, 0.05) and
+    # (0.1, 0.05, 0.6, 0.25) have no subset in the five-part window and fail
+    # its conclusions, and (0.3, 0.05) none in the trichotomy window either
+    hand = [
+        (0.1, 0.1, 0.45, 0.45),
+        (0.3, 0.05),
+        (0.1, 0.05, 0.6, 0.25),
+        (0.2, 0.2, 0.2, 0.2, 0.2),
+        (0.6, 0.4),
+    ]
+    rows = np.zeros((len(hand), cl.N_PARTS))
+    for i, parts in enumerate(hand):
+        rows[i, : len(parts)] = parts
+    assert not _greedy_hits_window(rows[:3], 0.4, 0.6)[[0, 1]].any()
+    assert not _greedy_hits_window(rows[:3], 5 / 12, 7 / 12).any()
+    checked, tri, five = cl._check_rows(rows)
+    assert (checked, tri) == _trichotomy_rows(rows)
+    assert (checked, five) == _comblem_rows(rows)
+    assert checked == 4
+    assert tri == [tuple(rows[1])]
+    assert five == [tuple(rows[1]), tuple(rows[2])]

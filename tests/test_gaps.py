@@ -176,6 +176,40 @@ def test_constellation_matches_loop_oracle():
     assert not got.found and got.count == 3
 
 
+def test_constellation_streams_across_segments():
+    # (x/2, x] spans three sieve segments; the class is walked one at a time
+    x = 5 * DEFAULT_SEGMENT + 4321.5
+    lo = int(math.floor(x / 2))
+    boundaries = (lo + DEFAULT_SEGMENT, lo + 2 * DEFAULT_SEGMENT)
+    for q, a in ((1, 0), (4, 3), (30, 7)):
+        for t in (1, 2, 3, 5):
+            assert gaps.constellation_search(x, q, a, t) == loop_constellation(x, q, a, t)
+    # the only minimal window straddles a segment boundary
+    for q, a, t, boundary in ((30011, 3, 2, boundaries[0]), (3001, 5, 5, boundaries[1])):
+        got = gaps.constellation_search(x, q, a, t)
+        assert got == loop_constellation(x, q, a, t)
+        assert got.primes[0] <= boundary < got.primes[-1]
+    # twin primes tie in every segment: the first window wins
+    got = gaps.constellation_search(x, 1, 0, 2)
+    assert got == loop_constellation(x, 1, 0, 2) and got.gap == 2
+    assert got.primes[-1] <= boundaries[0]
+    later = primes_in_range(boundaries[1], int(math.floor(x)))
+    assert (later[1:] - later[:-1] == 2).any()
+    # a class that holds one prime (3000017) or none in all three segments
+    q = 10**7 + 19
+    for a, count in ((3000017, 1), (3000019, 0)):
+        got = gaps.constellation_search(x, q, a, 2)
+        assert got == loop_constellation(x, q, a, 2)
+        assert not got.found and got.count == count
+        assert gaps.constellation_search(x, q, a, 1) == loop_constellation(x, q, a, 1)
+
+
+def test_constellation_rejects_non_finite_x():
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="need finite x"):
+            gaps.constellation_search(x, 4, 1, 2)
+
+
 def test_constellation_examples():
     res = gaps.constellation_search(100, 1, 0, 2)
     assert res.found and res.gap == 2 and res.primes == (59, 61)
