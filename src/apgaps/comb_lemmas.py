@@ -269,6 +269,8 @@ def random_sweeps(n: int, seed: int = 0, batch: int = 100_000) -> tuple[tuple[in
     the hypothesis and conclusion expressions read the same operands as a
     row-by-row check.
     """
+    if batch < 1:
+        raise ValueError("need batch >= 1")
     rng = np.random.default_rng(seed)
     size = max(min(batch, n), 0)
     rows_buf = np.empty((size, N_PARTS))

@@ -232,7 +232,8 @@ def gap_bound(cfg: GapConfig, table: list[VariationalCertificate]) -> GapBoundRe
     if errors:
         raise ValueError("; ".join(errors))
     L = level_L(cfg.theta, cfg.eps)
-    k, cert = min_k_for(cfg.t, L + cfg.eps / 2, table)
+    L_exact = level_L_exact(Fraction(cfg.theta), Fraction(cfg.eps))
+    k, cert = min_k_for(cfg.t, L_exact + Fraction(cfg.eps) / 2, table)
     tup = admissible_primes_past_k(k)
     try:
         fits = bool(tup.shifts[-1] < D0(cfg.x))

@@ -25,9 +25,13 @@ The best quotient over the span is the top generalized eigenvalue of
 (B, A), found by one dense eigensolve of L^-1 B L^-T where A = L L^T. Any
 feasible quotient is a valid lower bound for M_k, so the certificate keeps
 the quotient of the computed float coefficient vector in exact rational
-arithmetic (exact_bound); the float it reports and selects k by
-(lower_bound, the "lambda" column) is that rational rounded down.
+arithmetic (exact_bound). The float it reports (lower_bound, the "lambda"
+column) is that rational rounded down; k is selected from the rational.
 Monte-Carlo integration gives an independent check of every certificate.
+It evaluates the trial function F = sum c_lambda m_lambda as one
+polynomial in the power sums p_1 ... p_degree, whose coefficients are
+combined exactly and rounded once, over batches stored one coordinate per
+row.
 """
 
 from __future__ import annotations
@@ -335,36 +339,109 @@ def _powersum_expansion(partition: tuple[int, ...]) -> tuple[tuple[Fraction, tup
     return tuple((c, key) for key, c in sorted(terms.items()) if c != 0)
 
 
-def _power_sums(pts: np.ndarray, maxpow: int) -> dict[int, np.ndarray]:
-    return {r: np.sum(pts**r, axis=1) for r in range(1, maxpow + 1)}
+def _column_power_sums(cols: np.ndarray, maxpow: int, out: np.ndarray) -> np.ndarray:
+    """out[r - 1] = p_r, the sum over the rows of cols**r, for r = 1 .. maxpow.
 
-
-def _eval_from_power_sums(partition: tuple[int, ...], psums: dict[int, np.ndarray], n: int) -> np.ndarray:
-    out = np.zeros(n)
-    for coef, powers in _powersum_expansion(tuple(partition)):
-        term = np.full(n, float(coef))
-        for r in powers:
-            term = term * psums[r]
-        out += term
+    cols holds one coordinate per row and one point per column. The rows
+    are added in order, each raised by repeated multiplication in a buffer
+    of one row, so no array of the size of cols is made.
+    """
+    out[:maxpow] = 0.0
+    power = np.empty(cols.shape[1])
+    for x in cols:
+        power.fill(1.0)
+        for r in range(maxpow):
+            power *= x
+            out[r] += power
     return out
+
+
+class _PowerSumPolynomial:
+    """F = sum c_lambda m_lambda collapsed into one polynomial in p_1 ... p_D.
+
+    The coefficients of each power-sum product are summed exactly over the
+    expansions of the m_lambda and rounded to float once. The products are
+    taken in lexicographic order of their sorted power tuples, which walks
+    the tree of products depth first: each product is the last product one
+    power shorter times one power sum, so one buffer row per length is
+    enough. An evaluation is one multiply per product plus an accumulation
+    in that fixed order; no BLAS call is made, so the value does not depend
+    on the thread count.
+    """
+
+    def __init__(self, coefficients, basis, width: int):
+        exact: dict[tuple[int, ...], Fraction] = {}
+        for c, lam in zip(coefficients, basis):
+            if c:
+                cf = Fraction(c)
+                for coef, key in _powersum_expansion(tuple(lam)):
+                    exact[key] = exact.get(key, Fraction(0)) + cf * coef
+        keys = {key[:i] for key, w in exact.items() if w for i in range(1, len(key) + 1)}
+        self.constant = float(exact.get((), 0))
+        self.keys = tuple(sorted(keys))
+        self.weights = tuple(float(exact.get(key, 0)) for key in self.keys)
+        self.max_power = max((key[-1] for key in self.keys), default=0)
+        depth = max((len(key) for key in self.keys), default=1)
+        self._products = np.empty((depth - 1, width))
+        self._term = np.empty(width)
+        self._out = np.empty(width)
+
+    def __call__(self, psums: np.ndarray) -> np.ndarray:
+        """F at n points from psums[r - 1] = p_r, shape (>= max_power, n).
+
+        The result is a buffer that the next call overwrites.
+        """
+        n = psums.shape[1]
+        out = self._out[:n]
+        term = self._term[:n]
+        products = self._products[:, :n]
+        out.fill(self.constant)
+        for key, w in zip(self.keys, self.weights):
+            d = len(key)
+            if d == 1:
+                row = psums[key[0] - 1]
+            else:
+                prefix = psums[key[0] - 1] if d == 2 else products[d - 3]
+                row = np.multiply(prefix, psums[key[-1] - 1], out=products[d - 2])
+            if w:
+                out += np.multiply(row, w, out=term)
+        return out
 
 
 def eval_monomial_sym(partition: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
     """Evaluate m_lambda at points (rows of pts); pts has one column per coordinate."""
-    return _eval_from_power_sums(partition, _power_sums(pts, sum(partition)), len(pts))
+    pts = np.asarray(pts, dtype=np.float64)
+    poly = _PowerSumPolynomial((1.0,), (tuple(partition),), len(pts))
+    cols = np.ascontiguousarray(pts.T)
+    return poly(_column_power_sums(cols, poly.max_power, np.empty((poly.max_power, len(pts)))))
 
 
-def _eval_F(cert: VariationalCertificate, psums: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """The trial function at n points, given their power sums p_1 ... p_degree."""
-    out = np.zeros(n)
-    for c, lam in zip(cert.coefficients, cert.basis):
-        if c:
-            out += c * _eval_from_power_sums(lam, psums, n)
+# Rows drawn per generator call while a batch is transposed, so the row-major
+# draws never take a second array of the batch's size.
+_DRAW_CHUNK = 2048
+
+
+def _draw_simplex_columns(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out, shape (cols, m), with m uniform points of the simplex, one per column.
+
+    The draws are those of rng.exponential(size=(m, cols)), in the same
+    order: chunks of rows are drawn and transposed into out, and each
+    column is then divided by its sum.
+    """
+    cols, m = out.shape
+    chunk = np.empty((min(_DRAW_CHUNK, m), cols))
+    for lo in range(0, m, len(chunk)):
+        rows = chunk[: m - lo]
+        rng.standard_exponential(out=rows)
+        out[:, lo : lo + len(rows)] = rows.T
+    out /= out.sum(axis=0)
     return out
 
 
 # Monte-Carlo samples drawn per batch. The batch sums are added in order, so
-# this value is part of the bit pattern of every Monte-Carlo result.
+# this value is part of the bit pattern of every Monte-Carlo result; the
+# trial function is evaluated one batch at a time, so it also sizes the
+# evaluation buffers.
 _MC_BATCH = 20_000
 
 
@@ -386,7 +463,9 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     """Independent Monte-Carlo estimate of the certified quotient.
 
     Uniform simplex sampling by exponential spacings; the inner t_1 integral
-    of the J side uses Gauss-Legendre nodes, exact for polynomials.
+    of the J side uses Gauss-Legendre nodes, exact for polynomials. Each
+    batch holds one coordinate per row, and F is evaluated as one
+    polynomial in the power sums p_1 ... p_degree of the batch's points.
     """
     if sample_count < 10**5:
         raise ValueError("need at least 1e5 samples")
@@ -395,6 +474,11 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     k = cert.k
     rng = np.random.default_rng(seed)
     nodes, weights = np.polynomial.legendre.leggauss(cert.degree // 2 + 2)
+    width = min(_MC_BATCH, sample_count)
+    F = _PowerSumPolynomial(cert.coefficients, cert.basis, width)
+    D = F.max_power
+    psums = np.empty((D, width))
+    draws = np.empty((k + 1, width))
 
     # Probability-measure means: the simplex volumes cancel in the quotient,
     # quotient = k^2 * E[(inner integral)^2] / E[F^2], so no factorial appears.
@@ -403,9 +487,8 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     done = 0
     while done < sample_count:
         m = min(_MC_BATCH, sample_count - done)
-        e = rng.exponential(size=(m, k + 1))
-        e /= e.sum(axis=1, keepdims=True)
-        v = _eval_F(cert, _power_sums(e[:, :k], cert.degree), m) ** 2
+        e = _draw_simplex_columns(rng, draws[:, :m])
+        v = F(_column_power_sums(e[:k], D, psums[:, :m])) ** 2
         tot += float(np.sum(v))
         tot_sq += float(np.sum(v * v))
         done += m
@@ -413,25 +496,35 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     var_i = max(tot_sq / sample_count - mean_i**2, 0.0) / sample_count
 
     if k == 1:
-        pts = (nodes[:, None] + 1) / 2
-        inner = 0.5 * float(np.dot(weights, _eval_F(cert, _power_sums(pts, cert.degree), len(nodes))))
+        pts = (nodes[None, :] + 1) / 2
+        inner = 0.5 * float(np.dot(weights, F(_column_power_sums(pts, D, psums[:, : len(nodes)]))))
         mean_j = inner * inner
         var_j = 0.0
     else:
+        rest_sums = np.empty((D, width))
+        t1_buf = np.empty(width)
+        power_buf = np.empty(width)
         tot = 0.0
         tot_sq = 0.0
         done = 0
         while done < sample_count:
             m = min(_MC_BATCH, sample_count - done)
-            e = rng.exponential(size=(m, k))
-            e /= e.sum(axis=1, keepdims=True)
-            rest = e[:, : k - 1]
-            u = 1.0 - rest.sum(axis=1)
-            rest_sums = _power_sums(rest, cert.degree)
+            e = _draw_simplex_columns(rng, draws[:k, :m])
+            rest = e[: k - 1]
+            u = 1.0 - rest.sum(axis=0)
+            q = _column_power_sums(rest, D, rest_sums[:, :m])
+            p = psums[:, :m]
+            t1 = t1_buf[:m]
+            power = power_buf[:m]
             inner = np.zeros(m)
             for g, w in zip(nodes, weights):
-                t1 = (g + 1) / 2 * u
-                inner += w * _eval_F(cert, {r: t1**r + p for r, p in rest_sums.items()}, m)
+                # p_r of (t_1, rest) = t_1^r + q_r
+                np.multiply(u, (g + 1) / 2, out=t1)
+                power.fill(1.0)
+                for r in range(D):
+                    power *= t1
+                    np.add(power, q[r], out=p[r])
+                inner += w * F(p)
             inner *= u / 2
             v = inner**2
             tot += float(np.sum(v))
@@ -463,13 +556,15 @@ def certificate_table(ks, degree: int) -> list[VariationalCertificate]:
     return [mk_lower_bound(k, degree) for k in ks]
 
 
-def min_k_for(t: int, L: float, table) -> tuple[int, VariationalCertificate]:
-    """Least tabulated k whose certified bound exceeds (2t - 2)/L.
+def min_k_for(t: int, L, table) -> tuple[int, VariationalCertificate]:
+    """Least tabulated k whose exact certified bound exceeds (2t - 2)/L.
 
-    The certified bound is lower_bound, exact_bound rounded down, so the
-    chosen k's exact quotient exceeds the threshold too. Certificates are
-    lower bounds, so the answer is sound but possibly not minimal among all k.
+    L may be a float or a Fraction and is taken exactly; each certificate's
+    exact_bound is compared with the rational threshold, so k is selected
+    from exact values. Certificates are lower bounds, so the answer is
+    sound but possibly not minimal among all k.
     """
+    L = Fraction(L)
     if L <= 0:
         raise ValueError("need L > 0")
     threshold = (2 * t - 2) / L
@@ -478,6 +573,6 @@ def min_k_for(t: int, L: float, table) -> tuple[int, VariationalCertificate]:
     for cert in sorted(table, key=lambda c: c.k):
         best = max(best, cert.lower_bound)
         kmax = max(kmax, cert.k)
-        if cert.lower_bound > threshold:
+        if cert.exact_bound > threshold:
             return cert.k, cert
-    raise CertificateCapExceeded(threshold, best, kmax)
+    raise CertificateCapExceeded(float(threshold), best, kmax)

@@ -230,6 +230,14 @@ def test_random_sweeps_clean():
     assert checked > 0 and bad == []
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+@pytest.mark.parametrize("n", [0, 10])
+def test_random_sweeps_reject_batch_below_one(n, batch):
+    for sweep in (cl.random_sweeps, cl.random_trichotomy_sweep, cl.random_comblem_sweep):
+        with pytest.raises(ValueError, match="need batch >= 1"):
+            sweep(n, seed=0, batch=batch)
+
+
 def test_greedy_fallback_agrees_with_exact():
     rng = np.random.default_rng(2)
     rows = _random_sorted_simplex(2000, rng)

@@ -127,6 +127,18 @@ def test_gap_bound_monotone_in_t():
     assert bounds == sorted(bounds)
 
 
+def test_gap_bound_selects_k_from_exact_threshold():
+    cfg = gaps.GapConfig(x=2.0**60, q=2**20, a=1, t=2, eta=1 / 12)
+    L_exact = gaps.level_L_exact(Fraction(cfg.theta), Fraction(cfg.eps)) + Fraction(cfg.eps) / 2
+    threshold = 2 / L_exact
+    delta = Fraction(1, 10**40)
+    above, below = threshold * (1 + delta), threshold * (1 - delta)
+    # the float renderings cannot tell the two apart; the exact values can
+    assert float(above) == float(below)
+    chosen = [gaps.gap_bound(cfg, _fake_table([(2, bound), (3, 2 * threshold)])).k for bound in (above, below)]
+    assert chosen == [2, 3]
+
+
 def test_gap_bound_propagates_cap():
     table = certificate_table(range(1, 5), 1)
     cfg = gaps.GapConfig(x=2.0**60, q=2**20, a=1, t=40, eta=1 / 12)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -113,6 +114,81 @@ def _power_iteration(A, B, tol=1e-10, maxiter=10_000):
     return None
 
 
+def _row_power_sums(pts, maxpow):
+    """Oracle: the former power sums, p_r = sum of pts**r along each row."""
+    return {r: np.sum(pts**r, axis=1) for r in range(1, maxpow + 1)}
+
+
+def _row_eval_from_power_sums(partition, psums, n):
+    """Oracle: the former m_lambda evaluation, one array per power-sum term."""
+    out = np.zeros(n)
+    for coef, powers in var._powersum_expansion(tuple(partition)):
+        term = np.full(n, float(coef))
+        for r in powers:
+            term = term * psums[r]
+        out += term
+    return out
+
+
+def _row_eval_F(cert, psums, n):
+    """Oracle: the former trial function, rebuilt one basis function at a time."""
+    out = np.zeros(n)
+    for c, lam in zip(cert.coefficients, cert.basis):
+        if c:
+            out += c * _row_eval_from_power_sums(lam, psums, n)
+    return out
+
+
+def _row_major_verify_certificate(cert, sample_count, seed):
+    """Oracle: the former Monte-Carlo loop over row-major batches; returns (ratio, sigma)."""
+    k = cert.k
+    rng = np.random.default_rng(seed)
+    nodes, weights = np.polynomial.legendre.leggauss(cert.degree // 2 + 2)
+    tot = 0.0
+    tot_sq = 0.0
+    done = 0
+    while done < sample_count:
+        m = min(var._MC_BATCH, sample_count - done)
+        e = rng.exponential(size=(m, k + 1))
+        e /= e.sum(axis=1, keepdims=True)
+        v = _row_eval_F(cert, _row_power_sums(e[:, :k], cert.degree), m) ** 2
+        tot += float(np.sum(v))
+        tot_sq += float(np.sum(v * v))
+        done += m
+    mean_i = tot / sample_count
+    var_i = max(tot_sq / sample_count - mean_i**2, 0.0) / sample_count
+    if k == 1:
+        pts = (nodes[:, None] + 1) / 2
+        inner = 0.5 * float(np.dot(weights, _row_eval_F(cert, _row_power_sums(pts, cert.degree), len(nodes))))
+        mean_j = inner * inner
+        var_j = 0.0
+    else:
+        tot = 0.0
+        tot_sq = 0.0
+        done = 0
+        while done < sample_count:
+            m = min(var._MC_BATCH, sample_count - done)
+            e = rng.exponential(size=(m, k))
+            e /= e.sum(axis=1, keepdims=True)
+            rest = e[:, : k - 1]
+            u = 1.0 - rest.sum(axis=1)
+            rest_sums = _row_power_sums(rest, cert.degree)
+            inner = np.zeros(m)
+            for g, w in zip(nodes, weights):
+                t1 = (g + 1) / 2 * u
+                inner += w * _row_eval_F(cert, {r: t1**r + p for r, p in rest_sums.items()}, m)
+            inner *= u / 2
+            v = inner**2
+            tot += float(np.sum(v))
+            tot_sq += float(np.sum(v * v))
+            done += m
+        mean_j = tot / sample_count
+        var_j = max(tot_sq / sample_count - mean_j**2, 0.0) / sample_count
+    ratio = k * k * mean_j / mean_i
+    rel = math.sqrt(var_j / mean_j**2 + var_i / mean_i**2) if mean_j > 0 else math.sqrt(var_i) / mean_i
+    return ratio, abs(ratio) * rel
+
+
 def test_simplex_monomial_integral_examples():
     assert var.simplex_monomial_integral(1, (0,)) == 1
     assert var.simplex_monomial_integral(2, (0, 0)) == Fraction(1, 2)
@@ -162,22 +238,44 @@ def test_gram_matrices_match_all_placements_oracle(k, degree):
         assert np.array_equal(flt, want_flt)
 
 
+def _random_certificate(rng, k, degree):
+    basis = var.basis_partitions(k, degree)
+    coefs = rng.normal(size=len(basis))
+    coefs[1] = 0.0
+    return var.VariationalCertificate(
+        k=k, degree=degree, basis=basis, coefficients=tuple(float(c) for c in coefs),
+        exact_bound=Fraction(0),
+    )
+
+
 def test_eval_F_matches_per_function_sum():
     rng = np.random.default_rng(21)
     for k, degree in ((1, 4), (3, 3), (5, 6)):
-        basis = var.basis_partitions(k, degree)
-        coefs = rng.normal(size=len(basis))
-        coefs[1] = 0.0
-        cert = var.VariationalCertificate(
-            k=k, degree=degree, basis=basis, coefficients=tuple(float(c) for c in coefs),
-            exact_bound=Fraction(0),
-        )
+        cert = _random_certificate(rng, k, degree)
         pts = rng.uniform(0, 1.0 / k, size=(300, k))
         want = np.zeros(len(pts))
         for c, lam in zip(cert.coefficients, cert.basis):
             if c:
-                want += c * var.eval_monomial_sym(lam, pts)
-        assert np.array_equal(var._eval_F(cert, var._power_sums(pts, degree), len(pts)), want)
+                want += c * _row_eval_from_power_sums(lam, _row_power_sums(pts, sum(lam)), len(pts))
+        assert np.array_equal(_row_eval_F(cert, _row_power_sums(pts, degree), len(pts)), want)
+
+
+def test_power_sum_polynomial_matches_per_function_oracle():
+    rng = np.random.default_rng(22)
+    for k, degree in ((1, 4), (3, 3), (5, 6), (12, 6), (20, 5)):
+        cert = _random_certificate(rng, k, degree)
+        pts = rng.uniform(0, 1.0 / k, size=(300, k))
+        n = len(pts)
+        F = var._PowerSumPolynomial(cert.coefficients, cert.basis, n)
+        assert F.max_power == degree and len(F.keys) <= len(cert.basis)
+        got = F(var._column_power_sums(np.ascontiguousarray(pts.T), degree, np.empty((degree, n))))
+        row_sums = _row_power_sums(pts, degree)
+        want = _row_eval_F(cert, row_sums, n)
+        # F cancels heavily, so the scale is the sum of the absolute terms
+        scale = sum(
+            abs(c * _row_eval_from_power_sums(lam, row_sums, n)) for c, lam in zip(cert.coefficients, cert.basis)
+        )
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_gram_I_examples():
@@ -361,6 +459,24 @@ def test_verify_certificate_matches_optimizer():
     assert mc.contains(cert.lower_bound)
 
 
+@lru_cache(maxsize=None)
+def _mc_certificate(k, degree):
+    return var.mk_lower_bound(k, degree)
+
+
+@pytest.mark.parametrize("k,degree", [(1, 4), (2, 3), (5, 6), (12, 6)])
+def test_verify_certificate_matches_row_major_oracle(k, degree):
+    cert = _mc_certificate(k, degree)
+    for seed in (0, 3):
+        # 123457 leaves a partial last batch
+        for sample_count in (100_000, 123_457):
+            mc = var.verify_certificate(cert, sample_count, seed=seed)
+            ratio, sigma = _row_major_verify_certificate(cert, sample_count, seed)
+            assert mc.samples == sample_count
+            assert mc.ratio == pytest.approx(ratio, rel=1e-9, abs=0)
+            assert mc.sigma == pytest.approx(sigma, rel=1e-9, abs=0)
+
+
 def test_min_k_for():
     table = var.certificate_table(range(1, 13), 2)
     k, cert = var.min_k_for(1, 2.0, table)
@@ -372,6 +488,17 @@ def test_min_k_for():
         var.min_k_for(5, 1e-6, table)
     with pytest.raises(ValueError):
         var.min_k_for(2, 0.0, table)
+
+
+def test_min_k_for_compares_exact_values():
+    def cert(k, bound):
+        return var.VariationalCertificate(k=k, degree=0, basis=((),), coefficients=(1.0,), exact_bound=bound)
+
+    # threshold (2t - 2)/L = 6 exactly: a bound equal to it does not exceed it
+    table = [cert(2, Fraction(6)), cert(3, Fraction(6) + Fraction(1, 10**40))]
+    assert var.min_k_for(2, Fraction(1, 3), table)[0] == 3
+    with pytest.raises(var.CertificateCapExceeded, match="threshold 6 "):
+        var.min_k_for(2, Fraction(1, 3), table[:1])
 
 
 def test_basis_cap():
