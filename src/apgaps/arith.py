@@ -390,20 +390,25 @@ def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return P[:i], W[:i]
 
 
+def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prime powers p^j <= n with j >= 2 and weights log p, ordered by p, then ascending j."""
+    powers, weights = [], []
+    for p in _base_primes(math.isqrt(n)).tolist():
+        logp = math.log(p)
+        pk = p * p
+        while pk <= n:
+            powers.append(pk)
+            weights.append(logp)
+            pk *= p
+    return np.array(powers, dtype=np.int64), np.array(weights, dtype=np.float64)
+
+
 @lru_cache(maxsize=6)
 def _prime_power_arrays_cap(limit: int) -> tuple[np.ndarray, np.ndarray]:
     primes = primes_in_range(1, limit)
-    vals = [primes]
-    wts = [np.log(primes.astype(np.float64))]
-    for p in primes[primes <= math.isqrt(limit)].tolist():
-        logp = math.log(p)
-        pk = p * p
-        while pk <= limit:
-            vals.append(np.array([pk], dtype=np.int64))
-            wts.append(np.array([logp]))
-            pk *= p
-    P = np.concatenate(vals)
-    W = np.concatenate(wts)
+    higher, logs = _higher_prime_powers(limit)
+    P = np.concatenate([primes, higher])
+    W = np.concatenate([np.log(primes.astype(np.float64)), logs])
     order = np.argsort(P, kind="stable")
     P, W = P[order], W[order]
     P.setflags(write=False)
@@ -486,16 +491,7 @@ def psi_residue_sums(x: float, moduli) -> list[np.ndarray]:
     xi = int(math.floor(x))
     acc = _residue_bincounts(0, xi, dict.fromkeys(group_of.values()), weighted=True)
     if acc and xi >= 2:
-        powers, weights = [], []
-        for p in _base_primes(math.isqrt(xi)).tolist():
-            logp = math.log(p)
-            pk = p * p
-            while pk <= xi:
-                powers.append(pk)
-                weights.append(logp)
-                pk *= p
-        P = np.array(powers, dtype=np.int64)
-        W = np.array(weights)
+        P, W = _higher_prime_powers(xi)
         for M, vec in acc.items():
             vec += np.bincount(P % M, weights=W, minlength=M)
     return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
@@ -563,11 +559,8 @@ def von_mangoldt_table(n: int) -> np.ndarray:
     lam = np.zeros(n + 1, dtype=np.float64)
     ps = primes_up_to(n)
     lam[ps] = np.log(ps.astype(np.float64))
-    for p in ps[ps <= math.isqrt(n)].tolist():
-        pk = p * p
-        while pk <= n:
-            lam[pk] = math.log(p)
-            pk *= p
+    P, W = _higher_prime_powers(n)
+    lam[P] = W
     return lam
 
 

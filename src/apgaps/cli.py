@@ -234,7 +234,7 @@ def cmd_gap(args) -> int:
     found_gap = None
     found_primes: list[int] = []
     if x <= 10**8:
-        res = gaps.constellation_search(x, q, a % q if q > 1 else 0, t)
+        res = gaps.constellation_search(x, q, a, t)
         if res.found:
             found_gap = res.gap
             found_primes = list(res.primes)
@@ -261,7 +261,7 @@ def cmd_constellation(args) -> int:
     _require(args, "x", "q", "a", "t")
     x, q, a, t = args.x, args.q, args.a, args.t
     manifest = _manifest("constellation", {"x": x, "q": q, "a": a, "t": t}, args.seed)
-    res = gaps.constellation_search(x, q, a % q if q > 1 else 0, t)
+    res = gaps.constellation_search(x, q, a, t)
     payload = {"x": x, "q": q, "a": a, "t": t}
     payload.update(res.json_dict())
     _emit(dump_json(payload, manifest), args, manifest)

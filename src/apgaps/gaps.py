@@ -79,7 +79,6 @@ class GapConfig:
     eta: float = 0.01
     C: float = 2.0
     eps: float = 1e-3
-    A: float = 2.0
 
     @property
     def theta(self) -> float:

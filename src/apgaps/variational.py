@@ -11,15 +11,19 @@ reduce to exact rational Gram matrices through the Dirichlet integral
 
     int_{R_n} (1 - sum t)^c  prod t_i^{a_i} dt = c! prod(a_i!) / (n + c + sum a_i)!
 
-An entry (lambda, mu) sums that integral over the placements of mu's parts
-on the k coordinates, with lambda's parts fixed on the first s coordinates
-(times lambda's own placement count; for J, coordinate 1 counts as
-occupied too). A placement's exponent multiset depends only on the parts
-it puts on those s coordinates and on the multiset nu of its other parts,
-and n!/((n - |nu|)! prod mult(nu)!) placements on the n = k - s free
-coordinates share each such pattern. Entries are therefore sums over
-overlap patterns of lambda and mu with closed-form multiplicities: the
-cost depends on the degree only, not on k.
+Both Gram matrices come from one walk over overlap patterns. A form pins
+some coordinates: none for I, and t_1, the integrated one, for J. The
+placements of lambda are grouped by their exponents on the pinned
+coordinates and the multiset of their other parts, which are then held
+on the next s coordinates; mu is placed on the pinned, those s and the
+n = k - pinned - s free coordinates. A placement of mu matters only
+through the parts it puts on the pinned and held coordinates and the
+multiset nu of its other parts, and n!/((n - |nu|)! prod mult(nu)!)
+placements share each such pattern. An entry (lambda, mu) is therefore a
+sum over overlap patterns, with closed-form multiplicities, of one value
+per key (the pinned exponents of lambda and mu, then the combined
+exponents of the other coordinates): the cost depends on the degree
+only, not on k.
 
 The best quotient over the span is the top generalized eigenvalue of
 (B, A), found by one dense eigensolve of L^-1 B L^-T where A = L L^T. Any
@@ -108,39 +112,52 @@ def _overlap_counts(partition, slots: int, free: int) -> tuple[tuple[tuple[int, 
     return tuple(c for c in counted if c[2])
 
 
-@lru_cache(maxsize=None)
-def _integral_by_signature(k: int, sig: tuple[int, ...]) -> Fraction:
-    return simplex_monomial_integral(k, sig)
+def _gram(k: int, basis, pinned: int, value) -> tuple[np.ndarray, list[list[Fraction]]]:
+    """Gram matrix of the basis from its overlap patterns, float and exact.
+
+    `pinned` coordinates are held fixed. Each placement of lambda there
+    (its pinned exponents, the multiset of its other parts, their count)
+    holds those parts on the next coordinates; mu is placed over all of
+    them and the free ones. value(key) is the integral of one pattern, and
+    a key is the pinned exponents of lambda, then of mu, then the combined
+    exponents of the other coordinates, descending; it is computed once per
+    key. The float rendering is scaled by k! (integration against the
+    uniform probability measure on the simplex) so entries stay
+    representable at large k; the exact matrix is unscaled.
+    """
+    n = len(basis)
+    if n == 0:
+        raise ValueError("basis must be nonempty")
+    value = lru_cache(maxsize=None)(value)
+    exact = [[Fraction(0)] * n for _ in range(n)]
+    for i, lam in enumerate(basis):
+        placements = _overlap_counts(lam, pinned, k - pinned)
+        for j in range(i, n):
+            mu = basis[j]
+            total = Fraction(0)
+            for lam_pinned, rest, cnt in placements:
+                s = pinned + len(rest)
+                key_counts: dict[tuple[int, ...], int] = {}
+                for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
+                    comb = [a + b for a, b in zip(rest, on_slots[pinned:])] + list(nu)
+                    key = lam_pinned + on_slots[:pinned] + tuple(sorted(comb, reverse=True))
+                    key_counts[key] = key_counts.get(key, 0) + mult
+                total += cnt * sum(m * value(key) for key, m in key_counts.items())
+            exact[i][j] = exact[j][i] = total
+    scale = math.factorial(k)
+    flt = np.array([[float(v * scale) for v in row] for row in exact])
+    return flt, exact
 
 
 def gram_I(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis under the F^2 integral; float and exact forms.
 
-    The float rendering is scaled by k! (integration against the uniform
-    probability measure on the simplex) so entries stay representable at
-    large k; the exact matrix is unscaled. Both quadratic forms get the same
-    scale, so Rayleigh quotients are unaffected.
+    No coordinate is pinned: a key is the exponent signature of one
+    monomial of m_lambda * m_mu, and its value is that monomial's simplex
+    integral. Both quadratic forms get the same k! float scale, so Rayleigh
+    quotients are unaffected.
     """
-    n = len(basis)
-    if n == 0:
-        raise ValueError("basis must be nonempty")
-    exact = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        lam = basis[i]
-        n_lam = _n_arrangements(lam, k)
-        s = len(lam)
-        for j in range(i, n):
-            mu = basis[j]
-            sig_counts: dict[tuple[int, ...], int] = {}
-            for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
-                comb = [a + b for a, b in zip(lam, on_slots)] + list(nu)
-                sig = tuple(sorted(comb, reverse=True))
-                sig_counts[sig] = sig_counts.get(sig, 0) + mult
-            val = n_lam * sum(cnt * _integral_by_signature(k, sig) for sig, cnt in sig_counts.items())
-            exact[i][j] = exact[j][i] = val
-    scale = math.factorial(k)
-    flt = np.array([[float(v * scale) for v in row] for row in exact])
-    return flt, exact
+    return _gram(k, basis, 0, lambda sig: simplex_monomial_integral(k, sig))
 
 
 def _j_pair_value(k: int, a1: int, b1: int, rest_sig: tuple[int, ...], deg_sum: int) -> Fraction:
@@ -154,49 +171,15 @@ def _j_pair_value(k: int, a1: int, b1: int, rest_sig: tuple[int, ...], deg_sum: 
 def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis under the summed J functional, float and exact.
 
-    Symmetry of the basis collapses the k coordinate choices to a factor k
-    times the coordinate-1 term; the inner integral's upper limit
-    1 - t_2 - ... - t_k enters through the (1 - sum)^c Dirichlet factor.
-    The float rendering carries the same k! scale as gram_I.
+    Coordinate t_1, the one integrated, is pinned: a key is (a_1, b_1, rest)
+    with a_1 and b_1 the exponents of lambda and mu on t_1, so deg lambda +
+    deg mu is the sum of the key. Symmetry of the basis collapses the k
+    coordinate choices to a factor k times the t_1 term; the inner
+    integral's upper limit 1 - t_2 - ... - t_k enters through the
+    (1 - sum)^c Dirichlet factor. The float rendering carries the same k!
+    scale as gram_I.
     """
-    n = len(basis)
-    if n == 0:
-        raise ValueError("basis must be nonempty")
-    exact = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        lam = basis[i]
-        deg_lam = sum(lam)
-        # group lambda arrangements by the exponent sitting on coordinate 1
-        first_choices: list[tuple[int, tuple[int, ...], int]] = []
-        rest_count = _n_arrangements(lam, k - 1)
-        if rest_count:
-            first_choices.append((0, lam, rest_count))
-        for v in sorted(set(lam), reverse=True):
-            rest = list(lam)
-            rest.remove(v)
-            cnt = _n_arrangements(tuple(rest), k - 1)
-            if cnt:
-                first_choices.append((v, tuple(rest), cnt))
-        for j in range(i, n):
-            mu = basis[j]
-            deg_sum = deg_lam + sum(mu)
-            total = Fraction(0)
-            for a1, rest_lam, cnt in first_choices:
-                # slot 0 is t_1; slots 1.. carry rest_lam on t_2, t_3, ...
-                s = 1 + len(rest_lam)
-                sig_counts: dict[tuple[int, tuple[int, ...]], int] = {}
-                for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
-                    comb = [a + b for a, b in zip(rest_lam, on_slots[1:])] + list(nu)
-                    sig = (on_slots[0], tuple(sorted(comb, reverse=True)))
-                    sig_counts[sig] = sig_counts.get(sig, 0) + mult
-                total += cnt * sum(
-                    m * _j_pair_value(k, a1, b1, rest_sig, deg_sum)
-                    for (b1, rest_sig), m in sig_counts.items()
-                )
-            exact[i][j] = exact[j][i] = k * total
-    scale = math.factorial(k)
-    flt = np.array([[float(v * scale) for v in row] for row in exact])
-    return flt, exact
+    return _gram(k, basis, 1, lambda key: k * _j_pair_value(k, key[0], key[1], key[2:], sum(key)))
 
 
 # ---------------------------------------------------------------------------

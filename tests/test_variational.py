@@ -227,7 +227,8 @@ def test_monomial_sym_eval_matches_enumeration():
 
 
 @pytest.mark.parametrize(
-    "k,degree", [(k, d) for k in (1, 2, 3, 4, 5, 8, 12, 20) for d in range(4)] + [(5, 5), (8, 5)]
+    "k,degree",
+    [(k, d) for k in (1, 2, 3, 4, 5, 8, 12, 20) for d in range(4)] + [(5, 5), (8, 5), (2, 6), (3, 6), (5, 6), (3, 8)],
 )
 def test_gram_matrices_match_all_placements_oracle(k, degree):
     basis = var.basis_partitions(k, degree)
