@@ -6,6 +6,12 @@ of unity, stored as an integer exponent k with chi(n) = zeta_e^k for the
 common order e; complex rendering happens on demand, so identity checks can
 stay in exact integer arithmetic.
 
+Each group holds one exponent table, K[i, u] = k with chi_i(u-th unit) =
+zeta_e^k, for all its characters at once (phi(r)^2 int32 entries, so the
+groups are meant for moduli up to a few thousand). It is the one source of
+character values, and the conductors are read from it by their definition:
+the least f | r with chi trivial on the units = 1 mod f.
+
 Summation conventions: phi_star counts all primitive characters (the
 constant function mod 1 included), while star-restricted sums run over
 primitive nonprincipal characters only. Both conventions funnel through
@@ -14,6 +20,7 @@ in_star_sum / is_principal so the bookkeeping lives in one place.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,28 +76,29 @@ def _primitive_root(p: int) -> int:
 class _Gen:
     value: int  # generator lifted mod r (CRT: = local gen at p**e, = 1 elsewhere)
     order: int
-    p: int
-    pe: int  # the prime power p**e this generator belongs to
-    kind: str  # "odd" | "two4" | "minus" | "five"
 
 
-def _local_generators(p: int, e: int) -> list[tuple[int, int, str]]:
-    """Generators of (Z/p^e Z)* as (value mod p^e, order, kind)."""
+def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
+    """Generators of (Z/p^e Z)* as (value mod p^e, order)."""
     if p == 2:
         if e == 1:
             return []
         if e == 2:
-            return [(3, 2, "two4")]
-        return [(2**e - 1, 2, "minus"), (5, 2 ** (e - 2), "five")]
+            return [(3, 2)]
+        return [(2**e - 1, 2), (5, 2 ** (e - 2))]
     g = _primitive_root(p)
     pe = p**e
     if e > 1 and pow(g, p - 1, p * p) == 1:
         g += p
-    return [(g % pe, (p - 1) * p ** (e - 1), "odd")]
+    return [(g % pe, (p - 1) * p ** (e - 1))]
 
 
 class CharacterGroup:
-    """Unit group structure mod r with deterministic generator choice."""
+    """Unit group structure mod r with deterministic generator choice.
+
+    Characters and units are both indexed by exponent vectors on the
+    generators, enumerated by itertools.product (last generator fastest).
+    """
 
     def __init__(self, r: int):
         if r < 1:
@@ -100,36 +108,31 @@ class CharacterGroup:
         for p, e in factorize(r).factors:
             pe = p**e
             cof = r // pe
-            for val, order, kind in _local_generators(p, e):
+            for val, order in _local_generators(p, e):
                 if cof > 1:
                     # CRT lift: = val mod p^e, = 1 mod r/p^e
                     inv = pow(pe, -1, cof)
                     lifted = (val + pe * ((1 - val) * inv % cof)) % r
                 else:
                     lifted = val % r
-                gens.append(_Gen(lifted, order, p, pe, kind))
+                gens.append(_Gen(lifted, order))
         self.generators = tuple(gens)
         self.exponent = math.lcm(*(g.order for g in gens)) if gens else 1
         self.phi = euler_phi(r)
 
+    def _exponent_vectors(self):
+        return itertools.product(*(range(g.order) for g in self.generators))
+
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(unit_values, coords, index_of) in mixed-radix enumeration order."""
+        """(unit_values, coords, index_of) in enumeration order."""
         r = self.r
-        vals = np.array([1 % r], dtype=np.int64)
-        coords = np.zeros((1, 0), dtype=np.int64)
-        for g in self.generators:
-            pows = np.empty(g.order, dtype=np.int64)
-            pows[0] = 1
-            for i in range(1, g.order):
-                pows[i] = pows[i - 1] * g.value % r
-            vals = (vals[:, None] * pows[None, :] % r).ravel()
-            reps = np.repeat(coords, g.order, axis=0)
-            newcol = np.tile(np.arange(g.order, dtype=np.int64), coords.shape[0])
-            coords = np.column_stack([reps, newcol]) if coords.shape[1] else newcol[:, None]
-        if not self.generators:
-            coords = np.zeros((1, 0), dtype=np.int64)
-        index_of = np.full(max(r, 1), -1, dtype=np.int64)
+        coords = np.array(list(self._exponent_vectors()), dtype=np.int64)
+        vals = np.full(len(coords), 1 % r, dtype=np.int64)
+        for j, g in enumerate(self.generators):
+            pows = np.array([pow(g.value, i, r) for i in range(g.order)], dtype=np.int64)
+            vals = vals * pows[coords[:, j]] % r
+        index_of = np.full(r, -1, dtype=np.int64)
         index_of[vals] = np.arange(len(vals))
         return vals, coords, index_of
 
@@ -150,35 +153,30 @@ class CharacterGroup:
         e = self.exponent
         return np.exp(2j * np.pi * np.arange(e) / e)
 
-    def coords_of(self, n: int) -> tuple[int, ...] | None:
-        idx = int(self.index_of[n % self.r]) if self.r > 1 else 0
-        if idx < 0:
-            return None
-        return tuple(int(c) for c in self.coords[idx])
+    @cached_property
+    def exponent_table(self) -> np.ndarray:
+        """K[i, u] = k with chi_i(unit_values[u]) = zeta_e^k, int32."""
+        weights = np.array([self.exponent // g.order for g in self.generators], dtype=np.int64)
+        K = (self.coords * weights) @ self.coords.T
+        K %= self.exponent  # in place: the int64 product is the peak of the build
+        return K.astype(np.int32)
+
+    @cached_property
+    def conductors(self) -> np.ndarray:
+        """Per row of the exponent table: the least f | r with K[i, units = 1 mod f] all zero."""
+        K, units = self.exponent_table, self.unit_values
+        out = np.empty(len(K), dtype=np.int64)
+        for f in reversed(divisors(self.r)):  # descending, so the least f is written last
+            out[~K[:, units % f == 1 % f].any(axis=1)] = f
+        return out
 
     def character(self, exponents) -> "Character":
-        ex = tuple(int(a) % g.order for a, g in zip(exponents, self.generators))
-        if len(ex) != len(self.generators):
+        if len(exponents) != len(self.generators):
             raise ValueError("exponent vector length mismatch")
-        return Character(self, ex)
+        return Character(self, tuple(int(a) % g.order for a, g in zip(exponents, self.generators)))
 
     def characters(self) -> list["Character"]:
-        out = [Character(self, ())] if not self.generators else []
-        if self.generators:
-            shape = [g.order for g in self.generators]
-            idx = [0] * len(shape)
-            while True:
-                out.append(Character(self, tuple(idx)))
-                j = len(shape) - 1
-                while j >= 0:
-                    idx[j] += 1
-                    if idx[j] < shape[j]:
-                        break
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
-                    break
-        return out
+        return [Character(self, ex) for ex in self._exponent_vectors()]
 
     def __repr__(self):
         return f"CharacterGroup(r={self.r}, phi={self.phi})"
@@ -225,31 +223,17 @@ class Character:
         return all(a == 0 for a in self.exponents)
 
     @cached_property
+    def _row(self) -> int:
+        """Index of this character in the group's enumeration order."""
+        i = 0
+        for a, g in zip(self.exponents, self.group.generators):
+            i = i * g.order + a
+        return i
+
+    @cached_property
     def conductor(self) -> int:
         """Smallest modulus f | r through which the character factors."""
-        f = 1
-        by_pe: dict[int, list[tuple[_Gen, int]]] = {}
-        for g, a in zip(self.group.generators, self.exponents):
-            by_pe.setdefault(g.pe, []).append((g, a))
-        for items in by_pe.values():
-            kind = items[0][0].kind
-            if kind == "odd":
-                g, a = items[0]
-                d = g.order // math.gcd(g.order, a)
-                f *= 1 if d == 1 else g.p ** (1 + _v(d, g.p))
-            elif kind == "two4":
-                _, a = items[0]
-                f *= 4 if a % 2 == 1 else 1
-            else:
-                # 2^e with e >= 3: components on -1 (order 2) and 5 (order 2^(e-2))
-                a_minus = next(a for g, a in items if g.kind == "minus")
-                g5, a5 = next((g, a) for g, a in items if g.kind == "five")
-                d5 = g5.order // math.gcd(g5.order, a5)
-                if d5 > 1:
-                    f *= 2 ** (_v(d5, 2) + 2)
-                elif a_minus % 2 == 1:
-                    f *= 4
-        return f
+        return int(self.group.conductors[self._row])
 
     @property
     def is_primitive(self) -> bool:
@@ -257,11 +241,8 @@ class Character:
 
     def value_exponent(self, n: int) -> int | None:
         """k with chi(n) = zeta_e^k, or None when gcd(n, r) > 1."""
-        c = self.group.coords_of(n)
-        if c is None:
-            return None
-        e = self.group.exponent
-        return sum(a * (e // g.order) * ci for a, g, ci in zip(self.exponents, self.group.generators, c)) % e
+        u = int(self.group.index_of[n % self.group.r])
+        return None if u < 0 else int(self.group.exponent_table[self._row, u])
 
     def __call__(self, n: int) -> complex:
         k = self.value_exponent(n)
@@ -273,11 +254,8 @@ class Character:
     def values_vector(self) -> np.ndarray:
         """chi(n) for n = 0..r-1 as a complex vector (zero off the units)."""
         grp = self.group
-        e = grp.exponent
-        w = np.array([a * (e // g.order) % e for a, g in zip(self.exponents, grp.generators)], dtype=np.int64)
-        k = (grp.coords @ w) % e if len(w) else np.zeros(len(grp.unit_values), dtype=np.int64)
-        vec = np.zeros(max(grp.r, 1), dtype=np.complex128)
-        vec[grp.unit_values] = grp.zeta_powers[k]
+        vec = np.zeros(grp.r, dtype=np.complex128)
+        vec[grp.unit_values] = grp.zeta_powers[grp.exponent_table[self._row]]
         return vec
 
     def __repr__(self):
@@ -329,7 +307,7 @@ def phi_star(r: int) -> int:
 
 
 def phi_star_by_enumeration(r: int) -> int:
-    return sum(1 for chi in enumerate_characters(r) if chi.is_primitive)
+    return int(np.count_nonzero(character_group(r).conductors == r))
 
 
 def in_star_sum(chi: Character) -> bool:
@@ -420,19 +398,11 @@ def farey_spacing_min(r: int, D: int) -> Fraction:
 
 
 @lru_cache(maxsize=512)
-def _char_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(char x unit value matrix, star mask) for modulus m, enumeration order."""
+def _char_matrix(m: int) -> np.ndarray:
+    """Values of the primitive nonprincipal characters mod m on the units (one row each)."""
     grp = character_group(m)
-    chars = grp.characters()
-    e = grp.exponent
-    ew = np.array(
-        [[a * (e // g.order) % e for a, g in zip(chi.exponents, grp.generators)] for chi in chars],
-        dtype=np.int64,
-    ).reshape(len(chars), len(grp.generators))
-    K = ew @ grp.coords.T % e if ew.size else np.zeros((len(chars), len(grp.unit_values)), dtype=np.int64)
-    M = grp.zeta_powers[K]
-    star = np.array([in_star_sum(chi) for chi in chars], dtype=bool)
-    return M, star
+    star = np.array([in_star_sum(chi) for chi in grp.characters()], dtype=bool)
+    return grp.zeta_powers[grp.exponent_table[star]]
 
 
 def _star_T_squares(m: int, coeffs: np.ndarray) -> float:
@@ -442,9 +412,8 @@ def _star_T_squares(m: int, coeffs: np.ndarray) -> float:
     n = np.arange(1, len(coeffs) + 1, dtype=np.int64)
     np.add.at(buf, n % m, coeffs)
     s_units = buf[grp.unit_values]
-    M, star = _char_matrix(m)
-    T = M @ s_units
-    return float(np.sum(np.abs(T[star]) ** 2))
+    T = _char_matrix(m) @ s_units
+    return float(np.sum(np.abs(T) ** 2))
 
 
 def large_sieve_check(r: int, D: int, coeffs) -> tuple[float, float, float]:
@@ -484,37 +453,29 @@ def mult_to_additive_check(m: int, coeffs) -> tuple[float, float]:
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n):
-        if d == n:
-            continue
-        poly = _poly_div_exact(poly, list(_cyclotomic(d)))
+    for d in divisors(n)[:-1]:
+        poly, rem = _poly_divmod(poly, _cyclotomic(d))
+        if any(rem):
+            raise ArithmeticError("nonzero remainder in exact polynomial division")
     return tuple(poly)
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of integer polynomials, ascending, by a monic den."""
     num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] // den[-1]
-        out[i] = c
-        for j, dj in enumerate(den):
-            num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
-    return out
+    n = len(den) - 1
+    quot = [0] * max(len(num) - n, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = num[i + n]
+        if c:
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+    return quot, num[:n]
 
 
 def _root_of_unity_sum_is_zero(counts: np.ndarray, e: int) -> bool:
     """Exact test of sum_k counts[k] * zeta_e^k == 0 (integer counts)."""
-    poly = [int(c) for c in counts]
-    den = list(_cyclotomic(e))
-    # long division remainder by the monic minimal polynomial
-    for i in range(len(poly) - 1, len(den) - 2, -1):
-        c = poly[i]
-        if c:
-            for j, dj in enumerate(den):
-                poly[i - len(den) + 1 + j] -= c * dj
-    return not any(poly[: len(den) - 1])
+    return not any(_poly_divmod([int(c) for c in counts], _cyclotomic(e))[1])
 
 
 def orthogonality_check_exact(r: int, m: int, n: int) -> bool:
@@ -523,16 +484,12 @@ def orthogonality_check_exact(r: int, m: int, n: int) -> bool:
     The sum must be phi(r) when m = n mod r on units, and 0 otherwise.
     """
     grp = character_group(r)
-    cm, cn = grp.coords_of(m), grp.coords_of(n)
-    if cm is None or cn is None:
+    um, un = grp.index_of[m % r], grp.index_of[n % r]
+    if um < 0 or un < 0:
         return True  # every term vanishes exactly
     e = grp.exponent
-    chars = grp.characters()
-    counts = np.zeros(e, dtype=np.int64)
-    for chi in chars:
-        km = chi.value_exponent(m)
-        kn = chi.value_exponent(n)
-        counts[(km - kn) % e] += 1
+    K = grp.exponent_table
+    counts = np.bincount((K[:, um] - K[:, un]) % e, minlength=e)
     if (m - n) % r == 0:
         return counts[0] == grp.phi and not np.any(counts[1:])
     return _root_of_unity_sum_is_zero(counts, e)

@@ -62,7 +62,10 @@ def _emit(text: str, args, manifest: RunManifest) -> None:
 def _xs(args) -> list[float]:
     """The x values of bv and bdh: the --grid list if given, else --x."""
     if args.grid:
-        return [float(part) for part in args.grid.split(",") if part]
+        xs = [float(part) for part in args.grid.split(",") if part]
+        if not xs:
+            raise ValueError("--grid names no x value")
+        return xs
     _require(args, "x")
     return [args.x]
 
@@ -200,20 +203,23 @@ def cmd_certify(args) -> int:
 def _load_table(path: str) -> list[VariationalCertificate]:
     table = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            table.append(
-                VariationalCertificate(
-                    k=row["k"],
-                    degree=row["degree"],
-                    basis=tuple(tuple(p) for p in row["basis"]),
-                    coefficients=tuple(row["coefficients"]),
-                    exact_bound=Fraction(row["exact_bound"]),
+            try:
+                row = json.loads(line)
+                table.append(
+                    VariationalCertificate(
+                        k=row["k"],
+                        degree=row["degree"],
+                        basis=tuple(tuple(p) for p in row["basis"]),
+                        coefficients=tuple(row["coefficients"]),
+                        exact_bound=Fraction(row["exact_bound"]),
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}, line {lineno}: malformed certificate row ({exc!r})") from None
     return table
 
 

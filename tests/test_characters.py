@@ -35,6 +35,11 @@ def test_group_sizes_and_primitive_counts():
         assert len(cs) == n_chars == euler_phi(r)
         assert sum(1 for c in cs if c.is_primitive) == n_prim
         assert sum(1 for c in cs if c.is_principal) == 1
+    grp5 = chars.character_group(5)
+    assert grp5.character((1,)) == grp5.characters()[1]
+    for bad in ((1, 2), ()):  # too long, too short
+        with pytest.raises(ValueError):
+            grp5.character(bad)
 
 
 def test_modulus_one_character_is_primitive_constant():
@@ -254,6 +259,25 @@ def test_orthogonality_exact():
             m = rng.randrange(1, 4 * r + 2)
             n = rng.randrange(1, 4 * r + 2)
             assert chars.orthogonality_check_exact(r, m, n)
+
+
+def test_root_of_unity_sum_both_outcomes():
+    cases = (
+        (2, [1, 1], True),
+        (2, [1, 0], False),
+        (3, [1, 1, 1], True),
+        (3, [2, 1, 1], False),
+        (4, [1, 0, 1, 0], True),
+        (4, [1, 1, 0, 0], False),
+    )
+    for e, counts, is_zero in cases:
+        assert chars._root_of_unity_sum_is_zero(np.array(counts), e) is is_zero
+
+
+def test_cyclotomic_degree_is_phi():
+    for n in range(1, 61):
+        poly = chars._cyclotomic(n)
+        assert len(poly) - 1 == euler_phi(n) and poly[-1] == 1
 
 
 def test_star_sum_membership():

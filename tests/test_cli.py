@@ -178,6 +178,19 @@ def test_gap_table_lambda_is_ignored(tmp_path, capsys):
     assert outcomes["2"][0][0] == 2 and "threshold" in outcomes["2"][0][2]
 
 
+def test_gap_malformed_table_row_is_json_error(tmp_path, capsys):
+    table = tmp_path / "table.jsonl"
+    assert run(["certify", "--ks", "1", "--degree", "2", "--out", str(table)]) == 0
+    (good,) = read_lines(table)
+    bad_rows = ({}, [1], dict(good, exact_bound="1/0"))
+    for bad in bad_rows:
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        argv = ["gap", "--x", str(2.0**60), "--q", str(2**20), "--a", "1", "--t", "1", "--table", str(path)]
+        assert run(argv) == 2
+        assert f"{path}, line 2" in last_error(capsys)
+
+
 def test_certify_table_then_gap(tmp_path):
     table = tmp_path / "table.jsonl"
     assert run(["certify", "--ks", "1,2,3", "--degree", "2", "--out", str(table)]) == 0
@@ -292,6 +305,8 @@ def test_domain_edges_are_json_errors(capsys):
         (["constellation", "--x", "nan", "--q", "4", "--a", "1", "--t", "2"], "need finite x"),
         (["constellation", "--x", "inf", "--q", "4", "--a", "1", "--t", "2"], "need finite x"),
         (["constellation", "--x=-inf", "--q", "4", "--a", "1", "--t", "2"], "need finite x"),
+        (["bv", "--grid", ",", "--q", "3", "--b", "0.2"], "no x value"),
+        (["bdh", "--grid", ",", "--q", "3", "--csv"], "no x value"),
     )
     for argv, message in cases:
         assert run(argv) == 2
