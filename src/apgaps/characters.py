@@ -6,11 +6,12 @@ of unity, stored as an integer exponent k with chi(n) = zeta_e^k for the
 common order e; complex rendering happens on demand, so identity checks can
 stay in exact integer arithmetic.
 
-Each group holds one exponent table, K[i, u] = k with chi_i(u-th unit) =
-zeta_e^k, for all its characters at once (phi(r)^2 int32 entries, so the
-groups are meant for moduli up to a few thousand). It is the one source of
-character values, and the conductors are read from it by their definition:
-the least f | r with chi trivial on the units = 1 mod f.
+Each group has one exponent table, K[i, u] = k with chi_i(u-th unit) =
+zeta_e^k, computed only by CharacterGroup.exponents and never stored whole
+(phi(r)^2 entries): readers build the slice they need, and a group keeps
+O(r) memory. Conductors are read from it by their definition, the least
+f | r with chi trivial on the units = 1 mod f, at prime powers; a composite
+r multiplies the conductors of its prime-power factors.
 
 Summation conventions: phi_star counts all primitive characters (the
 constant function mod 1 included), while star-restricted sums run over
@@ -24,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -87,10 +88,9 @@ def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
             return [(3, 2)]
         return [(2**e - 1, 2), (5, 2 ** (e - 2))]
     g = _primitive_root(p)
-    pe = p**e
     if e > 1 and pow(g, p - 1, p * p) == 1:
         g += p
-    return [(g % pe, (p - 1) * p ** (e - 1))]
+    return [(g % p**e, (p - 1) * p ** (e - 1))]
 
 
 class CharacterGroup:
@@ -108,14 +108,9 @@ class CharacterGroup:
         for p, e in factorize(r).factors:
             pe = p**e
             cof = r // pe
+            inv = pow(pe, -1, cof)  # CRT lift: = val mod p^e, = 1 mod r/p^e (inv = 0 if cof = 1)
             for val, order in _local_generators(p, e):
-                if cof > 1:
-                    # CRT lift: = val mod p^e, = 1 mod r/p^e
-                    inv = pow(pe, -1, cof)
-                    lifted = (val + pe * ((1 - val) * inv % cof)) % r
-                else:
-                    lifted = val % r
-                gens.append(_Gen(lifted, order))
+                gens.append(_Gen((val + pe * ((1 - val) * inv % cof)) % r, order))
         self.generators = tuple(gens)
         self.exponent = math.lcm(*(g.order for g in gens)) if gens else 1
         self.phi = euler_phi(r)
@@ -124,29 +119,27 @@ class CharacterGroup:
         return itertools.product(*(range(g.order) for g in self.generators))
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(unit_values, coords, index_of) in enumeration order."""
+    def coords(self) -> np.ndarray:
+        """Exponent vector of each unit (and character), one row each in enumeration order."""
+        vecs = np.array(list(self._exponent_vectors()), dtype=np.int64)
+        return vecs.reshape(self.phi, len(self.generators))
+
+    @cached_property
+    def unit_values(self) -> np.ndarray:
+        """The units mod r in enumeration order."""
         r = self.r
-        coords = np.array(list(self._exponent_vectors()), dtype=np.int64)
-        vals = np.full(len(coords), 1 % r, dtype=np.int64)
+        vals = np.full(self.phi, 1 % r, dtype=np.int64)
         for j, g in enumerate(self.generators):
             pows = np.array([pow(g.value, i, r) for i in range(g.order)], dtype=np.int64)
-            vals = vals * pows[coords[:, j]] % r
-        index_of = np.full(r, -1, dtype=np.int64)
-        index_of[vals] = np.arange(len(vals))
-        return vals, coords, index_of
+            vals = vals * pows[self.coords[:, j]] % r
+        return vals
 
-    @property
-    def unit_values(self) -> np.ndarray:
-        return self._tables[0]
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._tables[1]
-
-    @property
+    @cached_property
     def index_of(self) -> np.ndarray:
-        return self._tables[2]
+        """Position of n in unit_values, or -1 when gcd(n, r) > 1."""
+        index_of = np.full(self.r, -1, dtype=np.int64)
+        index_of[self.unit_values] = np.arange(self.phi)
+        return index_of
 
     @cached_property
     def zeta_powers(self) -> np.ndarray:
@@ -154,20 +147,36 @@ class CharacterGroup:
         return np.exp(2j * np.pi * np.arange(e) / e)
 
     @cached_property
-    def exponent_table(self) -> np.ndarray:
-        """K[i, u] = k with chi_i(unit_values[u]) = zeta_e^k, int32."""
-        weights = np.array([self.exponent // g.order for g in self.generators], dtype=np.int64)
-        K = (self.coords * weights) @ self.coords.T
-        K %= self.exponent  # in place: the int64 product is the peak of the build
-        return K.astype(np.int32)
+    def _weights(self) -> np.ndarray:
+        return np.array([self.exponent // g.order for g in self.generators], dtype=np.int64)
+
+    def exponents(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Slice K[rows, cols] of the exponent table, chi_i(unit_values[u]) = zeta_e^K[i, u].
+
+        Only the slice is built, and nothing is kept.
+        """
+        c = self.coords
+        return (c[rows] * self._weights) @ c[cols].T % self.exponent
 
     @cached_property
     def conductors(self) -> np.ndarray:
-        """Per row of the exponent table: the least f | r with K[i, units = 1 mod f] all zero."""
-        K, units = self.exponent_table, self.unit_values
-        out = np.empty(len(K), dtype=np.int64)
-        for f in reversed(divisors(self.r)):  # descending, so the least f is written last
-            out[~K[:, units % f == 1 % f].any(axis=1)] = f
+        """Per character: the least f | r with chi trivial on the units = 1 mod f.
+
+        The conductor is multiplicative over the prime powers q of r, and the
+        row of a character mod r is the mixed-radix number formed by the rows
+        of its components mod each q; so only prime powers read the table.
+        """
+        powers = [p**e for p, e in factorize(self.r).factors]
+        if len(powers) > 1:
+            return reduce(np.multiply.outer, [character_group(q).conductors for q in powers]).ravel()
+        out = np.full(self.phi, self.r, dtype=np.int32)  # r < 2**31 whenever phi(r) rows fit in memory
+        for f in reversed(divisors(self.r)[1:-1]):  # descending, so the least f is written last
+            cols = np.flatnonzero(self.unit_values % f == 1)
+            step = max(1, (1 << 18) // len(cols))  # rows per slice of <= 2**18 entries
+            for lo in range(0, self.phi, step):
+                rows = slice(lo, lo + step)
+                out[rows][~self.exponents(rows, cols).any(axis=1)] = f
+        out[0] = 1  # the principal character leads the enumeration
         return out
 
     def character(self, exponents) -> "Character":
@@ -205,11 +214,7 @@ class Character:
     exponents: tuple[int, ...]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Character)
-            and self.group.r == other.group.r
-            and self.exponents == other.exponents
-        )
+        return isinstance(other, Character) and (self.group.r, self.exponents) == (other.group.r, other.exponents)
 
     def __hash__(self):
         return hash((self.group.r, self.exponents))
@@ -242,20 +247,18 @@ class Character:
     def value_exponent(self, n: int) -> int | None:
         """k with chi(n) = zeta_e^k, or None when gcd(n, r) > 1."""
         u = int(self.group.index_of[n % self.group.r])
-        return None if u < 0 else int(self.group.exponent_table[self._row, u])
+        return None if u < 0 else int(self.group.exponents(self._row, u))
 
     def __call__(self, n: int) -> complex:
         k = self.value_exponent(n)
-        if k is None:
-            return 0j
-        return complex(self.group.zeta_powers[k])
+        return 0j if k is None else complex(self.group.zeta_powers[k])
 
     @cached_property
     def values_vector(self) -> np.ndarray:
         """chi(n) for n = 0..r-1 as a complex vector (zero off the units)."""
         grp = self.group
         vec = np.zeros(grp.r, dtype=np.complex128)
-        vec[grp.unit_values] = grp.zeta_powers[grp.exponent_table[self._row]]
+        vec[grp.unit_values] = grp.zeta_powers[grp.exponents(self._row)]
         return vec
 
     def __repr__(self):
@@ -402,7 +405,7 @@ def _char_matrix(m: int) -> np.ndarray:
     """Values of the primitive nonprincipal characters mod m on the units (one row each)."""
     grp = character_group(m)
     star = np.array([in_star_sum(chi) for chi in grp.characters()], dtype=bool)
-    return grp.zeta_powers[grp.exponent_table[star]]
+    return grp.zeta_powers[grp.exponents(star)]
 
 
 def _star_T_squares(m: int, coeffs: np.ndarray) -> float:
@@ -488,8 +491,8 @@ def orthogonality_check_exact(r: int, m: int, n: int) -> bool:
     if um < 0 or un < 0:
         return True  # every term vanishes exactly
     e = grp.exponent
-    K = grp.exponent_table
-    counts = np.bincount((K[:, um] - K[:, un]) % e, minlength=e)
+    K = grp.exponents(cols=[um, un])
+    counts = np.bincount((K[:, 0] - K[:, 1]) % e, minlength=e)
     if (m - n) % r == 0:
         return counts[0] == grp.phi and not np.any(counts[1:])
     return _root_of_unity_sum_is_zero(counts, e)

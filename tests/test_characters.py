@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import apgaps.characters as chars
 from apgaps.arith import chebyshev_psi, euler_phi
+from apgaps.checks import check_phi_star_partition
 
 
 def conductor_by_enumeration(chi):
@@ -288,3 +290,29 @@ def test_star_sum_membership():
     assert chars.in_star_sum(chi3)
     chi6 = next(c for c in chars.enumerate_characters(6) if not c.is_principal)
     assert not chi6.is_primitive and not chars.in_star_sum(chi6)
+
+
+def _traced(fn):
+    """(kept, peak) bytes allocated by fn, starting from an empty group cache."""
+    chars.character_group.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_group_memory_is_linear_in_phi():
+    # phi(4096)^2 int64 exponents would take 32 MiB, phi(4099)^2 128 MiB.
+    kept, peak = _traced(lambda: chars.character_group(4096).conductors)
+    assert kept < 1 << 20 and peak < 8 << 20
+    kept, peak = _traced(lambda: chars.character_group(4099).character((1,))(2))
+    assert kept < 1 << 20 and peak < 1 << 20
+
+
+def test_phi_star_check_memory_grows_quadratically():
+    """What verify-identities --max-r N keeps grows like N^2 (O(phi) per group), not N^3."""
+    kept1, peak1 = _traced(lambda: check_phi_star_partition(300))
+    kept2, peak2 = _traced(lambda: check_phi_star_partition(600))
+    assert kept2 < 5 * kept1 and peak2 < 5 * peak1
