@@ -201,6 +201,11 @@ def cmd_certify(args) -> int:
 
 
 def _load_table(path: str) -> list[VariationalCertificate]:
+    """Certificates from a certify table.
+
+    Each row's k, degree, basis and coefficients are checked here; its
+    exact_bound is re-derived only if gap selects it (_check_exact_bound).
+    """
     table = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -209,18 +214,42 @@ def _load_table(path: str) -> list[VariationalCertificate]:
                 continue
             try:
                 row = json.loads(line)
+                k, degree = row["k"], row["degree"]
+                if type(k) is not int or type(degree) is not int or k < 1 or degree < 0:
+                    raise ValueError("k must be an integer >= 1 and degree one >= 0")
+                basis = tuple(tuple(p) for p in row["basis"])
+                if basis != variational.basis_partitions(k, degree):
+                    raise ValueError(f"basis is not the degree-{degree} basis at k = {k}")
+                coefficients = tuple(row["coefficients"])
+                if len(coefficients) != len(basis):
+                    raise ValueError(f"{len(coefficients)} coefficients for {len(basis)} basis functions")
+                if not all(type(c) in (int, float) and math.isfinite(c) for c in coefficients):
+                    raise ValueError("coefficients must be finite numbers")
                 table.append(
                     VariationalCertificate(
-                        k=row["k"],
-                        degree=row["degree"],
-                        basis=tuple(tuple(p) for p in row["basis"]),
-                        coefficients=tuple(row["coefficients"]),
+                        k=k,
+                        degree=degree,
+                        basis=basis,
+                        coefficients=coefficients,
                         exact_bound=Fraction(row["exact_bound"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ValueError(f"{path}, line {lineno}: malformed certificate row ({exc!r})") from None
     return table
+
+
+def _check_exact_bound(path: str, cert: VariationalCertificate) -> None:
+    """Re-derive from its coefficients the exact_bound of the table row that selected k."""
+    where = f"{path}: the certificate at k = {cert.k}"
+    _, A_exact = variational.gram_I(cert.k, cert.basis)
+    _, B_exact = variational.gram_J(cert.k, cert.basis)
+    try:
+        exact = variational._exact_quotient(cert.coefficients, A_exact, B_exact)
+    except RayleighError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if exact != cert.exact_bound:
+        raise ValueError(f"{where} does not reproduce its exact_bound")
 
 
 def cmd_gap(args) -> int:
@@ -237,6 +266,8 @@ def cmd_gap(args) -> int:
         [k for k in DEFAULT_KS if k <= args.kmax], args.degree
     )
     report = gaps.gap_bound(cfg, table)
+    if args.table:
+        _check_exact_bound(args.table, report.certificate)
     found_gap = None
     found_primes: list[int] = []
     if x <= 10**8:

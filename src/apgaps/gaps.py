@@ -203,9 +203,13 @@ class GapBoundReport:
     tuple_shifts: tuple[int, ...]
     tuple_diameter: int
     scaled_diameter: int  # q * (h'_k - h'_1)
-    certificate_bound: float
+    certificate: VariationalCertificate  # the one that selected k
     threshold: float
     fits_D0: bool
+
+    @property
+    def certificate_bound(self) -> float:
+        return self.certificate.lower_bound
 
     def json_dict(self) -> dict:
         return {
@@ -245,7 +249,7 @@ def gap_bound(cfg: GapConfig, table: list[VariationalCertificate]) -> GapBoundRe
         tuple_shifts=tup.shifts,
         tuple_diameter=tup.diameter,
         scaled_diameter=cfg.q * tup.diameter,
-        certificate_bound=cert.lower_bound,
+        certificate=cert,
         threshold=(2 * cfg.t - 2) / (L + cfg.eps / 2),
         fits_D0=fits,
     )

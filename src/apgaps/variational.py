@@ -23,14 +23,21 @@ placements share each such pattern. An entry (lambda, mu) is therefore a
 sum over overlap patterns, with closed-form multiplicities, of one value
 per key (the pinned exponents of lambda and mu, then the combined
 exponents of the other coordinates): the cost depends on the degree
-only, not on k.
+only, not on k. Every key of an entry has the degree sum |lambda| + |mu|,
+so all its values share one denominator: (k + |lambda| + |mu|)! for I,
+and lcm(1 .. D + 1)^2 (k + 1 + |lambda| + |mu|)! for J, D the basis
+degree. An entry is accumulated as a Python int over that denominator and
+becomes one Fraction at the end.
 
 The best quotient over the span is the top generalized eigenvalue of
 (B, A), found by one dense eigensolve of L^-1 B L^-T where A = L L^T. Any
 feasible quotient is a valid lower bound for M_k, so the certificate keeps
 the quotient of the computed float coefficient vector in exact rational
-arithmetic (exact_bound). The float it reports (lower_bound, the "lambda"
-column) is that rational rounded down; k is selected from the rational.
+arithmetic (exact_bound): the coefficients are integers over one power of
+two and each Gram matrix is an integer matrix over one denominator, so
+both quadratic forms are Python-int dot products. The float it reports
+(lower_bound, the "lambda" column) is that rational rounded down; k is
+selected from the rational.
 Monte-Carlo integration gives an independent check of every certificate.
 It evaluates the trial function F = sum c_lambda m_lambda as one
 polynomial in the power sums p_1 ... p_degree, whose coefficients are
@@ -53,25 +60,28 @@ from .comb_lemmas import partitions_of
 BASIS_SIZE_CAP = 200
 
 
+def _factorial_product(exponents) -> int:
+    out = 1
+    for a in exponents:
+        out *= math.factorial(a)
+    return out
+
+
 def simplex_monomial_integral(k: int, exponents) -> Fraction:
     """Exact integral of prod t_i^(a_i) over the simplex R_k."""
     exps = list(exponents)
     if len(exps) > k or any(a < 0 for a in exps):
         raise ValueError("need at most k nonnegative exponents")
-    num = 1
-    for a in exps:
-        num *= math.factorial(a)
-    return Fraction(num, math.factorial(k + sum(exps)))
+    return Fraction(_factorial_product(exps), math.factorial(k + sum(exps)))
 
 
 def basis_partitions(k: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of degree <= max_degree with at most k parts, low degree first."""
-    out: list[tuple[int, ...]] = []
-    for d in range(max_degree + 1):
-        out.extend(partitions_of(d, min(k, d) if d else 0))
+    parts = itertools.chain.from_iterable(partitions_of(d, min(k, d) if d else 0) for d in range(max_degree + 1))
+    out = tuple(itertools.islice(parts, BASIS_SIZE_CAP + 1))
     if len(out) > BASIS_SIZE_CAP:
-        raise ValueError(f"basis size {len(out)} exceeds cap {BASIS_SIZE_CAP}")
-    return tuple(out)
+        raise ValueError(f"basis of degree {max_degree} at k = {k} exceeds the cap of {BASIS_SIZE_CAP} functions")
+    return out
 
 
 def _mult_factorial(partition) -> int:
@@ -83,10 +93,7 @@ def _mult_factorial(partition) -> int:
 
 def _n_arrangements(partition, coords: int) -> int:
     """Distinct placements of the parts on `coords` labelled coordinates."""
-    s = len(partition)
-    if s > coords:
-        return 0
-    return math.factorial(coords) // (math.factorial(coords - s) * _mult_factorial(partition))
+    return math.perm(coords, len(partition)) // _mult_factorial(partition)
 
 
 @lru_cache(maxsize=None)
@@ -112,38 +119,41 @@ def _overlap_counts(partition, slots: int, free: int) -> tuple[tuple[tuple[int, 
     return tuple(c for c in counted if c[2])
 
 
-def _gram(k: int, basis, pinned: int, value) -> tuple[np.ndarray, list[list[Fraction]]]:
+def _gram(k: int, basis, pinned: int, weight, denominator) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis from its overlap patterns, float and exact.
 
     `pinned` coordinates are held fixed. Each placement of lambda there
     (its pinned exponents, the multiset of its other parts, their count)
     holds those parts on the next coordinates; mu is placed over all of
-    them and the free ones. value(key) is the integral of one pattern, and
-    a key is the pinned exponents of lambda, then of mu, then the combined
-    exponents of the other coordinates, descending; it is computed once per
-    key. The float rendering is scaled by k! (integration against the
-    uniform probability measure on the simplex) so entries stay
-    representable at large k; the exact matrix is unscaled.
+    them and the free ones. A key is the pinned exponents of lambda, then
+    of mu, then the combined exponents of the other coordinates,
+    descending, so every key of the entry (lambda, mu) sums to
+    |lambda| + |mu|. weight(key), computed once per key, is one pattern's
+    integral times denominator(|lambda| + |mu|), an integer. An entry is a
+    sum of Python ints divided once: one Fraction per entry, none added.
+    The float rendering is scaled by k! (integration against the uniform
+    probability measure on the simplex) so entries stay representable at
+    large k; the exact matrix is unscaled.
     """
     n = len(basis)
     if n == 0:
         raise ValueError("basis must be nonempty")
-    value = lru_cache(maxsize=None)(value)
+    weight = lru_cache(maxsize=None)(weight)
     exact = [[Fraction(0)] * n for _ in range(n)]
     for i, lam in enumerate(basis):
         placements = _overlap_counts(lam, pinned, k - pinned)
         for j in range(i, n):
             mu = basis[j]
-            total = Fraction(0)
+            total = 0
             for lam_pinned, rest, cnt in placements:
                 s = pinned + len(rest)
-                key_counts: dict[tuple[int, ...], int] = {}
+                part = 0
                 for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
                     comb = [a + b for a, b in zip(rest, on_slots[pinned:])] + list(nu)
-                    key = lam_pinned + on_slots[:pinned] + tuple(sorted(comb, reverse=True))
-                    key_counts[key] = key_counts.get(key, 0) + mult
-                total += cnt * sum(m * value(key) for key, m in key_counts.items())
-            exact[i][j] = exact[j][i] = total
+                    comb.sort(reverse=True)
+                    part += mult * weight(lam_pinned + on_slots[:pinned] + tuple(comb))
+                total += cnt * part
+            exact[i][j] = exact[j][i] = Fraction(total, denominator(sum(lam) + sum(mu)))
     scale = math.factorial(k)
     flt = np.array([[float(v * scale) for v in row] for row in exact])
     return flt, exact
@@ -153,19 +163,11 @@ def gram_I(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis under the F^2 integral; float and exact forms.
 
     No coordinate is pinned: a key is the exponent signature of one
-    monomial of m_lambda * m_mu, and its value is that monomial's simplex
-    integral. Both quadratic forms get the same k! float scale, so Rayleigh
-    quotients are unaffected.
+    monomial of m_lambda * m_mu, and its integral is prod(a_i!) over
+    (k + |lambda| + |mu|)!. Both quadratic forms get the same k! float
+    scale, so Rayleigh quotients are unaffected.
     """
-    return _gram(k, basis, 0, lambda sig: simplex_monomial_integral(k, sig))
-
-
-def _j_pair_value(k: int, a1: int, b1: int, rest_sig: tuple[int, ...], deg_sum: int) -> Fraction:
-    num = math.factorial(a1 + b1 + 2)
-    for e in rest_sig:
-        num *= math.factorial(e)
-    den = (a1 + 1) * (b1 + 1) * math.factorial(k + 1 + deg_sum)
-    return Fraction(num, den)
+    return _gram(k, basis, 0, _factorial_product, lambda deg: math.factorial(k + deg))
 
 
 def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
@@ -176,10 +178,19 @@ def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     deg mu is the sum of the key. Symmetry of the basis collapses the k
     coordinate choices to a factor k times the t_1 term; the inner
     integral's upper limit 1 - t_2 - ... - t_k enters through the
-    (1 - sum)^c Dirichlet factor. The float rendering carries the same k!
-    scale as gram_I.
+    (1 - sum)^c Dirichlet factor. A key's value is
+    k (a_1 + b_1 + 2)! prod(rest_i!) / ((a_1 + 1)(b_1 + 1)(k + 1 + deg)!);
+    with L = lcm(1 .. D + 1), D the basis degree, its numerator over the
+    common denominator L^2 (k + 1 + deg)! is an integer. The float rendering
+    carries the same k! scale as gram_I.
     """
-    return _gram(k, basis, 1, lambda key: k * _j_pair_value(k, key[0], key[1], key[2:], sum(key)))
+    L = math.lcm(*range(1, max(map(sum, basis), default=0) + 2))
+
+    def weight(key):
+        a1, b1 = key[0], key[1]
+        return k * math.factorial(a1 + b1 + 2) * (L // (a1 + 1)) * (L // (b1 + 1)) * _factorial_product(key[2:])
+
+    return _gram(k, basis, 1, weight, lambda deg: L * L * math.factorial(k + 1 + deg))
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +253,29 @@ class VariationalCertificate:
 
 
 def _exact_quotient(c, A_exact, B_exact) -> Fraction:
-    cf = [Fraction(float(ci)) for ci in c]
-    num = Fraction(0)
-    den = Fraction(0)
-    n = len(cf)
-    for i in range(n):
-        if cf[i] == 0:
-            continue
-        for j in range(n):
-            if cf[j] == 0:
-                continue
-            num += cf[i] * cf[j] * B_exact[i][j]
-            den += cf[i] * cf[j] * A_exact[i][j]
-    if den <= 0:
+    """The quotient c^T B c / c^T A c of the float vector c, exactly.
+
+    Each coefficient is m_i / 2^s exactly, with one s for all of them, and
+    each matrix is an integer matrix over the LCM of its denominators, so
+    both forms are Python-int dot products and the common 2^2s cancels.
+    """
+    ratios = [float(ci).as_integer_ratio() for ci in c]
+    scale = max((q for _, q in ratios), default=1)
+    m = [p * (scale // q) for p, q in ratios]
+    live = [i for i, mi in enumerate(m) if mi]
+
+    def form(M) -> tuple[int, int]:
+        den = math.lcm(*(M[i][j].denominator for i in live for j in live))
+        num = sum(
+            m[i] * sum(m[j] * (M[i][j].numerator * (den // M[i][j].denominator)) for j in live) for i in live
+        )
+        return num, den
+
+    num_B, den_B = form(B_exact)
+    num_A, den_A = form(A_exact)
+    if num_A <= 0:
         raise RayleighError("coefficient vector has nonpositive A-norm")
-    return num / den
+    return Fraction(num_B * den_A, num_A * den_B)
 
 
 def mk_lower_bound(k: int, max_degree: int) -> VariationalCertificate:

@@ -182,13 +182,44 @@ def test_gap_malformed_table_row_is_json_error(tmp_path, capsys):
     table = tmp_path / "table.jsonl"
     assert run(["certify", "--ks", "1", "--degree", "2", "--out", str(table)]) == 0
     (good,) = read_lines(table)
-    bad_rows = ({}, [1], dict(good, exact_bound="1/0"))
+    bad_rows = (
+        {},
+        [1],
+        dict(good, exact_bound="1/0"),
+        dict(good, coefficients=good["coefficients"][:-1]),
+        dict(good, coefficients=[float("nan")] + good["coefficients"][1:]),
+        dict(good, coefficients=["1.0"] + good["coefficients"][1:]),
+        dict(good, coefficients=[10**400] + good["coefficients"][1:]),
+        dict(good, degree=3),
+        dict(good, k=0),
+    )
     for bad in bad_rows:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         argv = ["gap", "--x", str(2.0**60), "--q", str(2**20), "--a", "1", "--t", "1", "--table", str(path)]
         assert run(argv) == 2
         assert f"{path}, line 2" in last_error(capsys)
+
+
+def test_gap_rederives_the_selected_exact_bound(tmp_path, capsys):
+    table = tmp_path / "table.jsonl"
+    assert run(["certify", "--ks", "1,2,3", "--degree", "2", "--out", str(table)]) == 0
+    capsys.readouterr()
+    argv = ["gap", "--x", str(2.0**60), "--q", str(2**20), "--a", "1", "--t", "1"]
+    # a genuine table passes the check and prints what the computed table prints
+    assert run(argv + ["--kmax", "3", "--degree", "2"]) == 0
+    computed = capsys.readouterr().out
+    assert run(argv + ["--table", str(table)]) == 0
+    assert capsys.readouterr().out == computed
+    rows = read_lines(table)
+    nudged = str(Fraction(rows[0]["exact_bound"]) - Fraction(1, 10**40))
+    zero = [0.0] * len(rows[0]["coefficients"])
+    for forgery in ({"exact_bound": "1000"}, {"exact_bound": nudged}, {"coefficients": zero}):
+        forged = tmp_path / "forged.jsonl"
+        forged.write_text("".join(json.dumps(r) + "\n" for r in [dict(rows[0], **forgery)] + rows[1:]))
+        assert run(argv + ["--table", str(forged)]) == 2
+        error = last_error(capsys)
+        assert str(forged) in error and "k = 1" in error
 
 
 def test_certify_table_then_gap(tmp_path):

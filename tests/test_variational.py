@@ -52,6 +52,14 @@ def _gram_I_all_placements(k, basis):
     return np.array([[float(v * scale) for v in row] for row in exact]), exact
 
 
+def _j_pair_value(k: int, a1: int, b1: int, rest_sig: tuple[int, ...], deg_sum: int) -> Fraction:
+    num = math.factorial(a1 + b1 + 2)
+    for e in rest_sig:
+        num *= math.factorial(e)
+    den = (a1 + 1) * (b1 + 1) * math.factorial(k + 1 + deg_sum)
+    return Fraction(num, den)
+
+
 def _gram_J_all_placements(k, basis):
     """Oracle: gram_J by enumerating every placement of mu on all k coordinates."""
     n = len(basis)
@@ -84,11 +92,77 @@ def _gram_J_all_placements(k, basis):
                     sig = (b1, tuple(sorted(comb.values(), reverse=True)))
                     sig_counts[sig] = sig_counts.get(sig, 0) + 1
                 total += cnt * sum(
-                    m * var._j_pair_value(k, a1, b1, rest_sig, deg_sum) for (b1, rest_sig), m in sig_counts.items()
+                    m * _j_pair_value(k, a1, b1, rest_sig, deg_sum) for (b1, rest_sig), m in sig_counts.items()
                 )
             exact[i][j] = exact[j][i] = k * total
     scale = math.factorial(k)
     return np.array([[float(v * scale) for v in row] for row in exact]), exact
+
+
+def _gram(k: int, basis, pinned: int, value) -> tuple[np.ndarray, list[list[Fraction]]]:
+    """Oracle: the former Fraction-accumulating Gram walk.
+
+    Gram matrix of the basis from its overlap patterns, float and exact.
+
+    `pinned` coordinates are held fixed. Each placement of lambda there
+    (its pinned exponents, the multiset of its other parts, their count)
+    holds those parts on the next coordinates; mu is placed over all of
+    them and the free ones. value(key) is the integral of one pattern, and
+    a key is the pinned exponents of lambda, then of mu, then the combined
+    exponents of the other coordinates, descending; it is computed once per
+    key. The float rendering is scaled by k! (integration against the
+    uniform probability measure on the simplex) so entries stay
+    representable at large k; the exact matrix is unscaled.
+    """
+    n = len(basis)
+    if n == 0:
+        raise ValueError("basis must be nonempty")
+    value = lru_cache(maxsize=None)(value)
+    exact = [[Fraction(0)] * n for _ in range(n)]
+    for i, lam in enumerate(basis):
+        placements = var._overlap_counts(lam, pinned, k - pinned)
+        for j in range(i, n):
+            mu = basis[j]
+            total = Fraction(0)
+            for lam_pinned, rest, cnt in placements:
+                s = pinned + len(rest)
+                key_counts: dict[tuple[int, ...], int] = {}
+                for on_slots, nu, mult in var._overlap_counts(mu, s, k - s):
+                    comb = [a + b for a, b in zip(rest, on_slots[pinned:])] + list(nu)
+                    key = lam_pinned + on_slots[:pinned] + tuple(sorted(comb, reverse=True))
+                    key_counts[key] = key_counts.get(key, 0) + mult
+                total += cnt * sum(m * value(key) for key, m in key_counts.items())
+            exact[i][j] = exact[j][i] = total
+    scale = math.factorial(k)
+    flt = np.array([[float(v * scale) for v in row] for row in exact])
+    return flt, exact
+
+
+def _fraction_gram_I(k, basis):
+    return _gram(k, basis, 0, lambda sig: var.simplex_monomial_integral(k, sig))
+
+
+def _fraction_gram_J(k, basis):
+    return _gram(k, basis, 1, lambda key: k * _j_pair_value(k, key[0], key[1], key[2:], sum(key)))
+
+
+def _fraction_exact_quotient(c, A_exact, B_exact):
+    """Oracle: the former exact quotient, a Fraction double loop."""
+    cf = [Fraction(float(ci)) for ci in c]
+    num = Fraction(0)
+    den = Fraction(0)
+    n = len(cf)
+    for i in range(n):
+        if cf[i] == 0:
+            continue
+        for j in range(n):
+            if cf[j] == 0:
+                continue
+            num += cf[i] * cf[j] * B_exact[i][j]
+            den += cf[i] * cf[j] * A_exact[i][j]
+    if den <= 0:
+        raise var.RayleighError("coefficient vector has nonpositive A-norm")
+    return num / den
 
 
 def _power_iteration(A, B, tol=1e-10, maxiter=10_000):
@@ -237,6 +311,39 @@ def test_gram_matrices_match_all_placements_oracle(k, degree):
         want_flt, want_exact = oracle(k, basis)
         assert exact == want_exact
         assert np.array_equal(flt, want_flt)
+
+
+@pytest.mark.parametrize("k,degree", [(5, 6), (12, 6), (20, 5), (105, 6), (3, 8)])
+def test_integer_gram_matches_fraction_oracle(k, degree):
+    basis = var.basis_partitions(k, degree)
+    for fast, oracle in ((var.gram_I, _fraction_gram_I), (var.gram_J, _fraction_gram_J)):
+        flt, exact = fast(k, basis)
+        want_flt, want_exact = oracle(k, basis)
+        assert exact == want_exact
+        assert np.array_equal(flt, want_flt)
+
+
+@pytest.mark.parametrize("k,degree", [(5, 6), (12, 6), (3, 8), (64, 3)])
+def test_exact_quotient_matches_fraction_double_loop(k, degree):
+    basis = var.basis_partitions(k, degree)
+    n = len(basis)
+    _, A_exact = var.gram_I(k, basis)
+    _, B_exact = var.gram_J(k, basis)
+    rng = np.random.default_rng(1000 * k + degree)
+    for _ in range(4):
+        # signs from the normal draw, binary exponents over 2^-60 .. 2^60, some zeros
+        c = rng.normal(size=n) * 2.0 ** rng.integers(-60, 61, size=n)
+        c[rng.random(n) < 0.25] = 0.0
+        c[0] = 0.0
+        c[-1] = -abs(c[-1]) or -1.0
+        want = _fraction_exact_quotient(c, A_exact, B_exact)
+        assert var._exact_quotient(c, A_exact, B_exact) == want
+        assert var._exact_quotient(tuple(float(v) for v in c), A_exact, B_exact) == want
+    single = np.zeros(n)
+    single[-1] = 3.0
+    assert var._exact_quotient(single, A_exact, B_exact) == B_exact[-1][-1] / A_exact[-1][-1]
+    with pytest.raises(var.RayleighError):
+        var._exact_quotient(np.zeros(n), A_exact, B_exact)
 
 
 def _random_certificate(rng, k, degree):
