@@ -13,7 +13,9 @@ Measured quantities, each against its trivial normalizer:
 - smoothed_R / sandwich_check: the log-smoothed weighted sum and the
   two-sided bounds it implies for psi. sandwich_check filters the class
   once, up to x e^lam, and reads its three smoothed sums and psi from
-  prefixes of that one array.
+  prefixes of that one array. It adds them as integers, mantissas binned
+  by exponent (_exact_sum), and rounds each once, so they are == the
+  math.fsum of smoothed_R and chebyshev_psi.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
   moduli d <= x^L.
 
@@ -61,14 +63,44 @@ def smoothed_R(x: float, r: int = 1, a: int = 0) -> float:
     return math.fsum(W * (math.log(x) - np.log(P.astype(np.float64))))
 
 
+_SUM_CHUNK = 1 << 26  # terms per bincount, so every bin of 26-bit halves stays below 2**53
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """The correctly rounded sum of a finite float array; == math.fsum(a) unless that overflows.
+
+    Each term is M * 2**(E - 53) with an integer |M| < 2**53. The 26-bit
+    halves of M are summed per exponent E by a float bincount, exact while
+    a bin holds fewer than 2**26 terms (hence the chunks); the bins combine
+    as Python ints, and one int / 2**s rounds.
+    """
+    mant, exps = np.frexp(np.asarray(a, dtype=np.float64))
+    if not mant.size:
+        return 0.0
+    base = int(exps.min())
+    exps -= base
+    mant = np.ldexp(mant, 53, out=mant)  # integers M
+    high = np.floor(mant * 2.0**-26)
+    mant -= high * 2.0**26  # the low half, in [0, 2**26)
+    total = 0
+    for lo in range(0, mant.size, _SUM_CHUNK):
+        cut = slice(lo, lo + _SUM_CHUNK)
+        highs = np.bincount(exps[cut], high[cut]).tolist()
+        lows = np.bincount(exps[cut], mant[cut]).tolist()
+        total += sum(((int(h) << 26) + int(l)) << k for k, (h, l) in enumerate(zip(highs, lows)) if h or l)
+    shift = base - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
     """Difference-quotient bounds for psi from the smoothed sum.
 
     Returns (ok, lower, psi, upper) for
     (R(x) - R(x e^-lam))/lam <= psi(x; r, a) <= (R(x e^lam) - R(x))/lam.
     The class is filtered once, up to x e^lam, and its logs taken once;
-    each R and psi reads a prefix of it. math.fsum is exact, so every
-    value equals its smoothed_R or chebyshev_psi call.
+    each R and psi reads a prefix of it. Every sum is the exact integer sum
+    of _exact_sum, rounded once, so every value equals (==) its smoothed_R
+    or chebyshev_psi call, which sum with math.fsum.
     """
     if lam <= 0:
         raise ValueError("need lam > 0")
@@ -77,7 +109,7 @@ def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
         raise ValueError("need x >= 1")
     P, W = prime_power_arrays(int(math.floor(x_hi)))
     if r > 1:
-        keep = P % r == a % r
+        keep = np.flatnonzero(P % r == a % r)  # taking indices beats a boolean mask here
         P, W = P[keep], W[keep]
     logs = np.log(P.astype(np.float64))
 
@@ -86,12 +118,12 @@ def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
 
     def R(y: float) -> float:
         i = prefix(y)
-        return math.fsum(W[:i] * (math.log(y) - logs[:i]))
+        return _exact_sum(W[:i] * (math.log(y) - logs[:i]))
 
     r_mid = R(x)
     lower = (r_mid - R(x_lo)) / lam
     upper = (R(x_hi) - r_mid) / lam
-    psi = math.fsum(W[: prefix(x)])
+    psi = _exact_sum(W[: prefix(x)])
     ok = lower <= psi + slack and psi <= upper + slack
     return ok, lower, psi, upper
 

@@ -11,7 +11,11 @@ zeta_e^k, computed only by CharacterGroup.exponents and never stored whole
 (phi(r)^2 entries): readers build the slice they need, and a group keeps
 O(r) memory. Conductors are read from it by their definition, the least
 f | r with chi trivial on the units = 1 mod f, at prime powers; a composite
-r multiplies the conductors of its prime-power factors.
+r multiplies the conductors of its prime-power factors. Primitivization
+reads it too, one slice per conductor f at lifts of the generators mod f:
+primitive_rows gives each character's primitive inducing character as a
+row mod f, for the whole group at once. conductor_partition_check compares
+those rows with the rows of conductor r1 in each divisor group mod r1.
 
 Summation conventions: phi_star counts all primitive characters (the
 constant function mod 1 included), while star-restricted sums run over
@@ -179,6 +183,34 @@ class CharacterGroup:
         out[0] = 1  # the principal character leads the enumeration
         return out
 
+    @cached_property
+    def primitive_rows(self) -> np.ndarray:
+        """Per character: the row, mod its conductor f, of the primitive character inducing it.
+
+        For each f the characters of conductor f read one exponent slice at
+        lifts mod r of the generators of (Z/fZ)*; a value zeta_e^k on a
+        generator of order o is zeta_o^(k o / e), and those exponents form
+        the mixed-radix row mod f.
+        """
+        out = np.zeros(self.phi, dtype=np.int64)
+        for f in set(self.conductors.tolist()):
+            rows = np.flatnonzero(self.conductors == f)
+            lifts, orders = [], []
+            for g in character_group(f).generators:
+                n = g.value
+                while math.gcd(n, self.r) != 1:
+                    n += f
+                lifts.append(n)
+                orders.append(g.order)
+            num = self.exponents(rows, self.index_of[lifts]) * np.array(orders, dtype=np.int64)
+            if np.any(num % self.exponent):
+                raise ArithmeticError("conductor computation inconsistent with values")
+            row = np.zeros(len(rows), dtype=np.int64)
+            for j, o in enumerate(orders):
+                row = row * o + num[:, j] // self.exponent
+            out[rows] = row
+        return out
+
     def character(self, exponents) -> "Character":
         if len(exponents) != len(self.generators):
             raise ValueError("exponent vector length mismatch")
@@ -271,22 +303,8 @@ def conductor(chi: Character) -> int:
 
 def primitivize(chi: Character) -> Character:
     """The primitive character mod conductor(chi) inducing chi."""
-    f = chi.conductor
-    grp_f = character_group(f)
-    r = chi.group.r
-    e_r = chi.group.exponent
-    exps = []
-    for g in grp_f.generators:
-        n = g.value
-        while math.gcd(n, r) != 1:
-            n += f
-        k = chi.value_exponent(n)
-        assert k is not None
-        num = k * g.order
-        if num % e_r != 0:
-            raise ArithmeticError("conductor computation inconsistent with values")
-        exps.append((num // e_r) % g.order)
-    return grp_f.character(tuple(exps))
+    grp_f = character_group(chi.conductor)
+    return grp_f.character(grp_f.coords[chi.group.primitive_rows[chi._row]])
 
 
 def conductor_split(chi: Character, q: int, d: int) -> tuple[int, int]:
@@ -321,16 +339,24 @@ def in_star_sum(chi: Character) -> bool:
 def conductor_partition_check(r: int, F) -> bool:
     """Exact partition of nonprincipal characters mod r by conductor.
 
-    Both sides are enumerated independently: the left primitivizes every
-    nonprincipal character mod r, the right walks primitive nonprincipal
-    characters of each divisor modulus.
+    The two sides read different tables. The left takes every nonprincipal
+    character mod r to the primitive character its conductor and primitive
+    row name (conductors[1:], primitive_rows[1:]); the right takes, for each
+    divisor r1 > 1, the characters mod r1 with conductor r1. F is applied
+    to the Character of each row.
     """
-    lhs = [F(primitivize(chi)) for chi in enumerate_characters(r) if not chi.is_principal]
+
+    def characters_at(f: int, rows) -> list[Character]:
+        grp_f = character_group(f)
+        return [Character(grp_f, ex) for ex in map(tuple, grp_f.coords[rows].tolist())]
+
+    grp = character_group(r)
+    conductors, rows = grp.conductors[1:], grp.primitive_rows[1:]
+    lhs = [F(chi) for f in sorted(set(conductors.tolist())) for chi in characters_at(f, rows[conductors == f])]
     rhs = [
-        F(chi1)
-        for r1 in divisors(r)
-        for chi1 in enumerate_characters(r1)
-        if in_star_sum(chi1)
+        F(chi)
+        for r1 in divisors(r)[1:]
+        for chi in characters_at(r1, character_group(r1).conductors == r1)
     ]
     return sum(lhs) == sum(rhs) and len(lhs) == len(rhs)
 

@@ -99,18 +99,37 @@ def classify_case(alpha: ExponentTuple, theta, eps) -> str:
     return CASE_REMAINDER
 
 
+def _greedy_parts(total: int, top: int) -> list[int]:
+    """As many parts top as fit in total, then the remainder: the first partition in reverse-lex order."""
+    q, rem = divmod(total, top)
+    return [top] * q + ([rem] if rem else [])
+
+
 def partitions_of(total: int, max_parts: int, max_part: int | None = None):
-    """Nonincreasing positive integer tuples summing to total, at most max_parts parts."""
-    if max_part is None:
-        max_part = total
+    """Nonincreasing positive integer tuples summing to total, at most max_parts parts.
+
+    They come in reverse-lexicographic order, without recursion: each step
+    lowers the rightmost part that can drop by 1 to v while the sum to its
+    right, rest, still fits (rest <= parts_left * v), and refills greedily.
+    """
     if total == 0:
         yield ()
         return
-    if max_parts == 0:
+    top = total if max_part is None else min(total, max_part)
+    if top < 1 or total > max_parts * top:
         return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in partitions_of(total - first, max_parts - 1, first):
-            yield (first,) + rest
+    parts = _greedy_parts(total, top)
+    while True:
+        yield tuple(parts)
+        rest = 1  # the sum right of parts[i] once parts[i] drops by 1
+        for i in range(len(parts) - 1, -1, -1):
+            v = parts[i] - 1
+            if v and rest <= (max_parts - 1 - i) * v:
+                parts[i:] = _greedy_parts(v + rest, v)
+                break
+            rest += parts[i]
+        else:
+            return
 
 
 def _ceil_div(a: int, b: int) -> int:

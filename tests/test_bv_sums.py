@@ -98,6 +98,39 @@ def test_sandwich_matches_separate_sums_exactly():
         assert bv.sandwich_check(x, r, a, lam) == oracle_sandwich(x, r, a, lam)
 
 
+# finite floats from 2**-1074 (subnormal) to below 2**1000 in magnitude, both signs
+_wide_floats = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1070, 1000)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_wide_floats, max_size=60))
+def test_exact_sum_equals_fsum(terms):
+    a = np.array(terms, dtype=np.float64)
+    assert bv._exact_sum(a) == math.fsum(a)
+    # full cancellation, mixed signs
+    both = np.concatenate([a, -a[::-1]])
+    assert bv._exact_sum(both) == math.fsum(both) == 0.0
+
+
+def test_exact_sum_edges():
+    assert bv._exact_sum(np.array([])) == math.fsum([]) == 0.0
+    for terms in ([5e-324], [5e-324] * 3, [1e-310, -5e-324], [1.0, 1e-16, 1e-16], [2.0**1000, -(2.0**1000), 2.0**-1070]):
+        assert bv._exact_sum(np.array(terms)) == math.fsum(terms)
+
+
+@settings(max_examples=30)
+@given(st.lists(_wide_floats, min_size=1, max_size=40), st.integers(1, 7))
+def test_exact_sum_chunked_path(terms, chunk):
+    # a chunk shorter than the input sends it through several bincounts
+    a = np.array(terms * 3, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bv, "_SUM_CHUNK", min(chunk, len(a) - 1))
+        assert bv._exact_sum(a) == math.fsum(a)
+
+
 def test_sandwich_rejects_x_below_one_like_oracle():
     for x, lam in ((1.5, 0.5), (0.5, 0.1), (1.0, 1e-9)):
         assert x * math.exp(-lam) < 1

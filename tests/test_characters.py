@@ -94,6 +94,76 @@ def test_primitivize_agrees_on_units():
                     assert chi(n) == pytest.approx(hat(n), abs=1e-12)
 
 
+def oracle_primitivize(chi):
+    """The per-character primitivization that primitive_rows replaced: one value per generator."""
+    f = chi.conductor
+    grp_f = chars.character_group(f)
+    r = chi.group.r
+    e_r = chi.group.exponent
+    exps = []
+    for g in grp_f.generators:
+        n = g.value
+        while math.gcd(n, r) != 1:
+            n += f
+        k = chi.value_exponent(n)
+        assert k is not None
+        num = k * g.order
+        if num % e_r != 0:
+            raise ArithmeticError("conductor computation inconsistent with values")
+        exps.append((num // e_r) % g.order)
+    return grp_f.character(tuple(exps))
+
+
+def oracle_conductor_partition_check(r, F):
+    """The list-based partition check that the row-table version replaced."""
+    lhs = [F(oracle_primitivize(chi)) for chi in chars.enumerate_characters(r) if not chi.is_principal]
+    rhs = [
+        F(chi1)
+        for r1 in chars.divisors(r)
+        for chi1 in chars.enumerate_characters(r1)
+        if chars.in_star_sum(chi1)
+    ]
+    return sum(lhs) == sum(rhs) and len(lhs) == len(rhs)
+
+
+def test_primitivize_matches_per_character_oracle():
+    for r in [*range(1, 201), 720, 1024, 1155]:
+        for chi in chars.enumerate_characters(r):
+            got, want = chars.primitivize(chi), oracle_primitivize(chi)
+            assert (got.modulus, got.exponents) == (want.modulus, want.exponents), chi
+
+
+def test_conductor_partition_check_matches_list_oracle():
+    rng = random.Random(5)
+    table = {}
+    seen = {"new": [], "oracle": []}
+
+    def weight(chi, side):
+        key = (chi.modulus, chi.exponents)
+        seen[side].append(key)
+        if key not in table:
+            table[key] = rng.randrange(1, 1 << 30)
+        return table[key]
+
+    for r in [*range(1, 201), 720, 1155]:
+        for side in seen:
+            seen[side].clear()
+        got = chars.conductor_partition_check(r, lambda chi: weight(chi, "new"))
+        want = oracle_conductor_partition_check(r, lambda chi: weight(chi, "oracle"))
+        assert got is want is True, r
+        # both checks hand F the same characters, with the same multiplicities
+        assert sorted(seen["new"]) == sorted(seen["oracle"]), r
+
+
+def test_conductor_partition_check_reads_primitive_rows(monkeypatch):
+    grp = chars.character_group(45)
+    rows = grp.primitive_rows.copy()
+    i = int(np.flatnonzero(grp.conductors == 45)[0])
+    rows[i] = (rows[i] + 1) % grp.phi  # one character sent to the wrong primitive
+    monkeypatch.setitem(grp.__dict__, "primitive_rows", rows)
+    assert not chars.conductor_partition_check(45, lambda chi: hash((chi.modulus, chi.exponents)))
+
+
 def test_conductor_split():
     g12 = chars.character_group(12)
     split = {chi.exponents: chars.conductor_split(chi, 3, 4) for chi in g12.characters()}

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apgaps.comb_lemmas as cl
+import apgaps.variational as var
 
 # ---------------------------------------------------------------------------
 # oracles: the two-enumeration grid scans and the row-major random sweep that
@@ -35,6 +36,20 @@ def _oracle_comblem_bad(den, numers):
     listed = a1 + a2 + sum(padded[5:])
     list_ok = 12 * listed < 5 * den
     return not (fifth_ok and list_ok)
+
+
+def oracle_partitions_of(total, max_parts, max_part=None):
+    """The recursive enumeration that the iterative partitions_of replaced."""
+    if max_part is None:
+        max_part = total
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in oracle_partitions_of(total - first, max_parts - 1, first):
+            yield (first,) + rest
 
 
 def oracle_verify_trichotomy(max_denominator):
@@ -221,6 +236,24 @@ def test_comblem_hypothesis_tuples_satisfy_conclusions():
 def test_partition_enumeration_bound():
     with pytest.raises(ValueError):
         cl.verify_trichotomy(49)
+
+
+def test_partitions_match_recursive_oracle():
+    for total in range(25):
+        for max_parts in range(16):
+            for max_part in (None, *range(total + 2)):
+                got = list(cl.partitions_of(total, max_parts, max_part))
+                assert got == list(oracle_partitions_of(total, max_parts, max_part)), (total, max_parts, max_part)
+
+
+def test_basis_partitions_unchanged(monkeypatch):
+    got = {(k, d): var.basis_partitions(k, d) for k, d in ((5, 6), (105, 8))}
+    monkeypatch.setattr(var, "partitions_of", oracle_partitions_of)
+    assert got == {(k, d): var.basis_partitions(k, d) for k, d in ((5, 6), (105, 8))}
+
+
+def test_grid_scan_at_enumeration_bound():
+    assert cl.grid_scan(48) == (656_369, [], [])
 
 
 def test_random_sweeps_clean():
