@@ -7,9 +7,12 @@ Measured quantities, each against its trivial normalizer:
 - bdh_variance: the mean-square analogue, summed over all reduced classes.
   Its sum of squares over all classes of one modulus m is read off the
   autocorrelation R(h) = sum_n Lambda(n) Lambda(n + h), computed once by
-  FFT: sum_c psi(x; m, c)^2 = R(0) + 2 sum_{j >= 1} R(j m). The few
-  nonreduced classes that carry mass hold only powers of primes dividing
-  m, and are subtracted exactly, for all moduli at once.
+  FFT: sum_c psi(x; m, c)^2 = R(0) + 2 sum_{j >= 1} R(j m). The sums over
+  multiples are split at sqrt(x) (_multiple_sums): a modulus below it
+  takes one strided slice, and the larger moduli, each with fewer than
+  sqrt(x) multiples, are summed together one multiplier j at a time. The
+  few nonreduced classes that carry mass hold only powers of primes
+  dividing m, and are subtracted exactly, for all moduli at once.
 - smoothed_R / sandwich_check: the log-smoothed weighted sum and the
   two-sided bounds it implies for psi. sandwich_check filters the class
   once, up to x e^lam, and reads its three smoothed sums and psi from
@@ -34,14 +37,17 @@ from .arith import (
     euler_phi,
     exact_exponent,
     floor_power,
+    large_prime_multiples,
     log_integral_Y1,
     mobius,
     phi_table,
     prime_power_arrays,
     prime_residue_counts,
+    primes_in_range,
     primes_up_to,
     psi_residue_sums,
     reduced_residue_mask,
+    residues,
     tau_m,
     von_mangoldt_table,
 )
@@ -56,7 +62,7 @@ def smoothed_R(x: float, r: int = 1, a: int = 0) -> float:
         raise ValueError("need x >= 1")
     P, W = prime_power_arrays(int(math.floor(x)))
     if r > 1:
-        keep = P % r == a % r
+        keep = residues(P, r) == a % r
         P, W = P[keep], W[keep]
     if len(P) == 0:
         return 0.0
@@ -109,7 +115,7 @@ def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
         raise ValueError("need x >= 1")
     P, W = prime_power_arrays(int(math.floor(x_hi)))
     if r > 1:
-        keep = np.flatnonzero(P % r == a % r)  # taking indices beats a boolean mask here
+        keep = np.flatnonzero(residues(P, r) == a % r)  # taking indices beats a boolean mask here
         P, W = P[keep], W[keep]
     logs = np.log(P.astype(np.float64))
 
@@ -211,6 +217,27 @@ def _lambda_autocorrelation(lam: np.ndarray) -> np.ndarray:
     return np.fft.irfft(F, size)[:n]
 
 
+def _multiple_sums(R: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """S[i] = sum_{j >= 1} R[j * ms[i]] over the multiples below len(R), for ascending ms >= 1.
+
+    A modulus m <= sqrt(len(R)) takes one strided slice. Each larger one has
+    fewer than sqrt(len(R)) multiples, so those are summed together, one
+    multiplier j at a time over the moduli that still have a j-th multiple:
+    about 2 sqrt(len(R)) numpy calls in all, not one per modulus.
+    """
+    top = len(R) - 1
+    split = int(np.searchsorted(ms, math.isqrt(top), side="right"))
+    out = np.zeros(len(ms))
+    for i, m in enumerate(ms[:split].tolist()):
+        out[i] = R[m::m].sum()
+    big, acc = ms[split:], out[split:]
+    if len(big):
+        counts = np.searchsorted(big, top // np.arange(1, top // int(big[0]) + 1), side="right")
+        for j, c in enumerate(counts.tolist(), 1):  # j * m <= top  <=>  m <= top // j
+            acc[:c] += R[big[:c] * j]
+    return out
+
+
 def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum of squares of psi(xi; m, c) over nonreduced classes c.
 
@@ -219,24 +246,31 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     psi(xi; m, c) = log p * #{j : p^j <= xi, p^j = c (mod m)}. Powers of p
     can share a class (m = 6: 2 = 8 = 32), so the p-part of N2[m] is
     (log p)^2 times the number of pairs (i, j) with p^i = p^j (mod m).
+    A prime p > sqrt(xi) has the one power p, adding log p and (log p)^2;
+    those primes go through arith.large_prime_multiples after the others,
+    so each m still adds its primes in ascending order.
     """
     n1 = np.zeros(M + 1)
     n2 = np.zeros(M + 1)
-    for p in primes_up_to(M).tolist():
+    root = math.isqrt(xi)
+    for p in primes_up_to(min(root, M)).tolist():
         logp = math.log(p)
         powers = [p]
         while powers[-1] * p <= xi:
             powers.append(powers[-1] * p)
         J = len(powers)
         n1[p::p] += J * logp
-        if J == 1:
-            n2[p::p] += logp * logp
-            continue
         C = np.array(powers)[:, None] % np.arange(p, M + 1, p)
         pairs = np.full(C.shape[1], J)
         for i in range(J - 1):
             pairs += 2 * (C[i] == C[i + 1 :]).sum(axis=0)
         n2[p::p] += logp * logp * pairs
+    large = primes_in_range(root, M)
+    logs = np.array([math.log(p) for p in large.tolist()])  # math.log, as above: the same bits
+    squares = logs * logs
+    for k, ms in large_prime_multiples(large, M):
+        n1[ms] += logs[:k]
+        n2[ms] += squares[:k]
     return n1, n2
 
 
@@ -262,20 +296,19 @@ def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport
         raise ValueError("need Q <= x")
     if threads < 1:
         raise ValueError("need threads >= 1")
-    dmax = int(math.floor(Q / q))
-    ms = [q * d for d in range(1, dmax + 1) if math.gcd(d, q) == 1]
+    d = np.arange(1, int(math.floor(Q / q)) + 1)
+    ms = q * d[np.gcd(d, q) == 1]
     xi = int(math.floor(x))
     lam = von_mangoldt_table(xi)
-    psi_total = math.fsum(lam)
     R = _lambda_autocorrelation(lam)
-    del lam
-    squares = R[0] + 2.0 * np.array([R[m::m].sum() for m in ms])
+    squares = R[0] + 2.0 * _multiple_sums(R, ms)
     del R
-    n1, n2 = _nonreduced_moments(xi, ms[-1])
-    idx = np.array(ms)
-    phi = phi_table(ms[-1])[idx]
+    psi_total = _exact_sum(lam[lam != 0])  # == math.fsum(lam); its buffers come after the FFT's
+    del lam
+    n1, n2 = _nonreduced_moments(xi, int(ms[-1]))
+    phi = phi_table(int(ms[-1]))[ms]
     T = x / phi
-    terms = (squares - n2[idx]) - 2.0 * T * (psi_total - n1[idx]) + phi * T * T
+    terms = (squares - n2[ms]) - 2.0 * T * (psi_total - n1[ms]) + phi * T * T
     value = _chunked_fsum(terms.tolist(), float, threads)
     normalizer = x * Q * math.log(x) / euler_phi(q)
     return ErrorSumReport(

@@ -19,8 +19,8 @@ those rows with the rows of conductor r1 in each divisor group mod r1.
 
 Summation conventions: phi_star counts all primitive characters (the
 constant function mod 1 included), while star-restricted sums run over
-primitive nonprincipal characters only. Both conventions funnel through
-in_star_sum / is_principal so the bookkeeping lives in one place.
+primitive nonprincipal characters only. The star convention lives in one
+place, CharacterGroup.star_rows; in_star_sum reads it for one character.
 """
 
 from __future__ import annotations
@@ -184,6 +184,14 @@ class CharacterGroup:
         return out
 
     @cached_property
+    def star_rows(self) -> np.ndarray:
+        """Per character: True iff it enters star-restricted sums, i.e. is primitive and nonprincipal."""
+        star = self.conductors == self.r
+        star[0] = False  # the principal character leads the enumeration
+        star.setflags(write=False)
+        return star
+
+    @cached_property
     def primitive_rows(self) -> np.ndarray:
         """Per character: the row, mod its conductor f, of the primitive character inducing it.
 
@@ -332,8 +340,8 @@ def phi_star_by_enumeration(r: int) -> int:
 
 
 def in_star_sum(chi: Character) -> bool:
-    """Membership in star-restricted sums: primitive and nonprincipal."""
-    return chi.is_primitive and not chi.is_principal
+    """Membership in star-restricted sums: primitive and nonprincipal (CharacterGroup.star_rows)."""
+    return bool(chi.group.star_rows[chi._row])
 
 
 def conductor_partition_check(r: int, F) -> bool:
@@ -409,29 +417,31 @@ def farey_spacing_min(r: int, D: int) -> Fraction:
         raise ValueError("need r, D >= 1")
     if r * D * D > 10**6:
         raise ValueError("enumeration bound exceeded")
-    pts: set[tuple[int, int]] = set()  # reduced (j, m), so equal points coincide
-    for r1 in divisors(r):
-        for d in range(1, D + 1):
-            if math.gcd(d, r) != 1:
-                continue
-            m = d * r1
-            for j in range(1, m + 1):
-                if math.gcd(j, m) == 1:
-                    pts.add((j, m))
-    if len(pts) < 2:
+    # m = d * r1 names its (r1, d): d is the part of m prime to r. So the
+    # reduced pairs (j, m) are distinct points, one run of j per m.
+    dens = np.array([d * r1 for r1 in divisors(r) for d in range(1, D + 1) if math.gcd(d, r) == 1])
+    m = np.repeat(dens, dens)
+    j = np.arange(1, len(m) + 1) - np.repeat(np.cumsum(dens) - dens, dens)
+    keep = np.gcd(j, m) == 1
+    j, m = j[keep], m[keep]
+    if len(j) < 2:
         return Fraction(1)
     # Distinct points with denominators <= r D differ by >= 1/(r D)^2 >= 1e-12,
     # far above one ulp, so the float order of j/m is the exact order.
-    ordered = sorted(pts, key=lambda p: p[0] / p[1])
-    return min(Fraction(j2 * m1 - j1 * m2, m1 * m2) for (j1, m1), (j2, m2) in zip(ordered, ordered[1:]))
+    order = np.argsort(j / m)
+    j, m = j[order], m[order]
+    num = j[1:] * m[:-1] - j[:-1] * m[1:]  # gap = num / den, both <= (r D)^2 < 2**63
+    den = m[:-1] * m[1:]
+    gaps = num / den
+    near = np.flatnonzero(gaps <= gaps.min() * (1 + 1e-9))  # float ties: settled exactly
+    return min(Fraction(int(num[i]), int(den[i])) for i in near)
 
 
 @lru_cache(maxsize=512)
 def _char_matrix(m: int) -> np.ndarray:
     """Values of the primitive nonprincipal characters mod m on the units (one row each)."""
     grp = character_group(m)
-    star = np.array([in_star_sum(chi) for chi in grp.characters()], dtype=bool)
-    return grp.zeta_powers[grp.exponents(star)]
+    return grp.zeta_powers[grp.exponents(grp.star_rows)]
 
 
 def _star_T_squares(m: int, coeffs: np.ndarray) -> float:

@@ -317,3 +317,72 @@ def test_modulus_groups_cover():
         assert M <= arith._GROUP_BINS or M in group_of
     assert group_of[65537] == 131074  # a divisor joins a group above the cap
     assert len(set(group_of.values())) < len(moduli) // 3
+
+
+def loop_phi_table(n):
+    """Oracle: the former phi_table, one strided update per prime <= n."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in arith.primes_up_to(n).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def loop_mobius_table(n):
+    """Oracle: the former mobius_table, one or two strided updates per prime <= n."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    for p in arith.primes_up_to(n).tolist():
+        mu[p::p] *= -1
+        sq = p * p
+        if sq <= n:
+            mu[sq::sq] = 0
+    if n >= 0:
+        mu[0] = 0
+    return mu
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 25, 49, 10**4 + 7])
+def test_phi_and_mobius_tables_against_pointwise(n):
+    phi, mu = arith.phi_table(n), arith.mobius_table(n)
+    assert np.array_equal(phi, [0] + [arith.euler_phi(m) for m in range(1, n + 1)])
+    assert np.array_equal(mu, [0] + [arith.mobius(m) for m in range(1, n + 1)])
+
+
+def test_phi_and_mobius_tables_against_loop_oracles():
+    for n in [-1, *range(0, 130), 961, 962, 3**9, 10**5 + 3]:
+        assert np.array_equal(arith.phi_table(n), loop_phi_table(n)), n
+        assert np.array_equal(arith.mobius_table(n), loop_mobius_table(n)), n
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 48, 49, 50, 1000, 10**4 + 7])
+def test_large_prime_multiples_meets_each_multiple_once(n):
+    ps = arith.primes_in_range(math.isqrt(n), n)
+    seen = np.zeros(n + 1, dtype=np.int64)
+    for k, ms in arith.large_prime_multiples(ps, n):
+        assert np.all(ms // ps[:k] * ps[:k] == ms) and np.all(ms <= n)
+        assert np.all(np.diff(ms) > 0)
+        seen[ms] += 1
+    # exactly the m <= n with a prime factor above sqrt(n)
+    want = [0] + [int(max(arith.factorize(m).primes, default=1) ** 2 > n) for m in range(1, n + 1)]
+    assert np.array_equal(seen, want)
+
+
+def test_large_prime_multiples_rejects_small_primes():
+    with pytest.raises(ValueError):
+        list(arith.large_prime_multiples(np.array([7, 11]), 49))
+    assert list(arith.large_prime_multiples(np.array([], dtype=np.int64), 49)) == []
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_residues_match_percent(dtype):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(7)
+    a = np.concatenate(
+        [
+            rng.integers(info.min, info.max, size=5000, dtype=dtype, endpoint=True),
+            np.array([info.min, info.min + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1, info.max], dtype=dtype),
+        ]
+    )
+    for m in (1, 2, 3, 65536, 2**31 - 1):
+        got = arith.residues(a, m)
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, a % dtype(m)), m

@@ -15,6 +15,7 @@ from apgaps.arith import (
     prime_power_arrays,
     primes_in_range,
     tau_m,
+    von_mangoldt_table,
 )
 from apgaps.reports import ERROR_SUM_CSV_HEADER
 
@@ -269,6 +270,75 @@ def test_nonreduced_moments_against_class_dict():
                     pk *= p
             assert n1[m] == pytest.approx(math.fsum(cls.values()), rel=1e-12, abs=1e-12)
             assert n2[m] == pytest.approx(math.fsum(v * v for v in cls.values()), rel=1e-12, abs=1e-12)
+
+
+def loop_nonreduced_moments(xi, M):
+    """Oracle: the former _nonreduced_moments, two strided updates per prime <= M."""
+    n1 = np.zeros(M + 1)
+    n2 = np.zeros(M + 1)
+    for p in primes_in_range(0, M).tolist():
+        logp = math.log(p)
+        powers = [p]
+        while powers[-1] * p <= xi:
+            powers.append(powers[-1] * p)
+        J = len(powers)
+        n1[p::p] += J * logp
+        if J == 1:
+            n2[p::p] += logp * logp
+            continue
+        C = np.array(powers)[:, None] % np.arange(p, M + 1, p)
+        pairs = np.full(C.shape[1], J)
+        for i in range(J - 1):
+            pairs += 2 * (C[i] == C[i + 1 :]).sum(axis=0)
+        n2[p::p] += logp * logp * pairs
+    return n1, n2
+
+
+@pytest.mark.parametrize(
+    "xi, M", [(1, 1), (2, 2), (3, 3), (50, 8), (50, 50), (1000, 1000), (3000, 2999), (10**5, 9000), (10**5, 316)]
+)
+def test_nonreduced_moments_match_per_prime_loop(xi, M):
+    # M > sqrt(xi) sends the primes above sqrt(xi) through large_prime_multiples;
+    # they are added last, as the per-prime loop added them, so the sums are ==
+    n1, n2 = bv._nonreduced_moments(xi, M)
+    o1, o2 = loop_nonreduced_moments(xi, M)
+    assert np.array_equal(n1, o1) and np.array_equal(n2, o2)
+    for q in (3, 10):  # the moduli q * d that bdh_variance reads
+        ms = q * np.arange(1, M // q + 1)
+        assert np.array_equal(n1[ms], o1[ms]) and np.array_equal(n2[ms], o2[ms])
+
+
+def strided_multiple_sums(R, ms):
+    """Oracle: the former per-modulus sums, one strided slice each."""
+    return np.array([R[m::m].sum() for m in ms])
+
+
+@pytest.mark.parametrize(
+    "n, q, Q",
+    [
+        (10**4 + 1, 1, 100),  # every modulus <= sqrt(top): no large branch
+        (10**4 + 1, 1, 101),  # one modulus above it
+        (5000, 1, 4999),  # Q = x
+        (5000, 6, 4999),  # gaps in the moduli
+        (961, 1, 960),  # len(R) a square
+        (962, 1, 961),  # len(R) - 1 a square: 31 strided, 32 on the large branch
+        (962, 35, 961),
+        (2, 1, 1),
+    ],
+)
+def test_multiple_sums_against_strided_loop(n, q, Q):
+    R = np.random.default_rng(n + q).uniform(0.0, 100.0, n)
+    ms = np.array([q * d for d in range(1, Q // q + 1) if math.gcd(d, q) == 1], dtype=np.int64)
+    got, want = bv._multiple_sums(R, ms), strided_multiple_sums(R, ms)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    small = ms <= math.isqrt(n - 1)
+    assert np.array_equal(got[small], want[small])  # the same strided sum
+
+
+def test_psi_total_is_fsum_of_the_table():
+    for n in (2, 3, 10, 10**4, 2 * 10**5):
+        lam = von_mangoldt_table(n)
+        assert bv._exact_sum(lam[lam != 0]) == math.fsum(lam)
 
 
 def bincount_variance(x, q, Q):

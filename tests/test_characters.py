@@ -299,6 +299,35 @@ def test_farey_spacing_matches_fraction_oracle():
             chars.farey_spacing_min(r, D)
 
 
+def farey_spacing_by_float_sort(r, D):
+    """Oracle: the former farey_spacing_min, a set of reduced pairs and one Fraction per gap."""
+    pts = set()
+    for r1 in chars.divisors(r):
+        for d in range(1, D + 1):
+            if math.gcd(d, r) != 1:
+                continue
+            m = d * r1
+            for j in range(1, m + 1):
+                if math.gcd(j, m) == 1:
+                    pts.add((j, m))
+    if len(pts) < 2:
+        return Fraction(1)
+    ordered = sorted(pts, key=lambda p: p[0] / p[1])
+    return min(Fraction(j2 * m1 - j1 * m2, m1 * m2) for (j1, m1), (j2, m2) in zip(ordered, ordered[1:]))
+
+
+def test_farey_spacing_matches_float_sort_oracle_on_check_grid():
+    for r in range(1, 21):  # the (r, D) of checks.check_farey
+        for D in range(1, 11):
+            assert chars.farey_spacing_min(r, D) == farey_spacing_by_float_sort(r, D)
+
+
+@given(st.integers(1, 40), st.data())
+def test_farey_spacing_matches_float_sort_oracle_sampled(D, data):
+    r = data.draw(st.integers(1, min(10**6 // (D * D), 3000 // D)))
+    assert chars.farey_spacing_min(r, D) == farey_spacing_by_float_sort(r, D)
+
+
 def test_large_sieve_trivial_and_random():
     lhs, rhs, ratio = chars.large_sieve_check(6, 3, np.zeros(10))
     assert lhs == 0.0 and rhs == 0.0
@@ -360,6 +389,16 @@ def test_star_sum_membership():
     assert chars.in_star_sum(chi3)
     chi6 = next(c for c in chars.enumerate_characters(6) if not c.is_principal)
     assert not chi6.is_primitive and not chars.in_star_sum(chi6)
+
+
+def test_star_rows_match_per_character_definition():
+    for m in range(1, 300):
+        grp = chars.character_group(m)
+        star = np.array([chi.is_primitive and not chi.is_principal for chi in grp.characters()], dtype=bool)
+        assert np.array_equal(grp.star_rows, star)
+        assert [chars.in_star_sum(chi) for chi in grp.characters()] == star.tolist()
+        # the matrix the per-character mask gave
+        assert np.array_equal(chars._char_matrix(m), grp.zeta_powers[grp.exponents(star)])
 
 
 def _traced(fn):
