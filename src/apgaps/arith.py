@@ -10,17 +10,18 @@ primes are added back. Von Mangoldt weights come from prime_power_arrays
 von_mangoldt_table (the dense table Lambda(0..n)), or psi_residue_sums,
 which streams the sieve segments into per-residue float bincounts;
 prime_residue_counts streams them into exact integer counts, and
-class_segments (behind primes_in_class) keeps only one residue class of
+class_segments (behind primes_in_ap) keeps only one residue class of
 each segment. Residues of whole arrays go through residues(a, m), a
 floor division by a scalar of a's dtype, which numpy runs faster than %;
 while the numbers are below 2**31 they are taken on an int32 copy of each
 segment: the same integers, found faster still. Sums
 over one class (chebyshev_psi) use math.fsum; the residue vectors of
 psi_residue_sums are plain float sums in a fixed order (segment by
-segment, fixed modulus groups), so they too never depend on the caller's
-thread count. The dense phi and Möbius tables take one strided update per
-prime up to sqrt(n), then the larger primes together, one cofactor at a
-time (large_prime_multiples).
+segment, fixed modulus groups), so the same call gives the same bits.
+The dense phi and Möbius tables take one strided update per prime up to
+sqrt(n), then the larger primes together, one cofactor at a time
+(large_prime_multiples); reduced_residue_mask(m) strikes one stride per
+prime of m.
 """
 
 from __future__ import annotations
@@ -383,14 +384,9 @@ def class_segments(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT
         yield ps if q == 1 else ps[residues(ps.astype(np.int32) if narrow else ps, q) == a]
 
 
-def primes_in_class(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """Ascending primes p in (lo, hi] with p = a (mod q), as an int64 array."""
-    return np.concatenate(list(class_segments(lo, hi, q, a, segment_size)))
-
-
 def primes_in_ap(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> list[int]:
     """Ascending primes p in (lo, hi] with p = a (mod q), as Python ints."""
-    return primes_in_class(lo, hi, q, a, segment_size).tolist()
+    return np.concatenate(list(class_segments(lo, hi, q, a, segment_size))).tolist()
 
 
 def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -532,7 +528,11 @@ def prime_residue_counts(lo: int, hi: int, moduli) -> list[np.ndarray]:
 
 
 def reduced_residue_mask(m: int) -> np.ndarray:
-    return np.gcd(np.arange(m, dtype=np.int64), m) == 1
+    """Boolean array over 0 <= c < m, True where gcd(c, m) = 1: one strided strike per prime of m."""
+    mask = np.ones(m, dtype=bool)
+    for p in factorize(m).primes:
+        mask[::p] = False
+    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ Measured quantities, each against its trivial normalizer:
 - maynard_condition_sums: squarefree tau-weighted condition sums over
   moduli d <= x^L.
 
-The d-loops run over fixed-size chunks whose partial sums are merged with
-fsum in chunk order, so results are bit-identical for any thread count.
+Each error sum is one correctly rounded sum of its per-modulus terms
+(math.fsum, or _exact_sum over an array), taken on one thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,8 +51,6 @@ from .arith import (
     von_mangoldt_table,
 )
 from .reports import ErrorSumReport, MaynardConditionReport
-
-_CHUNK = 256  # fixed chunk length in d; never tied to the worker count
 
 
 def smoothed_R(x: float, r: int = 1, a: int = 0) -> float:
@@ -134,21 +131,6 @@ def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
     return ok, lower, psi, upper
 
 
-def _chunked_fsum(d_values: list[int], per_d, threads: int = 1) -> float:
-    """fsum of per_d(d) over d_values via fixed chunks, merged in chunk order."""
-    chunks = [d_values[i : i + _CHUNK] for i in range(0, len(d_values), _CHUNK)]
-
-    def one(chunk):
-        return math.fsum(per_d(d) for d in chunk)
-
-    if threads <= 1 or len(chunks) <= 1:
-        partials = [one(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one, chunks))
-    return math.fsum(partials)
-
-
 def _modulus_cutoff(x: float, q: int, e: float, name: str) -> int:
     """D = floor(x^e), after checking x^e * q <= x; both decided exactly.
 
@@ -162,27 +144,20 @@ def _modulus_cutoff(x: float, q: int, e: float, name: str) -> int:
     return floor_power(x, ef)
 
 
-def compute_E_b(x: float, q: int, b: float, threads: int = 1) -> ErrorSumReport:
+def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     """Worst-case error sum over moduli q*d, d <= x^b coprime to q."""
     if not 0 < b < 0.5:
         raise ValueError("need 0 < b < 1/2")
     if q < 1:
         raise ValueError("need q >= 1")
-    if threads < 1:
-        raise ValueError("need threads >= 1")
     D = _modulus_cutoff(x, q, b, "b")
-    ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
-    vecs = dict(zip(ds, psi_residue_sums(x, [q * d for d in ds])))
-
-    def per_d(d: int) -> float:
-        m = q * d
-        vec = vecs[d]
-        dev = np.abs(vec[reduced_residue_mask(m)] - x / euler_phi(m))
-        return float(np.max(dev)) if dev.size else 0.0
-
-    value = _chunked_fsum(ds, per_d, threads)
+    ms = [q * d for d in range(1, D + 1) if math.gcd(d, q) == 1]
+    maxima = [
+        float(np.max(np.abs(vec[reduced_residue_mask(m)] - x / euler_phi(m))))
+        for m, vec in zip(ms, psi_residue_sums(x, ms))
+    ]
     return ErrorSumReport(
-        x=x, q=q, param_name="b", param=b, value=value, normalizer=x / euler_phi(q), term_count=len(ds)
+        x=x, q=q, param_name="b", param=b, value=math.fsum(maxima), normalizer=x / euler_phi(q), term_count=len(ms)
     )
 
 
@@ -246,6 +221,11 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     psi(xi; m, c) = log p * #{j : p^j <= xi, p^j = c (mod m)}. Powers of p
     can share a class (m = 6: 2 = 8 = 32), so the p-part of N2[m] is
     (log p)^2 times the number of pairs (i, j) with p^i = p^j (mod m).
+    With J powers p^j <= xi and m = p^a t, p not dividing t: for
+    i < j <= J, p^i = p^j (mod m) exactly when i >= a and ord_t(p) divides
+    j - i. So the pairs are the J diagonal ones plus the ordered pairs
+    within each class, mod ord_t(p), of the exponents a..J; a and ord_t(p)
+    take O(J) vector steps over the multiples of p.
     A prime p > sqrt(xi) has the one power p, adding log p and (log p)^2;
     those primes go through arith.large_prime_multiples after the others,
     so each m still adds its primes in ascending order.
@@ -255,15 +235,22 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     root = math.isqrt(xi)
     for p in primes_up_to(min(root, M)).tolist():
         logp = math.log(p)
-        powers = [p]
-        while powers[-1] * p <= xi:
-            powers.append(powers[-1] * p)
-        J = len(powers)
+        J, pj = 1, p
+        while pj * p <= xi:
+            J, pj = J + 1, pj * p
         n1[p::p] += J * logp
-        C = np.array(powers)[:, None] % np.arange(p, M + 1, p)
-        pairs = np.full(C.shape[1], J)
-        for i in range(J - 1):
-            pairs += 2 * (C[i] == C[i + 1 :]).sum(axis=0)
+        k = np.arange(1, M // p + 1)  # m = p k
+        a = np.ones_like(k)  # a = v_p(m) <= J, as m <= xi
+        pe = p
+        while pe <= len(k):
+            a[pe - 1 :: pe] += 1
+            pe *= p
+        t = k // p ** (a - 1)
+        order = np.full_like(k, J)  # ord_t(p), or J when it exceeds J - 1
+        for e in range(J - 1, 0, -1):  # the least e with t | p^e - 1 is written last
+            order[(p**e - 1) % t == 0] = e
+        size, extra = np.divmod(J + 1 - a, order)  # the exponents a..J fall in classes of these sizes
+        pairs = J + extra * (size + 1) * size + (order - extra) * size * (size - 1)
         n2[p::p] += logp * logp * pairs
     large = primes_in_range(root, M)
     logs = np.array([math.log(p) for p in large.tolist()])  # math.log, as above: the same bits
@@ -274,7 +261,7 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
-def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport:
+def bdh_variance(x: float, q: int, Q: float) -> ErrorSumReport:
     """Mean-square error over all reduced classes of moduli q*d, d <= Q/q.
 
     For m = q*d and T = x/phi(m) the inner sum expands as
@@ -283,8 +270,8 @@ def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport
     sum_c psi(x; m, c)^2 = R(0) + 2 * sum_{j >= 1} R(j*m), where
     R(h) = sum_n Lambda(n) Lambda(n + h) is computed once for every h <= x,
     and sum_c psi(x; m, c) = psi(x). The nonreduced classes are then taken
-    off exactly (see _nonreduced_moments). The per-modulus terms are merged
-    in fixed chunks, so the value is bit-identical for any thread count.
+    off exactly (see _nonreduced_moments). The per-modulus terms are summed
+    once, exactly rounded (_exact_sum).
     """
     if not x > 1:
         raise ValueError("need x > 1")
@@ -294,8 +281,6 @@ def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport
         raise ValueError("need Q >= q")
     if not Q <= x:
         raise ValueError("need Q <= x")
-    if threads < 1:
-        raise ValueError("need threads >= 1")
     d = np.arange(1, int(math.floor(Q / q)) + 1)
     ms = q * d[np.gcd(d, q) == 1]
     xi = int(math.floor(x))
@@ -309,10 +294,9 @@ def bdh_variance(x: float, q: int, Q: float, threads: int = 1) -> ErrorSumReport
     phi = phi_table(int(ms[-1]))[ms]
     T = x / phi
     terms = (squares - n2[ms]) - 2.0 * T * (psi_total - n1[ms]) + phi * T * T
-    value = _chunked_fsum(terms.tolist(), float, threads)
     normalizer = x * Q * math.log(x) / euler_phi(q)
     return ErrorSumReport(
-        x=x, q=q, param_name="Q", param=Q, value=value, normalizer=normalizer, term_count=len(ms)
+        x=x, q=q, param_name="Q", param=Q, value=_exact_sum(terms), normalizer=normalizer, term_count=len(ms)
     )
 
 
@@ -365,7 +349,6 @@ def maynard_condition_sums(
 
     terms1: list[float] = []
     terms2: list[float] = []
-    skipped = 0
     for d, counts in zip(ds, tail_counts):
         w = tau_m(3 * k, d)
         b_d = _crt_unit_lift(a, q, d)
@@ -384,5 +367,5 @@ def maynard_condition_sums(
         lhs1=math.fsum(terms1),
         lhs2=math.fsum(terms2),
         term_count=len(ds),
-        skipped=skipped,
+        skipped=0,
     )

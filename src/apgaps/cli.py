@@ -5,9 +5,9 @@ failure (a JSON error as the last line on stderr). `apgaps <cmd> --help`
 lists each option's default. A JSON config file (--config) supplies any
 option that takes a value and is range-checked like the flag; explicit flags
 override it, and unknown keys are ignored. The default seed is 0, and
-identical invocations produce byte-identical output files. Thread counts and
-output paths are excluded from the manifest hash so parallel reruns stay
-byte-identical.
+identical invocations produce byte-identical output files. Output paths and
+the --threads option of bv and bdh, which selects nothing (their sums run on
+one thread), are excluded from the manifest hash.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def cmd_bv(args) -> int:
     _require(args, "q", "b")
     xs = _xs(args)
     manifest = _manifest("bv", {"x": xs, "q": args.q, "b": args.b}, args.seed)
-    reports = [bv_sums.compute_E_b(x, args.q, args.b, threads=args.threads) for x in xs]
+    reports = [bv_sums.compute_E_b(x, args.q, args.b) for x in xs]
     _emit_error_reports(reports, args, manifest)
     return 0
 
@@ -112,7 +112,7 @@ def cmd_bdh(args) -> int:
         if not x > 1:
             raise ValueError("need x > 1")
         Q = args.Q if args.Q is not None else x / math.log(x)
-        reports.append(bv_sums.bdh_variance(x, args.q, Q, threads=args.threads))
+        reports.append(bv_sums.bdh_variance(x, args.q, Q))
     _emit_error_reports(reports, args, manifest)
     return 0
 
@@ -339,7 +339,7 @@ def _add_error_sum_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", type=float)
     p.add_argument("--q", type=_POSITIVE_INT)
     p.add_argument("--grid", help="comma-separated x values")
-    p.add_argument("--threads", type=_POSITIVE_INT, default=1, help="worker threads (default %(default)s)")
+    p.add_argument("--threads", type=_POSITIVE_INT, default=1, help="selects nothing (default %(default)s)")
     p.add_argument("--csv", action="store_true", help="CSV output")
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import class_segments, primes_in_ap, primes_in_range, radical
+from .arith import class_segments, primes_in_range, radical
 from .variational import VariationalCertificate, min_k_for
 
 THETA_MAX = Fraction(5, 12)
@@ -178,7 +178,7 @@ def admissible_primes_past_k(k: int) -> AdmissibleTuple:
     lo, hi = k, max(2 * k, 16)
     ps: list[int] = []
     while len(ps) < k:
-        ps = primes_in_ap(lo, hi, 1, 0)
+        ps = primes_in_range(lo, hi).tolist()
         hi *= 2
     ps = ps[:k]
     base = ps[0]

@@ -319,6 +319,17 @@ def test_modulus_groups_cover():
     assert len(set(group_of.values())) < len(moduli) // 3
 
 
+def gcd_reduced_residue_mask(m):
+    """Oracle: the former reduced_residue_mask, one gcd per residue."""
+    return np.gcd(np.arange(m, dtype=np.int64), m) == 1
+
+
+def test_reduced_residue_mask_against_gcd():
+    for m in [*range(1, 3001), 2**16, 3**10, 2 * 3 * 5 * 7 * 11 * 13, 65537, 99991 * 3, 2**5 * 99991]:
+        got = arith.reduced_residue_mask(m)
+        assert got.dtype == bool and np.array_equal(got, gcd_reduced_residue_mask(m)), m
+
+
 def loop_phi_table(n):
     """Oracle: the former phi_table, one strided update per prime <= n."""
     phi = np.arange(n + 1, dtype=np.int64)

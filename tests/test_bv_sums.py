@@ -200,9 +200,6 @@ def test_E_b_preconditions():
         bv.compute_E_b(1e4, 3, 0.6)
     with pytest.raises(ValueError):
         bv.compute_E_b(100.0, 60, 0.45)  # x^b q > x
-    for threads in (0, -2):
-        with pytest.raises(ValueError):
-            bv.compute_E_b(1e4, 3, 0.2, threads=threads)
     for x in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             bv.compute_E_b(x, 3, 0.2)
@@ -217,12 +214,6 @@ def test_E_b_cutoff_is_exact():
     assert rep.value == pytest.approx(naive_E_b(243.0, 27, 0.4), rel=1e-9)
     with pytest.raises(ValueError):
         bv.compute_E_b(243.0, 28, 0.4)
-
-
-def test_E_b_thread_invariance():
-    a = bv.compute_E_b(1e5, 3, 0.28, threads=1)
-    b = bv.compute_E_b(1e5, 3, 0.28, threads=4)
-    assert a.value == b.value  # bit identical
 
 
 def test_variance_single_modulus():
@@ -259,7 +250,7 @@ def test_variance_random_against_naive(xi, q, data):
 
 def test_nonreduced_moments_against_class_dict():
     # per modulus, psi over nonreduced classes summed into a dict keyed by p^j mod m
-    for xi, M in [(50, 50), (1000, 120), (3000, 40)]:
+    for xi, M in [(50, 50), (1000, 120), (3000, 40), (10**4, 300)]:
         n1, n2 = bv._nonreduced_moments(xi, M)
         for m in range(1, M + 1):
             cls = {}
@@ -295,7 +286,8 @@ def loop_nonreduced_moments(xi, M):
 
 
 @pytest.mark.parametrize(
-    "xi, M", [(1, 1), (2, 2), (3, 3), (50, 8), (50, 50), (1000, 1000), (3000, 2999), (10**5, 9000), (10**5, 316)]
+    "xi, M",
+    [(1, 1), (2, 2), (3, 3), (50, 8), (50, 50), (1000, 1000), (3000, 2999), (10**5, 9000), (10**5, 316), (2**16, 2**16)],
 )
 def test_nonreduced_moments_match_per_prime_loop(xi, M):
     # M > sqrt(xi) sends the primes above sqrt(xi) through large_prime_multiples;
@@ -380,7 +372,7 @@ def test_variance_rejects_infinite_x():
         bv.bdh_variance(math.inf, 1, 100.0)
 
 
-def test_variance_preconditions_and_threads():
+def test_variance_preconditions():
     with pytest.raises(ValueError):
         bv.bdh_variance(1e4, 10, 5.0)
     with pytest.raises(ValueError):
@@ -388,17 +380,6 @@ def test_variance_preconditions_and_threads():
     for x in (1.0, 0.5, math.nan):  # the normalizer x * Q * log x vanishes at x = 1
         with pytest.raises(ValueError, match="x > 1"):
             bv.bdh_variance(x, 1, 1.0)
-    for threads in (0, -1):
-        with pytest.raises(ValueError):
-            bv.bdh_variance(1e4, 1, 500.0, threads=threads)
-    a = bv.bdh_variance(1e4, 1, 500.0, threads=1)
-    b = bv.bdh_variance(1e4, 1, 500.0, threads=3)
-    assert a.value == b.value
-    # q = 12 over several chunks of moduli
-    a = bv.bdh_variance(1e5, 12, 3e4, threads=1)
-    b = bv.bdh_variance(1e5, 12, 3e4, threads=4)
-    assert a.term_count > 2 * bv._CHUNK
-    assert a.value == b.value
 
 
 def test_error_report_csv_row():

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,18 @@ def test_thread_count_invariance(tmp_path):
     assert run(base + ["--threads", "1", "--out", str(a)]) == 0
     assert run(base + ["--threads", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_threads_option_starts_no_thread(monkeypatch, capsys):
+    def refuse(self):
+        raise RuntimeError("no thread may start")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for argv in (["bdh", "--x", "2e5", "--q", "1"], ["bv", "--x", "1e6", "--q", "1", "--b", "0.45"]):
+        assert run(argv + ["--threads", "2"]) == 0
+        threaded = capsys.readouterr().out
+        assert run(argv) == 0
+        assert threaded == capsys.readouterr().out
 
 
 def test_repeat_run_byte_identical(tmp_path):
