@@ -16,8 +16,15 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+
+# Set before numpy loads OpenBLAS. The CLI's BLAS calls are small (one dense
+# eigensolve per certificate, the character-matrix products of the identity
+# checks), and on them a second BLAS thread mostly spins: it costs CPU time
+# and saves no wall time. A value set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -34,10 +41,9 @@ def _require(args, *names: str) -> None:
 
 
 def _manifest(command: str, params: dict, seed: int) -> RunManifest:
-    clean = {k: v for k, v in params.items() if k not in ("threads", "out", "manifest", "config") and v is not None}
     return RunManifest(
         command=command,
-        params=clean,
+        params={k: v for k, v in params.items() if v is not None},
         seed=seed,
         versions=default_versions(),
         started=datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -16,18 +16,19 @@ some coordinates: none for I, and t_1, the integrated one, for J. The
 placements of lambda are grouped by their exponents on the pinned
 coordinates and the multiset of their other parts, which are then held
 on the next s coordinates; mu is placed on the pinned, those s and the
-n = k - pinned - s free coordinates. A placement of mu matters only
-through the parts it puts on the pinned and held coordinates and the
-multiset nu of its other parts, and n!/((n - |nu|)! prod mult(nu)!)
-placements share each such pattern. An entry (lambda, mu) is therefore a
-sum over overlap patterns, with closed-form multiplicities, of one value
-per key (the pinned exponents of lambda and mu, then the combined
-exponents of the other coordinates): the cost depends on the degree
-only, not on k. Every key of an entry has the degree sum |lambda| + |mu|,
-so all its values share one denominator: (k + |lambda| + |mu|)! for I,
-and lcm(1 .. D + 1)^2 (k + 1 + |lambda| + |mu|)! for J, D the basis
-degree. An entry is accumulated as a Python int over that denominator and
-becomes one Fraction at the end.
+n = k - pinned - s free coordinates. A pattern's integral factors over
+the coordinates: one factor for the pinned exponents of lambda and mu,
+(a + b)! for each held coordinate where lambda has a and mu has b, and
+nu! for each other part nu of mu, which n!/((n - |nu|)! prod mult(nu)!)
+placements share. So each pattern of mu carries its multiplicity times
+prod(nu!), patterns that differ only by an order within a run of equal
+held parts of lambda are merged, and an entry (lambda, mu) is a sum of
+integer products with no per-pattern key: the cost depends on the degree
+only, not on k. Every pattern of an entry has the degree sum
+|lambda| + |mu|, so all its values share one denominator:
+(k + |lambda| + |mu|)! for I, and lcm(1 .. D + 1)^2 (k + 1 + |lambda| + |mu|)!
+for J, D the basis degree. An entry is accumulated as a Python int over
+that denominator and becomes one Fraction at the end.
 
 The best quotient over the span is the top generalized eigenvalue of
 (B, A), found by one dense eigensolve of L^-1 B L^-T where A = L L^T. Any
@@ -42,7 +43,10 @@ Monte-Carlo integration gives an independent check of every certificate.
 It evaluates the trial function F = sum c_lambda m_lambda as one
 polynomial in the power sums p_1 ... p_degree, whose coefficients are
 combined exactly and rounded once, over batches stored one coordinate per
-row.
+row. The inner t_1 integral of the J side is integrated exactly: with
+p_r = t_1^r + q_r it is one polynomial in the power sums q_r of the other
+coordinates and the powers of the upper limit u, evaluated the same way,
+with no quadrature nodes.
 """
 
 from __future__ import annotations
@@ -119,78 +123,120 @@ def _overlap_counts(partition, slots: int, free: int) -> tuple[tuple[tuple[int, 
     return tuple(c for c in counted if c[2])
 
 
-def _gram(k: int, basis, pinned: int, weight, denominator) -> tuple[np.ndarray, list[list[Fraction]]]:
+@lru_cache(maxsize=None)
+def _held_patterns(partition, runs, free: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Placements of `partition` on held + free coordinates, merged by their held exponents.
+
+    The held coordinates come in runs of the given lengths, and placements
+    that differ only by an order within a run are merged: each pattern is
+    (on_held, w), with the exponents on the held coordinates descending
+    within every run (0 where empty), and w the number of orders of each
+    run times _n_arrangements(nu, free) * prod(nu!), nu the other parts.
+    That is every factor of the pattern's weight that does not depend on
+    the other basis function, when that function is constant on each run.
+    Patterns with no placement are left out. One run is peeled at a time,
+    so partitions that share a remainder share its patterns through the
+    cache.
+    """
+    if not runs:
+        mult = _n_arrangements(partition, free)
+        return (((), mult * _factorial_product(partition)),) if mult else ()
+    r = runs[0]
+    out = []
+    for size in range(min(r, len(partition)) + 1):
+        for chosen in dict.fromkeys(itertools.combinations(partition, size)):
+            remaining = list(partition)
+            for v in chosen:
+                remaining.remove(v)
+            orders = math.factorial(r) // (_mult_factorial(chosen) * math.factorial(r - size))
+            block = chosen + (0,) * (r - size)
+            out += [(block + tail, orders * w) for tail, w in _held_patterns(tuple(remaining), runs[1:], free)]
+    return tuple(out)
+
+
+def _gram(k: int, basis, pinned: int, pin_weight, denominator) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis from its overlap patterns, float and exact.
 
     `pinned` coordinates are held fixed. Each placement of lambda there
-    (its pinned exponents, the multiset of its other parts, their count)
-    holds those parts on the next coordinates; mu is placed over all of
-    them and the free ones. A key is the pinned exponents of lambda, then
-    of mu, then the combined exponents of the other coordinates,
-    descending, so every key of the entry (lambda, mu) sums to
-    |lambda| + |mu|. weight(key), computed once per key, is one pattern's
-    integral times denominator(|lambda| + |mu|), an integer. An entry is a
-    sum of Python ints divided once: one Fraction per entry, none added.
-    The float rendering is scaled by k! (integration against the uniform
-    probability measure on the simplex) so entries stay representable at
-    large k; the exact matrix is unscaled.
+    (its pinned exponents, the multiset `rest` of its other parts, their
+    count) holds those parts on the next coordinates; mu is split the same
+    way on the pinned coordinates, and its other parts are placed over the
+    held and the free coordinates. Times denominator(|lambda| + |mu|), a
+    pattern's integral is the integer pin_weight(lambda's pinned
+    exponents, mu's pinned exponents) times prod((a + b)!) over the held
+    coordinates, a and b the exponents of lambda and mu there, times the
+    weight _held_patterns gives the pattern. The sum over mu's patterns
+    depends only on rest and mu's unpinned parts, and is made once for
+    each pair. An entry is a sum of Python ints divided once: one Fraction
+    per entry, none added. The float rendering is scaled by k!
+    (integration against the uniform probability measure on the simplex)
+    so entries stay representable at large k; the exact matrix is
+    unscaled.
     """
     n = len(basis)
     if n == 0:
         raise ValueError("basis must be nonempty")
-    weight = lru_cache(maxsize=None)(weight)
+    fact = [math.factorial(i) for i in range(2 * max(map(sum, basis)) + 1)]
+    held_sums: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # by (rest, mu's unpinned parts)
+    scale = math.factorial(k)
     exact = [[Fraction(0)] * n for _ in range(n)]
+    flt = np.empty((n, n))
+    splits = [_overlap_counts(p, pinned, k - pinned) for p in basis]
     for i, lam in enumerate(basis):
-        placements = _overlap_counts(lam, pinned, k - pinned)
         for j in range(i, n):
             mu = basis[j]
             total = 0
-            for lam_pinned, rest, cnt in placements:
-                s = pinned + len(rest)
-                part = 0
-                for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
-                    comb = [a + b for a, b in zip(rest, on_slots[pinned:])] + list(nu)
-                    comb.sort(reverse=True)
-                    part += mult * weight(lam_pinned + on_slots[:pinned] + tuple(comb))
-                total += cnt * part
-            exact[i][j] = exact[j][i] = Fraction(total, denominator(sum(lam) + sum(mu)))
-    scale = math.factorial(k)
-    flt = np.array([[float(v * scale) for v in row] for row in exact])
+            for lam_pinned, rest, cnt in splits[i]:
+                for mu_pinned, mu_rest, _ in splits[j]:
+                    part = held_sums.get((rest, mu_rest))
+                    if part is None:
+                        part = 0
+                        runs = tuple(len(list(run)) for _, run in itertools.groupby(rest))
+                        for on_held, w in _held_patterns(mu_rest, runs, k - pinned - len(rest)):
+                            for a, b in zip(rest, on_held):
+                                w *= fact[a + b]
+                            part += w
+                        held_sums[rest, mu_rest] = part
+                    total += cnt * pin_weight(lam_pinned, mu_pinned) * part
+            den = denominator(sum(lam) + sum(mu))
+            exact[i][j] = exact[j][i] = Fraction(total, den)
+            flt[i, j] = flt[j, i] = total * scale / den  # correctly rounded, as float(exact * scale)
     return flt, exact
 
 
 def gram_I(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis under the F^2 integral; float and exact forms.
 
-    No coordinate is pinned: a key is the exponent signature of one
-    monomial of m_lambda * m_mu, and its integral is prod(a_i!) over
-    (k + |lambda| + |mu|)!. Both quadratic forms get the same k! float
-    scale, so Rayleigh quotients are unaffected.
+    No coordinate is pinned: one monomial of m_lambda * m_mu with exponents
+    a_i integrates to prod(a_i!) over (k + |lambda| + |mu|)!. Both
+    quadratic forms get the same k! float scale, so Rayleigh quotients are
+    unaffected.
     """
-    return _gram(k, basis, 0, _factorial_product, lambda deg: math.factorial(k + deg))
+    return _gram(k, basis, 0, lambda lam_pinned, mu_pinned: 1, lambda deg: math.factorial(k + deg))
 
 
 def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis under the summed J functional, float and exact.
 
-    Coordinate t_1, the one integrated, is pinned: a key is (a_1, b_1, rest)
-    with a_1 and b_1 the exponents of lambda and mu on t_1, so deg lambda +
-    deg mu is the sum of the key. Symmetry of the basis collapses the k
+    Coordinate t_1, the one integrated, is pinned, with exponents a_1 and
+    b_1 of lambda and mu on it. Symmetry of the basis collapses the k
     coordinate choices to a factor k times the t_1 term; the inner
     integral's upper limit 1 - t_2 - ... - t_k enters through the
-    (1 - sum)^c Dirichlet factor. A key's value is
-    k (a_1 + b_1 + 2)! prod(rest_i!) / ((a_1 + 1)(b_1 + 1)(k + 1 + deg)!);
-    with L = lcm(1 .. D + 1), D the basis degree, its numerator over the
-    common denominator L^2 (k + 1 + deg)! is an integer. The float rendering
-    carries the same k! scale as gram_I.
+    (1 - sum)^c Dirichlet factor. A monomial pair whose other coordinates
+    carry the combined exponents r_i integrates to
+    k (a_1 + b_1 + 2)! prod(r_i!) / ((a_1 + 1)(b_1 + 1)(k + 1 + deg)!),
+    deg = |lambda| + |mu|; with L = lcm(1 .. D + 1), D the basis degree,
+    its numerator over the common denominator L^2 (k + 1 + deg)! is an
+    integer, and everything but prod(r_i!) is the pinned weight. The float
+    rendering carries the same k! scale as gram_I.
     """
     L = math.lcm(*range(1, max(map(sum, basis), default=0) + 2))
 
-    def weight(key):
-        a1, b1 = key[0], key[1]
-        return k * math.factorial(a1 + b1 + 2) * (L // (a1 + 1)) * (L // (b1 + 1)) * _factorial_product(key[2:])
+    def pin_weight(lam_pinned, mu_pinned):
+        a1, b1 = lam_pinned[0], mu_pinned[0]
+        return k * math.factorial(a1 + b1 + 2) * (L // (a1 + 1)) * (L // (b1 + 1))
 
-    return _gram(k, basis, 1, weight, lambda deg: L * L * math.factorial(k + 1 + deg))
+    return _gram(k, basis, 1, pin_weight, lambda deg: L * L * math.factorial(k + 1 + deg))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +404,50 @@ def _column_power_sums(cols: np.ndarray, maxpow: int, out: np.ndarray) -> np.nda
     return out
 
 
+def _trial_coefficients(coefficients, basis) -> dict[tuple[int, ...], Fraction]:
+    """F = sum c_lambda m_lambda as exact coefficients of power-sum products.
+
+    A key is the sorted tuple of the powers r of one product of the p_r.
+    """
+    exact: dict[tuple[int, ...], Fraction] = {}
+    for c, lam in zip(coefficients, basis):
+        if c:
+            cf = Fraction(c)
+            for coef, key in _powersum_expansion(tuple(lam)):
+                exact[key] = exact.get(key, Fraction(0)) + cf * coef
+    return exact
+
+
+def _inner_integral(exact: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], Fraction]:
+    """The integral of F over t_1 from 0 to u, exactly, from F's power-sum coefficients.
+
+    With q_r the power sums of the other coordinates, p_r = t_1^r + q_r.
+    Each product of the p_r expands by choosing, for the m copies of each
+    power r in it, j of them to contribute t_1^r (C(m, j) ways); the
+    resulting t_1^e integrates to u^(e + 1) / (e + 1). The result is a
+    polynomial in the same key format: with P the largest power in F,
+    rows 1 .. P stand for q_1 .. q_P and row P + j for u^j, so every
+    key ends with exactly one row above P.
+    """
+    P = max((key[-1] for key, w in exact.items() if w and key), default=0)
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, w in exact.items():
+        if not w:
+            continue
+        powers = sorted(set(key))
+        counts = [key.count(r) for r in powers]
+        for js in itertools.product(*(range(m + 1) for m in counts)):
+            e = sum(j * r for j, r in zip(js, powers))
+            coef = w / (e + 1)
+            qkey = ()
+            for r, m, j in zip(powers, counts, js):
+                coef *= math.comb(m, j)
+                qkey += (r,) * (m - j)
+            gkey = qkey + (P + e + 1,)
+            out[gkey] = out.get(gkey, Fraction(0)) + coef
+    return out
+
+
 class _PowerSumPolynomial:
     """F = sum c_lambda m_lambda collapsed into one polynomial in p_1 ... p_D.
 
@@ -368,16 +458,20 @@ class _PowerSumPolynomial:
     power shorter times one power sum, so one buffer row per length is
     enough. An evaluation is one multiply per product plus an accumulation
     in that fixed order; no BLAS call is made, so the value does not depend
-    on the thread count.
+    on the thread count. from_exact builds the same evaluator for any
+    exact coefficient dict in that key format, such as _inner_integral's.
     """
 
     def __init__(self, coefficients, basis, width: int):
-        exact: dict[tuple[int, ...], Fraction] = {}
-        for c, lam in zip(coefficients, basis):
-            if c:
-                cf = Fraction(c)
-                for coef, key in _powersum_expansion(tuple(lam)):
-                    exact[key] = exact.get(key, Fraction(0)) + cf * coef
+        self._round(_trial_coefficients(coefficients, basis), width)
+
+    @classmethod
+    def from_exact(cls, exact: dict[tuple[int, ...], Fraction], width: int) -> _PowerSumPolynomial:
+        poly = cls.__new__(cls)
+        poly._round(exact, width)
+        return poly
+
+    def _round(self, exact: dict[tuple[int, ...], Fraction], width: int) -> None:
         keys = {key[:i] for key, w in exact.items() if w for i in range(1, len(key) + 1)}
         self.constant = float(exact.get((), 0))
         self.keys = tuple(sorted(keys))
@@ -464,10 +558,12 @@ class MCVerification:
 def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000, seed: int = 0) -> MCVerification:
     """Independent Monte-Carlo estimate of the certified quotient.
 
-    Uniform simplex sampling by exponential spacings; the inner t_1 integral
-    of the J side uses Gauss-Legendre nodes, exact for polynomials. Each
-    batch holds one coordinate per row, and F is evaluated as one
-    polynomial in the power sums p_1 ... p_degree of the batch's points.
+    Uniform simplex sampling by exponential spacings. Each batch holds one
+    coordinate per row. F is evaluated as one polynomial in the power sums
+    p_1 ... p_D of the batch's points, and the inner t_1 integral of the J
+    side as one polynomial in the power sums q_r of the other coordinates
+    and the powers of the upper limit u, integrated exactly
+    (_inner_integral), with no quadrature nodes.
     """
     if sample_count < 10**5:
         raise ValueError("need at least 1e5 samples")
@@ -475,11 +571,13 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
         raise ValueError("zero trial function")
     k = cert.k
     rng = np.random.default_rng(seed)
-    nodes, weights = np.polynomial.legendre.leggauss(cert.degree // 2 + 2)
     width = min(_MC_BATCH, sample_count)
-    F = _PowerSumPolynomial(cert.coefficients, cert.basis, width)
+    exact = _trial_coefficients(cert.coefficients, cert.basis)
+    F = _PowerSumPolynomial.from_exact(exact, width)
+    G = _PowerSumPolynomial.from_exact(_inner_integral(exact), width)
     D = F.max_power
-    psums = np.empty((D, width))
+    # rows below D: p_r for F, q_r for G; rows D and up: u, u^2, ... for G
+    psums = np.empty((G.max_power, width))
     draws = np.empty((k + 1, width))
 
     # Probability-measure means: the simplex volumes cancel in the quotient,
@@ -498,14 +596,13 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     var_i = max(tot_sq / sample_count - mean_i**2, 0.0) / sample_count
 
     if k == 1:
-        pts = (nodes[None, :] + 1) / 2
-        inner = 0.5 * float(np.dot(weights, F(_column_power_sums(pts, D, psums[:, : len(nodes)]))))
+        # no other coordinates: q = 0 and u = 1
+        point = np.zeros((G.max_power, 1))
+        point[D:] = 1.0
+        inner = float(G(point)[0])
         mean_j = inner * inner
         var_j = 0.0
     else:
-        rest_sums = np.empty((D, width))
-        t1_buf = np.empty(width)
-        power_buf = np.empty(width)
         tot = 0.0
         tot_sq = 0.0
         done = 0
@@ -513,22 +610,11 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
             m = min(_MC_BATCH, sample_count - done)
             e = _draw_simplex_columns(rng, draws[:k, :m])
             rest = e[: k - 1]
-            u = 1.0 - rest.sum(axis=0)
-            q = _column_power_sums(rest, D, rest_sums[:, :m])
-            p = psums[:, :m]
-            t1 = t1_buf[:m]
-            power = power_buf[:m]
-            inner = np.zeros(m)
-            for g, w in zip(nodes, weights):
-                # p_r of (t_1, rest) = t_1^r + q_r
-                np.multiply(u, (g + 1) / 2, out=t1)
-                power.fill(1.0)
-                for r in range(D):
-                    power *= t1
-                    np.add(power, q[r], out=p[r])
-                inner += w * F(p)
-            inner *= u / 2
-            v = inner**2
+            rows = _column_power_sums(rest, D, psums[:, :m])
+            np.subtract(1.0, rest.sum(axis=0), out=rows[D])
+            for r in range(D + 1, len(rows)):
+                np.multiply(rows[r - 1], rows[D], out=rows[r])
+            v = G(rows) ** 2
             tot += float(np.sum(v))
             tot_sq += float(np.sum(v * v))
             done += m

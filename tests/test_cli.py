@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,19 @@ def test_threads_option_starts_no_thread(monkeypatch, capsys):
         threaded = capsys.readouterr().out
         assert run(argv) == 0
         assert threaded == capsys.readouterr().out
+
+
+def test_cli_import_sets_one_blas_thread_unless_set():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import os, apgaps.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for preset, want in ((None, "1"), ("2", "2")):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == want
 
 
 def test_repeat_run_byte_identical(tmp_path):

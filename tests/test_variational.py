@@ -386,6 +386,36 @@ def test_power_sum_polynomial_matches_per_function_oracle():
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+@pytest.mark.parametrize("degree", [0, 3, 6, 8])
+def test_inner_integral_matches_gauss_legendre(k, degree):
+    rng = np.random.default_rng(100 * k + degree)
+    basis = var.basis_partitions(k, degree)
+    exact = var._trial_coefficients(rng.normal(size=len(basis)), basis)
+    n = 300
+    F = var._PowerSumPolynomial.from_exact(exact, n)
+    G = var._PowerSumPolynomial.from_exact(var._inner_integral(exact), n)
+    # every term of F in the power sums with its absolute coefficient: the scale of the rounding
+    F_abs = var._PowerSumPolynomial.from_exact({key: abs(w) for key, w in exact.items()}, n)
+    P = F.max_power
+    e = rng.exponential(size=(k + 1, n))
+    rest = e[: k - 1] / e.sum(axis=0)
+    u = rng.uniform(size=n) * (1.0 - rest.sum(axis=0))  # any upper limit on the simplex
+    rows = var._column_power_sums(rest, P, np.empty((G.max_power, n)))
+    rows[P:] = u ** np.arange(1, G.max_power - P + 1)[:, None]
+    got = G(rows).copy()
+    want = np.zeros(n)
+    scale = np.zeros(n)
+    nodes, weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    for g, w in zip(nodes, weights):
+        psums = var._column_power_sums(np.vstack([(g + 1) / 2 * u, rest]), P, np.empty((P, n)))
+        want += w * F(psums)
+        scale += w * F_abs(psums)
+    want *= u / 2
+    scale *= u / 2
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 def test_gram_I_examples():
     _, exact = var.gram_I(2, ((),))
     assert exact == [[Fraction(1, 2)]]
