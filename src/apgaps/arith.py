@@ -20,7 +20,7 @@ psi_residue_sums are plain float sums in a fixed order (segment by
 segment, fixed modulus groups), so the same call gives the same bits.
 The dense phi and Möbius tables take one strided update per prime up to
 sqrt(n), then the larger primes together, one cofactor at a time
-(large_prime_multiples); reduced_residue_mask(m) strikes one stride per
+(large_multiples); reduced_residue_mask(m) strikes one stride per
 prime of m.
 """
 
@@ -340,8 +340,8 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segments(lo: int, hi: int, segment_size: int):
-    """The primes of (lo, hi], one ascending array per sieve segment.
+def _segments(lo: int, hi: int):
+    """The primes of (lo, hi], one ascending array per sieve segment of DEFAULT_SEGMENT numbers.
 
     The marking primes up to sqrt(hi) are sieved once and shared by every
     segment.
@@ -349,25 +349,25 @@ def _segments(lo: int, hi: int, segment_size: int):
     base = _base_primes(math.isqrt(hi))
     s = lo
     while s < hi:
-        e = min(s + segment_size, hi)
+        e = min(s + DEFAULT_SEGMENT, hi)
         yield _sieve_segment(s, e, base)
         s = e
 
 
-def primes_in_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> np.ndarray:
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Ascending primes in (lo, hi]; segment size never changes the output."""
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
     if lo < 0:
         raise ValueError("need 0 <= lo < hi")
-    return np.concatenate(list(_segments(lo, hi, segment_size)))
+    return np.concatenate(list(_segments(lo, hi)))
 
 
 def primes_up_to(n: int) -> np.ndarray:
     return primes_in_range(0, n) if n >= 2 else np.empty(0, dtype=np.int64)
 
 
-def class_segments(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT):
+def class_segments(lo: int, hi: int, q: int, a: int):
     """The primes p in (lo, hi] with p = a (mod q): one ascending int64 array
     per sieve segment, possibly empty.
 
@@ -380,13 +380,13 @@ def class_segments(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT
     if q < 1 or not 0 <= a < q:
         raise ValueError("need q >= 1 and 0 <= a < q")
     narrow = max(hi, q) < 2**31
-    for ps in _segments(lo, hi, segment_size):
+    for ps in _segments(lo, hi):
         yield ps if q == 1 else ps[residues(ps.astype(np.int32) if narrow else ps, q) == a]
 
 
-def primes_in_ap(lo: int, hi: int, q: int, a: int, segment_size: int = DEFAULT_SEGMENT) -> list[int]:
+def primes_in_ap(lo: int, hi: int, q: int, a: int) -> list[int]:
     """Ascending primes p in (lo, hi] with p = a (mod q), as Python ints."""
-    return np.concatenate(list(class_segments(lo, hi, q, a, segment_size))).tolist()
+    return np.concatenate(list(class_segments(lo, hi, q, a))).tolist()
 
 
 def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -479,7 +479,7 @@ def _residue_bincounts(lo: int, hi: int, group_moduli, weighted: bool) -> dict[i
     acc = {M: np.zeros(M, dtype=np.float64 if weighted else np.int64) for M in group_moduli}
     if acc and lo < hi:
         narrow = hi < 2**31 and max(acc) < 2**31
-        for ps in _segments(lo, hi, DEFAULT_SEGMENT):
+        for ps in _segments(lo, hi):
             logs = np.log(ps) if weighted else None
             r = ps.astype(np.int32) if narrow else ps
             for M, vec in acc.items():
@@ -582,22 +582,24 @@ def von_mangoldt_table(n: int) -> np.ndarray:
     return lam
 
 
-def large_prime_multiples(ps: np.ndarray, n: int):
-    """Yield (k, c * ps[:k]) for c = 1, 2, ...: the multiples c * p <= n of ascending primes ps.
+def large_multiples(values: np.ndarray, n: int):
+    """Yield (k, c * values[:k]) for c = 1, 2, ...: the multiples c * v <= n of ascending values.
 
-    Every p must exceed sqrt(n), so a number m <= n has at most one such
-    prime factor, to the first power, and is met exactly once, as c * p.
-    A table over m that first runs one strided update per prime p <= sqrt(n)
-    can take the larger primes here, last, which keeps the order ascending p
-    gave each m; this takes about sqrt(n) steps, not one per prime.
+    Every value must exceed sqrt(n); none need be prime. Each pair (c, v)
+    with c * v <= n is met once, and every cofactor c is below sqrt(n), so
+    this takes about sqrt(n) steps, not one per value. A number m <= n has
+    at most one prime factor p > sqrt(n), to the first power, so over such
+    primes m is met exactly once, as c * p: a table over m that first runs
+    one strided update per prime p <= sqrt(n) can take the larger primes
+    here, last, which keeps the order ascending p gave each m.
     """
-    if not len(ps):
+    if not len(values):
         return
-    if ps[0] ** 2 <= n:
-        raise ValueError("need primes above sqrt(n)")
-    tops = n // np.arange(1, n // int(ps[0]) + 1)  # c * p <= n  <=>  p <= n // c
-    for c, k in enumerate(np.searchsorted(ps, tops, side="right").tolist(), 1):
-        yield k, ps[:k] * c
+    if values[0] ** 2 <= n:
+        raise ValueError("need values above sqrt(n)")
+    tops = n // np.arange(1, n // int(values[0]) + 1)  # c * v <= n  <=>  v <= n // c
+    for c, k in enumerate(np.searchsorted(values, tops, side="right").tolist(), 1):
+        yield k, values[:k] * c
 
 
 def phi_table(n: int) -> np.ndarray:
@@ -607,7 +609,7 @@ def phi_table(n: int) -> np.ndarray:
     for p in primes_up_to(root).tolist():
         phi[p::p] -= phi[p::p] // p
     large = primes_in_range(root, n)
-    for k, ms in large_prime_multiples(large, n):
+    for k, ms in large_multiples(large, n):
         phi[ms] -= phi[ms] // large[:k]
     return phi
 
@@ -618,7 +620,7 @@ def mobius_table(n: int) -> np.ndarray:
     for p in primes_up_to(root).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    for _, ms in large_prime_multiples(primes_in_range(root, n), n):
+    for _, ms in large_multiples(primes_in_range(root, n), n):
         mu[ms] *= -1
     if n >= 0:
         mu[0] = 0

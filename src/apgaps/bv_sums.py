@@ -36,7 +36,7 @@ from .arith import (
     euler_phi,
     exact_exponent,
     floor_power,
-    large_prime_multiples,
+    large_multiples,
     log_integral_Y1,
     mobius,
     phi_table,
@@ -197,19 +197,18 @@ def _multiple_sums(R: np.ndarray, ms: np.ndarray) -> np.ndarray:
 
     A modulus m <= sqrt(len(R)) takes one strided slice. Each larger one has
     fewer than sqrt(len(R)) multiples, so those are summed together, one
-    multiplier j at a time over the moduli that still have a j-th multiple:
-    about 2 sqrt(len(R)) numpy calls in all, not one per modulus.
+    multiplier j at a time over the moduli that still have a j-th multiple
+    (arith.large_multiples): about 2 sqrt(len(R)) numpy calls in all, not
+    one per modulus.
     """
     top = len(R) - 1
     split = int(np.searchsorted(ms, math.isqrt(top), side="right"))
     out = np.zeros(len(ms))
     for i, m in enumerate(ms[:split].tolist()):
         out[i] = R[m::m].sum()
-    big, acc = ms[split:], out[split:]
-    if len(big):
-        counts = np.searchsorted(big, top // np.arange(1, top // int(big[0]) + 1), side="right")
-        for j, c in enumerate(counts.tolist(), 1):  # j * m <= top  <=>  m <= top // j
-            acc[:c] += R[big[:c] * j]
+    acc = out[split:]
+    for c, multiples in large_multiples(ms[split:], top):
+        acc[:c] += R[multiples]
     return out
 
 
@@ -227,7 +226,7 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     within each class, mod ord_t(p), of the exponents a..J; a and ord_t(p)
     take O(J) vector steps over the multiples of p.
     A prime p > sqrt(xi) has the one power p, adding log p and (log p)^2;
-    those primes go through arith.large_prime_multiples after the others,
+    those primes go through arith.large_multiples after the others,
     so each m still adds its primes in ascending order.
     """
     n1 = np.zeros(M + 1)
@@ -255,7 +254,7 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     large = primes_in_range(root, M)
     logs = np.array([math.log(p) for p in large.tolist()])  # math.log, as above: the same bits
     squares = logs * logs
-    for k, ms in large_prime_multiples(large, M):
+    for k, ms in large_multiples(large, M):
         n1[ms] += logs[:k]
         n2[ms] += squares[:k]
     return n1, n2

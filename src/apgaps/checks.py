@@ -7,7 +7,7 @@ nonzero exit with the failing identity named in the JSON payload.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ class CheckResult:
     detail: str
 
     def json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
 def check_phi_star_partition(max_r: int = 500) -> CheckResult:

@@ -268,9 +268,10 @@ def cmd_gap(args) -> int:
         _emit(dump_json({"errors": errors}, manifest), args, manifest)
         sys.stderr.write(json.dumps({"error": "; ".join(errors)}) + "\n")
         return 2
-    table = _load_table(args.table) if args.table else variational.certificate_table(
-        [k for k in DEFAULT_KS if k <= args.kmax], args.degree
-    )
+    if args.table:
+        table = _load_table(args.table)
+    else:
+        table = [variational.mk_lower_bound(k, args.degree) for k in DEFAULT_KS if k <= args.kmax]
     report = gaps.gap_bound(cfg, table)
     if args.table:
         _check_exact_bound(args.table, report.certificate)

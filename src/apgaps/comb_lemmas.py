@@ -50,10 +50,6 @@ class ExponentTuple:
         if sum(self.parts) != 1:
             raise ValueError("parts must sum to 1")
 
-    @classmethod
-    def from_numerators(cls, numers, den: int) -> "ExponentTuple":
-        return cls(tuple(Fraction(a, den) for a in numers))
-
 
 def subset_sums_bitset(numers) -> int:
     """Bitmask whose bit S is set iff some subset of numers sums to S."""
@@ -66,11 +62,7 @@ def subset_sums_bitset(numers) -> int:
 
 def _has_subset_in(numers, lo_num: int, hi_num: int) -> bool:
     """True iff some subset sum S satisfies lo_num <= S <= hi_num (closed)."""
-    if hi_num < lo_num:
-        return False
-    bits = subset_sums_bitset(numers)
-    width = hi_num - lo_num + 1
-    return (bits >> lo_num) & ((1 << width) - 1) != 0
+    return bool(subset_sums_bitset(numers) & _window_bits(lo_num, hi_num))
 
 
 def has_subset_sum_in(parts, lo: Fraction, hi: Fraction) -> bool:
@@ -279,19 +271,22 @@ def _check_rows(rows: np.ndarray) -> tuple[int, list, list]:
     return int(np.count_nonzero(hyp)), bad[0], bad[1]
 
 
-def random_sweeps(n: int, seed: int = 0, batch: int = 100_000) -> tuple[tuple[int, list], tuple[int, list]]:
+# Random tuples drawn per batch: the size of the reused row buffer. The rows
+# are drawn in order, so the tuples checked do not depend on it.
+_SWEEP_BATCH = 100_000
+
+
+def random_sweeps(n: int, seed: int = 0) -> tuple[tuple[int, list], tuple[int, list]]:
     """Both randomized checks on one seeded draw of n sorted simplex tuples.
 
     Returns ((checked, counterexamples) of the trichotomy, the same of the
-    five-part lemma). Each batch is drawn into one reused buffer, then
-    normalized and sorted in place as nonincreasing C-contiguous rows, so
-    the hypothesis and conclusion expressions read the same operands as a
-    row-by-row check.
+    five-part lemma). Each batch of _SWEEP_BATCH tuples is drawn into one
+    reused buffer, then normalized and sorted in place as nonincreasing
+    C-contiguous rows, so the hypothesis and conclusion expressions read
+    the same operands as a row-by-row check.
     """
-    if batch < 1:
-        raise ValueError("need batch >= 1")
     rng = np.random.default_rng(seed)
-    size = max(min(batch, n), 0)
+    size = max(min(_SWEEP_BATCH, n), 0)
     rows_buf = np.empty((size, N_PARTS))
     norm_buf = np.empty((size, 1))
     checked = 0
@@ -299,7 +294,7 @@ def random_sweeps(n: int, seed: int = 0, batch: int = 100_000) -> tuple[tuple[in
     five_bad: list = []
     remaining = n
     while remaining > 0:
-        m = min(batch, remaining)
+        m = min(_SWEEP_BATCH, remaining)
         remaining -= m
         rows, norm = rows_buf[:m], norm_buf[:m]
         # the values of -np.sort(-(e / e.sum(axis=1, keepdims=True)), axis=1)
@@ -316,11 +311,11 @@ def random_sweeps(n: int, seed: int = 0, batch: int = 100_000) -> tuple[tuple[in
     return (checked, tri_bad), (checked, five_bad)
 
 
-def random_trichotomy_sweep(n: int, seed: int = 0, batch: int = 100_000) -> tuple[int, list]:
+def random_trichotomy_sweep(n: int, seed: int = 0) -> tuple[int, list]:
     """Sample n sorted simplex tuples; report (checked, counterexamples)."""
-    return random_sweeps(n, seed, batch)[0]
+    return random_sweeps(n, seed)[0]
 
 
-def random_comblem_sweep(n: int, seed: int = 0, batch: int = 100_000) -> tuple[int, list]:
+def random_comblem_sweep(n: int, seed: int = 0) -> tuple[int, list]:
     """Sample n tuples; counterexamples must pass both hypotheses yet fail a conclusion."""
-    return random_sweeps(n, seed, batch)[1]
+    return random_sweeps(n, seed)[1]

@@ -12,7 +12,7 @@ class in (x/2, x].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -85,7 +85,7 @@ class GapConfig:
         return math.log(self.q) / math.log(self.x)
 
 
-def validate_config(cfg: GapConfig, shifts: tuple[int, ...] | None = None) -> list[str]:
+def validate_config(cfg: GapConfig) -> list[str]:
     """Every failed constraint is reported separately; empty list means valid."""
     errors: list[str] = []
     if not math.isfinite(cfg.x):
@@ -108,16 +108,6 @@ def validate_config(cfg: GapConfig, shifts: tuple[int, ...] | None = None) -> li
     rad_cap = math.log(cfg.x) ** cfg.C
     if rad > rad_cap:
         errors.append(f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}")
-    if shifts is not None:
-        try:
-            d0 = D0(cfg.x)
-        except ValueError as exc:
-            errors.append(str(exc))
-        else:
-            if shifts and max(shifts) >= d0:
-                errors.append(
-                    f"x too small for k = {len(shifts)}: largest shift {max(shifts)} >= D0(x) = {d0:.4f}"
-                )
     return errors
 
 
@@ -200,28 +190,11 @@ class GapBoundReport:
     k: int
     L: float
     bound: float  # q * exp(2 t / L)
-    tuple_shifts: tuple[int, ...]
     tuple_diameter: int
     scaled_diameter: int  # q * (h'_k - h'_1)
     certificate: VariationalCertificate  # the one that selected k
     threshold: float
-    fits_D0: bool
-
-    @property
-    def certificate_bound(self) -> float:
-        return self.certificate.lower_bound
-
-    def json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "L": self.L,
-            "bound": self.bound,
-            "tuple_diameter": self.tuple_diameter,
-            "scaled_diameter": self.scaled_diameter,
-            "certificate_bound": self.certificate_bound,
-            "threshold": self.threshold,
-            "fits_D0": self.fits_D0,
-        }
+    fits_D0: bool  # the tuple's largest shift is below D0(x); False where D0's domain guard fails
 
 
 def gap_bound(cfg: GapConfig, table: list[VariationalCertificate]) -> GapBoundReport:
@@ -246,7 +219,6 @@ def gap_bound(cfg: GapConfig, table: list[VariationalCertificate]) -> GapBoundRe
         k=k,
         L=L,
         bound=cfg.q * math.exp(2 * cfg.t / L),
-        tuple_shifts=tup.shifts,
         tuple_diameter=tup.diameter,
         scaled_diameter=cfg.q * tup.diameter,
         certificate=cert,
@@ -263,12 +235,7 @@ class ConstellationResult:
     primes: tuple[int, ...]
 
     def json_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "count": self.count,
-            "gap": self.gap,
-            "primes": list(self.primes),
-        }
+        return asdict(self)
 
 
 def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResult:

@@ -106,10 +106,6 @@ class HBComponent:
     tuple_count: int
     values: tuple[complex, ...]
 
-    @property
-    def box_sizes(self) -> tuple[int, ...]:
-        return tuple(2**b for b in self.u_boxes + self.v_boxes)
-
 
 # Tuples expanded per chunk of the decomposition. The chunk size bounds the
 # working set; it changes neither the components nor their tuple counts.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 ERROR_SUM_CSV_HEADER = "x,q,param,value,normalizer,ratio,terms"
@@ -64,18 +64,7 @@ class MaynardConditionReport:
     skipped: int
 
     def json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "q": self.q,
-            "a": self.a,
-            "h_m": self.h_m,
-            "k": self.k,
-            "L": self.L,
-            "lhs1": self.lhs1,
-            "lhs2": self.lhs2,
-            "term_count": self.term_count,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 @dataclass

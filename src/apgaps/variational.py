@@ -12,9 +12,9 @@ reduce to exact rational Gram matrices through the Dirichlet integral
     int_{R_n} (1 - sum t)^c  prod t_i^{a_i} dt = c! prod(a_i!) / (n + c + sum a_i)!
 
 Both Gram matrices come from one walk over overlap patterns. A form pins
-some coordinates: none for I, and t_1, the integrated one, for J. The
-placements of lambda are grouped by their exponents on the pinned
-coordinates and the multiset of their other parts, which are then held
+at most one coordinate: none for I, and t_1, the integrated one, for J. The
+placements of lambda are split by their exponent on the pinned
+coordinate and the multiset of their other parts, which are then held
 on the next s coordinates; mu is placed on the pinned, those s and the
 n = k - pinned - s free coordinates. A pattern's integral factors over
 the coordinates: one factor for the pinned exponents of lambda and mu,
@@ -45,8 +45,8 @@ polynomial in the power sums p_1 ... p_degree, whose coefficients are
 combined exactly and rounded once, over batches stored one coordinate per
 row. The inner t_1 integral of the J side is integrated exactly: with
 p_r = t_1^r + q_r it is one polynomial in the power sums q_r of the other
-coordinates and the powers of the upper limit u, evaluated the same way,
-with no quadrature nodes.
+coordinates and the powers of the upper limit u, evaluated by the same
+class, with no quadrature nodes. Both sides are sampled by one loop.
 """
 
 from __future__ import annotations
@@ -100,26 +100,23 @@ def _n_arrangements(partition, coords: int) -> int:
     return math.perm(coords, len(partition)) // _mult_factorial(partition)
 
 
-@lru_cache(maxsize=None)
-def _overlap_counts(partition, slots: int, free: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """Placements of `partition` on slots + free coordinates, grouped by pattern.
+def _pinned_splits(partition, pinned: int, free: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Placements of `partition` with 0 or 1 pinned coordinates, grouped by split.
 
-    A pattern is (on_slots, nu): the exponent on every slot (0 where empty)
-    and the multiset nu of the other parts, descending. Its multiplicity
-    is _n_arrangements(nu, free); patterns with none are left out.
+    A split is (on_pinned, rest, count): the exponents on the pinned
+    coordinates, the multiset rest of the other parts, descending, and its
+    placements _n_arrangements(rest, free) on the free coordinates. With
+    nothing pinned the one split is ((), partition); with one pinned
+    coordinate it is ((0,), partition) and ((v,), partition without one v)
+    for each distinct part v. Splits with no placement are left out.
     """
-
-    def rec(i, remaining):
-        if i == slots:
-            yield (), remaining
-            return
-        yield from (((0,) + tail, nu) for tail, nu in rec(i + 1, remaining))
-        for v in sorted(set(remaining), reverse=True):
-            rest = list(remaining)
+    splits = [((0,) * pinned, tuple(partition))]
+    if pinned:
+        for v in sorted(set(partition), reverse=True):
+            rest = list(partition)
             rest.remove(v)
-            yield from (((v,) + tail, nu) for tail, nu in rec(i + 1, tuple(rest)))
-
-    counted = ((on_slots, nu, _n_arrangements(nu, free)) for on_slots, nu in rec(0, tuple(partition)))
+            splits.append(((v,), tuple(rest)))
+    counted = ((on_pinned, rest, _n_arrangements(rest, free)) for on_pinned, rest in splits)
     return tuple(c for c in counted if c[2])
 
 
@@ -157,17 +154,17 @@ def _held_patterns(partition, runs, free: int) -> tuple[tuple[tuple[int, ...], i
 def _gram(k: int, basis, pinned: int, pin_weight, denominator) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Gram matrix of the basis from its overlap patterns, float and exact.
 
-    `pinned` coordinates are held fixed. Each placement of lambda there
-    (its pinned exponents, the multiset `rest` of its other parts, their
-    count) holds those parts on the next coordinates; mu is split the same
-    way on the pinned coordinates, and its other parts are placed over the
-    held and the free coordinates. Times denominator(|lambda| + |mu|), a
-    pattern's integral is the integer pin_weight(lambda's pinned
-    exponents, mu's pinned exponents) times prod((a + b)!) over the held
-    coordinates, a and b the exponents of lambda and mu there, times the
-    weight _held_patterns gives the pattern. The sum over mu's patterns
-    depends only on rest and mu's unpinned parts, and is made once for
-    each pair. An entry is a sum of Python ints divided once: one Fraction
+    `pinned` coordinates are held fixed: none for I, t_1 for J. Each split
+    of lambda there (_pinned_splits: its pinned exponents, the multiset
+    `rest` of its other parts, their count) holds those parts on the next
+    coordinates; mu is split the same way, and its other parts are placed
+    over the held and the free coordinates. Times
+    denominator(|lambda| + |mu|), a pattern's integral is the integer
+    pin_weight(lambda's pinned exponents, mu's pinned exponents) times
+    prod((a + b)!) over the held coordinates, a and b the exponents of
+    lambda and mu there, times the weight _held_patterns gives the
+    pattern. The sum over mu's patterns depends only on rest and mu's
+    unpinned parts, and is made once for each pair. An entry is a sum of Python ints divided once: one Fraction
     per entry, none added. The float rendering is scaled by k!
     (integration against the uniform probability measure on the simplex)
     so entries stay representable at large k; the exact matrix is
@@ -181,7 +178,7 @@ def _gram(k: int, basis, pinned: int, pin_weight, denominator) -> tuple[np.ndarr
     scale = math.factorial(k)
     exact = [[Fraction(0)] * n for _ in range(n)]
     flt = np.empty((n, n))
-    splits = [_overlap_counts(p, pinned, k - pinned) for p in basis]
+    splits = [_pinned_splits(p, pinned, k - pinned) for p in basis]
     for i, lam in enumerate(basis):
         for j in range(i, n):
             mu = basis[j]
@@ -449,29 +446,21 @@ def _inner_integral(exact: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, .
 
 
 class _PowerSumPolynomial:
-    """F = sum c_lambda m_lambda collapsed into one polynomial in p_1 ... p_D.
+    """One polynomial in power sums, its exact coefficients rounded to float once.
 
-    The coefficients of each power-sum product are summed exactly over the
-    expansions of the m_lambda and rounded to float once. The products are
-    taken in lexicographic order of their sorted power tuples, which walks
+    The coefficients come as a dict keyed by the sorted tuple of the powers
+    r of one product of the p_r: _trial_coefficients gives those of
+    F = sum c_lambda m_lambda, summed exactly over the expansions of the
+    m_lambda, and _inner_integral those of F's inner t_1 integral. The
+    products are taken in lexicographic order of their keys, which walks
     the tree of products depth first: each product is the last product one
     power shorter times one power sum, so one buffer row per length is
     enough. An evaluation is one multiply per product plus an accumulation
     in that fixed order; no BLAS call is made, so the value does not depend
-    on the thread count. from_exact builds the same evaluator for any
-    exact coefficient dict in that key format, such as _inner_integral's.
+    on the thread count.
     """
 
-    def __init__(self, coefficients, basis, width: int):
-        self._round(_trial_coefficients(coefficients, basis), width)
-
-    @classmethod
-    def from_exact(cls, exact: dict[tuple[int, ...], Fraction], width: int) -> _PowerSumPolynomial:
-        poly = cls.__new__(cls)
-        poly._round(exact, width)
-        return poly
-
-    def _round(self, exact: dict[tuple[int, ...], Fraction], width: int) -> None:
+    def __init__(self, exact: dict[tuple[int, ...], Fraction], width: int):
         keys = {key[:i] for key, w in exact.items() if w for i in range(1, len(key) + 1)}
         self.constant = float(exact.get((), 0))
         self.keys = tuple(sorted(keys))
@@ -507,7 +496,7 @@ class _PowerSumPolynomial:
 def eval_monomial_sym(partition: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
     """Evaluate m_lambda at points (rows of pts); pts has one column per coordinate."""
     pts = np.asarray(pts, dtype=np.float64)
-    poly = _PowerSumPolynomial((1.0,), (tuple(partition),), len(pts))
+    poly = _PowerSumPolynomial(_trial_coefficients((1.0,), (tuple(partition),)), len(pts))
     cols = np.ascontiguousarray(pts.T)
     return poly(_column_power_sums(cols, poly.max_power, np.empty((poly.max_power, len(pts)))))
 
@@ -563,7 +552,9 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     p_1 ... p_D of the batch's points, and the inner t_1 integral of the J
     side as one polynomial in the power sums q_r of the other coordinates
     and the powers of the upper limit u, integrated exactly
-    (_inner_integral), with no quadrature nodes.
+    (_inner_integral), with no quadrature nodes. Both sides run through one
+    sampling loop: the I side draws k + 1 coordinates per point, the J side
+    k, each from the same generator in turn.
     """
     if sample_count < 10**5:
         raise ValueError("need at least 1e5 samples")
@@ -573,28 +564,44 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     rng = np.random.default_rng(seed)
     width = min(_MC_BATCH, sample_count)
     exact = _trial_coefficients(cert.coefficients, cert.basis)
-    F = _PowerSumPolynomial.from_exact(exact, width)
-    G = _PowerSumPolynomial.from_exact(_inner_integral(exact), width)
+    F = _PowerSumPolynomial(exact, width)
+    G = _PowerSumPolynomial(_inner_integral(exact), width)
     D = F.max_power
     # rows below D: p_r for F, q_r for G; rows D and up: u, u^2, ... for G
     psums = np.empty((G.max_power, width))
     draws = np.empty((k + 1, width))
 
+    def mean_square(rows: int, values) -> tuple[float, float]:
+        """The mean of values(batch)**2 over all samples and the variance of that mean.
+
+        Each batch holds `rows` coordinates of uniform simplex points.
+        """
+        tot = 0.0
+        tot_sq = 0.0
+        done = 0
+        while done < sample_count:
+            m = min(_MC_BATCH, sample_count - done)
+            v = values(_draw_simplex_columns(rng, draws[:rows, :m])) ** 2
+            tot += float(np.sum(v))
+            tot_sq += float(np.sum(v * v))
+            done += m
+        mean = tot / sample_count
+        return mean, max(tot_sq / sample_count - mean**2, 0.0) / sample_count
+
+    def trial_function(e: np.ndarray) -> np.ndarray:
+        return F(_column_power_sums(e[:k], D, psums[:, : e.shape[1]]))
+
+    def inner_integral(e: np.ndarray) -> np.ndarray:
+        rest = e[: k - 1]
+        rows = _column_power_sums(rest, D, psums[:, : e.shape[1]])
+        np.subtract(1.0, rest.sum(axis=0), out=rows[D])
+        for r in range(D + 1, len(rows)):
+            np.multiply(rows[r - 1], rows[D], out=rows[r])
+        return G(rows)
+
     # Probability-measure means: the simplex volumes cancel in the quotient,
     # quotient = k^2 * E[(inner integral)^2] / E[F^2], so no factorial appears.
-    tot = 0.0
-    tot_sq = 0.0
-    done = 0
-    while done < sample_count:
-        m = min(_MC_BATCH, sample_count - done)
-        e = _draw_simplex_columns(rng, draws[:, :m])
-        v = F(_column_power_sums(e[:k], D, psums[:, :m])) ** 2
-        tot += float(np.sum(v))
-        tot_sq += float(np.sum(v * v))
-        done += m
-    mean_i = tot / sample_count
-    var_i = max(tot_sq / sample_count - mean_i**2, 0.0) / sample_count
-
+    mean_i, var_i = mean_square(k + 1, trial_function)
     if k == 1:
         # no other coordinates: q = 0 and u = 1
         point = np.zeros((G.max_power, 1))
@@ -603,23 +610,7 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
         mean_j = inner * inner
         var_j = 0.0
     else:
-        tot = 0.0
-        tot_sq = 0.0
-        done = 0
-        while done < sample_count:
-            m = min(_MC_BATCH, sample_count - done)
-            e = _draw_simplex_columns(rng, draws[:k, :m])
-            rest = e[: k - 1]
-            rows = _column_power_sums(rest, D, psums[:, :m])
-            np.subtract(1.0, rest.sum(axis=0), out=rows[D])
-            for r in range(D + 1, len(rows)):
-                np.multiply(rows[r - 1], rows[D], out=rows[r])
-            v = G(rows) ** 2
-            tot += float(np.sum(v))
-            tot_sq += float(np.sum(v * v))
-            done += m
-        mean_j = tot / sample_count
-        var_j = max(tot_sq / sample_count - mean_j**2, 0.0) / sample_count
+        mean_j, var_j = mean_square(k, inner_integral)
 
     ratio = k * k * mean_j / mean_i
     rel = math.sqrt(var_j / mean_j**2 + var_i / mean_i**2) if mean_j > 0 else math.sqrt(var_i) / mean_i
@@ -638,10 +629,6 @@ class CertificateCapExceeded(LookupError):
             f"{best:.6g} at k <= {kmax})"
         )
         self.threshold = threshold
-
-
-def certificate_table(ks, degree: int) -> list[VariationalCertificate]:
-    return [mk_lower_bound(k, degree) for k in ks]
 
 
 def min_k_for(t: int, L, table) -> tuple[int, VariationalCertificate]:

@@ -129,20 +129,21 @@ def test_primes_in_ap_examples():
     assert arith.primes_in_ap(1, 40, 4, 2) == [2]
 
 
-def test_segmented_sieve_matches_trial_division_grid():
+def test_segmented_sieve_matches_trial_division_grid(monkeypatch):
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 1024)
     for lo, hi in [(0, 1000), (100, 1000), (999, 2048), (99000, 100000), (12345, 14345)]:
-        got = arith.primes_in_range(lo, hi, segment_size=1024).tolist()
+        got = arith.primes_in_range(lo, hi).tolist()
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert got == want
 
 
 def test_segment_size_invariance():
-    for size in (257, 1024, 1 << 16):
-        assert arith.primes_in_range(10, 50000, segment_size=size).tolist() == arith.primes_in_range(
-            10, 50000
-        ).tolist()
-    for size in (64, 1000):
-        assert arith.primes_in_ap(2, 30000, 7, 3, segment_size=size) == arith.primes_in_ap(2, 30000, 7, 3)
+    primes, in_ap = arith.primes_in_range(10, 50000).tolist(), arith.primes_in_ap(2, 30000, 7, 3)
+    for size in (64, 257, 1000, 1024, 1 << 16):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "DEFAULT_SEGMENT", size)
+            assert arith.primes_in_range(10, 50000).tolist() == primes
+            assert arith.primes_in_ap(2, 30000, 7, 3) == in_ap
 
 
 def plain_sieve_segment(lo, hi, base):
@@ -193,7 +194,8 @@ def test_base_primes_sieved_once_per_range(monkeypatch):
         return base_primes(limit)
 
     monkeypatch.setattr(arith, "_base_primes", counting)
-    got = arith.primes_in_range(0, 200_000, segment_size=10_000)
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 10_000)
+    got = arith.primes_in_range(0, 200_000)
     assert calls == [math.isqrt(200_000)]
     assert got.tolist() == [n for n in range(200_001) if arith.is_prime(n)]
 
@@ -368,19 +370,23 @@ def test_phi_and_mobius_tables_against_loop_oracles():
 def test_large_prime_multiples_meets_each_multiple_once(n):
     ps = arith.primes_in_range(math.isqrt(n), n)
     seen = np.zeros(n + 1, dtype=np.int64)
-    for k, ms in arith.large_prime_multiples(ps, n):
+    for k, ms in arith.large_multiples(ps, n):
         assert np.all(ms // ps[:k] * ps[:k] == ms) and np.all(ms <= n)
         assert np.all(np.diff(ms) > 0)
         seen[ms] += 1
     # exactly the m <= n with a prime factor above sqrt(n)
     want = [0] + [int(max(arith.factorize(m).primes, default=1) ** 2 > n) for m in range(1, n + 1)]
     assert np.array_equal(seen, want)
+    # composite values: every pair (c, v) with c * v <= n, once, c ascending
+    values = np.arange(math.isqrt(n) + 1, n + 1, 3)
+    pairs = [(c, int(m) // c) for c, (_, ms) in enumerate(arith.large_multiples(values, n), 1) for m in ms.tolist()]
+    assert pairs == sorted((c, v) for v in values.tolist() for c in range(1, n // v + 1))
 
 
 def test_large_prime_multiples_rejects_small_primes():
-    with pytest.raises(ValueError):
-        list(arith.large_prime_multiples(np.array([7, 11]), 49))
-    assert list(arith.large_prime_multiples(np.array([], dtype=np.int64), 49)) == []
+    with pytest.raises(ValueError, match="need values above sqrt"):
+        list(arith.large_multiples(np.array([7, 11]), 49))
+    assert list(arith.large_multiples(np.array([], dtype=np.int64), 49)) == []
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

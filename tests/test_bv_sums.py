@@ -290,7 +290,7 @@ def loop_nonreduced_moments(xi, M):
     [(1, 1), (2, 2), (3, 3), (50, 8), (50, 50), (1000, 1000), (3000, 2999), (10**5, 9000), (10**5, 316), (2**16, 2**16)],
 )
 def test_nonreduced_moments_match_per_prime_loop(xi, M):
-    # M > sqrt(xi) sends the primes above sqrt(xi) through large_prime_multiples;
+    # M > sqrt(xi) sends the primes above sqrt(xi) through large_multiples;
     # they are added last, as the per-prime loop added them, so the sums are ==
     n1, n2 = bv._nonreduced_moments(xi, M)
     o1, o2 = loop_nonreduced_moments(xi, M)

@@ -263,14 +263,6 @@ def test_random_sweeps_clean():
     assert checked > 0 and bad == []
 
 
-@pytest.mark.parametrize("batch", [0, -1])
-@pytest.mark.parametrize("n", [0, 10])
-def test_random_sweeps_reject_batch_below_one(n, batch):
-    for sweep in (cl.random_sweeps, cl.random_trichotomy_sweep, cl.random_comblem_sweep):
-        with pytest.raises(ValueError, match="need batch >= 1"):
-            sweep(n, seed=0, batch=batch)
-
-
 def test_greedy_fallback_agrees_with_exact():
     rng = np.random.default_rng(2)
     rows = _random_sorted_simplex(2000, rng)
@@ -280,15 +272,13 @@ def test_greedy_fallback_agrees_with_exact():
     assert not np.any(greedy & ~exact)
 
 
-def test_random_sweeps_share_one_draw():
+def test_random_sweeps_share_one_draw(monkeypatch):
     # batch 30_000 makes partial last batches; each pair equals two separate draws
+    monkeypatch.setattr(cl, "_SWEEP_BATCH", 30_000)
     for seed in (0, 3, 11):
         for n in (1, 45_000, 100_000):
-            both = cl.random_sweeps(n, seed=seed, batch=30_000)
-            assert both == (
-                cl.random_trichotomy_sweep(n, seed=seed, batch=30_000),
-                cl.random_comblem_sweep(n, seed=seed, batch=30_000),
-            )
+            both = cl.random_sweeps(n, seed=seed)
+            assert both == (cl.random_trichotomy_sweep(n, seed=seed), cl.random_comblem_sweep(n, seed=seed))
     # both checks see the same rows, batch by batch
     def fingerprint(rows):
         return len(rows), [float(rows.sum())]
@@ -331,10 +321,11 @@ def test_grid_decisions_match_oracle_per_tuple():
 
 
 @pytest.mark.parametrize("batch", [30_000, 100_000])
-def test_random_sweeps_match_row_major_oracle(batch):
+def test_random_sweeps_match_row_major_oracle(batch, monkeypatch):
+    monkeypatch.setattr(cl, "_SWEEP_BATCH", batch)
     for seed in (0, 3, 11):
         for n in (1, 45_000, 100_000, 123_457):
-            assert cl.random_sweeps(n, seed=seed, batch=batch) == oracle_random_sweeps(n, seed, batch)
+            assert cl.random_sweeps(n, seed=seed) == oracle_random_sweeps(n, seed, batch)
 
 
 def test_fused_batch_runs_exact_fallback_like_oracle():

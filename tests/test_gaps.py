@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import apgaps.gaps as gaps
 from apgaps.arith import DEFAULT_SEGMENT, is_prime, primes_in_range
-from apgaps.variational import CertificateCapExceeded, VariationalCertificate, certificate_table
+from apgaps.variational import CertificateCapExceeded, VariationalCertificate, mk_lower_bound
 
 
 def test_level_values():
@@ -62,10 +62,6 @@ def test_validate_config():
     assert any("radical" in e for e in errs)
     noncoprime = gaps.GapConfig(x=2.0**60, q=2**20, a=2, t=1, eta=1 / 12)
     assert any("gcd" in e for e in errs + gaps.validate_config(noncoprime))
-    # shifts too wide for this x
-    cfg2 = gaps.GapConfig(x=1e9, q=5, a=1, t=2, eta=1 / 3)
-    errs2 = gaps.validate_config(cfg2, shifts=(0, 2, 6, 8, 12, 18, 100))
-    assert any("too small for k" in e for e in errs2)
 
 
 def test_admissible_construction_examples():
@@ -105,13 +101,24 @@ def _fake_table(pairs):
 
 
 def test_gap_bound_reports():
-    table = certificate_table(range(1, 5), 2)
+    table = [mk_lower_bound(k, 2) for k in range(1, 5)]
     cfg = gaps.GapConfig(x=2.0**60, q=2**20, a=1, t=1, eta=1 / 12)
     rep = gaps.gap_bound(cfg, table)
     assert rep.k == 1
     assert rep.tuple_diameter == 0 and rep.scaled_diameter == 0
     assert rep.bound == pytest.approx(2**20 * math.exp(2 / rep.L), rel=1e-12)
     assert rep.threshold == 0.0
+
+
+def test_gap_bound_reports_fits_D0():
+    table = _fake_table([(1, 1.0)])
+    # log log log(x/2) < 1 at x = 1e5: D0's domain guard fails, so the tuple does not fit
+    small = gaps.gap_bound(gaps.GapConfig(x=1e5, q=2, a=1, t=1), table)
+    assert not small.fits_D0
+    with pytest.raises(ValueError, match="domain guard"):
+        gaps.D0(1e5)
+    large = gaps.gap_bound(gaps.GapConfig(x=2.0**60, q=2**20, a=1, t=1, eta=1 / 12), table)
+    assert large.fits_D0 and large.tuple_diameter < gaps.D0(2.0**60)
 
 
 def test_gap_bound_monotone_in_t():
@@ -140,14 +147,14 @@ def test_gap_bound_selects_k_from_exact_threshold():
 
 
 def test_gap_bound_propagates_cap():
-    table = certificate_table(range(1, 5), 1)
+    table = [mk_lower_bound(k, 1) for k in range(1, 5)]
     cfg = gaps.GapConfig(x=2.0**60, q=2**20, a=1, t=40, eta=1 / 12)
     with pytest.raises(CertificateCapExceeded):
         gaps.gap_bound(cfg, table)
 
 
 def test_gap_bound_rejects_invalid_config():
-    table = certificate_table(range(1, 3), 1)
+    table = [mk_lower_bound(k, 1) for k in range(1, 3)]
     with pytest.raises(ValueError):
         gaps.gap_bound(gaps.GapConfig(x=1e10, q=9973, a=1, t=1), table)
 

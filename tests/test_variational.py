@@ -99,6 +99,30 @@ def _gram_J_all_placements(k, basis):
     return np.array([[float(v * scale) for v in row] for row in exact]), exact
 
 
+@lru_cache(maxsize=None)
+def _overlap_counts(partition, slots: int, free: int):
+    """Oracle: placements of `partition` on slots + free coordinates, grouped by pattern.
+
+    A pattern is (on_slots, nu): the exponent on every slot (0 where empty)
+    and the multiset nu of the other parts, descending. Its multiplicity
+    is _n_arrangements(nu, free); patterns with none are left out. Any
+    number of slots; the Gram walk itself pins at most one coordinate.
+    """
+
+    def rec(i, remaining):
+        if i == slots:
+            yield (), remaining
+            return
+        yield from (((0,) + tail, nu) for tail, nu in rec(i + 1, remaining))
+        for v in sorted(set(remaining), reverse=True):
+            rest = list(remaining)
+            rest.remove(v)
+            yield from (((v,) + tail, nu) for tail, nu in rec(i + 1, tuple(rest)))
+
+    counted = ((on_slots, nu, var._n_arrangements(nu, free)) for on_slots, nu in rec(0, tuple(partition)))
+    return tuple(c for c in counted if c[2])
+
+
 def _gram(k: int, basis, pinned: int, value) -> tuple[np.ndarray, list[list[Fraction]]]:
     """Oracle: the former Fraction-accumulating Gram walk.
 
@@ -120,14 +144,14 @@ def _gram(k: int, basis, pinned: int, value) -> tuple[np.ndarray, list[list[Frac
     value = lru_cache(maxsize=None)(value)
     exact = [[Fraction(0)] * n for _ in range(n)]
     for i, lam in enumerate(basis):
-        placements = var._overlap_counts(lam, pinned, k - pinned)
+        placements = _overlap_counts(lam, pinned, k - pinned)
         for j in range(i, n):
             mu = basis[j]
             total = Fraction(0)
             for lam_pinned, rest, cnt in placements:
                 s = pinned + len(rest)
                 key_counts: dict[tuple[int, ...], int] = {}
-                for on_slots, nu, mult in var._overlap_counts(mu, s, k - s):
+                for on_slots, nu, mult in _overlap_counts(mu, s, k - s):
                     comb = [a + b for a, b in zip(rest, on_slots[pinned:])] + list(nu)
                     key = lam_pinned + on_slots[:pinned] + tuple(sorted(comb, reverse=True))
                     key_counts[key] = key_counts.get(key, 0) + mult
@@ -323,6 +347,13 @@ def test_integer_gram_matches_fraction_oracle(k, degree):
         assert np.array_equal(flt, want_flt)
 
 
+def test_pinned_splits_match_generic_enumerator():
+    for k in (1, 2, 3, 5, 12):
+        for lam in var.basis_partitions(k, 6):
+            for pinned in (0, 1):
+                assert var._pinned_splits(lam, pinned, k - pinned) == _overlap_counts(lam, pinned, k - pinned)
+
+
 @pytest.mark.parametrize("k,degree", [(5, 6), (12, 6), (3, 8), (64, 3)])
 def test_exact_quotient_matches_fraction_double_loop(k, degree):
     basis = var.basis_partitions(k, degree)
@@ -374,7 +405,7 @@ def test_power_sum_polynomial_matches_per_function_oracle():
         cert = _random_certificate(rng, k, degree)
         pts = rng.uniform(0, 1.0 / k, size=(300, k))
         n = len(pts)
-        F = var._PowerSumPolynomial(cert.coefficients, cert.basis, n)
+        F = var._PowerSumPolynomial(var._trial_coefficients(cert.coefficients, cert.basis), n)
         assert F.max_power == degree and len(F.keys) <= len(cert.basis)
         got = F(var._column_power_sums(np.ascontiguousarray(pts.T), degree, np.empty((degree, n))))
         row_sums = _row_power_sums(pts, degree)
@@ -393,10 +424,10 @@ def test_inner_integral_matches_gauss_legendre(k, degree):
     basis = var.basis_partitions(k, degree)
     exact = var._trial_coefficients(rng.normal(size=len(basis)), basis)
     n = 300
-    F = var._PowerSumPolynomial.from_exact(exact, n)
-    G = var._PowerSumPolynomial.from_exact(var._inner_integral(exact), n)
+    F = var._PowerSumPolynomial(exact, n)
+    G = var._PowerSumPolynomial(var._inner_integral(exact), n)
     # every term of F in the power sums with its absolute coefficient: the scale of the rounding
-    F_abs = var._PowerSumPolynomial.from_exact({key: abs(w) for key, w in exact.items()}, n)
+    F_abs = var._PowerSumPolynomial({key: abs(w) for key, w in exact.items()}, n)
     P = F.max_power
     e = rng.exponential(size=(k + 1, n))
     rest = e[: k - 1] / e.sum(axis=0)
@@ -616,7 +647,7 @@ def test_verify_certificate_matches_row_major_oracle(k, degree):
 
 
 def test_min_k_for():
-    table = var.certificate_table(range(1, 13), 2)
+    table = [var.mk_lower_bound(k, 2) for k in range(1, 13)]
     k, cert = var.min_k_for(1, 2.0, table)
     assert k == 1 and cert.lower_bound > 0
     k, cert = var.min_k_for(2, 2.0, table)
