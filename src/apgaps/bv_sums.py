@@ -6,8 +6,11 @@ Measured quantities, each against its trivial normalizer:
   |psi(x; q d, a) - x/phi(q d)|, the maximum taken over all reduced classes.
 - bdh_variance: the mean-square analogue, summed over all reduced classes.
   Its sum of squares over all classes of one modulus m is read off the
-  autocorrelation R(h) = sum_n Lambda(n) Lambda(n + h), computed once by
-  FFT: sum_c psi(x; m, c)^2 = R(0) + 2 sum_{j >= 1} R(j m). The sums over
+  autocorrelation R(h) = sum_n Lambda(n) Lambda(n + h), computed once:
+  sum_c psi(x; m, c)^2 = R(0) + 2 sum_{j >= 1} R(j m). Lambda vanishes on
+  the even numbers but the powers of two, so R comes from one FFT over the
+  odd half of Lambda, at half the dense table's length, plus a few shifted
+  slices at the powers of two (_lambda_autocorrelation). The sums over
   multiples are split at sqrt(x) (_multiple_sums): a modulus below it
   takes one strided slice, and the larger moduli, each with fewer than
   sqrt(x) multiples, are summed together one multiplier j at a time. The
@@ -177,11 +180,29 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _lambda_autocorrelation(lam: np.ndarray) -> np.ndarray:
-    """R[h] = sum_n lam[n] * lam[n + h] for 0 <= h < len(lam), by one FFT pair."""
-    n = len(lam)
-    size = _fft_length(2 * n - 1)  # no wrap-around for lags below n
-    F = np.fft.rfft(lam, size)
+def _lambda_autocorrelation(odd: np.ndarray, n: int) -> np.ndarray:
+    """R[h] = sum_i lam[i] * lam[i + h] for 0 <= h < n, given odd = lam[1::2] of lam = von_mangoldt_table(n - 1).
+
+    On the even numbers lam is log 2 at the powers 2^k <= n - 1 and 0
+    elsewhere, so lam is its odd half plus those few powers of two.
+    - An odd lag h pairs an odd number with a power of two:
+      R(h) = log 2 * sum_k (lam[2^k + h] + lam[2^k - h]), two slices of odd
+      per power.
+    - An even lag 2g pairs two odd numbers, sum_i odd[i] * odd[i + g], from
+      one FFT pair at half the length the dense table would need; or two
+      powers of two, and 2^b - 2^a = 2^a (2^(b-a) - 1) fixes a and b, so
+      each lag 2g > 0 has at most one such pair and lag 0 has one per power.
+    """
+    half = len(odd)  # n // 2, the odd numbers below n and the odd lags below n
+    log2 = math.log(2)
+    powers = [1 << k for k in range(1, (n - 1).bit_length())]
+    odd_lags = np.zeros(half)  # log 2 * odd_lags[j] = R(2j + 1)
+    for p in powers:
+        s = p >> 1  # lam[p + 2j + 1] = odd[s + j] and lam[p - 2j - 1] = odd[s - 1 - j]
+        odd_lags[: half - s] += odd[s:]
+        odd_lags[:s] += odd[s - 1 :: -1]
+    size = _fft_length(2 * half - 1)  # no wrap-around for lags below half
+    F = np.fft.rfft(odd, size)
     # the power spectrum |F|^2, formed in place so irfft gets it as complex
     # input without a converted copy
     re, im = F.real, F.imag
@@ -189,7 +210,19 @@ def _lambda_autocorrelation(lam: np.ndarray) -> np.ndarray:
     np.square(im, out=im)
     re += im
     im.fill(0.0)
-    return np.fft.irfft(F, size)[:n]
+    A = np.fft.irfft(F, size)
+    del F, re, im  # the views re and im would keep F alive while R is allocated
+    R = np.empty(n)
+    odd_lags *= log2
+    R[1::2] = odd_lags
+    even = R[0::2]
+    even[:half] = A[:half]
+    even[half:] = 0.0  # R(n - 1) for odd n: lam[0] = 0, and no two powers lie n - 1 apart
+    sq = log2 * log2
+    for i, a in enumerate(powers):
+        for b in powers[i:]:
+            R[b - a] += sq
+    return R
 
 
 def _multiple_sums(R: np.ndarray, ms: np.ndarray) -> np.ndarray:
@@ -268,7 +301,9 @@ def bdh_variance(x: float, q: int, Q: float) -> ErrorSumReport:
     of psi(x; m, c) over reduced classes c. Over all classes,
     sum_c psi(x; m, c)^2 = R(0) + 2 * sum_{j >= 1} R(j*m), where
     R(h) = sum_n Lambda(n) Lambda(n + h) is computed once for every h <= x,
-    and sum_c psi(x; m, c) = psi(x). The nonreduced classes are then taken
+    from the odd half of the von Mangoldt table and its powers of two
+    (_lambda_autocorrelation; the dense table is dropped first), and
+    sum_c psi(x; m, c) = psi(x). The nonreduced classes are then taken
     off exactly (see _nonreduced_moments). The per-modulus terms are summed
     once, exactly rounded (_exact_sum).
     """
@@ -284,11 +319,13 @@ def bdh_variance(x: float, q: int, Q: float) -> ErrorSumReport:
     ms = q * d[np.gcd(d, q) == 1]
     xi = int(math.floor(x))
     lam = von_mangoldt_table(xi)
-    R = _lambda_autocorrelation(lam)
+    psi_total = _exact_sum(lam[lam != 0])  # == math.fsum(lam)
+    odd = lam[1::2].copy()
+    del lam  # the dense table is not alive during the FFT
+    R = _lambda_autocorrelation(odd, xi + 1)
+    del odd
     squares = R[0] + 2.0 * _multiple_sums(R, ms)
     del R
-    psi_total = _exact_sum(lam[lam != 0])  # == math.fsum(lam); its buffers come after the FFT's
-    del lam
     n1, n2 = _nonreduced_moments(xi, int(ms[-1]))
     phi = phi_table(int(ms[-1]))[ms]
     T = x / phi

@@ -1,4 +1,6 @@
+import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +300,61 @@ def test_nonreduced_moments_match_per_prime_loop(xi, M):
     for q in (3, 10):  # the moduli q * d that bdh_variance reads
         ms = q * np.arange(1, M // q + 1)
         assert np.array_equal(n1[ms], o1[ms]) and np.array_equal(n2[ms], o2[ms])
+
+
+def full_fft_autocorrelation(lam):
+    """Oracle: the former dense-table R, one FFT pair over all of lam at length >= 2 len(lam) - 1."""
+    n = len(lam)
+    size = bv._fft_length(2 * n - 1)
+    F = np.fft.rfft(lam, size)
+    return np.fft.irfft(F.real**2 + F.imag**2, size)[:n]
+
+
+def test_autocorrelation_matches_full_fft_and_direct_sum():
+    # at 2^k - 1, 2^k and 2^k + 1 a power of two sits at or next to the end of the table
+    edges = [2**k + e for k in (7, 10) for e in (-1, 0, 1)]
+    for xi in list(range(1, 71)) + edges:
+        lam = von_mangoldt_table(xi)
+        n = len(lam)
+        direct = np.array([np.dot(lam[: n - h], lam[h:]) for h in range(n)])
+        R = bv._lambda_autocorrelation(lam[1::2], n)
+        np.testing.assert_allclose(R, direct, rtol=0, atol=1e-12 * direct.max())
+    for xi in (10**4, 2 * 10**5):
+        lam = von_mangoldt_table(xi)
+        want = full_fft_autocorrelation(lam)
+        R = bv._lambda_autocorrelation(lam[1::2], len(lam))
+        np.testing.assert_allclose(R, want, rtol=0, atol=1e-12 * want.max())
+
+
+def test_fft_length_is_least_5_smooth_at_or_above():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    lengths = [m for m in range(1, 5121) if smooth(m)]
+    for n in range(1, 5001):
+        assert bv._fft_length(n) == lengths[bisect.bisect_left(lengths, n)]
+    # bdh --x 2e5 transforms the odd half (10**5 entries); the dense table (200001) would need 405000
+    assert bv._fft_length(2 * 10**5 - 1) == 200000 == 2**6 * 5**5
+    assert bv._fft_length(400001) == 405000 == 2**3 * 3**4 * 5**4
+
+
+def test_variance_memory_is_halved():
+    # bytes per unit of x: 24.3 with the dense table dropped before the
+    # half-length FFT, 32.3 if it stays alive through it, 40.7 for one FFT
+    # over the dense table
+    x = 1e6
+    Q = x / math.log(x)
+    bv.bdh_variance(x, 3, Q)  # warm the sieve caches
+    tracemalloc.start()
+    try:
+        bv.bdh_variance(x, 3, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * x
 
 
 def strided_multiple_sums(R, ms):
