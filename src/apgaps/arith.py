@@ -1,17 +1,18 @@
 """Integer arithmetic, multiplicative functions, and segmented prime sieves.
 
 Intervals are half-open (lo, hi] throughout and all logarithms are natural.
-The segmented sieve yields primes only. Each segment holds one flag per odd
-n, and its flags start as a slice of a cached wheel that has already struck
-the multiples of 3, 5, 7, 11 and 13 (period 15015 odd numbers), so only the
-primes from 17 up to sqrt(hi) are marked with strides; 2 and the wheel
-primes are added back. Von Mangoldt weights come from prime_power_arrays
-(the sparse prime powers P with weights W = log p, cached),
-von_mangoldt_table (the dense table Lambda(0..n)), or psi_residue_sums,
-which streams the sieve segments into per-residue float bincounts;
-prime_residue_counts streams them into exact integer counts, and
-class_segments (behind primes_in_ap) keeps only one residue class of
-each segment. Residues of whole arrays go through residues(a, m), a
+One segmented sieve, class_segments, yields the primes of one residue class
+a mod q, and primes_in_range is its class 0 mod 1. Each segment holds one
+flag per odd member of the class (step q for even q, 2q for odd q), and its
+flags start as a slice of a cached wheel that has already struck the
+multiples of the primes 3 to 13 that do not divide q, so only the primes
+from 17 up to sqrt(hi) are marked with strides, one stride per prime; 2
+and the wheel primes of the class are added back. Von Mangoldt weights
+come from prime_power_arrays (the sparse prime powers P with weights
+W = log p, cached), von_mangoldt_table (the dense table Lambda(0..n)), or
+psi_residue_sums, which streams the sieve segments into per-residue float
+bincounts; prime_residue_counts streams one class's segments into exact
+integer counts. Residues of whole arrays go through residues(a, m), a
 floor division by a scalar of a's dtype, which numpy runs faster than %;
 while the numbers are below 2**31 they are taken on an int32 copy of each
 segment: the same integers, found faster still. Sums
@@ -291,67 +292,82 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-# Pre-sieve wheel over the odd numbers: the odd primes up to 13, period 15015.
+# Pre-sieve wheel: the odd primes up to 13 that do not divide the modulus.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = math.prod(_WHEEL_PRIMES)
 _SMALL_PRIMES = (2,) + _WHEEL_PRIMES
 
 
 @lru_cache(maxsize=None)
-def _wheel_tile(periods: int) -> np.ndarray:
-    """`periods` copies of the wheel: entry j is True iff 2j + 1 is prime to 15015."""
-    period = np.ones(_WHEEL, dtype=bool)
+def _wheel_tile(wheel: int, periods: int) -> np.ndarray:
+    """`periods` copies of the wheel: entry t is True iff t is prime to `wheel`, a product of wheel primes."""
+    period = np.ones(wheel, dtype=bool)
     for p in _WHEEL_PRIMES:
-        period[(p - 1) // 2 :: p] = False  # the odd multiples p, 3p, 5p, ...
+        if wheel % p == 0:
+            period[::p] = False
     tile = np.tile(period, periods)
     tile.setflags(write=False)
     return tile
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Ascending primes in (lo, hi], marking composites with the ascending primes `base`.
+def class_segments(lo: int, hi: int, q: int, a: int):
+    """The primes p in (lo, hi] with p = a (mod q): one ascending int64 array
+    per sieve segment, possibly empty.
 
-    Only odd n are flagged: offset i is n = n0 + 2i, with n0 the first odd
-    number above lo. The flags start as a slice of the wheel, which has
-    already struck the multiples of 3, 5, 7, 11 and 13, so strides mark only
-    the primes from 17 to sqrt(hi); 2 and the wheel primes are added back.
+    Only the odd members of the class are flagged: flag i stands for
+    n = n0 + s*i, with the step s = q for even q and 2q for odd q, and n0
+    the first odd member above lo. The segments hold DEFAULT_SEGMENT * s / 2
+    numbers each (DEFAULT_SEGMENT at q = 1), so DEFAULT_SEGMENT / 2 flags.
+    Each segment's flags start as a slice of a cached wheel that has already
+    struck the multiples of the primes 3 to 13 that do not divide q; every
+    larger marking prime p not dividing q strikes one stride of p flags,
+    from the first member that is a multiple of p and at least p^2. The
+    marking primes up to sqrt(hi) and their first strikes are found once
+    per call. The class a mod q with gcd(a, q) = g > 1 holds at most the
+    prime g. The arguments are checked on the first step.
     """
-    n0 = lo + 1 | 1
-    count = (hi + 1) // 2 - (lo + 1) // 2
-    j0 = (n0 - 1) // 2 % _WHEEL
-    # a power of two periods, so that few tile lengths are ever cached
-    flags = _wheel_tile(1 << ((j0 + count) // _WHEEL).bit_length())[j0 : j0 + count].copy()
-    if lo == 0:
-        flags[0] = False  # n = 1
-    first, last = np.searchsorted(base, [_SMALL_PRIMES[-1], math.isqrt(hi)], side="right")
-    ps = base[first:last]
-    # first odd composite multiple of p above lo, never killing p itself;
-    # odd multiples of p are p flags apart
-    start = np.maximum(ps * ps, (lo // ps + 1) * ps)
-    start += ps * (start % 2 == 0)
-    for p, i in zip(ps.tolist(), ((start - n0) // 2).tolist()):
-        flags[i::p] = False
-    out = np.flatnonzero(flags).astype(np.int64, copy=False)
-    out *= 2
-    out += n0
-    if lo < _SMALL_PRIMES[-1]:
-        small = np.array([p for p in _SMALL_PRIMES if lo < p <= hi], dtype=np.int64)
-        out = np.concatenate([small, out])
-    return out
-
-
-def _segments(lo: int, hi: int):
-    """The primes of (lo, hi], one ascending array per sieve segment of DEFAULT_SEGMENT numbers.
-
-    The marking primes up to sqrt(hi) are sieved once and shared by every
-    segment.
-    """
+    if not 0 <= lo < hi:
+        raise ValueError("need 0 <= lo < hi")
+    if q < 1 or not 0 <= a < q:
+        raise ValueError("need q >= 1 and 0 <= a < q")
+    g = math.gcd(a, q)
+    if g > 1:
+        yield np.array([g] if g % q == a and lo < g <= hi and is_prime(g) else [], dtype=np.int64)
+        return
+    s = q if q % 2 == 0 else 2 * q
+    r = a if a % 2 else a + q  # the odd members of the class are r mod s
+    wheel = math.prod(p for p in _WHEEL_PRIMES if q % p)
+    shift = r * pow(s, -1, wheel) % wheel  # gcd(r + s*j, wheel) = gcd(j + shift, wheel)
+    # 2 and the wheel primes of the class: even, or struck by the wheel
+    small = np.array([p for p in _SMALL_PRIMES if p % q == a], dtype=np.int64)
     base = _base_primes(math.isqrt(hi))
-    s = lo
-    while s < hi:
-        e = min(s + DEFAULT_SEGMENT, hi)
-        yield _sieve_segment(s, e, base)
-        s = e
+    ps = base[(base > _SMALL_PRIMES[-1]) & (q % base != 0)]
+    # first_j[k]: the least j >= 0 with r + s*j >= p^2 and p | r + s*j, for p = ps[k]
+    first_j = []
+    for p in ps.tolist():
+        j = (max(p * p - r, 0) + s - 1) // s
+        first_j.append(j + (-r * pow(s, -1, p) - j) % p)
+    first_j = np.array(first_j, dtype=np.int64)
+    step = DEFAULT_SEGMENT * s // 2
+    for seg_lo in range(lo, hi, step):
+        seg_hi = min(seg_lo + step, hi)
+        j0 = (seg_lo - r) // s + 1
+        n0, count = r + s * j0, max((seg_hi - r) // s + 1 - j0, 0)
+        t0 = (j0 + shift) % wheel
+        # a power of two periods, so that few tile lengths are ever cached
+        flags = _wheel_tile(wheel, 1 << ((t0 + count) // wheel).bit_length())[t0 : t0 + count].copy()
+        if n0 == 1:
+            flags[:1] = False  # n = 1
+        last = int(np.searchsorted(ps, math.isqrt(seg_hi), side="right"))
+        d = first_j[:last] - j0  # each stride's first flag at or after j0: d, or d mod p if d < 0
+        for p, i in zip(ps[:last].tolist(), np.maximum(d, d % ps[:last]).tolist()):
+            flags[i::p] = False
+        out = np.flatnonzero(flags).astype(np.int64, copy=False)
+        del flags  # not held while the caller works on the segment
+        out *= s
+        out += n0
+        if seg_lo < _SMALL_PRIMES[-1]:
+            out = np.concatenate([small[(seg_lo < small) & (small <= seg_hi)], out])
+        yield out
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
@@ -360,28 +376,11 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if lo < 0:
         raise ValueError("need 0 <= lo < hi")
-    return np.concatenate(list(_segments(lo, hi)))
+    return np.concatenate(list(class_segments(lo, hi, 1, 0)))
 
 
 def primes_up_to(n: int) -> np.ndarray:
     return primes_in_range(0, n) if n >= 2 else np.empty(0, dtype=np.int64)
-
-
-def class_segments(lo: int, hi: int, q: int, a: int):
-    """The primes p in (lo, hi] with p = a (mod q): one ascending int64 array
-    per sieve segment, possibly empty.
-
-    Each segment is filtered as it comes, so only the class is ever held;
-    while hi and q are below 2**31 the residues are taken on an int32 copy of
-    the segment. The arguments are checked on the first step.
-    """
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    if q < 1 or not 0 <= a < q:
-        raise ValueError("need q >= 1 and 0 <= a < q")
-    narrow = max(hi, q) < 2**31
-    for ps in _segments(lo, hi):
-        yield ps if q == 1 else ps[residues(ps.astype(np.int32) if narrow else ps, q) == a]
 
 
 def primes_in_ap(lo: int, hi: int, q: int, a: int) -> list[int]:
@@ -467,10 +466,10 @@ def _modulus_groups(moduli) -> dict[int, int]:
     return {m: M for M, members in groups for m in members}
 
 
-def _residue_bincounts(lo: int, hi: int, group_moduli, weighted: bool) -> dict[int, np.ndarray]:
-    """For each group modulus M, the primes of (lo, hi] binned by residue mod M.
+def _residue_bincounts(lo: int, hi: int, q: int, a: int, group_moduli, weighted: bool) -> dict[int, np.ndarray]:
+    """For each group modulus M, the primes of (lo, hi] with p = a (mod q) binned by residue mod M.
 
-    One pass of the segmented sieve: each segment feeds one bincount per M,
+    One pass of the class sieve: each segment feeds one bincount per M,
     of log p if weighted (float sums in segment order) and of 1 otherwise
     (exact int64 counts). While hi and every M are below 2**31 the residues
     are taken on an int32 copy of the segment; they are the same integers,
@@ -479,7 +478,7 @@ def _residue_bincounts(lo: int, hi: int, group_moduli, weighted: bool) -> dict[i
     acc = {M: np.zeros(M, dtype=np.float64 if weighted else np.int64) for M in group_moduli}
     if acc and lo < hi:
         narrow = hi < 2**31 and max(acc) < 2**31
-        for ps in _segments(lo, hi):
+        for ps in class_segments(lo, hi, q, a):
             logs = np.log(ps) if weighted else None
             r = ps.astype(np.int32) if narrow else ps
             for M, vec in acc.items():
@@ -503,7 +502,7 @@ def psi_residue_sums(x: float, moduli) -> list[np.ndarray]:
         raise ValueError("moduli must be >= 1")
     group_of = _modulus_groups(moduli)
     xi = int(math.floor(x))
-    acc = _residue_bincounts(0, xi, dict.fromkeys(group_of.values()), weighted=True)
+    acc = _residue_bincounts(0, xi, 1, 0, dict.fromkeys(group_of.values()), weighted=True)
     if acc and xi >= 2:
         P, W = _higher_prime_powers(xi)
         for M, vec in acc.items():
@@ -511,19 +510,24 @@ def psi_residue_sums(x: float, moduli) -> list[np.ndarray]:
     return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
 
 
-def prime_residue_counts(lo: int, hi: int, moduli) -> list[np.ndarray]:
-    """For each m in moduli, the number of primes of (lo, hi] in each residue class mod m.
+def prime_residue_counts(lo: int, hi: int, moduli, q: int = 1, a: int = 0) -> list[np.ndarray]:
+    """For each m in moduli, the primes p = a (mod q) of (lo, hi] counted by residue mod m.
 
-    The primes are streamed through the sieve segments into one integer
-    bincount per modulus group, as in psi_residue_sums; the counts are exact.
+    Only the class a mod q is sieved (class_segments), and its primes are
+    streamed into one integer bincount per modulus group, as in
+    psi_residue_sums; the counts are exact. For m a multiple of q, entry c
+    is the number of primes of (lo, hi] in the class c mod m if c = a
+    (mod q), and 0 otherwise; (q, a) = (1, 0) counts every prime.
     """
     if lo < 0:
         raise ValueError("need lo >= 0")
+    if q < 1 or not 0 <= a < q:
+        raise ValueError("need q >= 1 and 0 <= a < q")
     moduli = [int(m) for m in moduli]
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be >= 1")
     group_of = _modulus_groups(moduli)
-    acc = _residue_bincounts(lo, hi, dict.fromkeys(group_of.values()), weighted=False)
+    acc = _residue_bincounts(lo, hi, q, a, dict.fromkeys(group_of.values()), weighted=False)
     return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
 
 

@@ -368,10 +368,11 @@ def maynard_condition_sums(
 
     lhs1 weighs integer counts in (x/2, x] against Y/d with Y = x/(2q);
     lhs2 weighs prime counts in (x/2 + h_m, x] against Y1/phi(d). The class
-    b_d is the CRT lift of a mod q with unit second coordinate. Only the
-    primes of (x/2 + h_m, x] are sieved (from 0 when x/2 + h_m < 0), and
-    they are streamed: each sieve segment's primes are counted by residue
-    class (arith.prime_residue_counts), so the tail is never held whole.
+    b_d is the CRT lift of a mod q with unit second coordinate, so every
+    class read is = a (mod q). Only the primes of (x/2 + h_m, x] in the
+    class a mod q are sieved (from 0 when x/2 + h_m < 0), and they are
+    streamed: each sieve segment's primes are counted by residue class
+    (arith.prime_residue_counts), so the tail is never held whole.
     """
     if q < 1:
         raise ValueError("need q >= 1")
@@ -381,7 +382,9 @@ def maynard_condition_sums(
     Y = x / (2 * q)
     Y1 = log_integral_Y1(x, q)
     ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1 and mobius(d) != 0]
-    tail_counts = prime_residue_counts(max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)), [q * d for d in ds])
+    tail_counts = prime_residue_counts(
+        max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)), [q * d for d in ds], q, a % q
+    )
 
     terms1: list[float] = []
     terms2: list[float] = []

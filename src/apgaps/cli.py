@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 # Set before numpy loads OpenBLAS. The CLI's BLAS calls are small (one dense
@@ -316,6 +317,28 @@ def cmd_constellation(args) -> int:
 # parser
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: an int literal, or an exact decimal such as 2e6 (2000000).
+
+    2.5 and 1e-3 are refused, as int refuses them. Like an int literal, the
+    value may have at most 4300 digits, checked before it is built.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(text) from None
+    if not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
+        raise ValueError(text)
+    return int(value)
+
+
+_integer.__name__ = "int"  # argparse names the type in "invalid int value: '2.5'"
+
+
 def _checked(cast, ok, message: str):
     """An argparse type: cast(text), rejected with message unless ok(value)."""
 
@@ -329,25 +352,84 @@ def _checked(cast, ok, message: str):
     return parse
 
 
-_POSITIVE_INT = _checked(int, lambda v: v >= 1, "must be >= 1")
-_NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "must be >= 0")
+_POSITIVE_INT = _checked(_integer, lambda v: v >= 1, "must be >= 1")
+_NONNEGATIVE_INT = _checked(_integer, lambda v: v >= 0, "must be >= 0")
 _HB_X = _checked(float, lambda v: math.isfinite(v) and v >= 1, "x must be finite and >= 1")
 
 
-def _add_common(p: argparse.ArgumentParser, func) -> None:
-    p.add_argument("--config", help="JSON file of option values, overridden by explicit flags")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--manifest", help="write the full run manifest (with timestamps) here")
-    p.set_defaults(func=func, parser=p)
+def _option(*flags, **kwargs) -> tuple:
+    """One add_argument call, made when its subcommand's parser is built."""
+    return flags, kwargs
 
 
-def _add_error_sum_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x", type=float)
-    p.add_argument("--q", type=_POSITIVE_INT)
-    p.add_argument("--grid", help="comma-separated x values")
-    p.add_argument("--threads", type=_POSITIVE_INT, default=1, help="selects nothing (default %(default)s)")
-    p.add_argument("--csv", action="store_true", help="CSV output")
+def _typed(*pairs) -> tuple:
+    """Options with a type and nothing else: ("x", float) is _option("--x", type=float)."""
+    return tuple(_option(f"--{name}", type=typ) for name, typ in pairs)
+
+
+_ERROR_SUM_OPTIONS = (
+    *_typed(("x", float), ("q", _POSITIVE_INT)),
+    _option("--grid", help="comma-separated x values"),
+    _option("--threads", type=_POSITIVE_INT, default=1, help="selects nothing (default %(default)s)"),
+    _option("--csv", action="store_true", help="CSV output"),
+)
+_COMMON_OPTIONS = (
+    _option("--config", help="JSON file of option values, overridden by explicit flags"),
+    _option("--seed", type=_integer, default=0, help="random seed (default %(default)s)"),
+    _option("--out", help="output path (default stdout)"),
+    _option("--manifest", help="write the full run manifest (with timestamps) here"),
+)
+_DEGREE = _option("--degree", type=_integer, default=3, help="basis degree (default %(default)s)")
+
+# name: (handler, help, its options before the common ones), in the order --help lists them
+_COMMANDS = {
+    "verify-identities": (cmd_verify_identities, "run the exact-identity suites", (
+        _option("--max-r", type=_POSITIVE_INT, default=200, help="character-check moduli (default %(default)s)"),
+        _option("--sandwich-trials", type=_POSITIVE_INT, default=200, help="sandwich trials (default %(default)s)"),
+    )),
+    "bv": (cmd_bv, "worst-case error sum over moduli d <= x^b", (*_ERROR_SUM_OPTIONS, *_typed(("b", float)))),
+    "bdh": (cmd_bdh, "mean-square error sum over moduli up to Q", (
+        *_ERROR_SUM_OPTIONS,
+        _option("--Q", type=float, help="default x/log(x)"),
+    )),
+    "maycond": (cmd_maycond, "squarefree tau-weighted condition sums", (
+        *_typed(("x", float), ("q", _POSITIVE_INT), ("a", _integer), ("k", _integer), ("L", float)),
+        _option("--h", type=_integer, default=0, help="shift of the prime window (default %(default)s)"),
+    )),
+    "hb": (cmd_hb, "dyadic decomposition check on random weights", (
+        _option("--x", type=_HB_X, default=10000.0, help="sums over n <= x (default %(default)s)"),
+        _option("--k", type=_integer, default=2, help="order of the identity (default %(default)s)"),
+        _option("--trials", type=_POSITIVE_INT, default=3, help="random weight vectors (default %(default)s)"),
+    )),
+    "comb": (cmd_comb, "subset-sum lemma scans", (
+        _option("--denominator", type=_POSITIVE_INT, default=24, help="grid denominator (default %(default)s)"),
+        _option("--random", type=_NONNEGATIVE_INT, default=0, help="random tuples to scan (default %(default)s)"),
+    )),
+    "mk": (cmd_mk, "variational lower bound certificate for one k", (
+        *_typed(("k", _integer)),
+        _DEGREE,
+        _option(
+            "--mc-samples", type=_integer, default=100000, help="Monte-Carlo samples, 0 skips (default %(default)s)"
+        ),
+    )),
+    "certify": (cmd_certify, "certificate table over a k range", (
+        _option("--kmax", type=_POSITIVE_INT, default=64, help="largest k of the default list (default %(default)s)"),
+        _option("--ks", help="comma-separated explicit k list"),
+        _DEGREE,
+    )),
+    "gap": (cmd_gap, "end-to-end gap bound report", (
+        *_typed(("x", float), ("q", _POSITIVE_INT), ("a", _integer), ("t", _integer)),
+        _option("--eps", type=float, default=gaps.GapConfig.eps, help="slack in L (default %(default)s)"),
+        _option("--eta", type=float, default=gaps.GapConfig.eta, help="theta <= 5/12 - eta (default %(default)s)"),
+        _option("--C", type=float, default=gaps.GapConfig.C, help="radical(q) <= (log x)^C (default %(default)s)"),
+        _DEGREE,
+        _option("--kmax", type=_POSITIVE_INT, default=64, help="largest tabulated k (default %(default)s)"),
+        _option("--table", help="certificate table (JSON lines from certify)"),
+    )),
+    "constellation": (cmd_constellation, "tightest window of t primes of the class", (
+        *_typed(("x", float), ("q", _POSITIVE_INT), ("a", _integer), ("t", _integer)),
+    )),
+}
 
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
@@ -369,75 +451,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone if it names a subcommand, else of all of them.
+
+    Either way the usage lines, help texts and errors of a command line
+    naming that subcommand are the same.
+    """
     ap = _Parser(prog="apgaps", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-identities", help="run the exact-identity suites")
-    p.add_argument("--max-r", type=_POSITIVE_INT, default=200, help="character-check moduli (default %(default)s)")
-    p.add_argument("--sandwich-trials", type=_POSITIVE_INT, default=200, help="sandwich trials (default %(default)s)")
-    _add_common(p, cmd_verify_identities)
-
-    p = sub.add_parser("bv", help="worst-case error sum over moduli d <= x^b")
-    _add_error_sum_options(p)
-    p.add_argument("--b", type=float)
-    _add_common(p, cmd_bv)
-
-    p = sub.add_parser("bdh", help="mean-square error sum over moduli up to Q")
-    _add_error_sum_options(p)
-    p.add_argument("--Q", type=float, help="default x/log(x)")
-    _add_common(p, cmd_bdh)
-
-    p = sub.add_parser("maycond", help="squarefree tau-weighted condition sums")
-    for name, typ in (("x", float), ("q", _POSITIVE_INT), ("a", int), ("k", int), ("L", float)):
-        p.add_argument(f"--{name}", type=typ)
-    p.add_argument("--h", type=int, default=0, help="shift of the prime window (default %(default)s)")
-    _add_common(p, cmd_maycond)
-
-    p = sub.add_parser("hb", help="dyadic decomposition check on random weights")
-    p.add_argument("--x", type=_HB_X, default=10000.0, help="sums over n <= x (default %(default)s)")
-    p.add_argument("--k", type=int, default=2, help="order of the identity (default %(default)s)")
-    p.add_argument("--trials", type=_POSITIVE_INT, default=3, help="random weight vectors (default %(default)s)")
-    _add_common(p, cmd_hb)
-
-    p = sub.add_parser("comb", help="subset-sum lemma scans")
-    p.add_argument("--denominator", type=_POSITIVE_INT, default=24, help="grid denominator (default %(default)s)")
-    p.add_argument("--random", type=_NONNEGATIVE_INT, default=0, help="random tuples to scan (default %(default)s)")
-    _add_common(p, cmd_comb)
-
-    p = sub.add_parser("mk", help="variational lower bound certificate for one k")
-    p.add_argument("--k", type=int)
-    p.add_argument("--degree", type=int, default=3, help="basis degree (default %(default)s)")
-    p.add_argument("--mc-samples", type=int, default=100000, help="Monte-Carlo samples, 0 skips (default %(default)s)")
-    _add_common(p, cmd_mk)
-
-    p = sub.add_parser("certify", help="certificate table over a k range")
-    p.add_argument("--kmax", type=_POSITIVE_INT, default=64, help="largest k of the default list (default %(default)s)")
-    p.add_argument("--ks", help="comma-separated explicit k list")
-    p.add_argument("--degree", type=int, default=3, help="basis degree (default %(default)s)")
-    _add_common(p, cmd_certify)
-
-    p = sub.add_parser("gap", help="end-to-end gap bound report")
-    for name, typ in (("x", float), ("q", _POSITIVE_INT), ("a", int), ("t", int)):
-        p.add_argument(f"--{name}", type=typ)
-    p.add_argument("--eps", type=float, default=gaps.GapConfig.eps, help="slack in L (default %(default)s)")
-    p.add_argument("--eta", type=float, default=gaps.GapConfig.eta, help="theta <= 5/12 - eta (default %(default)s)")
-    p.add_argument("--C", type=float, default=gaps.GapConfig.C, help="radical(q) <= (log x)^C (default %(default)s)")
-    p.add_argument("--degree", type=int, default=3, help="basis degree (default %(default)s)")
-    p.add_argument("--kmax", type=_POSITIVE_INT, default=64, help="largest tabulated k (default %(default)s)")
-    p.add_argument("--table", help="certificate table (JSON lines from certify)")
-    _add_common(p, cmd_gap)
-
-    p = sub.add_parser("constellation", help="tightest window of t primes of the class")
-    for name, typ in (("x", float), ("q", _POSITIVE_INT), ("a", int), ("t", int)):
-        p.add_argument(f"--{name}", type=typ)
-    _add_common(p, cmd_constellation)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a lone subparser still shows every command in the top-level usage
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options + _COMMON_OPTIONS:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func, parser=p)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
         if args.config:

@@ -161,8 +161,47 @@ def plain_sieve_segment(lo, hi, base):
     return lo + 1 + np.flatnonzero(flags).astype(np.int64)
 
 
+ODD_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+ODD_WHEEL = math.prod(ODD_WHEEL_PRIMES)  # 15015 odd numbers, 30030 integers
+
+
+def odd_sieve_segment(lo, hi, base):
+    """Oracle: the odd-only wheel sieve the class sieve replaced, which is its q = 1 case.
+
+    Offset i is n = n0 + 2i, with n0 the first odd number above lo. The flags
+    start as a slice of a wheel that has struck the odd multiples of 3 to 13;
+    strides mark the primes from 17 to sqrt(hi); 2 and the wheel primes are
+    added back.
+    """
+    n0 = lo + 1 | 1
+    count = (hi + 1) // 2 - (lo + 1) // 2
+    j0 = (n0 - 1) // 2 % ODD_WHEEL
+    period = np.ones(ODD_WHEEL, dtype=bool)
+    for p in ODD_WHEEL_PRIMES:
+        period[(p - 1) // 2 :: p] = False  # the odd multiples p, 3p, 5p, ...
+    flags = np.tile(period, (j0 + count) // ODD_WHEEL + 1)[j0 : j0 + count]
+    if lo == 0:
+        flags[0] = False  # n = 1
+    first, last = np.searchsorted(base, [13, math.isqrt(hi)], side="right")
+    ps = base[first:last]
+    # first odd composite multiple of p above lo; odd multiples of p are p flags apart
+    start = np.maximum(ps * ps, (lo // ps + 1) * ps)
+    start += ps * (start % 2 == 0)
+    for p, i in zip(ps.tolist(), ((start - n0) // 2).tolist()):
+        flags[i::p] = False
+    out = np.flatnonzero(flags).astype(np.int64) * 2 + n0
+    small = [p for p in (2,) + ODD_WHEEL_PRIMES if lo < p <= hi]
+    return np.concatenate([np.array(small, dtype=np.int64), out])
+
+
+def class_sieve(lo, hi, q, a):
+    got = np.concatenate(list(arith.class_segments(lo, hi, q, a)))
+    assert got.dtype == np.int64
+    return got
+
+
 def test_sieve_segment_matches_plain_marking():
-    period = 2 * arith._WHEEL  # the wheel repeats every 30030 integers
+    period = 2 * ODD_WHEEL  # the wheel repeats every 30030 integers
     cases = [(lo, hi) for lo in range(41) for hi in range(lo + 1, lo + 101)]
     for size in (1, 2, 3, 15015, 30029, 30030, 30031):
         cases += [(lo, lo + size) for lo in (0, 1, 12, 13, 16, 10**6 + 1)]
@@ -175,9 +214,78 @@ def test_sieve_segment_matches_plain_marking():
         cases.append((lo, lo + rng.randrange(1, 1 << 17)))
     base = arith._base_primes(math.isqrt(max(hi for _, hi in cases)))
     for lo, hi in cases:
-        got = arith._sieve_segment(lo, hi, base)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, plain_sieve_segment(lo, hi, base), err_msg=f"(lo, hi) = ({lo}, {hi})")
+        want = plain_sieve_segment(lo, hi, base)
+        np.testing.assert_array_equal(odd_sieve_segment(lo, hi, base), want, err_msg=f"(lo, hi) = ({lo}, {hi})")
+        np.testing.assert_array_equal(class_sieve(lo, hi, 1, 0), want, err_msg=f"(lo, hi) = ({lo}, {hi})")
+
+
+CLASS_MODULI = (1, 2, 3, 4, 6, 15, 16, 30, 210, 15015, 30030, 65537)
+
+
+def assert_class_sieve(lo, hi, q, classes):
+    """Every class a of `classes` against plain marking of (lo, hi] and a % q filter."""
+    want = {}
+    base = arith._base_primes(math.isqrt(hi))
+    for p in plain_sieve_segment(lo, hi, base).tolist():
+        want.setdefault(p % q, []).append(p)
+    for a in classes:
+        assert class_sieve(lo, hi, q, a).tolist() == want.get(a, []), (lo, hi, q, a)
+
+
+def test_class_sieve_every_class():
+    for q in CLASS_MODULI:
+        assert_class_sieve(0, 3000, q, range(q))
+    # a modulus above hi: each class holds at most its own residue
+    assert_class_sieve(0, 3000, 10**6 + 3, [*range(3002), 10**6 + 2])
+    assert_class_sieve(2000, 3000, 3001, range(3001))
+
+
+def test_class_sieve_small_lo():
+    # 2 and the wheel primes lie in some classes (e.g. 2 and 5 in 2 mod 3); lo = 0 makes n = 1 a member
+    for q in CLASS_MODULI[:8]:
+        for lo in range(41):
+            for hi in (lo + 1, lo + 2, lo + 7, lo + 60, 400):
+                assert_class_sieve(lo, hi, q, range(q))
+    for q in (210, 15015, 30030, 65537):
+        for lo in range(41):
+            assert_class_sieve(lo, 300, q, range(42))
+
+
+def test_class_sieve_segment_and_wheel_boundaries(monkeypatch):
+    cases = ((1, 0), (2, 1), (3, 2), (4, 1), (6, 5), (15, 2), (16, 3), (30, 7), (210, 11), (30030, 1), (65537, 3))
+    for size in (1, 2, 3, 64, 257):
+        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", size)
+        for q, a in cases:
+            assert_class_sieve(0, 2000, q, [a])
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 1000)
+    for q, a in cases:
+        step = q if q % 2 == 0 else 2 * q
+        # the wheel of the primes 3 to 13 prime to q repeats every wheel * step numbers
+        period = math.prod(p for p in ODD_WHEEL_PRIMES if q % p) * step
+        for k in (1, 2):
+            for lo in (k * period - 2 * step, k * period - 1, k * period + step):
+                assert_class_sieve(max(lo, 0), max(lo, 0) + 3 * step + 5000, q, [a])
+
+
+def test_class_segments_keep_their_boundaries(monkeypatch):
+    # segments of DEFAULT_SEGMENT * step / 2 numbers from lo: DEFAULT_SEGMENT at q = 1, so psi sums keep their order
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 1000)
+    for q, a, lo in ((1, 0, 0), (1, 0, 12345), (3, 2, 7), (4, 1, 999), (15, 2, 0)):
+        width = 1000 * (q if q % 2 == 0 else 2 * q) // 2
+        segments = list(arith.class_segments(lo, lo + 10 * width + 17, q, a))
+        assert len(segments) == 11
+        for k, seg in enumerate(segments):
+            assert ((lo + k * width < seg) & (seg <= lo + (k + 1) * width)).all()
+
+
+def test_class_sieve_random_windows():
+    rng = random.Random(20261019)
+    for _ in range(40):
+        q = rng.choice(CLASS_MODULI + (rng.randrange(1, 10**5),))
+        lo = rng.choice((rng.randrange(10**9), rng.randrange(2**31 - 10**5, 2**31 + 10**5)))
+        hi = lo + rng.randrange(1, 1 << 16)
+        classes = {rng.randrange(q) for _ in range(3)} | {1 % q, (q - 1) % q}
+        assert_class_sieve(lo, hi, q, classes)
 
 
 def test_prime_counts():
@@ -304,10 +412,22 @@ def test_prime_residue_counts_against_class_filter():
             for p in ps:
                 want[p % m] += 1
             np.testing.assert_array_equal(vec, want)
+        # only the class a mod q: each entry outside it is 0, and (6, 2) holds just the prime 2
+        for q, a in ((3, 1), (3, 2), (4, 1), (15, 2), (16, 7), (6, 2)):
+            moduli_q = [q * d for d in (1, 2, 5, 7, 16)]
+            for m, vec in zip(moduli_q, arith.prime_residue_counts(lo, hi, moduli_q, q, a)):
+                want = np.zeros(m, dtype=np.int64)
+                for p in ps:
+                    if p % q == a:
+                        want[p % m] += 1
+                np.testing.assert_array_equal(vec, want, err_msg=f"({lo}, {hi}], q = {q}, a = {a}, m = {m}")
     assert arith.prime_residue_counts(0, 100, []) == []
     for lo, moduli in ((0, [3, 0]), (-1, [3])):
         with pytest.raises(ValueError):
             arith.prime_residue_counts(lo, 100, moduli)
+    for q, a in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            arith.prime_residue_counts(0, 100, [3], q, a)
 
 
 def test_modulus_groups_cover():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import apgaps.arith as arith
 import apgaps.bv_sums as bv
 from apgaps.arith import (
     chebyshev_psi,
@@ -497,13 +498,18 @@ def per_modulus_maynard_sums(x, q, a, h_m, k, L):
     return math.fsum(terms1), math.fsum(terms2)
 
 
-def test_maynard_condition_sums_across_segments():
-    # the tail (x/2 + h_m, x] spans two sieve segments, or four when it starts at 0
+def test_maynard_condition_sums_across_segments(monkeypatch):
+    # only the class a mod q of the tail (x/2 + h_m, x] is sieved, in segments of
+    # DEFAULT_SEGMENT * q (odd q) or DEFAULT_SEGMENT * q / 2 (even q) numbers
     x = 3.0 * 2**20 + 12345
-    for q, a, L in ((3, 1, 0.2), (4, 3, 0.3)):
-        for h_m in (0, 37, -(2**21)):
+    classes = ((3, 1, 0.2), (3, 2, 0.2), (4, 3, 0.3), (15, 2, 0.2), (1, 0, 0.2))
+    cases = [(q, a, L, h_m) for q, a, L in classes for h_m in (0, 37, -(2**21))]
+    want = {(q, a, L, h_m): per_modulus_maynard_sums(x, q, a, h_m, 2, L) for q, a, L, h_m in cases}
+    for segment in (arith.DEFAULT_SEGMENT, 1 << 14):
+        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", segment)
+        for q, a, L, h_m in cases:
             rep = bv.maynard_condition_sums(x, q, a, h_m, 2, L)
-            assert (rep.lhs1, rep.lhs2) == per_modulus_maynard_sums(x, q, a, h_m, 2, L)
+            assert (rep.lhs1, rep.lhs2) == want[q, a, L, h_m], (segment, q, a, h_m)
 
 
 def test_maynard_inner_term_bound():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -75,6 +76,45 @@ def test_parse_errors_end_with_json_error(capsys):
         assert flag in json.loads(captured.err.strip().splitlines()[-1])["error"]
     assert run(["maycond", "--help"]) == 0
     assert "--csv" not in capsys.readouterr().out
+
+
+def test_parser_of_one_command_matches_the_full_parser():
+    def commands(ap):
+        return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    full = cli.build_parser()
+    for name, parser in commands(full).items():
+        one = cli.build_parser(name)
+        assert list(commands(one)) == [name]
+        assert one.format_usage() == full.format_usage()
+        assert commands(one)[name].format_help() == parser.format_help()
+    assert cli.build_parser("definitely-not-a-command").format_help() == full.format_help()
+
+
+def test_top_level_errors_list_every_command(capsys):
+    for argv in (["bv", "--x", "1e4", "--frob"], ["definitely-not-a-command"], []):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "{verify-identities,bv,bdh,maycond,hb,comb,mk,certify,gap,constellation}" in captured.err
+        assert json.loads(captured.err.strip().splitlines()[-1])["error"].startswith("apgaps: ")
+
+
+def test_integer_options_take_exact_e_notation(tmp_path, capsys):
+    outs = {}
+    for random in ("2000", "2e3", "2.000e3", "20e2"):
+        out = tmp_path / f"comb-{random}.jsonl"
+        assert run(["comb", "--denominator", "6", "--random", random, "--seed", "1e0", "--out", str(out)]) == 0
+        outs[random] = out.read_bytes()
+    assert len(set(outs.values())) == 1  # the same rows and manifest hash as the integer literal
+    assert read_lines(tmp_path / "comb-2e3.jsonl")[-1]["checked"] > 0
+    for flag, value in (("--random", "2.5"), ("--random", "1e-3"), ("--denominator", "2.5e0"), ("--seed", "1e-3")):
+        assert run(["comb", "--denominator", "6", flag, value]) == 2
+        assert last_error(capsys) == f"apgaps comb: argument {flag}: invalid int value: '{value}'"
+    for value in ("inf", "nan", "1e5000", "0x10"):
+        assert run(["mk", "--k", value]) == 2
+        assert "invalid int value" in last_error(capsys)
+    assert run(["comb", "--denominator", "6", "--random=-1e3"]) == 2
+    assert last_error(capsys) == "apgaps comb: argument --random: must be >= 0, got -1e3"
 
 
 def test_thread_count_rejected(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apgaps.arith as arith
 import apgaps.gaps as gaps
 from apgaps.arith import DEFAULT_SEGMENT, is_prime, primes_in_range
 from apgaps.variational import CertificateCapExceeded, VariationalCertificate, mk_lower_bound
@@ -196,14 +197,15 @@ def test_constellation_matches_loop_oracle():
 
 
 def test_constellation_streams_across_segments():
-    # (x/2, x] spans three sieve segments; the class is walked one at a time
+    # (x/2, x] spans three sieve segments at q = 1, two at q = 4; the class is walked one at a time
     x = 5 * DEFAULT_SEGMENT + 4321.5
     lo = int(math.floor(x / 2))
     boundaries = (lo + DEFAULT_SEGMENT, lo + 2 * DEFAULT_SEGMENT)
     for q, a in ((1, 0), (4, 3), (30, 7)):
         for t in (1, 2, 3, 5):
             assert gaps.constellation_search(x, q, a, t) == loop_constellation(x, q, a, t)
-    # the only minimal window straddles a segment boundary
+    # the only minimal window straddles lo + DEFAULT_SEGMENT or lo + 2 DEFAULT_SEGMENT, a segment boundary
+    # of the odd numbers; the class sieve's own boundaries are in test_constellation_streams_class_segments
     for q, a, t, boundary in ((30011, 3, 2, boundaries[0]), (3001, 5, 5, boundaries[1])):
         got = gaps.constellation_search(x, q, a, t)
         assert got == loop_constellation(x, q, a, t)
@@ -221,6 +223,21 @@ def test_constellation_streams_across_segments():
         assert got == loop_constellation(x, q, a, 2)
         assert not got.found and got.count == count
         assert gaps.constellation_search(x, q, a, 1) == loop_constellation(x, q, a, 1)
+
+
+def test_constellation_streams_class_segments(monkeypatch):
+    # the class is sieved in segments of DEFAULT_SEGMENT * q (odd q) or DEFAULT_SEGMENT * q / 2 (even q)
+    # numbers; small segments make windows straddle many of them, also in classes that share wheel primes with q
+    x = 20000.5
+    want = {
+        (q, a, t): loop_constellation(x, q, a, t)
+        for q, a in ((1, 0), (3, 2), (4, 1), (15, 2), (16, 7), (30, 7), (30030, 1))
+        for t in (1, 2, 3, 5)
+    }
+    for segment in (3, 64, 1000):
+        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", segment)
+        for (q, a, t), result in want.items():
+            assert gaps.constellation_search(x, q, a, t) == result, (segment, q, a, t)
 
 
 def test_constellation_rejects_non_finite_x():
