@@ -98,7 +98,7 @@ def _exact_sum(a: np.ndarray) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
-def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
+def sandwich_check(x: float, r: int, a: int, lam: float):
     """Difference-quotient bounds for psi from the smoothed sum.
 
     Returns (ok, lower, psi, upper) for
@@ -130,7 +130,7 @@ def sandwich_check(x: float, r: int, a: int, lam: float, slack: float = 1e-9):
     lower = (r_mid - R(x_lo)) / lam
     upper = (R(x_hi) - r_mid) / lam
     psi = _exact_sum(W[: prefix(x)])
-    ok = lower <= psi + slack and psi <= upper + slack
+    ok = lower <= psi + 1e-9 and psi <= upper + 1e-9  # an absolute slack for the rounding of the sums
     return ok, lower, psi, upper
 
 
@@ -140,6 +140,8 @@ def _modulus_cutoff(x: float, q: int, e: float, name: str) -> int:
     e is read as the decimal it prints as (arith.exact_exponent), so that
     x = 1e10, e = 0.3 gives D = 1000 and not the float power's 999.
     """
+    if not 0 <= e <= 1:
+        raise ValueError(f"need 0 <= {name} <= 1, got {e}")
     ef = exact_exponent(e)
     # for an integer q, x^e * q <= x  <=>  q <= floor(x^(1 - e))
     if q > floor_power(x, 1 - ef):

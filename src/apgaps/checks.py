@@ -55,15 +55,15 @@ def check_conductor_partition(max_r: int = 200, seed: int = 0) -> CheckResult:
     return CheckResult("conductor-partition", True, f"all r <= {max_r} with random weights")
 
 
-def check_orthogonality(max_r: int = 100, pairs_per_r: int = 4, seed: int = 0) -> CheckResult:
+def check_orthogonality(max_r: int = 100, seed: int = 0) -> CheckResult:
     rng = random.Random(seed)
     for r in range(1, max_r + 1):
-        for _ in range(pairs_per_r):
+        for _ in range(4):
             m = rng.randrange(1, 3 * r + 2)
             n = rng.randrange(1, 3 * r + 2)
             if not chars.orthogonality_check_exact(r, m, n):
                 return CheckResult("orthogonality", False, f"failed at r = {r}, m = {m}, n = {n}")
-    return CheckResult("orthogonality", True, f"all r <= {max_r}, {pairs_per_r} random pairs each")
+    return CheckResult("orthogonality", True, f"all r <= {max_r}, 4 random pairs each")
 
 
 def check_large_sieve(trials: int = 100, seed: int = 0) -> CheckResult:
@@ -103,10 +103,10 @@ def check_hb_identity(x: int = 2000, ks=(1, 2, 3)) -> CheckResult:
     return CheckResult("hb-identity", True, f"exact for n <= {x}, k in {tuple(ks)}")
 
 
-def check_sandwich(trials: int = 200, x_max: float = 1e6, seed: int = 0) -> CheckResult:
+def check_sandwich(trials: int = 200, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     for i in range(trials):
-        x = float(rng.uniform(100.0, x_max))
+        x = float(rng.uniform(100.0, 1e6))
         r = int(rng.integers(1, 31))
         a = int(rng.integers(0, r)) if r > 1 else 0
         lam = float(rng.uniform(0.005, 1.0))

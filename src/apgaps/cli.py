@@ -198,7 +198,7 @@ DEFAULT_KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 26, 32, 40, 52, 64)
 
 
 def cmd_certify(args) -> int:
-    ks = [int(v) for v in args.ks.split(",")] if args.ks else [k for k in DEFAULT_KS if k <= args.kmax]
+    ks = args.ks if args.ks is not None else [k for k in DEFAULT_KS if k <= args.kmax]
     manifest = _manifest("certify", {"ks": ks, "degree": args.degree}, args.seed)
     rows = [_cert_row(variational.mk_lower_bound(k, args.degree)) for k in ks]
     for row, k in zip(rows, ks):
@@ -249,8 +249,7 @@ def _load_table(path: str) -> list[VariationalCertificate]:
 def _check_exact_bound(path: str, cert: VariationalCertificate) -> None:
     """Re-derive from its coefficients the exact_bound of the table row that selected k."""
     where = f"{path}: the certificate at k = {cert.k}"
-    _, A_exact = variational.gram_I(cert.k, cert.basis)
-    _, B_exact = variational.gram_J(cert.k, cert.basis)
+    A_exact, B_exact = variational.gram_I(cert.k, cert.basis), variational.gram_J(cert.k, cert.basis)
     try:
         exact = variational._exact_quotient(cert.coefficients, A_exact, B_exact)
     except RayleighError as exc:
@@ -357,6 +356,16 @@ _NONNEGATIVE_INT = _checked(_integer, lambda v: v >= 0, "must be >= 0")
 _HB_X = _checked(float, lambda v: math.isfinite(v) and v >= 1, "x must be finite and >= 1")
 
 
+def _k_list(text: str) -> list[int]:
+    """The value of --ks: comma-separated integers >= 1, each read as an integer option is."""
+    if not all(item.strip() for item in text.split(",")):
+        raise argparse.ArgumentTypeError(f"empty item in '{text}'")
+    return [_POSITIVE_INT(item) for item in text.split(",")]
+
+
+_k_list.__name__ = "int"  # argparse names the type in "invalid int value: '2.5'"
+
+
 def _option(*flags, **kwargs) -> tuple:
     """One add_argument call, made when its subcommand's parser is built."""
     return flags, kwargs
@@ -379,7 +388,7 @@ _COMMON_OPTIONS = (
     _option("--out", help="output path (default stdout)"),
     _option("--manifest", help="write the full run manifest (with timestamps) here"),
 )
-_DEGREE = _option("--degree", type=_integer, default=3, help="basis degree (default %(default)s)")
+_DEGREE = _option("--degree", type=_NONNEGATIVE_INT, default=3, help="basis degree (default %(default)s)")
 
 # name: (handler, help, its options before the common ones), in the order --help lists them
 _COMMANDS = {
@@ -393,7 +402,7 @@ _COMMANDS = {
         _option("--Q", type=float, help="default x/log(x)"),
     )),
     "maycond": (cmd_maycond, "squarefree tau-weighted condition sums", (
-        *_typed(("x", float), ("q", _POSITIVE_INT), ("a", _integer), ("k", _integer), ("L", float)),
+        *_typed(("x", float), ("q", _POSITIVE_INT), ("a", _integer), ("k", _POSITIVE_INT), ("L", float)),
         _option("--h", type=_integer, default=0, help="shift of the prime window (default %(default)s)"),
     )),
     "hb": (cmd_hb, "dyadic decomposition check on random weights", (
@@ -414,7 +423,7 @@ _COMMANDS = {
     )),
     "certify": (cmd_certify, "certificate table over a k range", (
         _option("--kmax", type=_POSITIVE_INT, default=64, help="largest k of the default list (default %(default)s)"),
-        _option("--ks", help="comma-separated explicit k list"),
+        _option("--ks", type=_k_list, help="comma-separated explicit k list"),
         _DEGREE,
     )),
     "gap": (cmd_gap, "end-to-end gap bound report", (

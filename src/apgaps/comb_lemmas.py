@@ -97,7 +97,7 @@ def _greedy_parts(total: int, top: int) -> list[int]:
     return [top] * q + ([rem] if rem else [])
 
 
-def partitions_of(total: int, max_parts: int, max_part: int | None = None):
+def partitions_of(total: int, max_parts: int):
     """Nonincreasing positive integer tuples summing to total, at most max_parts parts.
 
     They come in reverse-lexicographic order, without recursion: each step
@@ -107,10 +107,9 @@ def partitions_of(total: int, max_parts: int, max_part: int | None = None):
     if total == 0:
         yield ()
         return
-    top = total if max_part is None else min(total, max_part)
-    if top < 1 or total > max_parts * top:
+    if total < 0 or max_parts < 1:
         return
-    parts = _greedy_parts(total, top)
+    parts = [total]
     while True:
         yield tuple(parts)
         rest = 1  # the sum right of parts[i] once parts[i] drops by 1

@@ -37,13 +37,6 @@ def level_L_exact(theta: Fraction, eps: Fraction = Fraction(0)) -> Fraction:
     return Fraction(9, 20) - theta - eps
 
 
-def level_L(theta: float, eps: float) -> float:
-    """Float rendering of the exact level; requires eps > 0."""
-    if eps <= 0:
-        raise ValueError("need eps > 0")
-    return float(level_L_exact(Fraction(theta), Fraction(eps)))
-
-
 def abstract_B_consistency(theta) -> bool:
     """Exact identity 2 / (9/20 - theta) = 40 / (9 - 20 theta) on [2/5, 9/20)."""
     th = Fraction(theta)
@@ -62,12 +55,9 @@ def D0(x: float) -> float:
     if x <= 2:
         raise ValueError("need x > 2")
     ll = math.log(math.log(x / 2))
-    if not ll > 1:
+    if not (ll > 1 and math.log(ll) > 1):
         raise ValueError("x below the domain guard: logloglog(x/2) must exceed 1")
-    lll = math.log(ll)
-    if not lll > 1:
-        raise ValueError("x below the domain guard: logloglog(x/2) must exceed 1")
-    return ll / lll
+    return ll / math.log(ll)
 
 
 @dataclass(frozen=True)
@@ -101,13 +91,21 @@ def validate_config(cfg: GapConfig) -> list[str]:
         errors.append(f"gcd(a, q) = {math.gcd(cfg.a, cfg.q)} != 1")
     if cfg.t < 1:
         errors.append("t must be >= 1")
+    finite = {name: math.isfinite(getattr(cfg, name)) for name in ("eps", "eta", "C")}
+    errors += [f"need finite {name}" for name, ok in finite.items() if not ok]
+    if finite["eps"] and not 0 < cfg.eps < Fraction(1, 20):
+        errors.append("need 0 < eps < 1/20")
     theta = cfg.theta
-    if theta > 5 / 12 - cfg.eta:
+    if finite["eta"] and theta > 5 / 12 - cfg.eta:
         errors.append(f"theta = {theta:.6f} exceeds 5/12 - eta = {5 / 12 - cfg.eta:.6f}")
-    rad = radical(cfg.q)
-    rad_cap = math.log(cfg.x) ** cfg.C
-    if rad > rad_cap:
-        errors.append(f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}")
+    if finite["C"]:
+        rad = radical(cfg.q)
+        try:
+            rad_cap = math.log(cfg.x) ** cfg.C
+        except OverflowError:  # above the float range, so above every radical
+            rad_cap = math.inf
+        if rad > rad_cap:
+            errors.append(f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}")
     return errors
 
 
@@ -207,14 +205,15 @@ def gap_bound(cfg: GapConfig, table: list[VariationalCertificate]) -> GapBoundRe
     errors = validate_config(cfg)
     if errors:
         raise ValueError("; ".join(errors))
-    L = level_L(cfg.theta, cfg.eps)
     L_exact = level_L_exact(Fraction(cfg.theta), Fraction(cfg.eps))
-    k, cert = min_k_for(cfg.t, L_exact + Fraction(cfg.eps) / 2, table)
+    L_select = L_exact + Fraction(cfg.eps) / 2
+    k, cert = min_k_for(cfg.t, L_select, table)
     tup = admissible_primes_past_k(k)
     try:
         fits = bool(tup.shifts[-1] < D0(cfg.x))
     except ValueError:
         fits = False
+    L = float(L_exact)
     return GapBoundReport(
         k=k,
         L=L,
@@ -222,7 +221,7 @@ def gap_bound(cfg: GapConfig, table: list[VariationalCertificate]) -> GapBoundRe
         tuple_diameter=tup.diameter,
         scaled_diameter=cfg.q * tup.diameter,
         certificate=cert,
-        threshold=(2 * cfg.t - 2) / (L + cfg.eps / 2),
+        threshold=float((2 * cfg.t - 2) / L_select),
         fits_D0=fits,
     )
 

@@ -11,42 +11,30 @@ reduce to exact rational Gram matrices through the Dirichlet integral
 
     int_{R_n} (1 - sum t)^c  prod t_i^{a_i} dt = c! prod(a_i!) / (n + c + sum a_i)!
 
-Both Gram matrices come from one walk over overlap patterns. A form pins
-at most one coordinate: none for I, and t_1, the integrated one, for J. The
-placements of lambda are split by their exponent on the pinned
-coordinate and the multiset of their other parts, which are then held
-on the next s coordinates; mu is placed on the pinned, those s and the
-n = k - pinned - s free coordinates. A pattern's integral factors over
-the coordinates: one factor for the pinned exponents of lambda and mu,
-(a + b)! for each held coordinate where lambda has a and mu has b, and
-nu! for each other part nu of mu, which n!/((n - |nu|)! prod mult(nu)!)
-placements share. So each pattern of mu carries its multiplicity times
-prod(nu!), patterns that differ only by an order within a run of equal
-held parts of lambda are merged, and an entry (lambda, mu) is a sum of
-integer products with no per-pattern key: the cost depends on the degree
-only, not on k. Every pattern of an entry has the degree sum
-|lambda| + |mu|, so all its values share one denominator:
-(k + |lambda| + |mu|)! for I, and lcm(1 .. D + 1)^2 (k + 1 + |lambda| + |mu|)!
-for J, D the basis degree. An entry is accumulated as a Python int over
-that denominator and becomes one Fraction at the end.
+Both Gram matrices come from one walk over overlap patterns (_gram). A
+form pins at most one coordinate: none for I, and t_1, the integrated one,
+for J. A pattern's integral factors over the coordinates, patterns that
+differ only by an order within a run of equal parts are merged, and the
+cost of an entry depends on the degree only, not on k. All entries of a
+matrix are integers over one denominator: (k + 2D)! for I and
+lcm(1 .. D + 1)^2 (k + 1 + 2D)! for J, D the basis degree.
 
-The best quotient over the span is the top generalized eigenvalue of
-(B, A), found by one dense eigensolve of L^-1 B L^-T where A = L L^T. Any
-feasible quotient is a valid lower bound for M_k, so the certificate keeps
-the quotient of the computed float coefficient vector in exact rational
-arithmetic (exact_bound): the coefficients are integers over one power of
-two and each Gram matrix is an integer matrix over one denominator, so
-both quadratic forms are Python-int dot products. The float it reports
-(lower_bound, the "lambda" column) is that rational rounded down; k is
-selected from the rational.
+Each exact value has one form, and each float is a rendering of it taken
+once. mk_lower_bound renders both Gram matrices (_float_gram, scaled by
+k!) and takes the top generalized eigenvalue of (B, A) from one dense
+eigensolve of L^-1 B L^-T, where A = L L^T. Any feasible quotient is a
+valid lower bound for M_k, so the certificate keeps the exact quotient of
+the computed float coefficients (exact_bound): they are integers over one
+power of two, so both forms are integer quadratic forms. The reported
+float (lower_bound, the "lambda" column) is that rational rounded down;
+k is selected from the rational.
+
 Monte-Carlo integration gives an independent check of every certificate.
-It evaluates the trial function F = sum c_lambda m_lambda as one
-polynomial in the power sums p_1 ... p_degree, whose coefficients are
-combined exactly and rounded once, over batches stored one coordinate per
-row. The inner t_1 integral of the J side is integrated exactly: with
-p_r = t_1^r + q_r it is one polynomial in the power sums q_r of the other
-coordinates and the powers of the upper limit u, evaluated by the same
-class, with no quadrature nodes. Both sides are sampled by one loop.
+The trial function F = sum c_lambda m_lambda is one polynomial in the
+power sums p_1 ... p_D, its coefficients combined exactly and rounded
+once. The inner t_1 integral of the J side is integrated exactly, as one
+polynomial in the power sums of the other coordinates and the powers of
+the upper limit. Both sides are sampled by one loop.
 """
 
 from __future__ import annotations
@@ -62,6 +50,8 @@ import numpy as np
 from .comb_lemmas import partitions_of
 
 BASIS_SIZE_CAP = 200
+
+ExactGram = tuple[list[list[int]], int]  # Python-int numerators over one denominator
 
 
 def _factorial_product(exponents) -> int:
@@ -151,33 +141,30 @@ def _held_patterns(partition, runs, free: int) -> tuple[tuple[tuple[int, ...], i
     return tuple(out)
 
 
-def _gram(k: int, basis, pinned: int, pin_weight, denominator) -> tuple[np.ndarray, list[list[Fraction]]]:
-    """Gram matrix of the basis from its overlap patterns, float and exact.
+def _gram(k: int, basis, pinned: int, pin_weight, denominator) -> ExactGram:
+    """Gram matrix of the basis from its overlap patterns: entry (i, j) is num[i][j] / den.
 
     `pinned` coordinates are held fixed: none for I, t_1 for J. Each split
     of lambda there (_pinned_splits: its pinned exponents, the multiset
     `rest` of its other parts, their count) holds those parts on the next
-    coordinates; mu is split the same way, and its other parts are placed
+    coordinates. mu is split the same way, and its other parts are placed
     over the held and the free coordinates. Times
-    denominator(|lambda| + |mu|), a pattern's integral is the integer
-    pin_weight(lambda's pinned exponents, mu's pinned exponents) times
-    prod((a + b)!) over the held coordinates, a and b the exponents of
-    lambda and mu there, times the weight _held_patterns gives the
-    pattern. The sum over mu's patterns depends only on rest and mu's
-    unpinned parts, and is made once for each pair. An entry is a sum of Python ints divided once: one Fraction
-    per entry, none added. The float rendering is scaled by k!
-    (integration against the uniform probability measure on the simplex)
-    so entries stay representable at large k; the exact matrix is
-    unscaled.
+    denominator(|lambda| + |mu|), the integral of a pattern is an integer:
+    pin_weight(lambda's pinned exponents, mu's), times (a + b)! for each
+    held coordinate where lambda has a and mu has b, times the weight
+    _held_patterns gives the pattern. The sum over mu's patterns depends
+    only on rest and mu's unpinned parts, so it is made once per such
+    pair. den = denominator(2D), D the basis degree, is a multiple of each
+    entry's own denominator; no Fraction and no float is made.
     """
     n = len(basis)
     if n == 0:
         raise ValueError("basis must be nonempty")
-    fact = [math.factorial(i) for i in range(2 * max(map(sum, basis)) + 1)]
+    top = max(map(sum, basis))
+    fact = [math.factorial(i) for i in range(2 * top + 1)]
+    den = denominator(2 * top)
     held_sums: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # by (rest, mu's unpinned parts)
-    scale = math.factorial(k)
-    exact = [[Fraction(0)] * n for _ in range(n)]
-    flt = np.empty((n, n))
+    num = [[0] * n for _ in range(n)]
     splits = [_pinned_splits(p, pinned, k - pinned) for p in basis]
     for i, lam in enumerate(basis):
         for j in range(i, n):
@@ -195,25 +182,21 @@ def _gram(k: int, basis, pinned: int, pin_weight, denominator) -> tuple[np.ndarr
                             part += w
                         held_sums[rest, mu_rest] = part
                     total += cnt * pin_weight(lam_pinned, mu_pinned) * part
-            den = denominator(sum(lam) + sum(mu))
-            exact[i][j] = exact[j][i] = Fraction(total, den)
-            flt[i, j] = flt[j, i] = total * scale / den  # correctly rounded, as float(exact * scale)
-    return flt, exact
+            num[i][j] = num[j][i] = total * (den // denominator(sum(lam) + sum(mu)))
+    return num, den
 
 
-def gram_I(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
-    """Gram matrix of the basis under the F^2 integral; float and exact forms.
+def gram_I(k: int, basis) -> ExactGram:
+    """Gram matrix of the basis under the F^2 integral, exact.
 
     No coordinate is pinned: one monomial of m_lambda * m_mu with exponents
-    a_i integrates to prod(a_i!) over (k + |lambda| + |mu|)!. Both
-    quadratic forms get the same k! float scale, so Rayleigh quotients are
-    unaffected.
+    a_i integrates to prod(a_i!) over (k + |lambda| + |mu|)!.
     """
     return _gram(k, basis, 0, lambda lam_pinned, mu_pinned: 1, lambda deg: math.factorial(k + deg))
 
 
-def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
-    """Gram matrix of the basis under the summed J functional, float and exact.
+def gram_J(k: int, basis) -> ExactGram:
+    """Gram matrix of the basis under the summed J functional, exact.
 
     Coordinate t_1, the one integrated, is pinned, with exponents a_1 and
     b_1 of lambda and mu on it. Symmetry of the basis collapses the k
@@ -223,9 +206,8 @@ def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
     carry the combined exponents r_i integrates to
     k (a_1 + b_1 + 2)! prod(r_i!) / ((a_1 + 1)(b_1 + 1)(k + 1 + deg)!),
     deg = |lambda| + |mu|; with L = lcm(1 .. D + 1), D the basis degree,
-    its numerator over the common denominator L^2 (k + 1 + deg)! is an
-    integer, and everything but prod(r_i!) is the pinned weight. The float
-    rendering carries the same k! scale as gram_I.
+    its numerator over L^2 (k + 1 + deg)! is an integer, and everything but
+    prod(r_i!) is the pinned weight.
     """
     L = math.lcm(*range(1, max(map(sum, basis), default=0) + 2))
 
@@ -234,6 +216,17 @@ def gram_J(k: int, basis) -> tuple[np.ndarray, list[list[Fraction]]]:
         return k * math.factorial(a1 + b1 + 2) * (L // (a1 + 1)) * (L // (b1 + 1))
 
     return _gram(k, basis, 1, pin_weight, lambda deg: L * L * math.factorial(k + 1 + deg))
+
+
+def _float_gram(k: int, gram: ExactGram) -> np.ndarray:
+    """The float Gram matrix: each entry num * k! / den, correctly rounded by int / int division.
+
+    The k! scale (the uniform probability measure on the simplex) keeps
+    entries representable at large k and cancels in Rayleigh quotients.
+    """
+    num, den = gram
+    scale = math.factorial(k)
+    return np.array([[v * scale / den for v in row] for row in num])
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +291,23 @@ class VariationalCertificate:
 def _exact_quotient(c, A_exact, B_exact) -> Fraction:
     """The quotient c^T B c / c^T A c of the float vector c, exactly.
 
-    Each coefficient is m_i / 2^s exactly, with one s for all of them, and
-    each matrix is an integer matrix over the LCM of its denominators, so
-    both forms are Python-int dot products and the common 2^2s cancels.
+    Each coefficient is m_i / 2^s exactly, with one s for all of them, so
+    both forms are integer quadratic forms in m over the numerators of the
+    exact Gram matrices, and the common 2^2s cancels.
     """
     ratios = [float(ci).as_integer_ratio() for ci in c]
     scale = max((q for _, q in ratios), default=1)
     m = [p * (scale // q) for p, q in ratios]
     live = [i for i, mi in enumerate(m) if mi]
 
-    def form(M) -> tuple[int, int]:
-        den = math.lcm(*(M[i][j].denominator for i in live for j in live))
-        num = sum(
-            m[i] * sum(m[j] * (M[i][j].numerator * (den // M[i][j].denominator)) for j in live) for i in live
-        )
-        return num, den
+    def form(num) -> int:
+        return sum(m[i] * sum(m[j] * num[i][j] for j in live) for i in live)
 
-    num_B, den_B = form(B_exact)
-    num_A, den_A = form(A_exact)
-    if num_A <= 0:
+    (num_A, den_A), (num_B, den_B) = A_exact, B_exact
+    a = form(num_A)
+    if a <= 0:
         raise RayleighError("coefficient vector has nonpositive A-norm")
-    return Fraction(num_B * den_A, num_A * den_B)
+    return Fraction(form(num_B) * den_A, a * den_B)
 
 
 def mk_lower_bound(k: int, max_degree: int) -> VariationalCertificate:
@@ -326,8 +315,8 @@ def mk_lower_bound(k: int, max_degree: int) -> VariationalCertificate:
     if k < 1:
         raise ValueError("need k >= 1")
     basis = basis_partitions(k, max_degree)
-    A, A_exact = gram_I(k, basis)
-    B, B_exact = gram_J(k, basis)
+    A_exact, B_exact = gram_I(k, basis), gram_J(k, basis)
+    A, B = _float_gram(k, A_exact), _float_gram(k, B_exact)
     _, c = max_rayleigh(A, B)
     if float(c @ B @ c) <= 0:
         raise RayleighError("optimizer returned a function with vanishing J mass")
@@ -536,8 +525,9 @@ class MCVerification:
     sigma: float
     samples: int
 
-    def contains(self, value: float, n_sigma: float = 5.0) -> bool:
-        slack = max(n_sigma * self.sigma, 1e-12)
+    def contains(self, value: float) -> bool:
+        """Whether value lies within 5 sigma of the estimate (at least 1e-12)."""
+        slack = max(5 * self.sigma, 1e-12)
         return abs(self.ratio - value) <= slack
 
     def json_dict(self) -> dict:

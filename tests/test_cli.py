@@ -115,6 +115,20 @@ def test_integer_options_take_exact_e_notation(tmp_path, capsys):
         assert "invalid int value" in last_error(capsys)
     assert run(["comb", "--denominator", "6", "--random=-1e3"]) == 2
     assert last_error(capsys) == "apgaps comb: argument --random: must be >= 0, got -1e3"
+    # each item of --ks is read as an integer option is
+    for ks in ("2,5", "2e0,5", "2,5.0e0"):
+        out = tmp_path / f"certify-{ks}.jsonl"
+        assert run(["certify", "--ks", ks, "--degree", "2", "--out", str(out)]) == 0
+        outs[ks] = out.read_bytes()
+    assert outs["2,5"] == outs["2e0,5"] == outs["2,5.0e0"]
+    assert [r["k"] for r in read_lines(tmp_path / "certify-2e0,5.jsonl")] == [2, 5]
+    for ks, message in (
+        ("2.5", "invalid int value: '2.5'"),
+        ("3,1e-3", "invalid int value: '3,1e-3'"),
+        ("3,0", "must be >= 1, got 0"),
+    ):
+        assert run(["certify", "--ks", ks]) == 2
+        assert last_error(capsys) == f"apgaps certify: argument --ks: {message}"
 
 
 def test_thread_count_rejected(capsys):
@@ -336,6 +350,30 @@ def test_gap_rejects_non_finite_x(tmp_path, capsys):
         assert json.loads(last) == {"error": "need finite x"}
 
 
+def test_gap_rejects_non_finite_eps_eta_C(tmp_path, capsys):
+    # NaN turns no constraint off: a finite C fails the radical bound at q = 9973, and a finite eta
+    # the theta bound at q = 2199023255552 (theta = 0.4114); the other cases fail nothing else
+    cases = (
+        (["--x", "1e10", "--q", "9973", "--C", "nan"], "need finite C"),
+        (["--x", "1e10", "--q", "3", "--C", "inf"], "need finite C"),
+        (["--x", "1e30", "--q", "2199023255552", "--eta", "nan"], "need finite eta"),
+        (["--x", "1e10", "--q", "3", "--eta=-inf"], "need finite eta"),
+        (["--x", "1e10", "--q", "3", "--eps", "nan"], "need finite eps"),
+        (["--x", "1e10", "--q", "3", "--eps", "inf"], "need finite eps"),
+        (["--x", "1e10", "--q", "3", "--eps", "0"], "need 0 < eps < 1/20"),
+        (["--x", "1e10", "--q", "3", "--eps=-1e-3"], "need 0 < eps < 1/20"),
+        (["--x", "1e10", "--q", "3", "--eps", "0.05"], "need 0 < eps < 1/20"),  # the float 0.05 exceeds 1/20
+    )
+    for extra, error in cases:
+        out = tmp_path / "gap.jsonl"
+        assert run(["gap", "--a", "1", "--t", "1", "--out", str(out)] + extra) == 2, extra
+        assert read_lines(out)[0]["errors"] == [error]
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(last) == {"error": error}
+    # (log x)^C above the float range bounds no radical
+    assert run(["gap", "--x", "1e10", "--q", "3", "--a", "1", "--t", "1", "--C", "1e300", "--kmax", "1"]) == 0
+
+
 def test_gap_cap_exceeded(capsys):
     code = run(["gap", "--x", "1e7", "--q", "3", "--a", "1", "--t", "3", "--kmax", "6", "--degree", "1"])
     assert code == 2
@@ -408,6 +446,17 @@ def test_domain_edges_are_json_errors(capsys):
         (["constellation", "--x=-inf", "--q", "4", "--a", "1", "--t", "2"], "need finite x"),
         (["bv", "--grid", ",", "--q", "3", "--b", "0.2"], "no x value"),
         (["bdh", "--grid", ",", "--q", "3", "--csv"], "no x value"),
+        (["certify", "--ks", "3,,5"], "argument --ks: empty item in '3,,5'"),
+        (["certify", "--ks", ","], "argument --ks: empty item"),
+        (["maycond", "--x", "1e4", "--q", "3", "--a", "1", "--k", "0", "--L", "0.2"], "argument --k: must be >= 1"),
+        (["maycond", "--x", "1e4", "--q", "3", "--a", "1", "--k", "-1", "--L", "0.2"], "argument --k: must be >= 1"),
+        (["mk", "--k", "3", "--degree", "-1"], "argument --degree: must be >= 0"),
+        (["certify", "--ks", "3", "--degree", "-1"], "argument --degree: must be >= 0"),
+        (["gap", "--x", "1e10", "--q", "3", "--a", "1", "--t", "1", "--degree=-1"], "argument --degree: must be >= 0"),
+        (["maycond", "--x", "1e4", "--q", "3", "--a", "1", "--k", "2", "--L", "nan"], "need 0 <= L <= 1, got nan"),
+        (["maycond", "--x", "1e4", "--q", "3", "--a", "1", "--k", "2", "--L", "inf"], "need 0 <= L <= 1, got inf"),
+        (["maycond", "--x", "1e4", "--q", "3", "--a", "1", "--k", "2", "--L", "-0.1"], "need 0 <= L <= 1, got -0.1"),
+        (["maycond", "--x", "1e4", "--q", "3", "--a", "1", "--k", "2", "--L", "1.5"], "need 0 <= L <= 1, got 1.5"),
     )
     for argv, message in cases:
         assert run(argv) == 2

@@ -12,8 +12,8 @@ from apgaps.variational import CertificateCapExceeded, VariationalCertificate, m
 
 
 def test_level_values():
-    assert gaps.level_L(1 / 3, 1e-12) == pytest.approx(1 / 6, abs=1e-9)
-    assert gaps.level_L(0.41, 1e-12) == pytest.approx(0.04, abs=1e-9)
+    assert gaps.level_L_exact(Fraction(1, 3)) == Fraction(1, 6)
+    assert gaps.level_L_exact(Fraction(41, 100)) == Fraction(1, 25)
     assert gaps.level_L_exact(Fraction(1, 3), Fraction(1, 1000)) == Fraction(1, 2) - Fraction(1, 3) - Fraction(
         1, 1000
     )
@@ -29,12 +29,16 @@ def test_level_branch_boundary_uses_second_branch():
 
 
 def test_level_domain():
-    with pytest.raises(ValueError):
-        gaps.level_L(0.43, 1e-3)
-    with pytest.raises(ValueError):
-        gaps.level_L(0.3, 0.0)
-    with pytest.raises(ValueError):
-        gaps.level_L(0.3, 0.06)
+    with pytest.raises(ValueError, match="theta"):
+        gaps.level_L_exact(Fraction(43, 100), Fraction(1, 1000))
+    with pytest.raises(ValueError, match="eps"):
+        gaps.level_L_exact(Fraction(3, 10), Fraction(6, 100))
+    # gap's eps must be positive as well: validate_config says so, with the other constraint errors
+    for eps, error in ((0.0, "need 0 < eps < 1/20"), (0.05, "need 0 < eps < 1/20"), (math.nan, "need finite eps")):
+        cfg = gaps.GapConfig(x=2.0**60, q=2**20, a=1, t=2, eta=1 / 12, eps=eps)
+        assert gaps.validate_config(cfg) == [error]
+        with pytest.raises(ValueError, match=error):
+            gaps.gap_bound(cfg, _fake_table([(1, 1.0)]))
 
 
 def test_abstract_rate_identity():

@@ -10,6 +10,12 @@ import apgaps.variational as var
 from apgaps.cli import DEFAULT_KS
 
 
+def _fractions(gram):
+    """An exact Gram matrix, (integer numerators, denominator), as a matrix of Fractions."""
+    num, den = gram
+    return [[Fraction(v, den) for v in row] for row in num]
+
+
 def _arrangements(partition, coords: int):
     """Yield sparse {coordinate: exponent} placements, distinct coordinates."""
     values = sorted(set(partition), reverse=True)
@@ -331,20 +337,20 @@ def test_monomial_sym_eval_matches_enumeration():
 def test_gram_matrices_match_all_placements_oracle(k, degree):
     basis = var.basis_partitions(k, degree)
     for fast, oracle in ((var.gram_I, _gram_I_all_placements), (var.gram_J, _gram_J_all_placements)):
-        flt, exact = fast(k, basis)
+        gram = fast(k, basis)
         want_flt, want_exact = oracle(k, basis)
-        assert exact == want_exact
-        assert np.array_equal(flt, want_flt)
+        assert _fractions(gram) == want_exact
+        assert np.array_equal(var._float_gram(k, gram), want_flt)
 
 
 @pytest.mark.parametrize("k,degree", [(5, 6), (12, 6), (20, 5), (105, 6), (3, 8)])
 def test_integer_gram_matches_fraction_oracle(k, degree):
     basis = var.basis_partitions(k, degree)
     for fast, oracle in ((var.gram_I, _fraction_gram_I), (var.gram_J, _fraction_gram_J)):
-        flt, exact = fast(k, basis)
+        gram = fast(k, basis)
         want_flt, want_exact = oracle(k, basis)
-        assert exact == want_exact
-        assert np.array_equal(flt, want_flt)
+        assert _fractions(gram) == want_exact
+        assert np.array_equal(var._float_gram(k, gram), want_flt)
 
 
 def test_pinned_splits_match_generic_enumerator():
@@ -358,8 +364,8 @@ def test_pinned_splits_match_generic_enumerator():
 def test_exact_quotient_matches_fraction_double_loop(k, degree):
     basis = var.basis_partitions(k, degree)
     n = len(basis)
-    _, A_exact = var.gram_I(k, basis)
-    _, B_exact = var.gram_J(k, basis)
+    A_exact, B_exact = var.gram_I(k, basis), var.gram_J(k, basis)
+    A_fractions, B_fractions = _fractions(A_exact), _fractions(B_exact)
     rng = np.random.default_rng(1000 * k + degree)
     for _ in range(4):
         # signs from the normal draw, binary exponents over 2^-60 .. 2^60, some zeros
@@ -367,12 +373,12 @@ def test_exact_quotient_matches_fraction_double_loop(k, degree):
         c[rng.random(n) < 0.25] = 0.0
         c[0] = 0.0
         c[-1] = -abs(c[-1]) or -1.0
-        want = _fraction_exact_quotient(c, A_exact, B_exact)
+        want = _fraction_exact_quotient(c, A_fractions, B_fractions)
         assert var._exact_quotient(c, A_exact, B_exact) == want
         assert var._exact_quotient(tuple(float(v) for v in c), A_exact, B_exact) == want
     single = np.zeros(n)
     single[-1] = 3.0
-    assert var._exact_quotient(single, A_exact, B_exact) == B_exact[-1][-1] / A_exact[-1][-1]
+    assert var._exact_quotient(single, A_exact, B_exact) == B_fractions[-1][-1] / A_fractions[-1][-1]
     with pytest.raises(var.RayleighError):
         var._exact_quotient(np.zeros(n), A_exact, B_exact)
 
@@ -448,16 +454,14 @@ def test_inner_integral_matches_gauss_legendre(k, degree):
 
 
 def test_gram_I_examples():
-    _, exact = var.gram_I(2, ((),))
-    assert exact == [[Fraction(1, 2)]]
-    _, exact = var.gram_I(1, ((), (1,)))
-    assert exact == [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
+    assert _fractions(var.gram_I(2, ((),))) == [[Fraction(1, 2)]]
+    assert _fractions(var.gram_I(1, ((), (1,)))) == [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]]
 
 
 def test_gram_I_against_monte_carlo():
     basis = ((), (1,), (1, 1))
     k = 3
-    _, exact = var.gram_I(k, basis)
+    exact = _fractions(var.gram_I(k, basis))
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             bi, bj = basis[i], basis[j]
@@ -468,12 +472,9 @@ def test_gram_I_against_monte_carlo():
 
 
 def test_gram_J_examples():
-    _, exact = var.gram_J(1, ((),))
-    assert exact == [[Fraction(1)]]
-    _, exact = var.gram_J(1, ((), (1,)))
-    assert exact == [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 4)]]
-    _, exact = var.gram_J(2, ((),))
-    assert exact == [[Fraction(2, 3)]]
+    assert _fractions(var.gram_J(1, ((),))) == [[Fraction(1)]]
+    assert _fractions(var.gram_J(1, ((), (1,)))) == [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 4)]]
+    assert _fractions(var.gram_J(2, ((),))) == [[Fraction(2, 3)]]
 
 
 def test_gram_J_against_monte_carlo():
@@ -481,7 +482,7 @@ def test_gram_J_against_monte_carlo():
     # t_1 integrals by Gauss-Legendre, average the products
     k = 3
     basis = ((), (1,), (1, 1))
-    _, exact = var.gram_J(k, basis)
+    exact = _fractions(var.gram_J(k, basis))
     rng = np.random.default_rng(12)
     n = 200_000
     e = rng.exponential(size=(n, k))
@@ -506,20 +507,21 @@ def test_gram_J_against_monte_carlo():
 
 def test_gram_J_positive_semidefinite():
     for k, deg in [(2, 3), (5, 2), (8, 2)]:
-        B, _ = var.gram_J(k, var.basis_partitions(k, deg))
+        B = var._float_gram(k, var.gram_J(k, var.basis_partitions(k, deg)))
         eigs = np.linalg.eigvalsh(B)
         assert float(eigs.min()) >= -1e-10 * max(1.0, float(eigs.max()))
 
 
 def test_gram_float_scale_consistency():
-    # the float rendering carries a common k! factor, so quotients agree with
-    # the exact matrices
-    k, basis = 3, ((), (1,), (2,))
-    A, A_exact = var.gram_I(k, basis)
-    scale = math.factorial(k)
-    for i in range(3):
-        for j in range(3):
-            assert A[i][j] == pytest.approx(float(A_exact[i][j] * scale), rel=1e-12)
+    # the float rendering carries a common k! factor, each entry rounded once from the exact value
+    for k, degree in ((3, 2), (5, 6), (64, 3), (105, 8)):
+        basis = var.basis_partitions(k, degree)
+        for gram in (var.gram_I(k, basis), var.gram_J(k, basis)):
+            flt = var._float_gram(k, gram)
+            num, den = gram
+            for i in range(len(basis)):
+                for j in range(len(basis)):
+                    assert flt[i][j] == float(Fraction(num[i][j], den) * math.factorial(k)), (k, degree, i, j)
 
 
 def test_max_rayleigh_diagonal():
@@ -554,9 +556,8 @@ def test_certificate_sound_and_not_below_power_iteration(k, degree):
     cert = var.mk_lower_bound(k, degree)
     assert Fraction(cert.lower_bound) <= cert.exact_bound < Fraction(math.nextafter(cert.lower_bound, math.inf))
     basis = var.basis_partitions(k, degree)
-    A, A_exact = var.gram_I(k, basis)
-    B, B_exact = var.gram_J(k, basis)
-    c = _power_iteration(A, B)
+    A_exact, B_exact = var.gram_I(k, basis), var.gram_J(k, basis)
+    c = _power_iteration(var._float_gram(k, A_exact), var._float_gram(k, B_exact))
     assert c is not None
     assert cert.exact_bound >= var._exact_quotient(c, A_exact, B_exact) * (1 - Fraction(1, 10**12))
 
@@ -577,8 +578,7 @@ def test_k1_anchor():
 
 def test_quotient_homogeneity():
     basis = var.basis_partitions(3, 2)
-    A, _ = var.gram_I(3, basis)
-    B, _ = var.gram_J(3, basis)
+    A, B = var._float_gram(3, var.gram_I(3, basis)), var._float_gram(3, var.gram_J(3, basis))
     rng = np.random.default_rng(1)
     c = rng.normal(size=len(basis))
     q1 = float(c @ B @ c) / float(c @ A @ c)
