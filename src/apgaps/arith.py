@@ -10,15 +10,16 @@ from 17 up to sqrt(hi) are marked with strides, one stride per prime; 2
 and the wheel primes of the class are added back. Von Mangoldt weights
 come from prime_power_arrays (the sparse prime powers P with weights
 W = log p, cached), von_mangoldt_table (the dense table Lambda(0..n)), or
-psi_residue_sums, which streams the sieve segments into per-residue float
-bincounts; prime_residue_counts streams one class's segments into exact
+psi_residue_sums, which streams one class's sieve segments into
+per-residue float bincounts; prime_residue_counts streams them into exact
 integer counts. Residues of whole arrays go through residues(a, m), a
 floor division by a scalar of a's dtype, which numpy runs faster than %;
 while the numbers are below 2**31 they are taken on an int32 copy of each
 segment: the same integers, found faster still. Sums
 over one class (chebyshev_psi) use math.fsum; the residue vectors of
 psi_residue_sums are plain float sums in a fixed order (segment by
-segment, fixed modulus groups), so the same call gives the same bits.
+segment of the class sieved, fixed modulus groups), so the same call gives
+the same bits.
 The dense phi and Möbius tables take one strided update per prime up to
 sqrt(n), then the larger primes together, one cofactor at a time
 (large_multiples); reduced_residue_mask(m) strikes one stride per
@@ -403,8 +404,9 @@ def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return P[:i], W[:i]
 
 
+@lru_cache(maxsize=4)
 def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prime powers p^j <= n with j >= 2 and weights log p, ordered by p, then ascending j."""
+    """Prime powers p^j <= n with j >= 2 and weights log p, ordered by p, then ascending j (cached, read-only)."""
     powers, weights = [], []
     for p in _base_primes(math.isqrt(n)).tolist():
         logp = math.log(p)
@@ -413,7 +415,10 @@ def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
             powers.append(pk)
             weights.append(logp)
             pk *= p
-    return np.array(powers, dtype=np.int64), np.array(weights, dtype=np.float64)
+    P, W = np.array(powers, dtype=np.int64), np.array(weights, dtype=np.float64)
+    P.setflags(write=False)
+    W.setflags(write=False)
+    return P, W
 
 
 @lru_cache(maxsize=6)
@@ -446,12 +451,14 @@ _GROUP_BINS = 1 << 16
 def _modulus_groups(moduli) -> dict[int, int]:
     """Map each modulus m to a group modulus M with m | M.
 
-    Greedy cover in descending order of m: m joins the group whose lcm grows
-    least, provided the lcm stays at or below _GROUP_BINS or does not grow;
-    otherwise m opens a group of its own.
+    Greedy cover in descending order of (largest prime factor of m, m), so
+    that the multiples of one large prime meet while their groups still
+    have room: m joins the group whose lcm grows least, provided the lcm
+    stays at or below _GROUP_BINS or does not grow; otherwise m opens a
+    group of its own.
     """
     groups: list[list] = []  # [M, members]
-    for m in sorted(set(moduli), reverse=True):
+    for m in sorted(set(moduli), key=lambda m: (max(factorize(m).primes, default=1), m), reverse=True):
         best, best_growth = None, None
         for g in groups:
             lcm = math.lcm(g[0], m)
@@ -486,25 +493,32 @@ def _residue_bincounts(lo: int, hi: int, q: int, a: int, group_moduli, weighted:
     return acc
 
 
-def psi_residue_sums(x: float, moduli) -> list[np.ndarray]:
-    """For each m in moduli, the vector of psi(x; m, a) over all residues a mod m.
+def psi_residue_sums(x: float, moduli, q: int = 1, a: int = 0) -> list[np.ndarray]:
+    """For each m in moduli, psi over the class a mod q split by residue mod m.
 
-    One pass of the segmented sieve over (0, x] serves every modulus. Each
-    segment's primes and their logs go into one weighted bincount per
-    modulus group (_modulus_groups, _residue_bincounts), the higher prime
-    powers into one more after the last segment, and each group's vector is
+    Entry c of m's vector is the sum of Lambda(n) over n <= x with n = a
+    (mod q) and n = c (mod m); (q, a) = (1, 0) gives psi(x; m, c) for every
+    residue c. Only the class a mod q is sieved, in one pass: each segment's
+    primes and their logs go into one weighted bincount per modulus group
+    (_modulus_groups, _residue_bincounts), the higher prime powers of the
+    class into one more after the last segment, and each group's vector is
     folded down to its members. Memory is O(segment + sum of the group
-    moduli), not O(pi(x)). The float summation order is fixed by the segment
-    size and the grouping.
+    moduli), not O(pi(x)). The float summation order is fixed by q, the
+    segment size and the grouping.
     """
+    if q < 1 or not 0 <= a < q:
+        raise ValueError("need q >= 1 and 0 <= a < q")
     moduli = [int(m) for m in moduli]
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be >= 1")
     group_of = _modulus_groups(moduli)
     xi = int(math.floor(x))
-    acc = _residue_bincounts(0, xi, 1, 0, dict.fromkeys(group_of.values()), weighted=True)
+    acc = _residue_bincounts(0, xi, q, a, dict.fromkeys(group_of.values()), weighted=True)
     if acc and xi >= 2:
         P, W = _higher_prime_powers(xi)
+        if q > 1:
+            keep = residues(P, q) == a
+            P, W = P[keep], W[keep]
         for M, vec in acc.items():
             vec += np.bincount(residues(P, M), weights=W, minlength=M)
     return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]

@@ -4,6 +4,10 @@ Measured quantities, each against its trivial normalizer:
 
 - compute_E_b: sum over moduli d <= x^b of the worst residue-class error
   |psi(x; q d, a) - x/phi(q d)|, the maximum taken over all reduced classes.
+  At large x each reduced class a mod q is sieved on its own and its psi
+  values binned by residue mod d alone (the classes mod q d are the pairs
+  of a class mod q and one mod d); at small x one sieve of the odd numbers
+  is binned mod each q d.
 - bdh_variance: the mean-square analogue, summed over all reduced classes.
   Its sum of squares over all classes of one modulus m is read off the
   autocorrelation R(h) = sum_n Lambda(n) Lambda(n + h), computed once:
@@ -36,6 +40,7 @@ import math
 import numpy as np
 
 from .arith import (
+    DEFAULT_SEGMENT,
     euler_phi,
     exact_exponent,
     floor_power,
@@ -150,19 +155,36 @@ def _modulus_cutoff(x: float, q: int, e: float, name: str) -> int:
 
 
 def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
-    """Worst-case error sum over moduli q*d, d <= x^b coprime to q."""
+    """Worst-case error sum over moduli q*d, d <= x^b coprime to q.
+
+    With gcd(d, q) = 1 a class c mod q*d is the pair (c mod q, c mod d)
+    (the Chinese remainder theorem). While x >= phi(q) * q * DEFAULT_SEGMENT,
+    so that each class a mod q spans at least phi(q) sieve segments, each
+    reduced class a is sieved on its own (psi_residue_sums(x, ds, q, a)) and
+    its psi values are binned by residue mod the d alone; each d's worst
+    error is the maximum over the pairs (a, reduced r mod d). Below that
+    size one pass over the class 0 mod 1 bins every prime by its residue mod
+    the q*d, as (q, a) = (1, 0) with moduli q*d.
+    """
     if not 0 < b < 0.5:
         raise ValueError("need 0 < b < 1/2")
     if q < 1:
         raise ValueError("need q >= 1")
     D = _modulus_cutoff(x, q, b, "b")
-    ms = [q * d for d in range(1, D + 1) if math.gcd(d, q) == 1]
-    maxima = [
-        float(np.max(np.abs(vec[reduced_residue_mask(m)] - x / euler_phi(m))))
-        for m, vec in zip(ms, psi_residue_sums(x, ms))
-    ]
+    ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
+    mains = [x / euler_phi(q * d) for d in ds]
+    if x >= euler_phi(q) * q * DEFAULT_SEGMENT:
+        step, classes, moduli = q, [a for a in range(q) if math.gcd(a, q) == 1], ds
+    else:
+        step, classes, moduli = 1, [0], [q * d for d in ds]
+    masks = [reduced_residue_mask(m) for m in moduli]
+    maxima = [0.0] * len(ds)
+    for a in classes:
+        vecs = psi_residue_sums(x, moduli, step, a)
+        for i, (vec, mask, main) in enumerate(zip(vecs, masks, mains)):
+            maxima[i] = max(maxima[i], float(np.max(np.abs(vec[mask] - main))))
     return ErrorSumReport(
-        x=x, q=q, param_name="b", param=b, value=math.fsum(maxima), normalizer=x / euler_phi(q), term_count=len(ms)
+        x=x, q=q, param_name="b", param=b, value=math.fsum(maxima), normalizer=x / euler_phi(q), term_count=len(ds)
     )
 
 

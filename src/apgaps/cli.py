@@ -69,10 +69,7 @@ def _emit(text: str, args, manifest: RunManifest) -> None:
 def _xs(args) -> list[float]:
     """The x values of bv and bdh: the --grid list if given, else --x."""
     if args.grid:
-        xs = [float(part) for part in args.grid.split(",") if part]
-        if not xs:
-            raise ValueError("--grid names no x value")
-        return xs
+        return args.grid
     _require(args, "x")
     return [args.x]
 
@@ -366,6 +363,19 @@ def _k_list(text: str) -> list[int]:
 _k_list.__name__ = "int"  # argparse names the type in "invalid int value: '2.5'"
 
 
+def _x_list(text: str) -> list[float]:
+    """The value of --grid: comma-separated floats, with no empty item."""
+    items = text.split(",")
+    if not any(item.strip() for item in items):
+        raise argparse.ArgumentTypeError(f"no x value in '{text}'")
+    if not all(item.strip() for item in items):
+        raise argparse.ArgumentTypeError(f"empty item in '{text}'")
+    return [float(item) for item in items]
+
+
+_x_list.__name__ = "float"  # argparse names the type in "invalid float value: 'abc'"
+
+
 def _option(*flags, **kwargs) -> tuple:
     """One add_argument call, made when its subcommand's parser is built."""
     return flags, kwargs
@@ -378,7 +388,7 @@ def _typed(*pairs) -> tuple:
 
 _ERROR_SUM_OPTIONS = (
     *_typed(("x", float), ("q", _POSITIVE_INT)),
-    _option("--grid", help="comma-separated x values"),
+    _option("--grid", type=_x_list, help="comma-separated x values"),
     _option("--threads", type=_POSITIVE_INT, default=1, help="selects nothing (default %(default)s)"),
     _option("--csv", action="store_true", help="CSV output"),
 )

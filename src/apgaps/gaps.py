@@ -96,6 +96,10 @@ def validate_config(cfg: GapConfig) -> list[str]:
     if finite["eps"] and not 0 < cfg.eps < Fraction(1, 20):
         errors.append("need 0 < eps < 1/20")
     theta = cfg.theta
+    if theta <= 0:
+        errors.append("need theta > 0: q = 1 gives theta = 0")
+    if finite["eta"] and cfg.eta < 0:
+        errors.append(f"need eta >= 0, got {cfg.eta}")
     if finite["eta"] and theta > 5 / 12 - cfg.eta:
         errors.append(f"theta = {theta:.6f} exceeds 5/12 - eta = {5 / 12 - cfg.eta:.6f}")
     if finite["C"]:

@@ -390,6 +390,30 @@ def test_psi_residue_sums_counts_the_prime_power_at_x():
         assert at[0][x] - below[0][x] == pytest.approx(math.log(p), rel=1e-12)
 
 
+def test_psi_residue_sums_of_one_class_against_filtered_bincount():
+    seg = arith.DEFAULT_SEGMENT
+    moduli = [1, 2, 5, 7, 16, 251, 257, 263, 70001]
+    # 2**19 and 3**12 are prime powers at x; a class of odd q has segments of q * seg numbers, of even q q/2 * seg
+    for x in (2**19, 3**12, 3 * seg, 2 * seg):
+        P, W = arith.prime_power_arrays(int(x))
+        assert P[-1] == x or x % seg == 0
+        for q in (3, 4, 12):
+            for a in range(q):  # the classes with gcd(a, q) > 1 hold powers of one prime at most
+                got = arith.psi_residue_sums(x, moduli, q, a)
+                keep = P % q == a
+                for m, vec in zip(moduli, got):
+                    want = np.bincount(P[keep] % m, weights=W[keep], minlength=m)
+                    np.testing.assert_allclose(vec, want, rtol=1e-12, atol=0, err_msg=f"x = {x}, {a} mod {q}, m = {m}")
+    for x, p, q in ((2**19, 2, 3), (3**12, 3, 4)):
+        a = x % q
+        below, at = arith.psi_residue_sums(x - 1, [x + 1], q, a), arith.psi_residue_sums(x, [x + 1], q, a)
+        assert at[0][x] - below[0][x] == pytest.approx(math.log(p), rel=1e-12)
+        assert arith.psi_residue_sums(x, [x + 1], q, (a + 1) % q)[0][x] == 0.0
+    for q, a in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            arith.psi_residue_sums(1e4, [3], q, a)
+
+
 def test_psi_residue_sums_edges():
     assert arith.psi_residue_sums(1e5, []) == []
     assert [v.tolist() for v in arith.psi_residue_sums(1.5, [1, 3])] == [[0.0], [0.0, 0.0, 0.0]]
@@ -439,6 +463,9 @@ def test_modulus_groups_cover():
         assert M <= arith._GROUP_BINS or M in group_of
     assert group_of[65537] == 131074  # a divisor joins a group above the cap
     assert len(set(group_of.values())) < len(moduli) // 3
+    # the moduli of bv --q 3 --b 0.25 at x = 1e8: by q*d on the single pass, by d alone on the class path
+    assert len(set(arith._modulus_groups([3 * d for d in range(1, 101) if d % 3]).values())) == 13
+    assert len(set(arith._modulus_groups([d for d in range(1, 101) if d % 3]).values())) == 11
 
 
 def gcd_reduced_residue_mask(m):

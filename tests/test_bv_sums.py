@@ -198,6 +198,40 @@ def test_E_b_against_naive_oracle():
         assert rep.normalizer == pytest.approx(x / euler_phi(q))
 
 
+def single_pass_E_b(x, q, b):
+    """Oracle: the one pass over the class 0 mod 1, binned by residue mod each q*d."""
+    D = math.floor(x**b)
+    ms = [q * d for d in range(1, D + 1) if math.gcd(d, q) == 1]
+    return math.fsum(
+        float(np.max(np.abs(vec[arith.reduced_residue_mask(m)] - x / euler_phi(m))))
+        for m, vec in zip(ms, arith.psi_residue_sums(x, ms))
+    )
+
+
+def test_E_b_class_path_against_single_pass():
+    for x, q, b in ((7e6, 3, 0.25), (1e7, 4, 0.45), (2.2e7, 5, 0.25), (5e7, 7, 0.25)):
+        assert x >= euler_phi(q) * q * arith.DEFAULT_SEGMENT  # each class is sieved on its own
+        rep = bv.compute_E_b(x, q, b)
+        assert rep.term_count == sum(1 for d in range(1, math.floor(x**b) + 1) if math.gcd(d, q) == 1)
+        assert rep.value == pytest.approx(single_pass_E_b(x, q, b), rel=1e-10, abs=0)
+
+
+def test_E_b_splits_by_class_from_phi_q_q_segments(monkeypatch):
+    calls = []
+
+    def spy(x, moduli, q=1, a=0):
+        calls.append((q, a))
+        return arith.psi_residue_sums(x, moduli, q, a)
+
+    monkeypatch.setattr(bv, "psi_residue_sums", spy)
+    for q in (3, 4):
+        edge = euler_phi(q) * q * arith.DEFAULT_SEGMENT
+        for x, want in ((edge - 1, [(1, 0)]), (edge, [(q, a) for a in range(q) if math.gcd(a, q) == 1])):
+            calls.clear()
+            bv.compute_E_b(float(x), q, 0.06)  # x^0.06 < 3, so d <= 2
+            assert calls == want, (q, x)
+
+
 def test_E_b_preconditions():
     with pytest.raises(ValueError):
         bv.compute_E_b(1e4, 3, 0.6)

@@ -49,6 +49,25 @@ def test_bv_grid_rows(tmp_path):
     assert len(read_lines(out)) == 2
 
 
+def test_bv_grid_items_are_checked(tmp_path, capsys):
+    for grid, message in (
+        ("1e4,abc", "argument --grid: invalid float value: '1e4,abc'"),
+        ("1e4,,2e4", "argument --grid: empty item in '1e4,,2e4'"),
+        ("1e4,", "argument --grid: empty item in '1e4,'"),
+    ):
+        assert run(["bv", "--grid", grid, "--q", "3", "--b", "0.2"]) == 2
+        assert message in last_error(capsys)
+    # a config file's grid is read by the same type
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid": "1e3,1e4"}))
+    out = tmp_path / "grid.jsonl"
+    assert run(["bv", "--config", str(conf), "--q", "3", "--b", "0.2", "--out", str(out)]) == 0
+    assert [row["x"] for row in read_lines(out)] == [1e3, 1e4]
+    conf.write_text(json.dumps({"grid": "1e3,,1e4"}))
+    assert run(["bv", "--config", str(conf), "--q", "3", "--b", "0.2"]) == 2
+    assert "argument --grid: empty item" in last_error(capsys)
+
+
 def test_usage_errors(capsys):
     assert run(["bv", "--x", "1e4", "--q", "0", "--b", "0.2"]) == 2
     assert run(["bv", "--q", "3", "--b", "0.2"]) == 2  # missing x
@@ -372,6 +391,20 @@ def test_gap_rejects_non_finite_eps_eta_C(tmp_path, capsys):
         assert json.loads(last) == {"error": error}
     # (log x)^C above the float range bounds no radical
     assert run(["gap", "--x", "1e10", "--q", "3", "--a", "1", "--t", "1", "--C", "1e300", "--kmax", "1"]) == 0
+
+
+def test_gap_rejects_zero_theta_and_negative_eta(tmp_path, capsys):
+    # both failed later, in level_L_exact, with no error row written
+    cases = (
+        (["--q", "1", "--a", "0"], "need theta > 0: q = 1 gives theta = 0"),
+        (["--q", "16384", "--a", "1", "--eta=-0.1"], "need eta >= 0, got -0.1"),  # theta = 0.4214 <= 5/12 - eta
+    )
+    for extra, error in cases:
+        out = tmp_path / "gap.jsonl"
+        assert run(["gap", "--x", "1e10", "--t", "1", "--out", str(out)] + extra) == 2, extra
+        assert read_lines(out)[0]["errors"] == [error]
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(last) == {"error": error}
 
 
 def test_gap_cap_exceeded(capsys):
