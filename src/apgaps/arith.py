@@ -29,6 +29,7 @@ prime of m.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,13 +138,10 @@ def _factor_hard(m: int, out: list[int]) -> None:
     _factor_hard(m // d, out)
 
 
-def factorize(n: int) -> Factorization:
-    """Exact factorization for 1 <= n < 2**63."""
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    m = n
-    factors: list[tuple[int, int]] = []
-    for p in _trial_primes():
+def _divide_out(m: int, primes) -> tuple[list[tuple[int, int]], int]:
+    """(p, e) for each of the ascending primes dividing m, stopping once p * p > m, and the cofactor left."""
+    factors = []
+    for p in primes:
         if p * p > m:
             break
         if m % p == 0:
@@ -152,6 +150,14 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             factors.append((p, e))
+    return factors, m
+
+
+def factorize(n: int) -> Factorization:
+    """Exact factorization for 1 <= n < 2**63."""
+    if n < 1:
+        raise ValueError("factorize requires n >= 1")
+    factors, m = _divide_out(n, _trial_primes())
     if m > 1:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             # below the trial square the cofactor is prime
@@ -159,24 +165,25 @@ def factorize(n: int) -> Factorization:
         else:
             hard: list[int] = []
             _factor_hard(m, hard)
-            hard.sort()
-            i = 0
-            while i < len(hard):
-                j = i
-                while j < len(hard) and hard[j] == hard[i]:
-                    j += 1
-                factors.append((hard[i], j - i))
-                i = j
+            factors += Counter(hard).items()
     factors.sort()
     return Factorization(n, tuple(factors))
 
 
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
-    out = 1
-    for p, _ in factorize(n).factors:
-        out *= p
-    return out
+    return math.prod(factorize(n).primes)
+
+
+def trial_radical(n: int, bound: int) -> int | None:
+    """radical(n), or None where that takes factoring a composite >= 2**64 with no prime factor <= bound.
+
+    The primes up to bound are divided out first, so None means radical(n) > bound.
+    """
+    factors, m = _divide_out(n, map(int, primes_up_to(bound)))
+    if m >= 2**64 and not is_prime(m):
+        return None
+    return math.prod(p for p, _ in factors) * radical(m)
 
 
 def euler_phi(n: int) -> int:

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 
 # Set before numpy loads OpenBLAS. The CLI's BLAS calls are small (one dense
 # eigensolve per certificate, the character-matrix products of the identity
@@ -171,21 +170,12 @@ def cmd_comb(args) -> int:
     return 0 if not tri and not five and all(not r["counterexamples"] for r in out_rows) else 1
 
 
-def _cert_row(cert: VariationalCertificate, mc=None) -> dict:
-    row = cert.json_dict()
-    row["mc_ratio"] = mc.ratio if mc else None
-    row["mc_ci"] = [mc.ratio - 5 * mc.sigma, mc.ratio + 5 * mc.sigma] if mc else None
-    row["basis"] = [list(p) for p in cert.basis]
-    row["coefficients"] = list(cert.coefficients)
-    return row
-
-
 def cmd_mk(args) -> int:
     _require(args, "k")
     manifest = _manifest("mk", {"k": args.k, "degree": args.degree, "mc_samples": args.mc_samples}, args.seed)
     cert = variational.mk_lower_bound(args.k, args.degree)
     mc = variational.verify_certificate(cert, args.mc_samples, seed=args.seed) if args.mc_samples else None
-    _emit(dump_json(_cert_row(cert, mc), manifest), args, manifest)
+    _emit(dump_json(cert.row(mc), manifest), args, manifest)
     if mc and not mc.contains(cert.lower_bound):
         return 1
     return 0
@@ -197,19 +187,13 @@ DEFAULT_KS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 26, 32, 40, 52, 64)
 def cmd_certify(args) -> int:
     ks = args.ks if args.ks is not None else [k for k in DEFAULT_KS if k <= args.kmax]
     manifest = _manifest("certify", {"ks": ks, "degree": args.degree}, args.seed)
-    rows = [_cert_row(variational.mk_lower_bound(k, args.degree)) for k in ks]
-    for row, k in zip(rows, ks):
-        row["log_k"] = math.log(k)
+    rows = [dict(variational.mk_lower_bound(k, args.degree).row(), log_k=math.log(k)) for k in ks]
     _emit("".join(dump_json(r, manifest) for r in rows), args, manifest)
     return 0
 
 
 def _load_table(path: str) -> list[VariationalCertificate]:
-    """Certificates from a certify table.
-
-    Each row's k, degree, basis and coefficients are checked here; its
-    exact_bound is re-derived only if gap selects it (_check_exact_bound).
-    """
+    """Certificates from a certify table, each row checked by VariationalCertificate.from_row."""
     table = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -217,42 +201,10 @@ def _load_table(path: str) -> list[VariationalCertificate]:
             if not line:
                 continue
             try:
-                row = json.loads(line)
-                k, degree = row["k"], row["degree"]
-                if type(k) is not int or type(degree) is not int or k < 1 or degree < 0:
-                    raise ValueError("k must be an integer >= 1 and degree one >= 0")
-                basis = tuple(tuple(p) for p in row["basis"])
-                if basis != variational.basis_partitions(k, degree):
-                    raise ValueError(f"basis is not the degree-{degree} basis at k = {k}")
-                coefficients = tuple(row["coefficients"])
-                if len(coefficients) != len(basis):
-                    raise ValueError(f"{len(coefficients)} coefficients for {len(basis)} basis functions")
-                if not all(type(c) in (int, float) and math.isfinite(c) for c in coefficients):
-                    raise ValueError("coefficients must be finite numbers")
-                table.append(
-                    VariationalCertificate(
-                        k=k,
-                        degree=degree,
-                        basis=basis,
-                        coefficients=coefficients,
-                        exact_bound=Fraction(row["exact_bound"]),
-                    )
-                )
+                table.append(VariationalCertificate.from_row(json.loads(line)))
             except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ValueError(f"{path}, line {lineno}: malformed certificate row ({exc!r})") from None
     return table
-
-
-def _check_exact_bound(path: str, cert: VariationalCertificate) -> None:
-    """Re-derive from its coefficients the exact_bound of the table row that selected k."""
-    where = f"{path}: the certificate at k = {cert.k}"
-    A_exact, B_exact = variational.gram_I(cert.k, cert.basis), variational.gram_J(cert.k, cert.basis)
-    try:
-        exact = variational._exact_quotient(cert.coefficients, A_exact, B_exact)
-    except RayleighError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    if exact != cert.exact_bound:
-        raise ValueError(f"{where} does not reproduce its exact_bound")
 
 
 def cmd_gap(args) -> int:
@@ -271,7 +223,10 @@ def cmd_gap(args) -> int:
         table = [variational.mk_lower_bound(k, args.degree) for k in DEFAULT_KS if k <= args.kmax]
     report = gaps.gap_bound(cfg, table)
     if args.table:
-        _check_exact_bound(args.table, report.certificate)
+        try:
+            report.certificate.check_exact_bound()
+        except ValueError as exc:
+            raise ValueError(f"{args.table}: {exc}") from None
     found_gap = None
     found_primes: list[int] = []
     if x <= 10**8:
@@ -457,8 +412,11 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("config file must hold a JSON object")
-    options = {a.dest for a in parser._actions if a.nargs != 0 and a.dest != "config"}
-    parser.set_defaults(**{k: str(v) for k, v in conf.items() if k in options and v is not None})
+    types = {a.dest: a.type for a in parser._actions if a.nargs != 0 and a.dest != "config"}
+    lists = {name for name, typ in types.items() if typ in (_k_list, _x_list)}
+    # a list option's JSON array is read as the flag's comma-separated items, each checked by the type
+    text = {k: ",".join(map(str, v)) if k in lists and isinstance(v, list) else str(v) for k, v in conf.items()}
+    parser.set_defaults(**{k: text[k] for k, v in conf.items() if k in types and v is not None})
 
 
 class _Parser(argparse.ArgumentParser):

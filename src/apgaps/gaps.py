@@ -17,11 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import class_segments, primes_in_range, radical
+from .arith import class_segments, primes_in_range, radical, trial_radical
 from .variational import VariationalCertificate, min_k_for
 
 THETA_MAX = Fraction(5, 12)
 BRANCH_POINT = Fraction(2, 5)
+# Up to this (log x)^C, validate_config decides radical(q) <= (log x)^C by
+# trial division, so a q with two large prime factors is never factored.
+RADICAL_TRIAL_CAP = 10**6
 
 
 def level_L_exact(theta: Fraction, eps: Fraction = Fraction(0)) -> Fraction:
@@ -103,12 +106,14 @@ def validate_config(cfg: GapConfig) -> list[str]:
     if finite["eta"] and theta > 5 / 12 - cfg.eta:
         errors.append(f"theta = {theta:.6f} exceeds 5/12 - eta = {5 / 12 - cfg.eta:.6f}")
     if finite["C"]:
-        rad = radical(cfg.q)
         try:
             rad_cap = math.log(cfg.x) ** cfg.C
         except OverflowError:  # above the float range, so above every radical
             rad_cap = math.inf
-        if rad > rad_cap:
+        rad = radical(cfg.q) if rad_cap > RADICAL_TRIAL_CAP else trial_radical(cfg.q, int(rad_cap))
+        if rad is None:
+            errors.append(f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above it")
+        elif rad > rad_cap:
             errors.append(f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}")
     return errors
 

@@ -27,7 +27,8 @@ valid lower bound for M_k, so the certificate keeps the exact quotient of
 the computed float coefficients (exact_bound): they are integers over one
 power of two, so both forms are integer quadratic forms. The reported
 float (lower_bound, the "lambda" column) is that rational rounded down;
-k is selected from the rational.
+k is selected from the rational. A certificate's table row is written
+(row), read back (from_row) and re-derived (check_exact_bound) here alone.
 
 Monte-Carlo integration gives an independent check of every certificate.
 The trial function F = sum c_lambda m_lambda is one polynomial in the
@@ -278,14 +279,44 @@ class VariationalCertificate:
         f = float(self.exact_bound)
         return math.nextafter(f, -math.inf) if f > self.exact_bound else f
 
-    def json_dict(self) -> dict:
+    def row(self, mc: MCVerification | None = None) -> dict:
+        """The certificate as a table row, with the Monte-Carlo check's ratio and band if given."""
         return {
             "k": self.k,
             "degree": self.degree,
             "basis_size": self.basis_size,
             "lambda": self.lower_bound,
             "exact_bound": str(self.exact_bound),
+            "basis": [list(p) for p in self.basis],
+            "coefficients": list(self.coefficients),
+            "mc_ratio": mc.ratio if mc else None,
+            "mc_ci": list(mc.band) if mc else None,
         }
+
+    @classmethod
+    def from_row(cls, row: dict) -> VariationalCertificate:
+        """The certificate a row() holds, its k, degree, basis and coefficients checked; exact_bound as written."""
+        k, degree = row["k"], row["degree"]
+        if type(k) is not int or type(degree) is not int or k < 1 or degree < 0:
+            raise ValueError("k must be an integer >= 1 and degree one >= 0")
+        basis = tuple(tuple(p) for p in row["basis"])
+        if basis != basis_partitions(k, degree):
+            raise ValueError(f"basis is not the degree-{degree} basis at k = {k}")
+        coefficients = tuple(row["coefficients"])
+        if len(coefficients) != len(basis):
+            raise ValueError(f"{len(coefficients)} coefficients for {len(basis)} basis functions")
+        if not all(type(c) in (int, float) and math.isfinite(c) for c in coefficients):
+            raise ValueError("coefficients must be finite numbers")
+        return cls(k=k, degree=degree, basis=basis, coefficients=coefficients, exact_bound=Fraction(row["exact_bound"]))
+
+    def check_exact_bound(self) -> None:
+        """Raise ValueError unless the coefficients' exact quotient over the exact Gram pair is exact_bound."""
+        try:
+            exact = _exact_quotient(self.coefficients, gram_I(self.k, self.basis), gram_J(self.k, self.basis))
+        except RayleighError as exc:
+            raise ValueError(f"the certificate at k = {self.k}: {exc}") from None
+        if exact != self.exact_bound:
+            raise ValueError(f"the certificate at k = {self.k} does not reproduce its exact_bound")
 
 
 def _exact_quotient(c, A_exact, B_exact) -> Fraction:
@@ -482,14 +513,6 @@ class _PowerSumPolynomial:
         return out
 
 
-def eval_monomial_sym(partition: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
-    """Evaluate m_lambda at points (rows of pts); pts has one column per coordinate."""
-    pts = np.asarray(pts, dtype=np.float64)
-    poly = _PowerSumPolynomial(_trial_coefficients((1.0,), (tuple(partition),)), len(pts))
-    cols = np.ascontiguousarray(pts.T)
-    return poly(_column_power_sums(cols, poly.max_power, np.empty((poly.max_power, len(pts)))))
-
-
 # Rows drawn per generator call while a batch is transposed, so the row-major
 # draws never take a second array of the batch's size.
 _DRAW_CHUNK = 2048
@@ -525,13 +548,15 @@ class MCVerification:
     sigma: float
     samples: int
 
-    def contains(self, value: float) -> bool:
-        """Whether value lies within 5 sigma of the estimate (at least 1e-12)."""
-        slack = max(5 * self.sigma, 1e-12)
-        return abs(self.ratio - value) <= slack
+    @property
+    def band(self) -> tuple[float, float]:
+        """ratio -/+ 5 sigma: the interval a certified value must lie in (a row's mc_ci)."""
+        return self.ratio - 5 * self.sigma, self.ratio + 5 * self.sigma
 
-    def json_dict(self) -> dict:
-        return {"mc_ratio": self.ratio, "mc_sigma": self.sigma, "mc_samples": self.samples}
+    def contains(self, value: float) -> bool:
+        """Whether value lies in the band, widened to ratio -/+ 1e-12 if narrower."""
+        lo, hi = self.band
+        return min(lo, self.ratio - 1e-12) <= value <= max(hi, self.ratio + 1e-12)
 
 
 def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000, seed: int = 0) -> MCVerification:

@@ -54,6 +54,21 @@ def test_factorize_roundtrip(n):
     assert list(f.primes) == sorted(f.primes)
 
 
+@given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=2000))
+def test_trial_radical_matches_radical(n, bound):
+    assert arith.trial_radical(n, bound) == arith.radical(n)
+
+
+def test_trial_radical_leaves_two_large_primes_unfactored():
+    p, q = 100000000000000000039, 300000000000000000053
+    assert arith.is_prime(p) and arith.is_prime(q)
+    assert arith.trial_radical(p * q, 1000) is None
+    assert arith.trial_radical(6 * p * q, 1000) is None
+    # a prime cofactor, however large, is known
+    assert arith.trial_radical(12 * p, 1000) == 6 * p
+    assert arith.trial_radical(p * p, 10) is None
+
+
 def test_multiplicative_function_examples():
     assert arith.radical(360) == 30
     assert arith.radical(1) == 1

@@ -240,6 +240,45 @@ def test_config_file_merge(tmp_path, capsys):
     assert "--q" in last_error(capsys)
 
 
+def test_config_list_options_take_json_arrays(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    for cmd, values, flags in (
+        ("bv", {"grid": [1000, 10000], "q": 3, "b": 0.2}, ["--grid", "1000,10000", "--q", "3", "--b", "0.2"]),
+        ("certify", {"ks": [3, 5], "degree": 2}, ["--ks", "3,5", "--degree", "2"]),
+    ):
+        conf.write_text(json.dumps(values))
+        assert run([cmd, "--config", str(conf)]) == 0
+        from_config = capsys.readouterr().out
+        assert run([cmd] + flags) == 0
+        assert capsys.readouterr().out == from_config
+    # every item is checked by the option's type, so an empty list or a nested item names the option
+    for values, message in (
+        ({"grid": [1000, "abc"]}, "argument --grid: invalid float value"),
+        ({"grid": []}, "argument --grid: no x value"),
+        ({"grid": [[1000], 10000]}, "argument --grid: invalid float value"),
+        ({"grid": [1000, {"x": 1}]}, "argument --grid: invalid float value"),
+        ({"ks": [3, 2.5]}, "argument --ks: invalid int value"),
+        ({"ks": []}, "argument --ks: empty item"),
+        ({"ks": [3, [5]]}, "argument --ks: invalid int value"),
+        ({"ks": [3, {"k": 5}]}, "argument --ks: invalid int value"),
+        ({"q": [3]}, "argument --q: invalid int value"),  # only list options take arrays
+    ):
+        cmd = "certify" if "ks" in values else "bv"
+        conf.write_text(json.dumps(dict({"q": 3, "b": 0.2, "x": 1e3}, **values) if cmd == "bv" else values))
+        assert run([cmd, "--config", str(conf)]) == 2, values
+        assert message in last_error(capsys)
+
+
+def test_gap_radical_of_two_large_primes_is_refused_in_time():
+    # q is the product of two 21-digit primes, which Brent rho does not split in reasonable time
+    argv = ["gap", "--x", "1e200", "--q", "30000000000000000017000000000000000002067", "--a", "1", "--t", "1"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "apgaps", *argv], env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["errors"] == ["radical(q) exceeds (log x)^C = 212076: q has a prime factor above it"]
+
+
 def test_comb_verdict(tmp_path):
     out = tmp_path / "comb.jsonl"
     assert run(["comb", "--denominator", "24", "--out", str(out)]) == 0

@@ -69,6 +69,17 @@ def test_validate_config():
     assert any("gcd" in e for e in errs + gaps.validate_config(noncoprime))
 
 
+def test_validate_config_decides_the_radical_cap_by_trial_division():
+    # q = p1 p2 >= 2**64 with both primes above (log x)^2: refused without splitting q
+    q = 8589934609 * 8589935597
+    errs = gaps.validate_config(gaps.GapConfig(x=1e60, q=q, a=1, t=1))
+    assert errs == [f"radical(q) exceeds (log x)^C = {math.log(1e60) ** 2:.6g}: q has a prime factor above it"]
+    # a radical found on the way keeps its value in the message
+    errs = gaps.validate_config(gaps.GapConfig(x=1e10, q=9973, a=1, t=1, C=1))
+    assert errs == ["radical(q) = 9973 exceeds (log x)^C = 23.0259"]
+    assert gaps.validate_config(gaps.GapConfig(x=1e200, q=2**40 * 3**20 * 7, a=1, t=1)) == []
+
+
 def test_admissible_construction_examples():
     assert gaps.admissible_primes_past_k(1).shifts == (0,)
     assert gaps.admissible_primes_past_k(2).shifts == (0, 2)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,14 @@ def _arrangements(partition, coords: int):
                 yield d
 
     yield from rec(0, tuple(range(coords)))
+
+
+def _eval_monomial_sym(partition, pts):
+    """m_lambda at the rows of pts, one column per coordinate, through the power-sum evaluator."""
+    pts = np.asarray(pts, dtype=np.float64)
+    poly = var._PowerSumPolynomial(var._trial_coefficients((1.0,), (tuple(partition),)), len(pts))
+    cols = np.ascontiguousarray(pts.T)
+    return poly(var._column_power_sums(cols, poly.max_power, np.empty((poly.max_power, len(pts)))))
 
 
 def _gram_I_all_placements(k, basis):
@@ -319,7 +328,7 @@ def test_monomial_sym_eval_matches_enumeration():
     pts = rng.uniform(0, 0.2, size=(50, 4))
     k = pts.shape[1]
     for lam in [(1,), (2,), (1, 1), (2, 1), (1, 1, 1), (3, 2)]:
-        got = var.eval_monomial_sym(lam, pts)
+        got = _eval_monomial_sym(lam, pts)
         # direct oracle: sum over distinct coordinate placements
         want = np.zeros(len(pts))
         for placement in _arrangements(lam, k):
@@ -466,7 +475,7 @@ def test_gram_I_against_monte_carlo():
         for j in range(i, len(basis)):
             bi, bj = basis[i], basis[j]
             est, sig = _mc_integral(
-                k, lambda pts: var.eval_monomial_sym(bi, pts) * var.eval_monomial_sym(bj, pts)
+                k, lambda pts: _eval_monomial_sym(bi, pts) * _eval_monomial_sym(bj, pts)
             )
             assert abs(est - float(exact[i][j])) <= max(3 * sig, 1e-6)
 
@@ -494,7 +503,7 @@ def test_gram_J_against_monte_carlo():
         acc = np.zeros(n)
         for g, w in zip(nodes, weights):
             pts = np.column_stack([(g + 1) / 2 * u, rest])
-            acc += w * var.eval_monomial_sym(lam, pts)
+            acc += w * _eval_monomial_sym(lam, pts)
         inners.append(acc * u / 2)
     vol = 1.0 / 2.0  # area of the 2-simplex
     for i in range(len(basis)):
@@ -595,11 +604,53 @@ def test_nested_basis_monotonicity():
 
 def test_certificate_serialization_fields():
     cert = var.mk_lower_bound(3, 2)
-    d = cert.json_dict()
-    assert set(d) == {"k", "degree", "basis_size", "lambda", "exact_bound"}
+    d = cert.row()
+    assert set(d) == {
+        "k", "degree", "basis_size", "lambda", "exact_bound", "basis", "coefficients", "mc_ratio", "mc_ci"
+    }
     assert d["basis_size"] == len(var.basis_partitions(3, 2))
     assert Fraction(d["exact_bound"]) == cert.exact_bound
     assert float(cert.exact_bound) == pytest.approx(cert.lower_bound, rel=1e-9)
+    assert d["basis"] == [list(p) for p in cert.basis]
+    assert d["coefficients"] == list(cert.coefficients)
+    assert d["mc_ratio"] is None and d["mc_ci"] is None
+
+
+@pytest.mark.parametrize("k,degree", [(1, 0), (3, 2), (5, 6), (12, 6), (64, 3)])
+def test_certificate_row_reads_back(k, degree):
+    cert = _mc_certificate(k, degree)
+    back = var.VariationalCertificate.from_row(json.loads(json.dumps(cert.row())))
+    assert (back.k, back.degree, back.basis) == (cert.k, cert.degree, cert.basis)
+    assert back.coefficients == cert.coefficients and back.exact_bound == cert.exact_bound
+    assert back == cert
+    back.check_exact_bound()
+
+
+def test_check_exact_bound_refuses_forgeries():
+    row = var.mk_lower_bound(2, 2).row()
+    nudged = Fraction(row["exact_bound"]) - Fraction(1, 10**40)
+    with pytest.raises(ValueError, match="at k = 2 does not reproduce its exact_bound"):
+        var.VariationalCertificate.from_row(dict(row, exact_bound=str(nudged))).check_exact_bound()
+    zero = [0.0] * len(row["coefficients"])
+    with pytest.raises(ValueError, match="at k = 2: coefficient vector has nonpositive A-norm"):
+        var.VariationalCertificate.from_row(dict(row, coefficients=zero)).check_exact_bound()
+
+
+def test_row_mc_ci_is_the_band_contains_reads():
+    cert = var.mk_lower_bound(3, 2)
+    mc = var.verify_certificate(cert, 100_000, seed=0)
+    row = cert.row(mc)
+    assert row["mc_ratio"] == mc.ratio
+    assert row["mc_ci"] == list(mc.band)
+    lo, hi = row["mc_ci"]
+    assert lo < mc.ratio < hi
+    assert mc.contains(lo) and mc.contains(hi)
+    assert not mc.contains(math.nextafter(lo, -math.inf)) and not mc.contains(math.nextafter(hi, math.inf))
+    # a band narrower than 1e-12 is widened to it
+    exact = var.MCVerification(ratio=1.0, sigma=0.0, samples=100_000)
+    assert exact.band == (1.0, 1.0)
+    assert exact.contains(1.0 + 5e-13) and exact.contains(1.0 - 5e-13)
+    assert not exact.contains(1.0 + 2e-12) and not exact.contains(1.0 - 2e-12)
 
 
 def test_verify_certificate_constant_function():
