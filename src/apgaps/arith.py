@@ -43,7 +43,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
+    """Primality test: deterministic for 0 <= n < 2**64, Baillie-PSW above.
+
+    Below 2**64 the twelve Miller-Rabin witnesses decide. Above, a strong
+    Lucas test follows them (base 2 among them makes the pair Baillie-PSW),
+    which no composite is known to pass.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -62,17 +67,79 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < 2**64 or _strong_lucas(n)
 
 
-def _brent_rho(n: int) -> int:
-    """Nontrivial factor of an odd composite n, deterministic parameter sweep."""
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1, Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D) / 4. With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
+    V_{d 2^r} = 0 mod n for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+
+    def half(v: int) -> int:
+        v %= n
+        return (v + n if v & 1 else v) // 2
+
+    # (U_k, V_k, Q^k) from k = 1, doubling and stepping by the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _brent_rho(n: int, steps: int | None = None) -> int | None:
+    """Nontrivial factor of an odd composite n, deterministic parameter sweep.
+
+    With steps given, None once that many squarings mod n found none.
+    """
     if n % 2 == 0:
         return 2
+    left = math.inf if steps is None else steps
     for c in range(1, 256):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            # one round: r squarings to move x, at most r more for the gcds
+            left -= 2 * r
+            if left < 0:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -126,16 +193,16 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(int(p) for p in primes_up_to(_TRIAL_LIMIT))
 
 
-def _factor_hard(m: int, out: list[int]) -> None:
-    # m has no prime factor below the trial bound
+def _factor_hard(m: int, out: list[int], steps: int | None = None) -> bool:
+    """Append the prime factors of m to out; False where rho, given steps
+    squarings per split, leaves a composite unsplit."""
     if m == 1:
-        return
+        return True
     if is_prime(m):
         out.append(m)
-        return
-    d = _brent_rho(m)
-    _factor_hard(d, out)
-    _factor_hard(m // d, out)
+        return True
+    d = _brent_rho(m, steps)
+    return d is not None and _factor_hard(d, out, steps) and _factor_hard(m // d, out, steps)
 
 
 def _divide_out(m: int, primes) -> tuple[list[tuple[int, int]], int]:
@@ -175,15 +242,20 @@ def radical(n: int) -> int:
     return math.prod(factorize(n).primes)
 
 
-def trial_radical(n: int, bound: int) -> int | None:
-    """radical(n), or None where that takes factoring a composite >= 2**64 with no prime factor <= bound.
+def trial_radical(n: int, bound: int, rho_steps: int = 0) -> int | None:
+    """radical(n), or None where that takes splitting a composite >= 2**64 with
+    no prime factor <= bound that rho does not split in rho_steps squarings.
 
     The primes up to bound are divided out first, so None means radical(n) > bound.
     """
     factors, m = _divide_out(n, map(int, primes_up_to(bound)))
-    if m >= 2**64 and not is_prime(m):
+    rad = math.prod(p for p, _ in factors)
+    if m < 2**64:
+        return rad * radical(m)
+    hard: list[int] = []
+    if not _factor_hard(m, hard, rho_steps):
         return None
-    return math.prod(p for p, _ in factors) * radical(m)
+    return rad * math.prod(set(hard))
 
 
 def euler_phi(n: int) -> int:

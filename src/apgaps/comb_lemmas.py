@@ -14,9 +14,13 @@ Interval endpoints are closed (the adversarially harder reading) and every
 grid decision runs in exact integer arithmetic via subset-sum bitsets.
 grid_scan walks the partitions once and tests one bitset per tuple against
 both windows. Randomized real sweeps supplement the grids but never replace
-them: random_sweeps draws each batch once and checks both claims in one
-fused pass, a greedy subset sum per window carried over the columns, with
-the exact 2^14 subset scan only for the rows the greedy misses.
+them. random_sweeps draws each batch once as rows, copies it once into
+columns and checks both claims there, sorting no row it need not: the
+hypothesis reads the two largest parts from one scan of the columns, and
+one greedy subset sum, capped at 7/12, serves both claims, because the
+five-part window [5/12, 7/12] lies inside the trichotomy window
+[2/5, 3/5]. Only the tuples that greedy misses are sorted, to read the
+five-part conclusions and to reach the exact 2^14 subset scan.
 """
 
 from __future__ import annotations
@@ -214,80 +218,89 @@ def _exact_rows_with_subset(rows: np.ndarray, lo: float, hi: float) -> np.ndarra
     return out
 
 
-# The greedy runs over blocks of rows whose 14 columns stay in cache.
-_BLOCK = 8192
-# Upper ends of the trichotomy and the five-part windows, one per greedy sum.
-_WINDOW_HI = np.array([[0.6], [7 / 12]])
-
-
-def _greedy_sums(rows: np.ndarray) -> np.ndarray:
-    """Greedy subset sums of every row for both windows, shape (2, len(rows)).
-
-    Per row and window: add each part, in row order, that keeps the sum
-    <= hi. Each block of rows is copied once into a column buffer, and one
-    loop over its columns carries both sums.
+def _greedy_sum(cols: np.ndarray, hi: float) -> np.ndarray:
+    """Greedy subset sum of each tuple stored as a column of cols, shape
+    (14, b): add each part, in the row order of cols, that keeps the sum <= hi.
     """
-    sums = np.zeros((2, len(rows)))
-    width = min(_BLOCK, len(rows))
-    cols_buf = np.empty((rows.shape[1], width))
-    step_buf, take_buf = np.empty((2, width)), np.empty((2, width), dtype=bool)
-    for start in range(0, len(rows), _BLOCK):
-        width = min(_BLOCK, len(rows) - start)
-        cols, step, take = cols_buf[:, :width], step_buf[:, :width], take_buf[:, :width]
-        part = sums[:, start : start + width]
-        np.copyto(cols, rows[start : start + width].T)
-        for col in cols:
-            np.add(part, col, out=step)
-            np.less_equal(step, _WINDOW_HI, out=take)
-            # part + col where taken, part + 0.0 == part elsewhere
-            np.multiply(col, take, out=step)
-            part += step
-    return sums
+    total = np.zeros(cols.shape[1])
+    step = np.empty_like(total)
+    take = np.empty(len(total), dtype=bool)
+    for col in cols:
+        np.add(total, col, out=step)
+        np.less_equal(step, hi, out=take)
+        # total + col where taken, total + 0.0 == total elsewhere
+        np.multiply(col, take, out=step)
+        total += step
+    return total
 
 
-def _check_rows(rows: np.ndarray) -> tuple[int, list, list]:
-    """(checked, trichotomy counterexamples, five-part counterexamples) of
-    nonincreasing C-contiguous rows.
+def _row_sums(cols: np.ndarray) -> np.ndarray:
+    """np.sum(rows, axis=1) of the 14-part rows stored as the columns of cols.
 
-    A greedy sum >= lo proves a subset in the window; only the rows that a
-    check needs and the greedy misses get the exact 2^14 scan.
+    numpy adds 8 to 15 contiguous doubles pairwise: the first eight as
+    ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then the rest in
+    turn. The same order on the columns gives the same floats.
     """
-    tri_sum, five_sum = _greedy_sums(rows)
-    hyp = rows[:, 0] + rows[:, 1] < 0.5
-    # the five-part conclusions: alpha_5 > 1/6 and, read only where that
-    # holds, alpha_1 + alpha_2 + alpha_6 + ... + alpha_14 < 5/12
-    concl = rows[:, 4] > 1 / 6
-    sure = np.flatnonzero(hyp & concl)
-    fifth = rows[sure]
-    concl[sure] = fifth[:, 0] + fifth[:, 1] + fifth[:, 5:].sum(axis=1) < 5 / 12
-    bad: list[list] = [[], []]
-    tri_hard = np.flatnonzero(hyp & (tri_sum < 0.4))
-    five_hard = np.flatnonzero(hyp & ~concl & (five_sum < 5 / 12))
-    for i, (hard, lo, hi) in enumerate(((tri_hard, 0.4, 0.6), (five_hard, 5 / 12, 7 / 12))):
-        if len(hard):
-            suspects = rows[hard]
-            bad[i] = [tuple(row) for row in suspects[~_exact_rows_with_subset(suspects, lo, hi)]]
-    return int(np.count_nonzero(hyp)), bad[0], bad[1]
+    c = cols
+    total = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    for col in c[8:]:
+        total += col
+    return total
 
 
-# Random tuples drawn per batch: the size of the reused row buffer. The rows
-# are drawn in order, so the tuples checked do not depend on it.
-_SWEEP_BATCH = 100_000
+def _check_columns(cols: np.ndarray) -> tuple[int, list, list]:
+    """(checked, trichotomy counterexamples, five-part counterexamples) of the
+    tuples stored as the columns of cols, shape (14, b), parts in any order.
+
+    No tuple is sorted to decide the hypothesis: the sum of the two largest
+    parts, kept by one scan, is the same float as alpha_1 + alpha_2. One
+    greedy subset sum capped at 7/12 runs in row order; a sum of at least
+    5/12 lies in [5/12, 7/12], inside [2/5, 3/5], so it proves both claims.
+    Only the tuples it misses are sorted, into rows: the five-part
+    conclusions are read there, a greedy in nonincreasing order tries the
+    trichotomy window, and the exact 2^14 scan decides the rest.
+    Counterexamples are those sorted rows, in column order.
+    """
+    first = np.maximum(cols[0], cols[1])
+    second = np.minimum(cols[0], cols[1])
+    low = np.empty_like(first)
+    for col in cols[2:]:
+        np.minimum(first, col, out=low)
+        np.maximum(first, col, out=first)
+        np.maximum(second, low, out=second)
+    hyp = first + second < 0.5
+    missed = np.flatnonzero(hyp & (_greedy_sum(cols, 7 / 12) < 5 / 12))
+    rows = -np.sort(-cols.T[missed], axis=1)
+    # the five-part conclusions: alpha_5 > 1/6 and
+    # alpha_1 + alpha_2 + alpha_6 + ... + alpha_14 < 5/12
+    concl = (rows[:, 4] > 1 / 6) & (rows[:, 0] + rows[:, 1] + rows[:, 5:].sum(axis=1) < 5 / 12)
+    tri_hard = rows[_greedy_sum(rows.T, 0.6) < 0.4]
+    five_hard = rows[~concl]
+    tri = tri_hard[~_exact_rows_with_subset(tri_hard, 0.4, 0.6)]
+    five = five_hard[~_exact_rows_with_subset(five_hard, 5 / 12, 7 / 12)]
+    return int(np.count_nonzero(hyp)), [tuple(row) for row in tri], [tuple(row) for row in five]
+
+
+# Random tuples drawn per batch: the width of the reused row and column
+# buffers. The rows are drawn in order, so the tuples checked do not depend
+# on it.
+_SWEEP_BATCH = 16_384
 
 
 def random_sweeps(n: int, seed: int = 0) -> tuple[tuple[int, list], tuple[int, list]]:
-    """Both randomized checks on one seeded draw of n sorted simplex tuples.
+    """Both randomized checks on one seeded draw of n simplex tuples.
 
     Returns ((checked, counterexamples) of the trichotomy, the same of the
-    five-part lemma). Each batch of _SWEEP_BATCH tuples is drawn into one
-    reused buffer, then normalized and sorted in place as nonincreasing
-    C-contiguous rows, so the hypothesis and conclusion expressions read
-    the same operands as a row-by-row check.
+    five-part lemma). Each batch of _SWEEP_BATCH tuples is drawn as rows
+    into one reused buffer, copied once into a column buffer and
+    normalized there, each part divided by its row's sum in numpy's own
+    order, so the values are those of e / e.sum(axis=1, keepdims=True).
+    No row is sorted unless _check_columns needs it.
     """
     rng = np.random.default_rng(seed)
     size = max(min(_SWEEP_BATCH, n), 0)
     rows_buf = np.empty((size, N_PARTS))
-    norm_buf = np.empty((size, 1))
+    cols_buf = np.empty((N_PARTS, size))
     checked = 0
     tri_bad: list = []
     five_bad: list = []
@@ -295,15 +308,11 @@ def random_sweeps(n: int, seed: int = 0) -> tuple[tuple[int, list], tuple[int, l
     while remaining > 0:
         m = min(_SWEEP_BATCH, remaining)
         remaining -= m
-        rows, norm = rows_buf[:m], norm_buf[:m]
-        # the values of -np.sort(-(e / e.sum(axis=1, keepdims=True)), axis=1)
+        rows, cols = rows_buf[:m], cols_buf[:, :m]
         rng.standard_exponential(out=rows)
-        np.sum(rows, axis=1, keepdims=True, out=norm)
-        np.divide(rows, norm, out=rows)
-        np.negative(rows, out=rows)
-        rows.sort(axis=1)
-        np.negative(rows, out=rows)
-        c, tri, five = _check_rows(rows)
+        np.copyto(cols, rows.T)
+        cols /= _row_sums(cols)
+        c, tri, five = _check_columns(cols)
         checked += c
         tri_bad += tri
         five_bad += five

@@ -17,14 +17,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import class_segments, primes_in_range, radical, trial_radical
+from .arith import class_segments, primes_in_range, trial_radical
 from .variational import VariationalCertificate, min_k_for
 
 THETA_MAX = Fraction(5, 12)
 BRANCH_POINT = Fraction(2, 5)
-# Up to this (log x)^C, validate_config decides radical(q) <= (log x)^C by
-# trial division, so a q with two large prime factors is never factored.
+# validate_config decides radical(q) <= (log x)^C by trial division up to
+# min((log x)^C, RADICAL_TRIAL_CAP). Above the cap, Brent rho gets
+# RADICAL_RHO_STEPS squarings per split of a cofactor >= 2**64; where it
+# splits none, the question is reported open, never guessed.
 RADICAL_TRIAL_CAP = 10**6
+RADICAL_RHO_STEPS = 1 << 20
 
 
 def level_L_exact(theta: Fraction, eps: Fraction = Fraction(0)) -> Fraction:
@@ -110,12 +113,25 @@ def validate_config(cfg: GapConfig) -> list[str]:
             rad_cap = math.log(cfg.x) ** cfg.C
         except OverflowError:  # above the float range, so above every radical
             rad_cap = math.inf
-        rad = radical(cfg.q) if rad_cap > RADICAL_TRIAL_CAP else trial_radical(cfg.q, int(rad_cap))
-        if rad is None:
-            errors.append(f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above it")
-        elif rad > rad_cap:
-            errors.append(f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}")
+        if cfg.q > rad_cap:  # else radical(q) <= q fits
+            errors += _radical_errors(cfg.q, rad_cap)
     return errors
+
+
+def _radical_errors(q: int, rad_cap: float) -> list[str]:
+    """The error, if any, of radical(q) <= rad_cap, found within a bounded time."""
+    if rad_cap <= RADICAL_TRIAL_CAP:
+        rad = trial_radical(q, int(rad_cap))
+        if rad is None:
+            return [f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above it"]
+    else:
+        rad = trial_radical(q, RADICAL_TRIAL_CAP, RADICAL_RHO_STEPS)
+        if rad is None:
+            return [
+                f"radical(q) <= (log x)^C = {rad_cap:.6g} is undecided: q has a factor above 2**64 with "
+                f"no prime factor up to {RADICAL_TRIAL_CAP} that rho did not split in {RADICAL_RHO_STEPS} steps"
+            ]
+    return [f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}"] if rad > rad_cap else []
 
 
 # ---------------------------------------------------------------------------

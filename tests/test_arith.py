@@ -69,6 +69,64 @@ def test_trial_radical_leaves_two_large_primes_unfactored():
     assert arith.trial_radical(p * p, 10) is None
 
 
+def test_trial_radical_splits_with_a_rho_budget():
+    p, q = 100000000000000000039, 300000000000000000053
+    # factors rho finds in few steps are split; two 21-digit primes are not
+    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 1 << 20) == (10**9 + 7) * (10**11 + 3)
+    assert arith.trial_radical(2**5 * 9999991**3, 10**6, 1 << 20) == 2 * 9999991
+    assert arith.trial_radical(p * q, 1000, 1 << 12) is None
+    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 0) is None
+    assert arith._brent_rho(p * q, 1 << 12) is None
+
+
+def _miller_rabin(n, bases):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # OEIS A217255: the odd composites below 1e5 that pass the strong Lucas
+    # test with Selfridge's parameters
+    slpsp = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+    odd = range(3, 100_000, 2)
+    assert [n for n in odd if arith._strong_lucas(n) and not arith.is_prime(n)] == slpsp
+    assert all(arith._strong_lucas(n) for n in odd if arith.is_prime(n))
+
+
+def test_is_prime_above_2_64_is_baillie_psw():
+    p, q = 399165290221, 798330580441
+    n = p * q
+    assert n == 318665857834031151167461 > 2**64
+    # a strong pseudoprime to all twelve witness bases, which the Lucas test splits
+    assert _miller_rabin(n, arith._MR_WITNESSES) and not arith._strong_lucas(n)
+    assert not arith.is_prime(n)
+    assert arith.factorize(n).factors == ((p, 1), (q, 1))
+    assert arith.euler_phi(n) == (p - 1) * (q - 1)
+    assert arith.radical(n) == n
+    for prime in (2**64 + 13, 100000000000000000039, 2**89 - 1, 2**127 - 1):
+        assert arith.is_prime(prime)
+    assert not arith.is_prime((2**61 - 1) * (2**89 - 1))
+    assert not arith.is_prime((2**64 + 13) ** 2)
+    # against Miller-Rabin with the first 60 prime bases, probabilistic but
+    # fooled by no composite here
+    bases = [int(b) for b in arith.primes_up_to(281)]
+    assert len(bases) == 60
+    for m in range(2**64, 2**64 + 3000):
+        assert arith.is_prime(m) == (m % 2 == 1 and _miller_rabin(m, bases)), m
+
+
 def test_multiplicative_function_examples():
     assert arith.radical(360) == 30
     assert arith.radical(1) == 1

@@ -327,27 +327,70 @@ def test_random_sweeps_match_row_major_oracle(batch, monkeypatch):
             assert cl.random_sweeps(n, seed=seed) == oracle_random_sweeps(n, seed, batch)
 
 
-def test_fused_batch_runs_exact_fallback_like_oracle():
-    # hand-built rows the greedy misses, so both paths reach the exact scan:
-    # (0.1, 0.1, 0.45, 0.45) has 0.45 in both windows, which the greedy
-    # (0.1 + 0.1, then 0.65 > hi twice) never reaches; (0.3, 0.05) and
-    # (0.1, 0.05, 0.6, 0.25) have no subset in the five-part window and fail
-    # its conclusions, and (0.3, 0.05) none in the trichotomy window either
+def test_fused_batch_runs_exact_fallback_like_oracle(monkeypatch):
+    # hand-built rows in draw order that the draw-order greedy (cap 7/12)
+    # misses, so the check sorts them and reaches the exact scan: rows 0 and
+    # 1 (0.1 four times, then 0.2 three times; five fifths) stop at 0.4 <
+    # 5/12, row 1 meets both five-part conclusions and row 0 does not, yet
+    # 0.2 + 0.2 + 0.1 lies in the window; row 2 (0.3, 0.05) sums to 0.35, so
+    # no subset reaches either window. Row 3 is a greedy hit and row 4
+    # misses but fails the hypothesis.
     hand = [
-        (0.1, 0.1, 0.45, 0.45),
-        (0.3, 0.05),
-        (0.1, 0.05, 0.6, 0.25),
+        (0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.2),
         (0.2, 0.2, 0.2, 0.2, 0.2),
+        (0.05, 0.3),
+        (0.25, 0.2, 0.2, 0.2, 0.15),
         (0.6, 0.4),
     ]
     rows = np.zeros((len(hand), cl.N_PARTS))
     for i, parts in enumerate(hand):
         rows[i, : len(parts)] = parts
-    assert not _greedy_hits_window(rows[:3], 0.4, 0.6)[[0, 1]].any()
-    assert not _greedy_hits_window(rows[:3], 5 / 12, 7 / 12).any()
-    checked, tri, five = cl._check_rows(rows)
-    assert (checked, tri) == _trichotomy_rows(rows)
-    assert (checked, five) == _comblem_rows(rows)
+    assert not _greedy_hits_window(rows[[0, 1, 2, 4]], 5 / 12, 7 / 12).any()
+    assert _greedy_hits_window(rows[[3]], 5 / 12, 7 / 12).all()
+    sorted_rows = -np.sort(-rows, axis=1)
+    exact = cl._exact_rows_with_subset
+    scanned = []
+
+    def spy(hard, lo, hi):
+        scanned.append(([tuple(row) for row in hard], lo, hi))
+        return exact(hard, lo, hi)
+
+    monkeypatch.setattr(cl, "_exact_rows_with_subset", spy)
+    checked, tri, five = cl._check_columns(np.ascontiguousarray(rows.T))
+    monkeypatch.undo()
+    first, third = tuple(sorted_rows[0]), tuple(sorted_rows[2])
+    assert scanned == [([third], 0.4, 0.6), ([first, third], 5 / 12, 7 / 12)]
+    assert (checked, tri) == _trichotomy_rows(sorted_rows)
+    assert (checked, five) == _comblem_rows(sorted_rows)
     assert checked == 4
-    assert tri == [tuple(rows[1])]
-    assert five == [tuple(rows[1]), tuple(rows[2])]
+    assert tri == five == [third]
+
+
+def test_row_sums_match_numpy_row_sum():
+    for seed in (0, 1, 504):
+        rng = np.random.default_rng(seed)
+        for width in (1, 7, cl._SWEEP_BATCH):
+            rows = rng.standard_exponential((width, cl.N_PARTS))
+            cols = np.ascontiguousarray(rows.T)
+            assert np.array_equal(cl._row_sums(cols), np.sum(rows, axis=1)), (seed, width)
+            # the sweep divides strided views of a wider column buffer
+            wide = np.empty((cl.N_PARTS, width + 3))
+            wide[:, :width] = cols
+            assert np.array_equal(cl._row_sums(wide[:, :width]), np.sum(rows, axis=1)), (seed, width)
+
+
+def test_five_part_window_nests_in_trichotomy_window():
+    # one greedy hit in [5/12, 7/12] proves both claims, exactly and in floats
+    assert Fraction(2, 5) < Fraction(5, 12) < Fraction(7, 12) < Fraction(3, 5)
+    assert 0.4 < 5 / 12 < 7 / 12 < 0.6
+    rows = _random_sorted_simplex(2000, np.random.default_rng(4))
+    assert not np.any(_greedy_hits_window(rows, 5 / 12, 7 / 12) & ~_greedy_hits_window(rows, 0.4, 0.6))
+
+
+def test_random_sweeps_do_not_depend_on_the_batch(monkeypatch):
+    want = {(n, seed): cl.random_sweeps(n, seed=seed) for n in (1, 2500) for seed in (0, 7)}
+    assert want[2500, 0][0][0] > 0
+    for batch in (1, 7, 30_000, 100_000):
+        monkeypatch.setattr(cl, "_SWEEP_BATCH", batch)
+        for (n, seed), result in want.items():
+            assert cl.random_sweeps(n, seed=seed) == result, (batch, n, seed)

@@ -80,6 +80,25 @@ def test_validate_config_decides_the_radical_cap_by_trial_division():
     assert gaps.validate_config(gaps.GapConfig(x=1e200, q=2**40 * 3**20 * 7, a=1, t=1)) == []
 
 
+def test_validate_config_bounds_the_radical_check_above_the_trial_cap():
+    # (log 1e200)^3 ~ 9.8e7 > RADICAL_TRIAL_CAP: trial division to 1e6, then
+    # rho within its step budget decides both ways
+    cap = math.log(1e200) ** 3
+    assert cap > gaps.RADICAL_TRIAL_CAP
+    q = (10**9 + 7) * (10**11 + 3)
+    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=q, a=1, t=1, C=3))
+    assert errs == [f"radical(q) = {q} exceeds (log x)^C = {cap:.6g}"]
+    assert gaps.validate_config(gaps.GapConfig(x=1e200, q=2**5 * 9999991**3, a=1, t=1, C=3)) == []
+    # rho does not split two 21-digit primes: the question stays open, an error
+    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=30000000000000000017000000000000000002067, a=1, t=1, C=3))
+    assert errs == [
+        f"radical(q) <= (log x)^C = {cap:.6g} is undecided: q has a factor above 2**64 with no prime factor "
+        f"up to {gaps.RADICAL_TRIAL_CAP} that rho did not split in {gaps.RADICAL_RHO_STEPS} steps"
+    ]
+    # radical(q) <= q, so a q below the cap needs no factoring
+    assert gaps.validate_config(gaps.GapConfig(x=1e10, q=3, a=1, t=1, C=1e300)) == []
+
+
 def test_admissible_construction_examples():
     assert gaps.admissible_primes_past_k(1).shifts == (0,)
     assert gaps.admissible_primes_past_k(2).shifts == (0, 2)
