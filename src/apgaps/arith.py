@@ -15,11 +15,10 @@ per-residue float bincounts; prime_residue_counts streams them into exact
 integer counts. Residues of whole arrays go through residues(a, m), a
 floor division by a scalar of a's dtype, which numpy runs faster than %;
 while the numbers are below 2**31 they are taken on an int32 copy of each
-segment: the same integers, found faster still. Sums
-over one class (chebyshev_psi) use math.fsum; the residue vectors of
-psi_residue_sums are plain float sums in a fixed order (segment by
-segment of the class sieved, fixed modulus groups), so the same call gives
-the same bits.
+segment: the same integers, found faster still. The residue vectors of
+psi_residue_sums are plain float sums in a fixed order (segment by segment
+of the class sieved, fixed modulus groups), so the same call gives the
+same bits.
 The dense phi and Möbius tables take one strided update per prime up to
 sqrt(n), then the larger primes together, one cofactor at a time
 (large_multiples); reduced_residue_mask(m) strikes one stride per
@@ -242,20 +241,28 @@ def radical(n: int) -> int:
     return math.prod(factorize(n).primes)
 
 
-def trial_radical(n: int, bound: int, rho_steps: int = 0) -> int | None:
-    """radical(n), or None where that takes splitting a composite >= 2**64 with
-    no prime factor <= bound that rho does not split in rho_steps squarings.
+def trial_radical(n: int, bound: int, rho_steps: int = 0) -> tuple[int, bool]:
+    """(radical(n), True), or (r, False) with radical(n) > r where that takes
+    splitting a cofactor >= 2**64 that rho does not split in rho_steps squarings.
 
-    The primes up to bound are divided out first, so None means radical(n) > bound.
+    The primes up to bound are divided out first, and the cofactor m left is
+    replaced by the least root of which it is a perfect power, which has the
+    same radical. Every prime factor of m is above bound, so a root of order j
+    needs j * (bound.bit_length() - 1) < m.bit_length(). A root that is
+    neither prime nor a perfect power has two distinct prime factors above
+    bound, so r is the radical of the part divided out times bound**2.
     """
     factors, m = _divide_out(n, map(int, primes_up_to(bound)))
     rad = math.prod(p for p, _ in factors)
+    for j in primes_up_to(m.bit_length() // max(bound.bit_length() - 1, 1)).tolist():
+        while (root := floor_power(m, Fraction(1, j))) ** j == m:
+            m = root
     if m < 2**64:
-        return rad * radical(m)
+        return rad * radical(m), True
     hard: list[int] = []
     if not _factor_hard(m, hard, rho_steps):
-        return None
-    return rad * math.prod(set(hard))
+        return rad * bound**2, False
+    return rad * math.prod(set(hard)), True
 
 
 def euler_phi(n: int) -> int:
@@ -511,16 +518,6 @@ def _prime_power_arrays_cap(limit: int) -> tuple[np.ndarray, np.ndarray]:
     P.setflags(write=False)
     W.setflags(write=False)
     return P, W
-
-
-def chebyshev_psi(x: float, q: int = 1, a: int = 0) -> float:
-    """Sum of von Mangoldt weights over n <= x with n = a (mod q), fsum-exact."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    P, W = prime_power_arrays(int(math.floor(x)))
-    if q > 1:
-        W = W[residues(P, q) == a % q]
-    return math.fsum(W)
 
 
 # Group moduli for psi_residue_sums: one bincount into M bins serves every m | M.

@@ -25,7 +25,7 @@ Measured quantities, each against its trivial normalizer:
   once, up to x e^lam, and reads its three smoothed sums and psi from
   prefixes of that one array. It adds them as integers, mantissas binned
   by exponent (_exact_sum), and rounds each once, so they are == the
-  math.fsum of smoothed_R and chebyshev_psi.
+  math.fsum of smoothed_R and of the class's von Mangoldt weights.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
   moduli d <= x^L.
 
@@ -111,7 +111,7 @@ def sandwich_check(x: float, r: int, a: int, lam: float):
     The class is filtered once, up to x e^lam, and its logs taken once;
     each R and psi reads a prefix of it. Every sum is the exact integer sum
     of _exact_sum, rounded once, so every value equals (==) its smoothed_R
-    or chebyshev_psi call, which sum with math.fsum.
+    call, or the math.fsum of the class's weights up to x.
     """
     if lam <= 0:
         raise ValueError("need lam > 0")

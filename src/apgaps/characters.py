@@ -17,10 +17,10 @@ primitive_rows gives each character's primitive inducing character as a
 row mod f, for the whole group at once. conductor_partition_check compares
 those rows with the rows of conductor r1 in each divisor group mod r1.
 
-Summation conventions: phi_star counts all primitive characters (the
-constant function mod 1 included), while star-restricted sums run over
-primitive nonprincipal characters only. The star convention lives in one
-place, CharacterGroup.star_rows; in_star_sum reads it for one character.
+Summation conventions: phi_star_by_enumeration counts all primitive
+characters (the constant function mod 1 included), while star-restricted
+sums run over primitive nonprincipal characters only. The star convention
+lives in one place, CharacterGroup.star_rows.
 """
 
 from __future__ import annotations
@@ -33,30 +33,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .arith import euler_phi, factorize, mobius, prime_power_arrays
-
-__all__ = [
-    "CharacterGroup",
-    "Character",
-    "character_group",
-    "enumerate_characters",
-    "conductor",
-    "primitivize",
-    "conductor_split",
-    "phi_star",
-    "phi_star_by_enumeration",
-    "in_star_sum",
-    "conductor_partition_check",
-    "psi_chi",
-    "induced_psi_gap",
-    "dirichlet_T",
-    "exp_sum_S",
-    "farey_spacing_min",
-    "large_sieve_check",
-    "mult_to_additive_check",
-    "orthogonality_check_exact",
-    "divisors",
-]
+from .arith import euler_phi, factorize
 
 
 def divisors(n: int) -> list[int]:
@@ -236,18 +213,6 @@ def character_group(r: int) -> CharacterGroup:
     return CharacterGroup(r)
 
 
-def enumerate_characters(r: int) -> list["Character"]:
-    return character_group(r).characters()
-
-
-def _v(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
 @dataclass(frozen=True, eq=False)
 class Character:
     group: CharacterGroup
@@ -263,10 +228,6 @@ class Character:
     def modulus(self) -> int:
         return self.group.r
 
-    @property
-    def is_principal(self) -> bool:
-        return all(a == 0 for a in self.exponents)
-
     @cached_property
     def _row(self) -> int:
         """Index of this character in the group's enumeration order."""
@@ -279,10 +240,6 @@ class Character:
     def conductor(self) -> int:
         """Smallest modulus f | r through which the character factors."""
         return int(self.group.conductors[self._row])
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.group.r
 
     def value_exponent(self, n: int) -> int | None:
         """k with chi(n) = zeta_e^k, or None when gcd(n, r) > 1."""
@@ -305,43 +262,8 @@ class Character:
         return f"Character(r={self.group.r}, exponents={self.exponents})"
 
 
-def conductor(chi: Character) -> int:
-    return chi.conductor
-
-
-def primitivize(chi: Character) -> Character:
-    """The primitive character mod conductor(chi) inducing chi."""
-    grp_f = character_group(chi.conductor)
-    return grp_f.character(grp_f.coords[chi.group.primitive_rows[chi._row]])
-
-
-def conductor_split(chi: Character, q: int, d: int) -> tuple[int, int]:
-    """Split conductor(chi) = q1 * d1 with q1 | q, d1 | d for modulus q*d, gcd(q, d) = 1."""
-    if math.gcd(q, d) != 1:
-        raise ValueError("q and d must be coprime")
-    if chi.group.r != q * d:
-        raise ValueError("character modulus must equal q*d")
-    f = chi.conductor
-    q1 = 1
-    for p, _ in factorize(q).factors:
-        q1 *= p ** _v(f, p)
-    d1 = f // q1
-    return q1, d1
-
-
-@lru_cache(maxsize=None)
-def phi_star(r: int) -> int:
-    """Number of primitive characters mod r (the constant function counts at r = 1)."""
-    return sum(mobius(r // d) * euler_phi(d) for d in divisors(r))
-
-
 def phi_star_by_enumeration(r: int) -> int:
     return int(np.count_nonzero(character_group(r).conductors == r))
-
-
-def in_star_sum(chi: Character) -> bool:
-    """Membership in star-restricted sums: primitive and nonprincipal (CharacterGroup.star_rows)."""
-    return bool(chi.group.star_rows[chi._row])
 
 
 def conductor_partition_check(r: int, F) -> bool:
@@ -367,41 +289,6 @@ def conductor_partition_check(r: int, F) -> bool:
         for chi in characters_at(r1, character_group(r1).conductors == r1)
     ]
     return sum(lhs) == sum(rhs) and len(lhs) == len(rhs)
-
-
-# ---------------------------------------------------------------------------
-# weighted character sums
-
-
-def psi_chi(x: float, chi: Character) -> complex:
-    """Sum of Lambda(n) * chi(n) over n <= x, fsum per component."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    P, W = prime_power_arrays(int(math.floor(x)))
-    if len(P) == 0:
-        return 0j
-    vals = chi.values_vector[P % max(chi.group.r, 1)]
-    return complex(math.fsum(W * vals.real), math.fsum(W * vals.imag))
-
-
-def induced_psi_gap(x: float, chi: Character) -> float:
-    """| |psi(x, chi)| - |psi(x, chi_hat)| | for the inducing primitive chi_hat."""
-    return abs(abs(psi_chi(x, chi)) - abs(psi_chi(x, primitivize(chi))))
-
-
-def dirichlet_T(coeffs, chi: Character) -> complex:
-    """T(chi) = sum_{n=1..N} a_n chi(n)."""
-    a = np.asarray(coeffs, dtype=np.complex128)
-    n = np.arange(1, len(a) + 1, dtype=np.int64)
-    vals = chi.values_vector[n % max(chi.group.r, 1)]
-    return complex(np.sum(a * vals))
-
-
-def exp_sum_S(coeffs, x: float) -> complex:
-    """S(x) = sum_{n=1..N} a_n e(n x) with e(z) = exp(2 pi i z)."""
-    a = np.asarray(coeffs, dtype=np.complex128)
-    n = np.arange(1, len(a) + 1, dtype=np.float64)
-    return complex(np.sum(a * np.exp(2j * np.pi * n * x)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +356,6 @@ def large_sieve_check(r: int, D: int, coeffs) -> tuple[float, float, float]:
     lhs = math.fsum(terms)
     rhs = (N + r * D * D) * float(np.sum(np.abs(a) ** 2))
     return lhs, rhs, (lhs / rhs if rhs > 0 else 0.0)
-
-
-def mult_to_additive_check(m: int, coeffs) -> tuple[float, float]:
-    """Per-modulus comparison of the weighted star sum with additive samples.
-
-    Returns (m/phi(m) * sum_star |T|^2, sum over reduced j of |S(j/m)|^2).
-    """
-    a = np.asarray(coeffs, dtype=np.complex128)
-    lhs = m / euler_phi(m) * _star_T_squares(m, a)
-    rhs = math.fsum(
-        abs(exp_sum_S(a, j / m)) ** 2 for j in range(1, m + 1) if math.gcd(j, m) == 1
-    )
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -25,34 +25,9 @@ five-part conclusions and to reach the exact 2^14 subset scan.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 N_PARTS = 14
-
-CASE_LARGE_PAIR = "case1"  # alpha_1 + alpha_2 >= 1/2
-CASE_MEDIUM_SUBSET = "case2"  # some subset sum in the medium window
-CASE_REMAINDER = "case3"
-
-
-@dataclass(frozen=True)
-class ExponentTuple:
-    """Nonincreasing nonnegative rational 14-tuple with unit sum."""
-
-    parts: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.parts) != N_PARTS:
-            raise ValueError(f"need exactly {N_PARTS} parts")
-        if any(p < 0 for p in self.parts):
-            raise ValueError("parts must be nonnegative")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be nonincreasing")
-        if sum(self.parts) != 1:
-            raise ValueError("parts must sum to 1")
 
 
 def subset_sums_bitset(numers) -> int:
@@ -62,37 +37,6 @@ def subset_sums_bitset(numers) -> int:
         if a:
             bits |= bits << a
     return bits
-
-
-def _has_subset_in(numers, lo_num: int, hi_num: int) -> bool:
-    """True iff some subset sum S satisfies lo_num <= S <= hi_num (closed)."""
-    return bool(subset_sums_bitset(numers) & _window_bits(lo_num, hi_num))
-
-
-def has_subset_sum_in(parts, lo: Fraction, hi: Fraction) -> bool:
-    """Exact closed-interval subset-sum test for a rational tuple."""
-    den = math.lcm(*(p.denominator for p in parts), lo.denominator, hi.denominator)
-    numers = [int(p * den) for p in parts]
-    lo_num = int(lo * den)
-    hi_num = int(hi * den)
-    return _has_subset_in(numers, lo_num, hi_num)
-
-
-def classify_case(alpha: ExponentTuple, theta, eps) -> str:
-    """Largest-pair / medium-subset / remainder classification.
-
-    The medium window is [1/2, 1 - theta - eps], the hardest instantiation
-    of the subset-product condition; the subset scan is exhaustive.
-    """
-    theta = Fraction(theta)
-    eps = Fraction(eps)
-    if not 0 < theta < Fraction(1, 2):
-        raise ValueError("need 0 < theta < 1/2")
-    if alpha.parts[0] + alpha.parts[1] >= Fraction(1, 2):
-        return CASE_LARGE_PAIR
-    if has_subset_sum_in(alpha.parts, Fraction(1, 2), 1 - theta - eps):
-        return CASE_MEDIUM_SUBSET
-    return CASE_REMAINDER
 
 
 def _greedy_parts(total: int, top: int) -> list[int]:

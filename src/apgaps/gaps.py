@@ -23,9 +23,10 @@ from .variational import VariationalCertificate, min_k_for
 THETA_MAX = Fraction(5, 12)
 BRANCH_POINT = Fraction(2, 5)
 # validate_config decides radical(q) <= (log x)^C by trial division up to
-# min((log x)^C, RADICAL_TRIAL_CAP). Above the cap, Brent rho gets
-# RADICAL_RHO_STEPS squarings per split of a cofactor >= 2**64; where it
-# splits none, the question is reported open, never guessed.
+# min((log x)^C, RADICAL_TRIAL_CAP). Above the cap, a cofactor >= 2**64 that
+# is not a prime power has two prime factors above RADICAL_TRIAL_CAP; where
+# that does not decide, Brent rho gets RADICAL_RHO_STEPS squarings per split,
+# and where it splits none, the question is reported open, never guessed.
 RADICAL_TRIAL_CAP = 10**6
 RADICAL_RHO_STEPS = 1 << 20
 
@@ -121,12 +122,18 @@ def validate_config(cfg: GapConfig) -> list[str]:
 def _radical_errors(q: int, rad_cap: float) -> list[str]:
     """The error, if any, of radical(q) <= rad_cap, found within a bounded time."""
     if rad_cap <= RADICAL_TRIAL_CAP:
-        rad = trial_radical(q, int(rad_cap))
-        if rad is None:
+        rad, exact = trial_radical(q, int(rad_cap))
+        if not exact:
             return [f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above it"]
     else:
-        rad = trial_radical(q, RADICAL_TRIAL_CAP, RADICAL_RHO_STEPS)
-        if rad is None:
+        rad, exact = trial_radical(q, RADICAL_TRIAL_CAP)
+        if not exact and rad >= rad_cap:  # radical(q) > rad
+            return [
+                f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has two prime factors above {RADICAL_TRIAL_CAP}"
+            ]
+        if not exact:
+            rad, exact = trial_radical(q, RADICAL_TRIAL_CAP, RADICAL_RHO_STEPS)
+        if not exact:
             return [
                 f"radical(q) <= (log x)^C = {rad_cap:.6g} is undecided: q has a factor above 2**64 with "
                 f"no prime factor up to {RADICAL_TRIAL_CAP} that rho did not split in {RADICAL_RHO_STEPS} steps"

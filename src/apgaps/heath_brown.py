@@ -5,8 +5,9 @@ The k-fold form expands Lambda(n), for n <= x, as
     sum_{j=1..k} (-1)^(j-1) C(k,j)
         sum_{n = u_1 ... u_j v_1 ... v_j, v_i <= z} log(u_1) mu(v_1) ... mu(v_j)
 
-with the Moebius factors truncated at z = floor(x^(1/k)). hb_lambda evaluates
-the right-hand side pointwise (it must reproduce Lambda exactly);
+with the Moebius factors truncated at z = floor(x^(1/k)). hb_lambda_table
+evaluates the right-hand side at every n <= x (it must reproduce Lambda
+exactly);
 hb_decompose_sum_multi splits sum_{n<=x} Lambda(n) f(n) into dyadic boxes,
 one component per (j, box vector), and reports a per-component breakdown.
 
@@ -78,14 +79,6 @@ def hb_lambda_table(x: int, k: int) -> np.ndarray:
         total += (-1) ** (j - 1) * math.comb(k, j) * conv
     total.setflags(write=False)
     return total
-
-
-def hb_lambda(n: int, x: float, k: int) -> float:
-    """Value of the k-fold expansion at n; equals Lambda(n) for all n <= x."""
-    xi = int(math.floor(x))
-    if not 1 <= n <= xi:
-        raise ValueError("need 1 <= n <= x")
-    return float(hb_lambda_table(xi, k)[n])
 
 
 @dataclass(frozen=True)

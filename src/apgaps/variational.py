@@ -62,14 +62,6 @@ def _factorial_product(exponents) -> int:
     return out
 
 
-def simplex_monomial_integral(k: int, exponents) -> Fraction:
-    """Exact integral of prod t_i^(a_i) over the simplex R_k."""
-    exps = list(exponents)
-    if len(exps) > k or any(a < 0 for a in exps):
-        raise ValueError("need at most k nonnegative exponents")
-    return Fraction(_factorial_product(exps), math.factorial(k + sum(exps)))
-
-
 def basis_partitions(k: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of degree <= max_degree with at most k parts, low degree first."""
     parts = itertools.chain.from_iterable(partitions_of(d, min(k, d) if d else 0) for d in range(max_degree + 1))

@@ -10,6 +10,12 @@ from hypothesis import strategies as st
 import apgaps.arith as arith
 
 
+def chebyshev_psi(x, q=1, a=0):
+    """Oracle: math.fsum of the von Mangoldt weights over n <= x with n = a (mod q)."""
+    P, W = arith.prime_power_arrays(int(x))
+    return math.fsum(W[P % q == a % q])
+
+
 def trial_division_oracle(n):
     out = []
     p = 2
@@ -56,26 +62,30 @@ def test_factorize_roundtrip(n):
 
 @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=2000))
 def test_trial_radical_matches_radical(n, bound):
-    assert arith.trial_radical(n, bound) == arith.radical(n)
+    assert arith.trial_radical(n, bound) == (arith.radical(n), True)
 
 
 def test_trial_radical_leaves_two_large_primes_unfactored():
     p, q = 100000000000000000039, 300000000000000000053
     assert arith.is_prime(p) and arith.is_prime(q)
-    assert arith.trial_radical(p * q, 1000) is None
-    assert arith.trial_radical(6 * p * q, 1000) is None
-    # a prime cofactor, however large, is known
-    assert arith.trial_radical(12 * p, 1000) == 6 * p
-    assert arith.trial_radical(p * p, 10) is None
+    # two primes above the bound: radical > (radical of the part divided out) * bound**2
+    assert arith.trial_radical(p * q, 1000) == (1000**2, False)
+    assert arith.trial_radical(6 * p * q, 1000) == (6 * 1000**2, False)
+    assert arith.trial_radical((p * q) ** 2, 1000) == (1000**2, False)
+    # a prime cofactor, or a prime power, however large, is known
+    assert arith.trial_radical(12 * p, 1000) == (6 * p, True)
+    assert arith.trial_radical(p * p, 10) == (p, True)
+    assert arith.trial_radical(12 * p**5, 1000) == (6 * p, True)
+    assert arith.trial_radical(1000003**7, 10**6) == (1000003, True)
 
 
 def test_trial_radical_splits_with_a_rho_budget():
     p, q = 100000000000000000039, 300000000000000000053
     # factors rho finds in few steps are split; two 21-digit primes are not
-    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 1 << 20) == (10**9 + 7) * (10**11 + 3)
-    assert arith.trial_radical(2**5 * 9999991**3, 10**6, 1 << 20) == 2 * 9999991
-    assert arith.trial_radical(p * q, 1000, 1 << 12) is None
-    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 0) is None
+    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 1 << 20) == ((10**9 + 7) * (10**11 + 3), True)
+    assert arith.trial_radical(2**5 * 9999991**3, 10**6, 1 << 20) == (2 * 9999991, True)
+    assert arith.trial_radical(p * q, 1000, 1 << 12) == (1000**2, False)
+    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 0) == (1000**2, False)
     assert arith._brent_rho(p * q, 1 << 12) is None
 
 
@@ -351,6 +361,13 @@ def test_class_segments_keep_their_boundaries(monkeypatch):
             assert ((lo + k * width < seg) & (seg <= lo + (k + 1) * width)).all()
 
 
+def test_class_segments_refuse_an_empty_range_and_a_class_out_of_range():
+    # primes_in_range returns empty before it reaches the sieve, so the sieve itself refuses lo == hi
+    for lo, hi, q, a in ((5, 5, 1, 0), (0, 10, 3, 3), (-1, 10, 1, 0), (0, 10, 3, -1), (0, 10, 0, 0)):
+        with pytest.raises(ValueError):
+            next(arith.class_segments(lo, hi, q, a))
+
+
 def test_class_sieve_random_windows():
     rng = random.Random(20261019)
     for _ in range(40):
@@ -383,18 +400,18 @@ def test_base_primes_sieved_once_per_range(monkeypatch):
 
 def test_chebyshev_psi_examples():
     want = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
-    assert arith.chebyshev_psi(10) == pytest.approx(want, rel=1e-12)
-    assert arith.chebyshev_psi(10, 4, 1) == pytest.approx(math.log(5) + math.log(3), rel=1e-12)
-    assert arith.chebyshev_psi(1.5) == 0.0
+    assert chebyshev_psi(10) == pytest.approx(want, rel=1e-12)
+    assert chebyshev_psi(10, 4, 1) == pytest.approx(math.log(5) + math.log(3), rel=1e-12)
+    assert chebyshev_psi(1.5) == 0.0
 
 
 def test_psi_class_sums_recover_total():
     for x in (1e3, 1e5, 1e6):
-        total = arith.chebyshev_psi(x)
+        total = chebyshev_psi(x)
         vecs = arith.psi_residue_sums(x, (2, 7, 12, 30))
         for q, vec in zip((2, 7, 12, 30), vecs):
             assert math.fsum(vec) == pytest.approx(total, rel=1e-9)
-            psum = math.fsum(arith.chebyshev_psi(x, q, a) for a in range(q))
+            psum = math.fsum(chebyshev_psi(x, q, a) for a in range(q))
             assert psum == pytest.approx(total, rel=1e-9)
 
 
@@ -446,14 +463,14 @@ def test_psi_residue_sums_against_bincount_oracle():
         for m, vec in zip(moduli, got):
             want = _residue_sums_by_bincount(x, m)
             np.testing.assert_allclose(vec, want, rtol=1e-12, atol=0)
-        assert got[0][0] == pytest.approx(arith.chebyshev_psi(x), rel=1e-12)
+        assert got[0][0] == pytest.approx(chebyshev_psi(x), rel=1e-12)
 
 
 def test_psi_residue_sums_against_class_fsum():
     for x in (1e4, 2**19, 3**12, 1_234_567.0):
         moduli = (1, 4, 9, 15, 28, 97)
         for m, vec in zip(moduli, arith.psi_residue_sums(x, moduli)):
-            want = [arith.chebyshev_psi(x, m, a) for a in range(m)]
+            want = [chebyshev_psi(x, m, a) for a in range(m)]
             np.testing.assert_allclose(vec, want, rtol=1e-12, atol=0)
 
 

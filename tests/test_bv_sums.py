@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import apgaps.arith as arith
 import apgaps.bv_sums as bv
 from apgaps.arith import (
-    chebyshev_psi,
     euler_phi,
     factorize,
     log_integral_Y1,
@@ -21,6 +20,7 @@ from apgaps.arith import (
     von_mangoldt_table,
 )
 from apgaps.reports import ERROR_SUM_CSV_HEADER
+from test_arith import chebyshev_psi
 
 
 def _class_prime_powers(x, r, a):

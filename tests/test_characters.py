@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apgaps.characters as chars
-from apgaps.arith import chebyshev_psi, euler_phi
+from apgaps.arith import euler_phi, mobius, prime_power_arrays
 from apgaps.checks import check_phi_star_partition
+from test_arith import chebyshev_psi
 
 
 def conductor_by_enumeration(chi):
@@ -31,12 +32,65 @@ def conductor_by_enumeration(chi):
     return r
 
 
+def is_principal(chi):
+    """The oracle's principal character: the zero exponent vector, read without conductors."""
+    return not any(chi.exponents)
+
+
+def is_primitive(chi):
+    return chi.conductor == chi.modulus
+
+
+def primitivize(chi):
+    """The primitive character mod chi.conductor inducing chi, read from primitive_rows."""
+    grp_f = chars.character_group(chi.conductor)
+    return grp_f.character(grp_f.coords[chi.group.primitive_rows[chi._row]])
+
+
+def conductor_split(chi, q, d):
+    """chi.conductor = q1 * d1 with q1 | q and d1 | d, for chi mod q*d with gcd(q, d) = 1."""
+    if math.gcd(q, d) != 1 or chi.modulus != q * d:
+        raise ValueError("need gcd(q, d) = 1 and a character mod q*d")
+    return math.gcd(chi.conductor, q), math.gcd(chi.conductor, d)
+
+
+def phi_star(r):
+    return sum(mobius(r // d) * euler_phi(d) for d in chars.divisors(r))
+
+
+def psi_chi(x, chi):
+    """Sum of Lambda(n) chi(n) over n <= x, fsum per component."""
+    P, W = prime_power_arrays(int(x))
+    vals = chi.values_vector[P % chi.modulus]
+    return complex(math.fsum(W * vals.real), math.fsum(W * vals.imag))
+
+
+def induced_psi_gap(x, chi):
+    return abs(abs(psi_chi(x, chi)) - abs(psi_chi(x, primitivize(chi))))
+
+
+def dirichlet_T(coeffs, chi):
+    """T(chi) = sum_{n=1..N} a_n chi(n)."""
+    return complex(np.sum(coeffs * chi.values_vector[np.arange(1, len(coeffs) + 1) % chi.modulus]))
+
+
+def exp_sum_S(coeffs, x):
+    """S(x) = sum_{n=1..N} a_n e(n x)."""
+    return complex(np.sum(coeffs * np.exp(2j * np.pi * np.arange(1, len(coeffs) + 1) * x)))
+
+
+def mult_to_additive_check(m, coeffs):
+    """(m/phi(m) sum* |T(chi)|^2, sum over reduced j of |S(j/m)|^2)."""
+    lhs = m / euler_phi(m) * chars._star_T_squares(m, np.asarray(coeffs, dtype=np.complex128))
+    return lhs, math.fsum(abs(exp_sum_S(coeffs, j / m)) ** 2 for j in range(1, m + 1) if math.gcd(j, m) == 1)
+
+
 def test_group_sizes_and_primitive_counts():
     for r, n_chars, n_prim in [(1, 1, 1), (3, 2, 1), (4, 2, 1), (8, 4, 2), (12, 4, 1)]:
-        cs = chars.enumerate_characters(r)
+        cs = chars.character_group(r).characters()
         assert len(cs) == n_chars == euler_phi(r)
-        assert sum(1 for c in cs if c.is_primitive) == n_prim
-        assert sum(1 for c in cs if c.is_principal) == 1
+        assert sum(1 for c in cs if is_primitive(c)) == n_prim
+        assert sum(1 for c in cs if is_principal(c)) == 1
     grp5 = chars.character_group(5)
     assert grp5.character((1,)) == grp5.characters()[1]
     for bad in ((1, 2), ()):  # too long, too short
@@ -45,8 +99,8 @@ def test_group_sizes_and_primitive_counts():
 
 
 def test_modulus_one_character_is_primitive_constant():
-    (chi,) = chars.enumerate_characters(1)
-    assert chi.is_primitive and chi.is_principal
+    (chi,) = chars.character_group(1).characters()
+    assert is_primitive(chi) and is_principal(chi)
     assert chi(5) == 1 and chi(12) == 1
 
 
@@ -62,7 +116,7 @@ def test_multiplicativity_on_units(r, data):
 
 def test_vanishing_off_units():
     for r in (6, 9, 20):
-        for chi in chars.enumerate_characters(r):
+        for chi in chars.character_group(r).characters():
             for n in range(2 * r):
                 if math.gcd(n, r) > 1:
                     assert chi(n) == 0
@@ -71,24 +125,24 @@ def test_vanishing_off_units():
 
 
 def test_conductor_examples_and_oracle():
-    for chi in chars.enumerate_characters(15):
-        if chi.is_principal:
+    for chi in chars.character_group(15).characters():
+        if is_principal(chi):
             assert chi.conductor == 1
-    chi3 = next(c for c in chars.enumerate_characters(3) if not c.is_principal)
+    chi3 = next(c for c in chars.character_group(3).characters() if not is_principal(c))
     assert chi3.conductor == 3
-    chi6 = next(c for c in chars.enumerate_characters(6) if not c.is_principal)
+    chi6 = next(c for c in chars.character_group(6).characters() if not is_principal(c))
     assert chi6.conductor == 3
     for r in range(1, 81):
-        for chi in chars.enumerate_characters(r):
+        for chi in chars.character_group(r).characters():
             assert chi.conductor == conductor_by_enumeration(chi)
 
 
 def test_primitivize_agrees_on_units():
     for r in (6, 12, 40, 45):
-        for chi in chars.enumerate_characters(r):
-            hat = chars.primitivize(chi)
+        for chi in chars.character_group(r).characters():
+            hat = primitivize(chi)
             assert hat.modulus == chi.conductor
-            assert hat.is_primitive
+            assert is_primitive(hat)
             for n in range(1, 3 * r):
                 if math.gcd(n, r) == 1:
                     assert chi(n) == pytest.approx(hat(n), abs=1e-12)
@@ -116,20 +170,20 @@ def oracle_primitivize(chi):
 
 def oracle_conductor_partition_check(r, F):
     """The list-based partition check that the row-table version replaced."""
-    lhs = [F(oracle_primitivize(chi)) for chi in chars.enumerate_characters(r) if not chi.is_principal]
+    lhs = [F(oracle_primitivize(chi)) for chi in chars.character_group(r).characters() if not is_principal(chi)]
     rhs = [
         F(chi1)
         for r1 in chars.divisors(r)
-        for chi1 in chars.enumerate_characters(r1)
-        if chars.in_star_sum(chi1)
+        for chi1, star in zip(chars.character_group(r1).characters(), chars.character_group(r1).star_rows)
+        if star
     ]
     return sum(lhs) == sum(rhs) and len(lhs) == len(rhs)
 
 
 def test_primitivize_matches_per_character_oracle():
     for r in [*range(1, 201), 720, 1024, 1155]:
-        for chi in chars.enumerate_characters(r):
-            got, want = chars.primitivize(chi), oracle_primitivize(chi)
+        for chi in chars.character_group(r).characters():
+            got, want = primitivize(chi), oracle_primitivize(chi)
             assert (got.modulus, got.exponents) == (want.modulus, want.exponents), chi
 
 
@@ -166,27 +220,27 @@ def test_conductor_partition_check_reads_primitive_rows(monkeypatch):
 
 def test_conductor_split():
     g12 = chars.character_group(12)
-    split = {chi.exponents: chars.conductor_split(chi, 3, 4) for chi in g12.characters()}
+    split = {chi.exponents: conductor_split(chi, 3, 4) for chi in g12.characters()}
     values = sorted(split.values())
     assert (1, 1) in values  # principal
     assert (3, 1) in values  # induced from the nontrivial character mod 3
     for chi in g12.characters():
-        q1, d1 = chars.conductor_split(chi, 3, 4)
+        q1, d1 = conductor_split(chi, 3, 4)
         assert 3 % q1 == 0 and 4 % d1 == 0 and q1 * d1 == chi.conductor
-        if chi.is_primitive:
+        if is_primitive(chi):
             assert (q1, d1) == (3, 4)
     with pytest.raises(ValueError):
-        chars.conductor_split(g12.characters()[0], 6, 2)
+        conductor_split(g12.characters()[0], 6, 2)
 
 
 def test_phi_star_values_and_divisor_sum():
-    assert chars.phi_star(1) == 1
-    assert chars.phi_star(2) == 0
-    assert [chars.phi_star(d) for d in chars.divisors(12)] == [1, 0, 1, 1, 0, 1]
+    assert phi_star(1) == 1
+    assert phi_star(2) == 0
+    assert [phi_star(d) for d in chars.divisors(12)] == [1, 0, 1, 1, 0, 1]
     for r in range(1, 151):
-        assert chars.phi_star(r) == chars.phi_star_by_enumeration(r)
+        assert phi_star(r) == chars.phi_star_by_enumeration(r)
     for r in range(1, 201):
-        assert sum(chars.phi_star(d) for d in chars.divisors(r)) == euler_phi(r)
+        assert sum(phi_star(d) for d in chars.divisors(r)) == euler_phi(r)
 
 
 def test_conductor_partition_check_random_weights():
@@ -204,51 +258,49 @@ def test_conductor_partition_check_random_weights():
 
 
 def test_psi_chi_examples():
-    (one,) = chars.enumerate_characters(1)
-    assert chars.psi_chi(10, one).real == pytest.approx(chebyshev_psi(10), rel=1e-12)
-    chi4 = next(c for c in chars.enumerate_characters(4) if not c.is_principal)
-    got = chars.psi_chi(10, chi4)
+    (one,) = chars.character_group(1).characters()
+    assert psi_chi(10, one).real == pytest.approx(chebyshev_psi(10), rel=1e-12)
+    chi4 = next(c for c in chars.character_group(4).characters() if not is_principal(c))
+    got = psi_chi(10, chi4)
     assert got.real == pytest.approx(math.log(5) - math.log(7), rel=1e-12)
     assert got.imag == pytest.approx(0.0, abs=1e-12)
-    assert chars.psi_chi(1.5, chi4) == 0
-    for chi in chars.enumerate_characters(12):
-        assert abs(chars.psi_chi(500, chi)) <= chebyshev_psi(500) + 1e-9
+    assert psi_chi(1.5, chi4) == 0
+    for chi in chars.character_group(12).characters():
+        assert abs(psi_chi(500, chi)) <= chebyshev_psi(500) + 1e-9
 
 
 def test_induced_psi_gap():
-    chi6_nonprin = next(c for c in chars.enumerate_characters(6) if not c.is_principal)
-    assert chars.induced_psi_gap(200, chars.primitivize(chi6_nonprin)) == 0.0
+    chi6_nonprin = next(c for c in chars.character_group(6).characters() if not is_principal(c))
+    assert induced_psi_gap(200, primitivize(chi6_nonprin)) == 0.0
     # principal mod 6 against the constant: the gap is the Lambda mass at 2 and 3
-    chi0 = next(c for c in chars.enumerate_characters(6) if c.is_principal)
+    chi0 = next(c for c in chars.character_group(6).characters() if is_principal(c))
     mass = math.fsum(
         math.log(p) for p in (2, 3) for k in range(1, 8) if p**k <= 100
     )
-    assert chars.induced_psi_gap(100, chi0) == pytest.approx(mass, rel=1e-12)
+    assert induced_psi_gap(100, chi0) == pytest.approx(mass, rel=1e-12)
     # induced from mod 3: both sides recomputed by direct enumeration
     x = 200
-    chi3 = chars.primitivize(chi6_nonprin)
+    chi3 = primitivize(chi6_nonprin)
     direct_mod6 = math.fsum((chi6_nonprin(n) * w).real for n, w in _prime_powers(x))
     direct_mod3 = math.fsum((chi3(n) * w).real for n, w in _prime_powers(x))
-    assert chars.induced_psi_gap(x, chi6_nonprin) == pytest.approx(
+    assert induced_psi_gap(x, chi6_nonprin) == pytest.approx(
         abs(abs(direct_mod6) - abs(direct_mod3)), abs=1e-9
     )
 
 
 def _prime_powers(x):
-    from apgaps.arith import prime_power_arrays
-
     P, W = prime_power_arrays(int(x))
     return [(int(p), float(w)) for p, w in zip(P, W)]
 
 
 def test_dirichlet_T_and_exp_sum():
-    (one,) = chars.enumerate_characters(1)
-    assert chars.dirichlet_T(np.ones(5), one) == pytest.approx(5.0)
-    chi3 = next(c for c in chars.enumerate_characters(3) if not c.is_principal)
-    got = chars.dirichlet_T(np.ones(3), chi3)
+    (one,) = chars.character_group(1).characters()
+    assert dirichlet_T(np.ones(5), one) == pytest.approx(5.0)
+    chi3 = next(c for c in chars.character_group(3).characters() if not is_principal(c))
+    got = dirichlet_T(np.ones(3), chi3)
     assert got == pytest.approx(1 + chi3(2), abs=1e-12)
     a = np.array([0.3, -1.2, 2.5, 0.1])
-    assert chars.exp_sum_S(a, 0.0) == pytest.approx(np.sum(a))
+    assert exp_sum_S(a, 0.0) == pytest.approx(np.sum(a))
 
 
 def test_farey_spacing():
@@ -349,7 +401,7 @@ def test_mult_to_additive_bound():
     rng = np.random.default_rng(9)
     for m in (3, 8, 15, 41, 100):
         coeffs = rng.normal(size=300) + 1j * rng.normal(size=300)
-        lhs, rhs = chars.mult_to_additive_check(m, coeffs)
+        lhs, rhs = mult_to_additive_check(m, coeffs)
         assert lhs <= rhs * (1 + 1e-9)
 
 
@@ -383,20 +435,19 @@ def test_cyclotomic_degree_is_phi():
 
 def test_star_sum_membership():
     # the constant function is primitive but excluded from star sums
-    (one,) = chars.enumerate_characters(1)
-    assert one.is_primitive and not chars.in_star_sum(one)
-    chi3 = next(c for c in chars.enumerate_characters(3) if not c.is_principal)
-    assert chars.in_star_sum(chi3)
-    chi6 = next(c for c in chars.enumerate_characters(6) if not c.is_principal)
-    assert not chi6.is_primitive and not chars.in_star_sum(chi6)
+    (one,) = chars.character_group(1).characters()
+    assert is_primitive(one) and not one.group.star_rows[one._row]
+    chi3 = next(c for c in chars.character_group(3).characters() if not is_principal(c))
+    assert chi3.group.star_rows[chi3._row]
+    chi6 = next(c for c in chars.character_group(6).characters() if not is_principal(c))
+    assert not is_primitive(chi6) and not chi6.group.star_rows[chi6._row]
 
 
 def test_star_rows_match_per_character_definition():
     for m in range(1, 300):
         grp = chars.character_group(m)
-        star = np.array([chi.is_primitive and not chi.is_principal for chi in grp.characters()], dtype=bool)
+        star = np.array([is_primitive(chi) and not is_principal(chi) for chi in grp.characters()], dtype=bool)
         assert np.array_equal(grp.star_rows, star)
-        assert [chars.in_star_sum(chi) for chi in grp.characters()] == star.tolist()
         # the matrix the per-character mask gave
         assert np.array_equal(chars._char_matrix(m), grp.zeta_powers[grp.exponents(star)])
 

