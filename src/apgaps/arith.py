@@ -189,7 +189,7 @@ _TRIAL_LIMIT = 20000
 
 @lru_cache(maxsize=None)
 def _trial_primes() -> tuple[int, ...]:
-    return tuple(int(p) for p in primes_up_to(_TRIAL_LIMIT))
+    return tuple(int(p) for p in primes_in_range(0, _TRIAL_LIMIT))
 
 
 def _factor_hard(m: int, out: list[int], steps: int | None = None) -> bool:
@@ -241,20 +241,30 @@ def radical(n: int) -> int:
     return math.prod(factorize(n).primes)
 
 
+def trial_divide(n: int, bound: int) -> tuple[int, int]:
+    """(r, m): m is n with its primes up to bound divided out, r their product.
+
+    Division stops once p * p > m, so m is 1, a prime, or a number whose
+    prime factors all exceed bound; radical(n) = r * radical(m).
+    """
+    factors, m = _divide_out(n, map(int, primes_in_range(0, bound)))
+    return math.prod(p for p, _ in factors), m
+
+
 def trial_radical(n: int, bound: int, rho_steps: int = 0) -> tuple[int, bool]:
     """(radical(n), True), or (r, False) with radical(n) > r where that takes
     splitting a cofactor >= 2**64 that rho does not split in rho_steps squarings.
 
-    The primes up to bound are divided out first, and the cofactor m left is
-    replaced by the least root of which it is a perfect power, which has the
-    same radical. Every prime factor of m is above bound, so a root of order j
-    needs j * (bound.bit_length() - 1) < m.bit_length(). A root that is
+    The primes up to bound are divided out first (trial_divide), and the
+    cofactor m left is replaced by the least root of which it is a perfect
+    power, which has the same radical. Every prime factor of m is above
+    bound, so a root of order j needs
+    j * (bound.bit_length() - 1) < m.bit_length(). A root that is
     neither prime nor a perfect power has two distinct prime factors above
     bound, so r is the radical of the part divided out times bound**2.
     """
-    factors, m = _divide_out(n, map(int, primes_up_to(bound)))
-    rad = math.prod(p for p, _ in factors)
-    for j in primes_up_to(m.bit_length() // max(bound.bit_length() - 1, 1)).tolist():
+    rad, m = trial_divide(n, bound)
+    for j in primes_in_range(0, m.bit_length() // max(bound.bit_length() - 1, 1)).tolist():
         while (root := floor_power(m, Fraction(1, j))) ** j == m:
             m = root
     if m < 2**64:
@@ -307,9 +317,9 @@ _MAX_EXPONENT_DENOMINATOR = 10**5
 def floor_power(x: float | Fraction, e: float | Fraction) -> int:
     """Exact floor(x**e) for x >= 0 and e >= 0.
 
-    With e = num/den (see exact_exponent) this is the largest integer d >= 0
-    with d**den <= x**num, decided in integers; the float power only seeds
-    the search.
+    With e = num/den (see exact_exponent) this is the integer den-th root of
+    floor(x**num), found by Newton's iteration in integers, as math.isqrt
+    does, from a seed read off log2 of that integer.
     """
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError("need finite x")
@@ -319,34 +329,23 @@ def floor_power(x: float | Fraction, e: float | Fraction) -> int:
     num, den = ef.numerator, ef.denominator
     if den > _MAX_EXPONENT_DENOMINATOR:
         raise ValueError(f"exponent {e} needs a denominator <= {_MAX_EXPONENT_DENOMINATOR}")
-    top, bottom = xf.numerator**num, xf.denominator**num
+    n = xf.numerator**num // xf.denominator**num
+    if den == 1 or n < 2:
+        return n
 
-    def fits(d: int) -> bool:
-        return d**den * bottom <= top
+    def step(r: int) -> int:
+        return ((den - 1) * r + n // r ** (den - 1)) // den
 
-    try:
-        d = int(float(xf) ** float(ef))
-    except OverflowError:
-        d = 0
-    # gallop from the float seed to a bracket lo <= floor < hi, then bisect
-    step = 1
-    if fits(d):
-        lo = d
-        while fits(lo + step):
-            lo, step = lo + step, 2 * step
-        hi = lo + step
-    else:
-        hi = d
-        while not fits(max(hi - step, 0)):
-            hi, step = hi - step, 2 * step
-        lo = max(hi - step, 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # seed 2**(log2(n) / den), its top 53 bits in a float
+    root_log = math.log2(n) / den
+    shift = max(int(root_log) - 53, 0)
+    r = max(int(2.0 ** (root_log - shift)), 1) << shift
+    # by AM-GM one step from any r >= 1 lands at or above the root; from
+    # there each step descends until it stops at the root
+    r = step(r)
+    while (s := step(r)) < r:
+        r = s
+    return r
 
 
 def residues(a: np.ndarray, m: int) -> np.ndarray:
@@ -466,10 +465,6 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(list(class_segments(lo, hi, 1, 0)))
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    return primes_in_range(0, n) if n >= 2 else np.empty(0, dtype=np.int64)
-
-
 def primes_in_ap(lo: int, hi: int, q: int, a: int) -> list[int]:
     """Ascending primes p in (lo, hi] with p = a (mod q), as Python ints."""
     return np.concatenate(list(class_segments(lo, hi, q, a))).tolist()
@@ -520,7 +515,7 @@ def _prime_power_arrays_cap(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return P, W
 
 
-# Group moduli for psi_residue_sums: one bincount into M bins serves every m | M.
+# Group moduli for _class_residue_sums: one bincount into M bins serves every m | M.
 _GROUP_BINS = 1 << 16
 
 
@@ -549,65 +544,16 @@ def _modulus_groups(moduli) -> dict[int, int]:
     return {m: M for M, members in groups for m in members}
 
 
-def _residue_bincounts(lo: int, hi: int, q: int, a: int, group_moduli, weighted: bool) -> dict[int, np.ndarray]:
-    """For each group modulus M, the primes of (lo, hi] with p = a (mod q) binned by residue mod M.
+def _class_residue_sums(lo: int, hi: int, q: int, a: int, moduli, weighted: bool) -> list[np.ndarray]:
+    """For each m in moduli, the class a mod q of (lo, hi] binned by residue mod m.
 
-    One pass of the class sieve: each segment feeds one bincount per M,
-    of log p if weighted (float sums in segment order) and of 1 otherwise
-    (exact int64 counts). While hi and every M are below 2**31 the residues
-    are taken on an int32 copy of the segment; they are the same integers,
-    found faster.
-    """
-    acc = {M: np.zeros(M, dtype=np.float64 if weighted else np.int64) for M in group_moduli}
-    if acc and lo < hi:
-        narrow = hi < 2**31 and max(acc) < 2**31
-        for ps in class_segments(lo, hi, q, a):
-            logs = np.log(ps) if weighted else None
-            r = ps.astype(np.int32) if narrow else ps
-            for M, vec in acc.items():
-                vec += np.bincount(residues(r, M), weights=logs, minlength=M)
-    return acc
-
-
-def psi_residue_sums(x: float, moduli, q: int = 1, a: int = 0) -> list[np.ndarray]:
-    """For each m in moduli, psi over the class a mod q split by residue mod m.
-
-    Entry c of m's vector is the sum of Lambda(n) over n <= x with n = a
-    (mod q) and n = c (mod m); (q, a) = (1, 0) gives psi(x; m, c) for every
-    residue c. Only the class a mod q is sieved, in one pass: each segment's
-    primes and their logs go into one weighted bincount per modulus group
-    (_modulus_groups, _residue_bincounts), the higher prime powers of the
-    class into one more after the last segment, and each group's vector is
-    folded down to its members. Memory is O(segment + sum of the group
-    moduli), not O(pi(x)). The float summation order is fixed by q, the
-    segment size and the grouping.
-    """
-    if q < 1 or not 0 <= a < q:
-        raise ValueError("need q >= 1 and 0 <= a < q")
-    moduli = [int(m) for m in moduli]
-    if any(m < 1 for m in moduli):
-        raise ValueError("moduli must be >= 1")
-    group_of = _modulus_groups(moduli)
-    xi = int(math.floor(x))
-    acc = _residue_bincounts(0, xi, q, a, dict.fromkeys(group_of.values()), weighted=True)
-    if acc and xi >= 2:
-        P, W = _higher_prime_powers(xi)
-        if q > 1:
-            keep = residues(P, q) == a
-            P, W = P[keep], W[keep]
-        for M, vec in acc.items():
-            vec += np.bincount(residues(P, M), weights=W, minlength=M)
-    return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
-
-
-def prime_residue_counts(lo: int, hi: int, moduli, q: int = 1, a: int = 0) -> list[np.ndarray]:
-    """For each m in moduli, the primes p = a (mod q) of (lo, hi] counted by residue mod m.
-
-    Only the class a mod q is sieved (class_segments), and its primes are
-    streamed into one integer bincount per modulus group, as in
-    psi_residue_sums; the counts are exact. For m a multiple of q, entry c
-    is the number of primes of (lo, hi] in the class c mod m if c = a
-    (mod q), and 0 otherwise; (q, a) = (1, 0) counts every prime.
+    Only the class is sieved, in one pass: each segment's primes go into
+    one bincount per modulus group (_modulus_groups), of log p if weighted
+    (float sums in segment order, the class's higher prime powers after
+    the last segment) and of 1 otherwise (exact int64 counts of primes).
+    Each group's vector is then folded down to its members. While hi and
+    every group modulus are below 2**31 the residues are taken on an int32
+    copy of the segment; they are the same integers, found faster.
     """
     if lo < 0:
         raise ValueError("need lo >= 0")
@@ -617,8 +563,44 @@ def prime_residue_counts(lo: int, hi: int, moduli, q: int = 1, a: int = 0) -> li
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be >= 1")
     group_of = _modulus_groups(moduli)
-    acc = _residue_bincounts(lo, hi, q, a, dict.fromkeys(group_of.values()), weighted=False)
+    acc = {M: np.zeros(M, dtype=np.float64 if weighted else np.int64) for M in group_of.values()}
+    if acc and lo < hi:
+        narrow = hi < 2**31 and max(acc) < 2**31
+        for ps in class_segments(lo, hi, q, a):
+            logs = np.log(ps) if weighted else None
+            r = ps.astype(np.int32) if narrow else ps
+            for M, vec in acc.items():
+                vec += np.bincount(residues(r, M), weights=logs, minlength=M)
+        if weighted:
+            P, W = _higher_prime_powers(hi)
+            keep = (P > lo) & (residues(P, q) == a)
+            P, W = P[keep], W[keep]
+            for M, vec in acc.items():
+                vec += np.bincount(residues(P, M), weights=W, minlength=M)
     return [acc[group_of[m]].reshape(-1, m).sum(axis=0) for m in moduli]
+
+
+def psi_residue_sums(x: float, moduli, q: int = 1, a: int = 0) -> list[np.ndarray]:
+    """For each m in moduli, psi over the class a mod q split by residue mod m.
+
+    Entry c of m's vector is the sum of Lambda(n) over n <= x with n = a
+    (mod q) and n = c (mod m); (q, a) = (1, 0) gives psi(x; m, c) for every
+    residue c. One weighted pass of _class_residue_sums: memory is
+    O(segment + sum of the group moduli), not O(pi(x)), and the float
+    summation order is fixed by q, the segment size and the grouping.
+    """
+    return _class_residue_sums(0, int(math.floor(x)), q, a, moduli, weighted=True)
+
+
+def prime_residue_counts(lo: int, hi: int, moduli, q: int = 1, a: int = 0) -> list[np.ndarray]:
+    """For each m in moduli, the primes p = a (mod q) of (lo, hi] counted by residue mod m.
+
+    One unweighted pass of _class_residue_sums; the counts are exact. For m
+    a multiple of q, entry c is the number of primes of (lo, hi] in the
+    class c mod m if c = a (mod q), and 0 otherwise; (q, a) = (1, 0) counts
+    every prime.
+    """
+    return _class_residue_sums(lo, hi, q, a, moduli, weighted=False)
 
 
 def reduced_residue_mask(m: int) -> np.ndarray:
@@ -669,7 +651,7 @@ def log_integral_Y1(x: float, q: int = 1) -> float:
 
 def von_mangoldt_table(n: int) -> np.ndarray:
     lam = np.zeros(n + 1, dtype=np.float64)
-    ps = primes_up_to(n)
+    ps = primes_in_range(0, n)
     lam[ps] = np.log(ps.astype(np.float64))
     P, W = _higher_prime_powers(n)
     lam[P] = W
@@ -700,7 +682,7 @@ def phi_table(n: int) -> np.ndarray:
     """Array T with T[m] = euler_phi(m) for 1 <= m <= n (T[0] = 0)."""
     phi = np.arange(n + 1, dtype=np.int64)
     root = math.isqrt(max(n, 0))
-    for p in primes_up_to(root).tolist():
+    for p in primes_in_range(0, root).tolist():
         phi[p::p] -= phi[p::p] // p
     large = primes_in_range(root, n)
     for k, ms in large_multiples(large, n):
@@ -711,7 +693,7 @@ def phi_table(n: int) -> np.ndarray:
 def mobius_table(n: int) -> np.ndarray:
     mu = np.ones(n + 1, dtype=np.int64)
     root = math.isqrt(max(n, 0))
-    for p in primes_up_to(root).tolist():
+    for p in primes_in_range(0, root).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     for _, ms in large_multiples(primes_in_range(root, n), n):

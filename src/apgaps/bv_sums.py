@@ -51,7 +51,6 @@ from .arith import (
     prime_power_arrays,
     prime_residue_counts,
     primes_in_range,
-    primes_up_to,
     psi_residue_sums,
     reduced_residue_mask,
     residues,
@@ -117,7 +116,7 @@ def sandwich_check(x: float, r: int, a: int, lam: float):
         raise ValueError("need lam > 0")
     x_lo, x_hi = x * math.exp(-lam), x * math.exp(lam)
     if not x_lo >= 1:
-        raise ValueError("need x >= 1")
+        raise ValueError("need x * exp(-lam) >= 1")
     P, W = prime_power_arrays(int(math.floor(x_hi)))
     if r > 1:
         keep = np.flatnonzero(residues(P, r) == a % r)  # taking indices beats a boolean mask here
@@ -289,7 +288,7 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     n1 = np.zeros(M + 1)
     n2 = np.zeros(M + 1)
     root = math.isqrt(xi)
-    for p in primes_up_to(min(root, M)).tolist():
+    for p in primes_in_range(0, min(root, M)).tolist():
         logp = math.log(p)
         J, pj = 1, p
         while pj * p <= xi:

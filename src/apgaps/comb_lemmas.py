@@ -1,4 +1,5 @@
-"""Exact subset-sum scans over nonincreasing exponent tuples.
+"""Exact subset-sum scans over nonincreasing exponent tuples, and the one
+uniform simplex sampler.
 
 A tuple is fourteen nonnegative rationals alpha_1 >= ... >= alpha_14 summing
 to 1 (the factor count of the 7-fold decomposition). Two claims get brute
@@ -13,14 +14,19 @@ force verification over every rational tuple with bounded denominator:
 Interval endpoints are closed (the adversarially harder reading) and every
 grid decision runs in exact integer arithmetic via subset-sum bitsets.
 grid_scan walks the partitions once and tests one bitset per tuple against
-both windows. Randomized real sweeps supplement the grids but never replace
-them. random_sweeps draws each batch once as rows, copies it once into
-columns and checks both claims there, sorting no row it need not: the
-hypothesis reads the two largest parts from one scan of the columns, and
-one greedy subset sum, capped at 7/12, serves both claims, because the
-five-part window [5/12, 7/12] lies inside the trichotomy window
-[2/5, 3/5]. Only the tuples that greedy misses are sorted, to read the
-five-part conclusions and to reach the exact 2^14 subset scan.
+both windows; partitions_of, its walk, also indexes the variational basis.
+
+Randomized real sweeps supplement the grids but never replace them.
+simplex_batches draws uniform points of a simplex, one per column of a
+caller's buffer, in the row-major order of one exponential draw; it feeds
+both random_sweeps here and the Monte-Carlo check of every M_k certificate
+(variational.verify_certificate). random_sweeps checks both claims on each
+batch of columns, sorting no tuple it need not: the hypothesis reads the
+two largest parts from one scan of the columns, and one greedy subset sum,
+capped at 7/12, serves both claims, because the five-part window
+[5/12, 7/12] lies inside the trichotomy window [2/5, 3/5]. Only the tuples
+that greedy misses are sorted, to read the five-part conclusions and to
+reach the exact 2^14 subset scan.
 """
 
 from __future__ import annotations
@@ -69,6 +75,33 @@ def partitions_of(total: int, max_parts: int):
             rest += parts[i]
         else:
             return
+
+
+# Rows drawn per generator call while a batch is transposed, so the row-major
+# draws never take a second array of the batch's size.
+_DRAW_CHUNK = 2048
+
+
+def simplex_batches(rng: np.random.Generator, out: np.ndarray, n: int):
+    """Yield n uniform points of the unit simplex, one per column, in views of out.
+
+    out has one row per coordinate, and each batch fills as many of its
+    leading columns as remain, at most all of them. The draws are those of
+    rng.exponential(size=(n, rows)), in the same order: chunks of rows are
+    drawn and transposed into the batch, and each column is then divided
+    by its sum.
+    """
+    rows, width = out.shape
+    chunk = np.empty((min(_DRAW_CHUNK, width, max(n, 0)), rows))
+    for start in range(0, n, width):
+        batch = out[:, : min(width, n - start)]
+        m = batch.shape[1]
+        for lo in range(0, m, len(chunk)):
+            part = chunk[: m - lo]
+            rng.standard_exponential(out=part)
+            batch[:, lo : lo + len(part)] = part.T
+        batch /= batch.sum(axis=0)
+        yield batch
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -178,20 +211,6 @@ def _greedy_sum(cols: np.ndarray, hi: float) -> np.ndarray:
     return total
 
 
-def _row_sums(cols: np.ndarray) -> np.ndarray:
-    """np.sum(rows, axis=1) of the 14-part rows stored as the columns of cols.
-
-    numpy adds 8 to 15 contiguous doubles pairwise: the first eight as
-    ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then the rest in
-    turn. The same order on the columns gives the same floats.
-    """
-    c = cols
-    total = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
-    for col in c[8:]:
-        total += col
-    return total
-
-
 def _check_columns(cols: np.ndarray) -> tuple[int, list, list]:
     """(checked, trichotomy counterexamples, five-part counterexamples) of the
     tuples stored as the columns of cols, shape (14, b), parts in any order.
@@ -225,9 +244,8 @@ def _check_columns(cols: np.ndarray) -> tuple[int, list, list]:
     return int(np.count_nonzero(hyp)), [tuple(row) for row in tri], [tuple(row) for row in five]
 
 
-# Random tuples drawn per batch: the width of the reused row and column
-# buffers. The rows are drawn in order, so the tuples checked do not depend
-# on it.
+# Random tuples checked per batch: the width of the reused column buffer.
+# The draws are made in order, so the tuples checked do not depend on it.
 _SWEEP_BATCH = 16_384
 
 
@@ -235,28 +253,16 @@ def random_sweeps(n: int, seed: int = 0) -> tuple[tuple[int, list], tuple[int, l
     """Both randomized checks on one seeded draw of n simplex tuples.
 
     Returns ((checked, counterexamples) of the trichotomy, the same of the
-    five-part lemma). Each batch of _SWEEP_BATCH tuples is drawn as rows
-    into one reused buffer, copied once into a column buffer and
-    normalized there, each part divided by its row's sum in numpy's own
-    order, so the values are those of e / e.sum(axis=1, keepdims=True).
-    No row is sorted unless _check_columns needs it.
+    five-part lemma). The tuples come from simplex_batches, _SWEEP_BATCH
+    columns at a time, and no row is sorted unless _check_columns needs it.
     """
     rng = np.random.default_rng(seed)
-    size = max(min(_SWEEP_BATCH, n), 0)
-    rows_buf = np.empty((size, N_PARTS))
-    cols_buf = np.empty((N_PARTS, size))
+    cols = np.empty((N_PARTS, min(_SWEEP_BATCH, max(n, 1))))
     checked = 0
     tri_bad: list = []
     five_bad: list = []
-    remaining = n
-    while remaining > 0:
-        m = min(_SWEEP_BATCH, remaining)
-        remaining -= m
-        rows, cols = rows_buf[:m], cols_buf[:, :m]
-        rng.standard_exponential(out=rows)
-        np.copyto(cols, rows.T)
-        cols /= _row_sums(cols)
-        c, tri, five = _check_columns(cols)
+    for batch in simplex_batches(rng, cols, n):
+        c, tri, five = _check_columns(batch)
         checked += c
         tri_bad += tri
         five_bad += five

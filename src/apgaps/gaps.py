@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import class_segments, primes_in_range, trial_radical
+from .arith import class_segments, primes_in_range, radical, trial_divide, trial_radical
 from .variational import VariationalCertificate, min_k_for
 
 THETA_MAX = Fraction(5, 12)
@@ -122,9 +122,10 @@ def validate_config(cfg: GapConfig) -> list[str]:
 def _radical_errors(q: int, rad_cap: float) -> list[str]:
     """The error, if any, of radical(q) <= rad_cap, found within a bounded time."""
     if rad_cap <= RADICAL_TRIAL_CAP:
-        rad, exact = trial_radical(q, int(rad_cap))
-        if not exact:
+        rad, m = trial_divide(q, int(rad_cap))
+        if m >= 2**64:  # > cap**2, so division ran to the cap: every prime factor of m is above it
             return [f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above it"]
+        rad *= radical(m)
     else:
         rad, exact = trial_radical(q, RADICAL_TRIAL_CAP)
         if not exact and rad >= rad_cap:  # radical(q) > rad

@@ -36,13 +36,6 @@ import numpy as np
 from .arith import floor_power, mobius_table, von_mangoldt_table
 
 
-def kth_root_floor(x: int, k: int) -> int:
-    """Exact floor(x**(1/k)) for integers x >= 1, k >= 1."""
-    if x < 1 or k < 1:
-        raise ValueError("need x, k >= 1")
-    return floor_power(x, Fraction(1, k))
-
-
 @lru_cache(maxsize=16)
 def hb_lambda_table(x: int, k: int) -> np.ndarray:
     """Array T with T[n] = the k-fold expansion of Lambda(n), for 0 <= n <= x."""
@@ -50,7 +43,7 @@ def hb_lambda_table(x: int, k: int) -> np.ndarray:
         raise ValueError("need 1 <= k <= 4")
     if x < 1:
         raise ValueError("need x >= 1")
-    z = kth_root_floor(x, k)
+    z = floor_power(x, Fraction(1, k))
     mu = mobius_table(x).astype(np.float64)
     logs = np.zeros(x + 1)
     logs[1:] = np.log(np.arange(1, x + 1, dtype=np.float64))
@@ -158,7 +151,7 @@ def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[complex], li
     is_complex = np.iscomplexobj(w)
     # float rows: the real parts, then (complex weights only) the imaginary parts
     rows = np.concatenate([w.real, w.imag]) if is_complex else w.astype(np.float64)
-    z = kth_root_floor(xi, k)
+    z = floor_power(xi, Fraction(1, k))
     mu = mobius_table(xi)
     logs = np.zeros(xi + 1)
     logs[1:] = np.log(np.arange(1, xi + 1, dtype=np.float64))

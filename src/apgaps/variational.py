@@ -35,7 +35,9 @@ The trial function F = sum c_lambda m_lambda is one polynomial in the
 power sums p_1 ... p_D, its coefficients combined exactly and rounded
 once. The inner t_1 integral of the J side is integrated exactly, as one
 polynomial in the power sums of the other coordinates and the powers of
-the upper limit. Both sides are sampled by one loop.
+the upper limit. Both sides are sampled by one loop over
+comb_lemmas.simplex_batches, the sampler the random lemma sweeps use too,
+in batches of _MC_BATCH points.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .comb_lemmas import partitions_of
+from .comb_lemmas import partitions_of, simplex_batches
 
 BASIS_SIZE_CAP = 200
 
@@ -505,28 +507,6 @@ class _PowerSumPolynomial:
         return out
 
 
-# Rows drawn per generator call while a batch is transposed, so the row-major
-# draws never take a second array of the batch's size.
-_DRAW_CHUNK = 2048
-
-
-def _draw_simplex_columns(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill out, shape (cols, m), with m uniform points of the simplex, one per column.
-
-    The draws are those of rng.exponential(size=(m, cols)), in the same
-    order: chunks of rows are drawn and transposed into out, and each
-    column is then divided by its sum.
-    """
-    cols, m = out.shape
-    chunk = np.empty((min(_DRAW_CHUNK, m), cols))
-    for lo in range(0, m, len(chunk)):
-        rows = chunk[: m - lo]
-        rng.standard_exponential(out=rows)
-        out[:, lo : lo + len(rows)] = rows.T
-    out /= out.sum(axis=0)
-    return out
-
-
 # Monte-Carlo samples drawn per batch. The batch sums are added in order, so
 # this value is part of the bit pattern of every Monte-Carlo result; the
 # trial function is evaluated one batch at a time, so it also sizes the
@@ -554,14 +534,14 @@ class MCVerification:
 def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000, seed: int = 0) -> MCVerification:
     """Independent Monte-Carlo estimate of the certified quotient.
 
-    Uniform simplex sampling by exponential spacings. Each batch holds one
-    coordinate per row. F is evaluated as one polynomial in the power sums
-    p_1 ... p_D of the batch's points, and the inner t_1 integral of the J
-    side as one polynomial in the power sums q_r of the other coordinates
-    and the powers of the upper limit u, integrated exactly
-    (_inner_integral), with no quadrature nodes. Both sides run through one
-    sampling loop: the I side draws k + 1 coordinates per point, the J side
-    k, each from the same generator in turn.
+    Uniform simplex sampling by exponential spacings (simplex_batches).
+    Each batch holds one coordinate per row. F is evaluated as one
+    polynomial in the power sums p_1 ... p_D of the batch's points, and the
+    inner t_1 integral of the J side as one polynomial in the power sums
+    q_r of the other coordinates and the powers of the upper limit u,
+    integrated exactly (_inner_integral), with no quadrature nodes. Both
+    sides run through one sampling loop: the I side draws k + 1 coordinates
+    per point, the J side k, each from the same generator in turn.
     """
     if sample_count < 10**5:
         raise ValueError("need at least 1e5 samples")
@@ -585,13 +565,10 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
         """
         tot = 0.0
         tot_sq = 0.0
-        done = 0
-        while done < sample_count:
-            m = min(_MC_BATCH, sample_count - done)
-            v = values(_draw_simplex_columns(rng, draws[:rows, :m])) ** 2
+        for batch in simplex_batches(rng, draws[:rows], sample_count):
+            v = values(batch) ** 2
             tot += float(np.sum(v))
             tot_sq += float(np.sum(v * v))
-            done += m
         mean = tot / sample_count
         return mean, max(tot_sq / sample_count - mean**2, 0.0) / sample_count
 

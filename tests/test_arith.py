@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_is_prime_above_2_64_is_baillie_psw():
     assert not arith.is_prime((2**64 + 13) ** 2)
     # against Miller-Rabin with the first 60 prime bases, probabilistic but
     # fooled by no composite here
-    bases = [int(b) for b in arith.primes_up_to(281)]
+    bases = [int(b) for b in arith.primes_in_range(0, 281)]
     assert len(bases) == 60
     for m in range(2**64, 2**64 + 3000):
         assert arith.is_prime(m) == (m % 2 == 1 and _miller_rabin(m, bases)), m
@@ -189,6 +190,29 @@ def test_floor_power_examples():
     for x in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             arith.floor_power(x, 0.5)
+
+
+def test_floor_power_is_the_integer_root():
+    assert arith.floor_power(1000, Fraction(1, 3)) == 10
+    assert arith.floor_power(999, Fraction(1, 3)) == 9
+    assert arith.floor_power(1, Fraction(1, 4)) == 1
+    assert arith.floor_power(2**40, Fraction(1, 2)) == 2**20
+    for x in (7, 100, 12345):
+        for k in (1, 2, 3, 4):
+            r = arith.floor_power(x, Fraction(1, k))
+            assert r**k <= x < (r + 1) ** k
+    for n in range(3000):
+        assert arith.floor_power(n, Fraction(1, 2)) == math.isqrt(n)
+    root = 10**500 + 3
+    assert arith.floor_power(root**7, Fraction(1, 7)) == root
+    assert arith.floor_power(root**7 - 1, Fraction(1, 7)) == root - 1
+    # far above the float range, Newton's iteration takes milliseconds
+    x = 10**4000 + 7
+    start = time.perf_counter()
+    assert arith.floor_power(x, Fraction(1, 2)) == math.isqrt(x)
+    r = arith.floor_power(x, Fraction(1, 3))
+    assert time.perf_counter() - start < 0.1
+    assert r**3 <= x < (r + 1) ** 3
 
 
 @given(st.integers(0, 10**12), st.integers(0, 40), st.integers(1, 40))
@@ -379,8 +403,8 @@ def test_class_sieve_random_windows():
 
 
 def test_prime_counts():
-    assert len(arith.primes_up_to(10**6)) == 78498
-    assert len(arith.primes_up_to(10**7)) == 664579
+    assert len(arith.primes_in_range(0, 10**6)) == 78498
+    assert len(arith.primes_in_range(0, 10**7)) == 664579
 
 
 def test_base_primes_sieved_once_per_range(monkeypatch):
@@ -572,7 +596,7 @@ def test_reduced_residue_mask_against_gcd():
 def loop_phi_table(n):
     """Oracle: the former phi_table, one strided update per prime <= n."""
     phi = np.arange(n + 1, dtype=np.int64)
-    for p in arith.primes_up_to(n).tolist():
+    for p in arith.primes_in_range(0, n).tolist():
         phi[p::p] -= phi[p::p] // p
     return phi
 
@@ -580,7 +604,7 @@ def loop_phi_table(n):
 def loop_mobius_table(n):
     """Oracle: the former mobius_table, one or two strided updates per prime <= n."""
     mu = np.ones(n + 1, dtype=np.int64)
-    for p in arith.primes_up_to(n).tolist():
+    for p in arith.primes_in_range(0, n).tolist():
         mu[p::p] *= -1
         sq = p * p
         if sq <= n:

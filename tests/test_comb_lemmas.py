@@ -404,17 +404,25 @@ def test_fused_batch_runs_exact_fallback_like_oracle(monkeypatch):
     assert tri == five == [third]
 
 
-def test_row_sums_match_numpy_row_sum():
-    for seed in (0, 1, 504):
-        rng = np.random.default_rng(seed)
-        for width in (1, 7, cl._SWEEP_BATCH):
-            rows = rng.standard_exponential((width, cl.N_PARTS))
-            cols = np.ascontiguousarray(rows.T)
-            assert np.array_equal(cl._row_sums(cols), np.sum(rows, axis=1)), (seed, width)
-            # the sweep divides strided views of a wider column buffer
-            wide = np.empty((cl.N_PARTS, width + 3))
-            wide[:, :width] = cols
-            assert np.array_equal(cl._row_sums(wide[:, :width]), np.sum(rows, axis=1)), (seed, width)
+@pytest.mark.parametrize("rows", [cl.N_PARTS, 3])
+def test_simplex_batches_are_the_row_major_draws_by_column(rows):
+    # the columns of rng.exponential(size=(n, rows)), each divided by its sum,
+    # in views of out that hold out's width of them; n around the 2048-row
+    # draw chunk, and partial last batches at both widths
+    for n in (1, 2047, 2048, 2049, 45_000):
+        e = np.random.default_rng(n).exponential(size=(n, rows))
+        want = np.ascontiguousarray(e.T)
+        want /= want.sum(axis=0)
+        for width in (2048, 30_000):
+            out = np.empty((rows, min(width, n)))
+            batches = []
+            for batch in cl.simplex_batches(np.random.default_rng(n), out, n):
+                assert np.shares_memory(batch, out)
+                batches.append(batch.copy())
+            full, last = divmod(n, out.shape[1])
+            assert [b.shape[1] for b in batches] == [out.shape[1]] * full + ([last] if last else [])
+            assert np.array_equal(np.concatenate(batches, axis=1), want), (n, width)
+    assert list(cl.simplex_batches(np.random.default_rng(0), np.empty((rows, 1)), 0)) == []
 
 
 def test_five_part_window_nests_in_trichotomy_window():

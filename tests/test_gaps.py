@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,11 @@ def test_validate_config_decides_the_radical_cap_by_trial_division():
     errs = gaps.validate_config(gaps.GapConfig(x=1e10, q=9973, a=1, t=1, C=1))
     assert errs == ["radical(q) = 9973 exceeds (log x)^C = 23.0259"]
     assert gaps.validate_config(gaps.GapConfig(x=1e200, q=2**40 * 3**20 * 7, a=1, t=1)) == []
+    # a cofactor >= 2**64 left by trial division to the cap decides at once: no root or primality test
+    start = time.perf_counter()
+    errs = gaps.validate_config(gaps.GapConfig(x=1e300, q=10**4000 + 7, a=1, t=1))
+    assert time.perf_counter() - start < 1
+    assert errs[-1] == f"radical(q) exceeds (log x)^C = {math.log(1e300) ** 2:.6g}: q has a prime factor above it"
 
 
 def test_validate_config_bounds_the_radical_check_above_the_trial_cap():

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import apgaps.heath_brown as hb
-from apgaps.arith import mobius, mobius_table, von_mangoldt_table
+from apgaps.arith import floor_power, mobius, mobius_table, von_mangoldt_table
 from test_arith import chebyshev_psi
 
 
@@ -15,7 +16,7 @@ def as_row(f, x):
 
 def component_constraints_ok(comp, x):
     """Dyadic and truncation constraints for one component."""
-    z = hb.kth_root_floor(x, comp.k)
+    z = floor_power(x, Fraction(1, comp.k))
     if not 1 <= comp.j <= comp.k:
         return False
     if comp.weight != math.comb(comp.k, comp.j):
@@ -31,7 +32,7 @@ def component_constraints_ok(comp, x):
 def decompose_by_recursion(x, k, weights):
     """Oracle: the decomposition by recursion over every (v_1..v_j, u_2..u_j) prefix."""
     xi = int(math.floor(x))
-    z = hb.kth_root_floor(xi, k)
+    z = floor_power(xi, Fraction(1, k))
     nf = len(weights)
     farr = np.asarray(weights, dtype=np.complex128)
     mu = mobius_table(xi)
@@ -102,17 +103,6 @@ def decompose_by_recursion(x, k, weights):
     return totals, components
 
 
-def test_kth_root_floor():
-    assert hb.kth_root_floor(1000, 3) == 10
-    assert hb.kth_root_floor(999, 3) == 9
-    assert hb.kth_root_floor(1, 4) == 1
-    assert hb.kth_root_floor(2**40, 2) == 2**20
-    for x in (7, 100, 12345):
-        for k in (1, 2, 3, 4):
-            r = hb.kth_root_floor(x, k)
-            assert r**k <= x < (r + 1) ** k
-
-
 def test_identity_reproduces_von_mangoldt():
     x = 2000
     lam = von_mangoldt_table(x)
@@ -175,7 +165,7 @@ def test_decompose_three_fold():
 def test_component_structure():
     x = 1000
     _, comps = hb.hb_decompose_sum_multi(x, 2, np.ones((1, x + 1)))
-    z = hb.kth_root_floor(x, 2)
+    z = floor_power(x, Fraction(1, 2))
     for c in comps:
         assert 1 <= c.j <= 2
         assert c.sign == (-1) ** (c.j - 1)
