@@ -336,10 +336,12 @@ def floor_power(x: float | Fraction, e: float | Fraction) -> int:
     def step(r: int) -> int:
         return ((den - 1) * r + n // r ** (den - 1)) // den
 
-    # seed 2**(log2(n) / den), its top 53 bits in a float
+    # seed just above 2**(log2(n) / den), its top 53 bits in a float: from
+    # far below the root, the first step would overshoot to about n / den,
+    # and from there each step only scales r by (den - 1) / den
     root_log = math.log2(n) / den
     shift = max(int(root_log) - 53, 0)
-    r = max(int(2.0 ** (root_log - shift)), 1) << shift
+    r = (int(2.0 ** (root_log - shift)) + 1) << shift
     # by AM-GM one step from any r >= 1 lands at or above the root; from
     # there each step descends until it stops at the root
     r = step(r)

@@ -23,8 +23,10 @@ from .variational import VariationalCertificate, min_k_for
 THETA_MAX = Fraction(5, 12)
 BRANCH_POINT = Fraction(2, 5)
 # validate_config decides radical(q) <= (log x)^C by trial division up to
-# min((log x)^C, RADICAL_TRIAL_CAP). Above the cap, a cofactor >= 2**64 that
-# is not a prime power has two prime factors above RADICAL_TRIAL_CAP; where
+# min((log x)^C, RADICAL_TRIAL_CAP). A cofactor >= 2**64 left by it has every
+# prime factor above that bound, which decides wherever the primes divided out
+# times the bound reach (log x)^C, as they always do below the cap. Else a
+# cofactor that is not a prime power has two prime factors above the cap; where
 # that does not decide, Brent rho gets RADICAL_RHO_STEPS squarings per split,
 # and where it splits none, the question is reported open, never guessed.
 RADICAL_TRIAL_CAP = 10**6
@@ -121,23 +123,24 @@ def validate_config(cfg: GapConfig) -> list[str]:
 
 def _radical_errors(q: int, rad_cap: float) -> list[str]:
     """The error, if any, of radical(q) <= rad_cap, found within a bounded time."""
-    if rad_cap <= RADICAL_TRIAL_CAP:
-        rad, m = trial_divide(q, int(rad_cap))
-        if m >= 2**64:  # > cap**2, so division ran to the cap: every prime factor of m is above it
-            return [f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above it"]
+    bound = min(int(rad_cap), RADICAL_TRIAL_CAP)
+    rad, m = trial_divide(q, bound)
+    if m < 2**64:
         rad *= radical(m)
+    elif rad * (bound + 1) > rad_cap:  # always so below the cap
+        # m > bound**2, so division ran to the bound: every prime factor of m is above it
+        above = "it" if bound + 1 > rad_cap else f"{bound}, so radical(q) > {rad} * {bound}"
+        return [f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above {above}"]
     else:
-        rad, exact = trial_radical(q, RADICAL_TRIAL_CAP)
+        rad, exact = trial_radical(q, bound)
         if not exact and rad >= rad_cap:  # radical(q) > rad
-            return [
-                f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has two prime factors above {RADICAL_TRIAL_CAP}"
-            ]
+            return [f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has two prime factors above {bound}"]
         if not exact:
-            rad, exact = trial_radical(q, RADICAL_TRIAL_CAP, RADICAL_RHO_STEPS)
+            rad, exact = trial_radical(q, bound, RADICAL_RHO_STEPS)
         if not exact:
             return [
                 f"radical(q) <= (log x)^C = {rad_cap:.6g} is undecided: q has a factor above 2**64 with "
-                f"no prime factor up to {RADICAL_TRIAL_CAP} that rho did not split in {RADICAL_RHO_STEPS} steps"
+                f"no prime factor up to {bound} that rho did not split in {RADICAL_RHO_STEPS} steps"
             ]
     return [f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}"] if rad > rad_cap else []
 

@@ -213,6 +213,15 @@ def test_floor_power_is_the_integer_root():
     r = arith.floor_power(x, Fraction(1, 3))
     assert time.perf_counter() - start < 0.1
     assert r**3 <= x < (r + 1) ** 3
+    # a root below 2 at a large denominator: a seed below the root would
+    # overshoot to about x**num / den and then descend by a factor of
+    # (den - 1) / den per step, for minutes
+    start = time.perf_counter()
+    assert arith.floor_power(1e6, 0.0003) == 1
+    assert arith.floor_power(1e8, 0.003) == 1
+    assert arith.floor_power(2**10000, Fraction(1, 9999)) == 2
+    assert arith.floor_power(3**9999 - 1, Fraction(1, 9999)) == 2
+    assert time.perf_counter() - start < 0.1
 
 
 @given(st.integers(0, 10**12), st.integers(0, 40), st.integers(1, 40))

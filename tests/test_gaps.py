@@ -84,6 +84,9 @@ def test_validate_config_decides_the_radical_cap_by_trial_division():
     errs = gaps.validate_config(gaps.GapConfig(x=1e300, q=10**4000 + 7, a=1, t=1))
     assert time.perf_counter() - start < 1
     assert errs[-1] == f"radical(q) exceeds (log x)^C = {math.log(1e300) ** 2:.6g}: q has a prime factor above it"
+    # so does a prime-power cofactor >= 2**64 of a prime below 2**64
+    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=(2**61 - 1) ** 2, a=1, t=1))
+    assert errs == [f"radical(q) exceeds (log x)^C = {math.log(1e200) ** 2:.6g}: q has a prime factor above it"]
 
 
 def test_validate_config_bounds_the_radical_check_above_the_trial_cap():
@@ -99,6 +102,12 @@ def test_validate_config_bounds_the_radical_check_above_the_trial_cap():
     # two 21-digit primes: no prime power, so radical(q) > RADICAL_TRIAL_CAP**2 > cap
     big = 30000000000000000017000000000000000002067
     assert gaps.validate_config(gaps.GapConfig(x=1e200, q=big, a=1, t=1, C=3)) == errs
+    # the primes divided out times the cap reach (log x)^C: no root or primality test
+    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=2310 * q, a=1, t=1, C=3))
+    assert errs == [
+        f"radical(q) exceeds (log x)^C = {cap:.6g}: q has a prime factor above "
+        f"{gaps.RADICAL_TRIAL_CAP}, so radical(q) > 2310 * {gaps.RADICAL_TRIAL_CAP}"
+    ]
     # (log 1e200)^5 ~ 2.1e13 > RADICAL_TRIAL_CAP**2: rho within its step budget decides both ways
     cap = math.log(1e200) ** 5
     assert cap > gaps.RADICAL_TRIAL_CAP**2
