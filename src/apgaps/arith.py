@@ -4,15 +4,17 @@ Intervals are half-open (lo, hi] throughout and all logarithms are natural.
 One segmented sieve, class_segments, yields the primes of one residue class
 a mod q, and primes_in_range is its class 0 mod 1. Each segment holds one
 flag per odd member of the class (step q for even q, 2q for odd q), and its
-flags start as a slice of a cached wheel that has already struck the
-multiples of the primes 3 to 13 that do not divide q, so only the primes
-from 17 up to sqrt(hi) are marked with strides, one stride per prime; 2
-and the wheel primes of the class are added back. Von Mangoldt weights
-come from prime_power_arrays (the sparse prime powers P with weights
-W = log p, cached), von_mangoldt_table (the dense table Lambda(0..n)), or
-psi_residue_sums, which streams one class's sieve segments into
-per-residue float bincounts; prime_residue_counts streams them into exact
-integer counts. Residues of whole arrays go through residues(a, m), a
+flags start as one copy of a cached wheel period, tiled, that has already
+struck the multiples of the primes 3 to 13 that do not divide q, so only
+the primes from 17 up to sqrt(hi) are marked with strides, one stride per
+prime; 2 and the wheel primes of the class are added back. Von Mangoldt
+weights come from prime_power_arrays (the sparse prime powers P with
+weights W = log p, cached), von_mangoldt_table (the dense table
+Lambda(0..n)), or psi_residue_sums, which streams one class's sieve
+segments into per-residue float bincounts; prime_residue_counts streams
+them into exact integer counts. Streams add the class's higher prime
+powers p^j, j >= 2, from higher_prime_powers, which masks one list cached
+per segment-aligned cap. Residues of whole arrays go through residues(a, m), a
 floor division by a scalar of a's dtype, which numpy runs faster than %;
 while the numbers are below 2**31 they are taken on an int32 copy of each
 segment: the same integers, found faster still. The residue vectors of
@@ -386,15 +388,14 @@ _SMALL_PRIMES = (2,) + _WHEEL_PRIMES
 
 
 @lru_cache(maxsize=None)
-def _wheel_tile(wheel: int, periods: int) -> np.ndarray:
-    """`periods` copies of the wheel: entry t is True iff t is prime to `wheel`, a product of wheel primes."""
+def _wheel_period(wheel: int) -> np.ndarray:
+    """One period of the wheel: entry t is True iff t is prime to `wheel`, a product of wheel primes."""
     period = np.ones(wheel, dtype=bool)
     for p in _WHEEL_PRIMES:
         if wheel % p == 0:
             period[::p] = False
-    tile = np.tile(period, periods)
-    tile.setflags(write=False)
-    return tile
+    period.setflags(write=False)
+    return period
 
 
 def class_segments(lo: int, hi: int, q: int, a: int):
@@ -405,12 +406,14 @@ def class_segments(lo: int, hi: int, q: int, a: int):
     n = n0 + s*i, with the step s = q for even q and 2q for odd q, and n0
     the first odd member above lo. The segments hold DEFAULT_SEGMENT * s / 2
     numbers each (DEFAULT_SEGMENT at q = 1), so DEFAULT_SEGMENT / 2 flags.
-    Each segment's flags start as a slice of a cached wheel that has already
-    struck the multiples of the primes 3 to 13 that do not divide q; every
-    larger marking prime p not dividing q strikes one stride of p flags,
-    from the first member that is a multiple of p and at least p^2. The
-    marking primes up to sqrt(hi) and their first strikes are found once
-    per call. The class a mod q with gcd(a, q) = g > 1 holds at most the
+    Each segment's flags start as one copy of the wheel's period (cached
+    per wheel), tiled from the segment's offset in it; the wheel has
+    already struck the multiples of the primes 3 to 13 that do not divide
+    q. Every larger marking prime p not dividing q strikes one stride of p
+    flags, from the first member that is a multiple of p and at least p^2.
+    The marking primes up to sqrt(hi) and their first strikes are found
+    once per call, the inverses of s mod p in Python and the rest as int64
+    arrays. The class a mod q with gcd(a, q) = g > 1 holds at most the
     prime g. The arguments are checked on the first step.
     """
     if not 0 <= lo < hi:
@@ -425,24 +428,23 @@ def class_segments(lo: int, hi: int, q: int, a: int):
     r = a if a % 2 else a + q  # the odd members of the class are r mod s
     wheel = math.prod(p for p in _WHEEL_PRIMES if q % p)
     shift = r * pow(s, -1, wheel) % wheel  # gcd(r + s*j, wheel) = gcd(j + shift, wheel)
+    period = _wheel_period(wheel)
     # 2 and the wheel primes of the class: even, or struck by the wheel
     small = np.array([p for p in _SMALL_PRIMES if p % q == a], dtype=np.int64)
     base = _base_primes(math.isqrt(hi))
     ps = base[(base > _SMALL_PRIMES[-1]) & (q % base != 0)]
     # first_j[k]: the least j >= 0 with r + s*j >= p^2 and p | r + s*j, for p = ps[k]
-    first_j = []
-    for p in ps.tolist():
-        j = (max(p * p - r, 0) + s - 1) // s
-        first_j.append(j + (-r * pow(s, -1, p) - j) % p)
-    first_j = np.array(first_j, dtype=np.int64)
+    # (products stay below hi < 2**63: r is taken mod p, and p * p <= hi)
+    inverses = np.array([pow(s, -1, p) for p in ps.tolist()], dtype=np.int64)
+    first_j = (np.maximum(ps * ps - r, 0) + s - 1) // s
+    first_j += (-(r % ps) * inverses - first_j) % ps
     step = DEFAULT_SEGMENT * s // 2
     for seg_lo in range(lo, hi, step):
         seg_hi = min(seg_lo + step, hi)
         j0 = (seg_lo - r) // s + 1
         n0, count = r + s * j0, max((seg_hi - r) // s + 1 - j0, 0)
         t0 = (j0 + shift) % wheel
-        # a power of two periods, so that few tile lengths are ever cached
-        flags = _wheel_tile(wheel, 1 << ((t0 + count) // wheel).bit_length())[t0 : t0 + count].copy()
+        flags = np.tile(period, (t0 + count) // wheel + 1)[t0 : t0 + count]  # the one copy of the wheel
         if n0 == 1:
             flags[:1] = False  # n = 1
         last = int(np.searchsorted(ps, math.isqrt(seg_hi), side="right"))
@@ -472,6 +474,11 @@ def primes_in_ap(lo: int, hi: int, q: int, a: int) -> list[int]:
     return np.concatenate(list(class_segments(lo, hi, q, a))).tolist()
 
 
+def _segment_cap(n: int) -> int:
+    """The least multiple of DEFAULT_SEGMENT >= n: prime-power caches are built to it, so nearby n share one."""
+    return -(-n // DEFAULT_SEGMENT) * DEFAULT_SEGMENT
+
+
 def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, W): ascending prime powers P <= limit and their weights W = log p.
 
@@ -481,20 +488,32 @@ def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     if limit < 2:
         e = np.empty(0, dtype=np.int64)
         return e, e.astype(np.float64)
-    cap = ((limit + DEFAULT_SEGMENT - 1) // DEFAULT_SEGMENT) * DEFAULT_SEGMENT
-    P, W = _prime_power_arrays_cap(cap)
+    P, W = _prime_power_arrays_cap(_segment_cap(limit))
     i = int(np.searchsorted(P, limit, side="right"))
     return P[:i], W[:i]
 
 
+def higher_prime_powers(n: int, q: int = 1, a: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Prime powers p^j <= n with j >= 2 and p^j = a (mod q), 0 <= a < q, and
+    their weights log p, ordered by p, then ascending j.
+
+    Masked from the list cached at the segment-aligned cap above n, so the
+    calls of one size range share one build.
+    """
+    P, W = _higher_prime_powers_cap(_segment_cap(n))
+    keep = P <= n
+    if q > 1:
+        keep &= residues(P, q) == a
+    return P[keep], W[keep]
+
+
 @lru_cache(maxsize=4)
-def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prime powers p^j <= n with j >= 2 and weights log p, ordered by p, then ascending j (cached, read-only)."""
+def _higher_prime_powers_cap(cap: int) -> tuple[np.ndarray, np.ndarray]:
     powers, weights = [], []
-    for p in _base_primes(math.isqrt(n)).tolist():
+    for p in _base_primes(math.isqrt(cap)).tolist():
         logp = math.log(p)
         pk = p * p
-        while pk <= n:
+        while pk <= cap:
             powers.append(pk)
             weights.append(logp)
             pk *= p
@@ -507,7 +526,7 @@ def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=6)
 def _prime_power_arrays_cap(limit: int) -> tuple[np.ndarray, np.ndarray]:
     primes = primes_in_range(1, limit)
-    higher, logs = _higher_prime_powers(limit)
+    higher, logs = higher_prime_powers(limit)
     P = np.concatenate([primes, higher])
     W = np.concatenate([np.log(primes.astype(np.float64)), logs])
     order = np.argsort(P, kind="stable")
@@ -574,8 +593,8 @@ def _class_residue_sums(lo: int, hi: int, q: int, a: int, moduli, weighted: bool
             for M, vec in acc.items():
                 vec += np.bincount(residues(r, M), weights=logs, minlength=M)
         if weighted:
-            P, W = _higher_prime_powers(hi)
-            keep = (P > lo) & (residues(P, q) == a)
+            P, W = higher_prime_powers(hi, q, a)
+            keep = P > lo
             P, W = P[keep], W[keep]
             for M, vec in acc.items():
                 vec += np.bincount(residues(P, M), weights=W, minlength=M)
@@ -655,7 +674,7 @@ def von_mangoldt_table(n: int) -> np.ndarray:
     lam = np.zeros(n + 1, dtype=np.float64)
     ps = primes_in_range(0, n)
     lam[ps] = np.log(ps.astype(np.float64))
-    P, W = _higher_prime_powers(n)
+    P, W = higher_prime_powers(n)
     lam[P] = W
     return lam
 

@@ -21,11 +21,13 @@ Measured quantities, each against its trivial normalizer:
   few nonreduced classes that carry mass hold only powers of primes
   dividing m, and are subtracted exactly, for all moduli at once.
 - smoothed_R / sandwich_check: the log-smoothed weighted sum and the
-  two-sided bounds it implies for psi. sandwich_check filters the class
-  once, up to x e^lam, and reads its three smoothed sums and psi from
-  prefixes of that one array. It adds them as integers, mantissas binned
-  by exponent (_exact_sum), and rounds each once, so they are == the
-  math.fsum of smoothed_R and of the class's von Mangoldt weights.
+  two-sided bounds it implies for psi. sandwich_check streams the class
+  from the class sieve (arith.class_segments), up to x e^lam, in O(segment)
+  memory, and reads its three smoothed sums and psi from prefixes of each
+  segment, then from the class's higher prime powers. Each sum is one
+  Python int, mantissas binned by exponent (_exact_int), rounded once at
+  the end, so they are == the math.fsum of smoothed_R and of the class's
+  von Mangoldt weights.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
   moduli d <= x^L.
 
@@ -41,9 +43,11 @@ import numpy as np
 
 from .arith import (
     DEFAULT_SEGMENT,
+    class_segments,
     euler_phi,
     exact_exponent,
     floor_power,
+    higher_prime_powers,
     large_multiples,
     log_integral_Y1,
     mobius,
@@ -73,33 +77,44 @@ def smoothed_R(x: float, r: int = 1, a: int = 0) -> float:
     return math.fsum(W * (math.log(x) - np.log(P.astype(np.float64))))
 
 
-_SUM_CHUNK = 1 << 26  # terms per bincount, so every bin of 26-bit halves stays below 2**53
+_SUM_CHUNK = 1 << 26  # terms per bincount, so every bin's float sum stays exact (see _exact_int)
 
 
-def _exact_sum(a: np.ndarray) -> float:
-    """The correctly rounded sum of a finite float array; == math.fsum(a) unless that overflows.
+def _exact_int(a: np.ndarray) -> int:
+    """The exact sum of a finite float array as an integer count of 2**-1126, a unit below every float's ulp.
 
-    Each term is M * 2**(E - 53) with an integer |M| < 2**53. The 26-bit
-    halves of M are summed per exponent E by a float bincount, exact while
-    a bin holds fewer than 2**26 terms (hence the chunks); the bins combine
-    as Python ints, and one int / 2**s rounds.
+    Each term is m * 2**E with 1/2 <= |m| < 1 and E >= -1073; m * 2**27
+    splits into its floor h, |h| <= 2**27, and a fraction f in [0, 1) that is
+    a multiple of 2**-26. The h and the f are summed per exponent E by two
+    float bincounts, exact while a bin holds at most 2**26 terms (hence the
+    chunks): partial sums stay within 2**53 and on their grid. The bins
+    combine as Python ints.
     """
     mant, exps = np.frexp(np.asarray(a, dtype=np.float64))
     if not mant.size:
-        return 0.0
+        return 0
     base = int(exps.min())
     exps -= base
-    mant = np.ldexp(mant, 53, out=mant)  # integers M
-    high = np.floor(mant * 2.0**-26)
-    mant -= high * 2.0**26  # the low half, in [0, 2**26)
+    mant = np.ldexp(mant, 27, out=mant)
+    high = np.floor(mant)
+    mant -= high  # the fraction f, in [0, 1)
     total = 0
     for lo in range(0, mant.size, _SUM_CHUNK):
         cut = slice(lo, lo + _SUM_CHUNK)
         highs = np.bincount(exps[cut], high[cut]).tolist()
-        lows = np.bincount(exps[cut], mant[cut]).tolist()
-        total += sum(((int(h) << 26) + int(l)) << k for k, (h, l) in enumerate(zip(highs, lows)) if h or l)
-    shift = base - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+        fracs = np.bincount(exps[cut], mant[cut]).tolist()
+        total += sum(((int(h) << 26) + int(f * 2**26)) << k for k, (h, f) in enumerate(zip(highs, fracs)) if h or f)
+    return total << (base + 1073)
+
+
+def _round_exact(total: int) -> float:
+    """The float nearest total * 2**-1126: one rounding of a sum from _exact_int."""
+    return total / (1 << 1126)
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """The correctly rounded sum of a finite float array; == math.fsum(a) unless that overflows."""
+    return _round_exact(_exact_int(a))
 
 
 def sandwich_check(x: float, r: int, a: int, lam: float):
@@ -107,33 +122,41 @@ def sandwich_check(x: float, r: int, a: int, lam: float):
 
     Returns (ok, lower, psi, upper) for
     (R(x) - R(x e^-lam))/lam <= psi(x; r, a) <= (R(x e^lam) - R(x))/lam.
-    The class is filtered once, up to x e^lam, and its logs taken once;
-    each R and psi reads a prefix of it. Every sum is the exact integer sum
-    of _exact_sum, rounded once, so every value equals (==) its smoothed_R
-    call, or the math.fsum of the class's weights up to x.
+    The class is streamed from the class sieve up to x e^lam
+    (arith.class_segments), its higher prime powers taken after the last
+    segment. Each part adds its terms of R(x e^-lam), R(x), R(x e^lam) and
+    psi(x) to four exact integer sums (_exact_int), rounded once at the
+    end; so every value equals (==) its smoothed_R call, or the math.fsum
+    of the class's weights up to x.
     """
     if lam <= 0:
         raise ValueError("need lam > 0")
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if not math.isfinite(x):
+        raise ValueError("need finite x")
     x_lo, x_hi = x * math.exp(-lam), x * math.exp(lam)
     if not x_lo >= 1:
         raise ValueError("need x * exp(-lam) >= 1")
-    P, W = prime_power_arrays(int(math.floor(x_hi)))
-    if r > 1:
-        keep = np.flatnonzero(residues(P, r) == a % r)  # taking indices beats a boolean mask here
-        P, W = P[keep], W[keep]
-    logs = np.log(P.astype(np.float64))
+    ys = (x_lo, x, x_hi)
+    cuts = [int(math.floor(y)) for y in ys]
+    log_ys = [math.log(y) for y in ys]
+    sums = [0, 0, 0, 0]  # R(x e^-lam), R(x), R(x e^lam), psi(x)
 
-    def prefix(y: float) -> int:
-        return int(np.searchsorted(P, int(math.floor(y)), side="right"))
+    def add(W: np.ndarray, logs: np.ndarray, parts) -> None:
+        """Add the terms of each sum; parts[k] selects the prime powers up to cuts[k]."""
+        for k, (part, log_y) in enumerate(zip(parts, log_ys)):
+            sums[k] += _exact_int(W[part] * (log_y - logs[part]))
+        sums[3] += _exact_int(W[parts[1]])
 
-    def R(y: float) -> float:
-        i = prefix(y)
-        return _exact_sum(W[:i] * (math.log(y) - logs[:i]))
-
-    r_mid = R(x)
-    lower = (r_mid - R(x_lo)) / lam
-    upper = (R(x_hi) - r_mid) / lam
-    psi = _exact_sum(W[: prefix(x)])
+    for P in class_segments(0, cuts[2], r, a % r):
+        logs = np.log(P.astype(np.float64))
+        add(logs, logs, [slice(int(np.searchsorted(P, cut, side="right"))) for cut in cuts])
+    P, W = higher_prime_powers(cuts[2], r, a % r)
+    add(W, np.log(P.astype(np.float64)), [P <= cut for cut in cuts])
+    r_lo, r_mid, r_hi, psi = map(_round_exact, sums)
+    lower = (r_mid - r_lo) / lam
+    upper = (r_hi - r_mid) / lam
     ok = lower <= psi + 1e-9 and psi <= upper + 1e-9  # an absolute slack for the rounding of the sums
     return ok, lower, psi, upper
 

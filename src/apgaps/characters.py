@@ -21,6 +21,11 @@ Summation conventions: phi_star_by_enumeration counts all primitive
 characters (the constant function mod 1 included), while star-restricted
 sums run over primitive nonprincipal characters only. The star convention
 lives in one place, CharacterGroup.star_rows.
+
+The large sieve's star sums never build character values at all: the
+units, in enumeration order, are the C-order grid of the generator
+orders, so the sums T(chi) of every character mod m are one FFT over that
+grid (O(phi log phi) time and O(m) memory per modulus).
 """
 
 from __future__ import annotations
@@ -324,26 +329,33 @@ def farey_spacing_min(r: int, D: int) -> Fraction:
     return min(Fraction(int(num[i]), int(den[i])) for i in near)
 
 
-@lru_cache(maxsize=512)
-def _char_matrix(m: int) -> np.ndarray:
-    """Values of the primitive nonprincipal characters mod m on the units (one row each)."""
-    grp = character_group(m)
-    return grp.zeta_powers[grp.exponents(grp.star_rows)]
-
-
 def _star_T_squares(m: int, coeffs: np.ndarray) -> float:
-    """Sum over primitive nonprincipal chi mod m of |T(chi)|^2."""
+    """Sum over primitive nonprincipal chi mod m of |T(chi)|^2, T(chi) = sum_n a_n chi(n), n = 1, 2, ...
+
+    The a_n are binned by n mod m and read on the units in enumeration
+    order, the C-order grid of the generator orders; T of every character
+    is then one FFT over that grid. The FFT pairs the exponent vector v
+    with conj(chi_v), and the star set is closed under conjugation, so the
+    sum over star_rows is the same.
+    """
     grp = character_group(m)
-    buf = np.zeros(m, dtype=np.complex128)
-    n = np.arange(1, len(coeffs) + 1, dtype=np.int64)
-    np.add.at(buf, n % m, coeffs)
-    s_units = buf[grp.unit_values]
-    T = _char_matrix(m) @ s_units
-    return float(np.sum(np.abs(T) ** 2))
+    if not grp.star_rows.any():  # m = 1 and m = 2 (mod 4): no primitive nonprincipal character
+        return 0.0
+    res = np.arange(1, len(coeffs) + 1, dtype=np.int64) % m
+    s = np.empty(m, dtype=np.complex128)
+    s.real = np.bincount(res, weights=coeffs.real, minlength=m)
+    s.imag = np.bincount(res, weights=coeffs.imag, minlength=m)
+    s = s[grp.unit_values]
+    orders = [g.order for g in grp.generators]
+    T = np.fft.fft(s) if len(orders) == 1 else np.fft.fftn(s.reshape(orders)).ravel()
+    T = T[grp.star_rows]
+    return float(np.sum(T.real**2 + T.imag**2))
 
 
 def large_sieve_check(r: int, D: int, coeffs) -> tuple[float, float, float]:
     """(lhs, rhs, ratio) for the weighted star-sum against (N + r D^2) * sum |a_n|^2."""
+    if r < 1 or D < 1:
+        raise ValueError("need r, D >= 1")
     a = np.asarray(coeffs, dtype=np.complex128)
     N = len(a)
     terms = []
@@ -352,7 +364,7 @@ def large_sieve_check(r: int, D: int, coeffs) -> tuple[float, float, float]:
             if math.gcd(d, r) != 1:
                 continue
             m = r1 * d
-            terms.append(m / euler_phi(m) * _star_T_squares(m, a))
+            terms.append(m / character_group(m).phi * _star_T_squares(m, a))
     lhs = math.fsum(terms)
     rhs = (N + r * D * D) * float(np.sum(np.abs(a) ** 2))
     return lhs, rhs, (lhs / rhs if rhs > 0 else 0.0)

@@ -21,9 +21,9 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 # Set before numpy loads OpenBLAS. The CLI's BLAS calls are small (one dense
-# eigensolve per certificate, the character-matrix products of the identity
-# checks), and on them a second BLAS thread mostly spins: it costs CPU time
-# and saves no wall time. A value set in the environment wins.
+# eigensolve per certificate, the subset-sum products of the lemma scans),
+# and on them a second BLAS thread mostly spins: it costs CPU time and saves
+# no wall time. A value set in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

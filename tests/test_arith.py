@@ -478,6 +478,37 @@ def test_prime_power_arrays_consistency():
         assert lam[n] == pytest.approx(W[idx], rel=1e-12)
 
 
+def higher_prime_powers_by_loop(n, q=1, a=0):
+    """Oracle: every p^j <= n with j >= 2 and p^j = a (mod q), p ascending, then j; weights log p."""
+    out = []
+    for p in range(2, math.isqrt(n) + 1):
+        if arith.is_prime(p):
+            pk = p * p
+            while pk <= n:
+                if pk % q == a:
+                    out.append((pk, math.log(p)))
+                pk *= p
+    return out
+
+
+def test_higher_prime_powers_cached_at_caps_match_the_loop():
+    seg = arith.DEFAULT_SEGMENT
+    sizes = [0, 1, 3, 4, 5, 8, 9, 1000, seg - 1, seg, seg + 1, 2 * seg - 1, 2 * seg, 2 * seg + 1, 1234567, 3 * seg]
+    for n in sizes:
+        for q, a in ((1, 0), (4, 0), (6, 3), (7, 2), (30, 19)):
+            P, W = arith.higher_prime_powers(n, q, a)
+            assert list(zip(P.tolist(), W.tolist())) == higher_prime_powers_by_loop(n, q, a), (n, q, a)
+            assert P.dtype == np.int64 and W.dtype == np.float64
+
+
+def test_class_sieve_large_modulus_and_height():
+    # first strikes at heights near 1e12 with moduli up to 2**31: products of int64 arrays stay in range
+    for lo, q, a in ((10**12, 10**6 + 3, 17), (2**40 + 7, 2**31 - 1, 5), (10**12 + 39, 2 * 999983, 999983 + 2)):
+        hi = lo + 300 * q
+        want = [n for n in range(lo + 1 + (a - lo - 1) % q, hi + 1, q) if arith.is_prime(n)]
+        assert class_sieve(lo, hi, q, a).tolist() == want, (lo, q, a)
+
+
 def _residue_sums_by_bincount(x, m):
     """Oracle: one bincount of all prime powers up to x by their residue mod m."""
     P, W = arith.prime_power_arrays(int(math.floor(x)))

@@ -100,9 +100,41 @@ def test_sandwich_matches_separate_sums_exactly():
         if x * math.exp(-lam) < 1:
             continue
         assert bv.sandwich_check(x, r, a, lam) == oracle_sandwich(x, r, a, lam)
-    # the class is filtered once at x e^lam: windows across a cache cap too
+    # windows across a segment-aligned cap of the oracle's prime powers too
     for x, r, a, lam in ((1048575.5, 7, 3, 0.5), (2**20 + 0.5, 1, 0, 1.0), (3.0, 2, 1, 0.9)):
         assert bv.sandwich_check(x, r, a, lam) == oracle_sandwich(x, r, a, lam)
+
+
+def test_sandwich_streams_across_class_sieve_segments(monkeypatch):
+    # a segment holds DEFAULT_SEGMENT * step / 2 numbers, step = r for even r and 2r for odd r:
+    # each x e^lam here lies past the end of the first segment, x e^-lam before it
+    seg = arith.DEFAULT_SEGMENT
+    for x, r, a, lam in ((0.97 * seg, 1, 0, 0.05), (seg - 0.5, 2, 1, 0.01), (2.95 * seg, 3, 2, 0.04)):
+        edge = seg * (r if r % 2 == 0 else 2 * r) // 2
+        assert x * math.exp(-lam) < edge < x * math.exp(lam)
+        assert bv.sandwich_check(x, r, a, lam) == oracle_sandwich(x, r, a, lam)
+    # short segments put the cuts at x e^-lam, x and x e^lam in different segments, mid-segment
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 64)
+    for x, r, a, lam in ((5000.0, 1, 0, 0.3), (7777.7, 4, 3, 0.2), (4321.0, 15, 7, 0.5), (999.9, 30, 1, 0.9)):
+        assert bv.sandwich_check(x, r, a, lam) == oracle_sandwich(x, r, a, lam)
+
+
+def test_sandwich_nonreduced_classes():
+    # gcd(a, r) > 1: the class holds at most one prime and the powers of primes dividing gcd(a, r)
+    for r, a in ((4, 0), (6, 3), (9, 3), (10, 5), (12, 8)):
+        for x, lam in ((2.5, 0.05), (100.0, 0.5), (54321.0, 0.3), (2e5, 1.0)):
+            got = bv.sandwich_check(x, r, a, lam)
+            assert got == oracle_sandwich(x, r, a, lam), (r, a, x, lam)
+    assert bv.sandwich_check(100.0, 4, 0, 0.5)[2] == math.fsum([math.log(2)] * 5)  # 4, 8, 16, 32, 64
+
+
+def test_sandwich_rejects_a_modulus_below_one_and_a_nonfinite_x():
+    for r in (0, -3):
+        with pytest.raises(ValueError, match=r"^need r >= 1$"):
+            bv.sandwich_check(100, r, 0, 0.1)
+    for x in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=r"^need finite x$"):
+            bv.sandwich_check(x, 3, 1, 0.1)
 
 
 # finite floats from 2**-1074 (subnormal) to below 2**1000 in magnitude, both signs

@@ -397,6 +397,12 @@ def test_large_sieve_trivial_and_random():
         assert lhs <= rhs * (1 + 1e-12)
 
 
+def test_large_sieve_rejects_r_or_D_below_one():
+    for r, D in ((6, 0), (0, 3), (-2, 3), (0, 0)):
+        with pytest.raises(ValueError, match=r"^need r, D >= 1$"):
+            chars.large_sieve_check(r, D, np.ones(10))
+
+
 def test_mult_to_additive_bound():
     rng = np.random.default_rng(9)
     for m in (3, 8, 15, 41, 100):
@@ -448,8 +454,26 @@ def test_star_rows_match_per_character_definition():
         grp = chars.character_group(m)
         star = np.array([is_primitive(chi) and not is_principal(chi) for chi in grp.characters()], dtype=bool)
         assert np.array_equal(grp.star_rows, star)
-        # the matrix the per-character mask gave
-        assert np.array_equal(chars._char_matrix(m), grp.zeta_powers[grp.exponents(star)])
+
+
+def star_T_squares_by_matrix(m, coeffs):
+    """Oracle star sum: the values of every starred character on the units, times the binned coefficients."""
+    grp = chars.character_group(m)
+    binned = np.zeros(m, dtype=np.complex128)
+    np.add.at(binned, np.arange(1, len(coeffs) + 1) % m, coeffs)
+    T = grp.zeta_powers[grp.exponents(grp.star_rows)] @ binned[grp.unit_values]
+    return float(np.sum(np.abs(T) ** 2))
+
+
+def test_star_sum_fft_matches_character_matrix():
+    # m = 1, 2 have no generators and, like every m = 2 (mod 4), no starred character;
+    # m with several generators (8, 15, 240, 480, ...) take the fftn path
+    rng = np.random.default_rng(11)
+    for m in list(range(1, 121)) + [240, 480]:
+        N = int(rng.integers(1, 3 * m + 2))
+        coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
+        want = star_T_squares_by_matrix(m, coeffs)
+        assert chars._star_T_squares(m, coeffs) == pytest.approx(want, rel=1e-12, abs=0.0), m
 
 
 def _traced(fn):

@@ -23,6 +23,8 @@ ALLOWED = {
     ("comb_lemmas", "random_trichotomy_sweep"),  # tests/test_acceptance.py, criterion 4; perfbench/tracer.py
     ("comb_lemmas", "random_comblem_sweep"),  # tests/test_acceptance.py, criterion 4; perfbench/tracer.py
     ("arith", "primes_in_ap"),  # perfbench/tracer.py
+    ("arith", "prime_power_arrays"),  # perfbench/tracer.py; bv_sums.smoothed_R and the tests' oracles
+    ("arith", "_prime_power_arrays_cap"),  # the cache behind prime_power_arrays
 }
 
 
