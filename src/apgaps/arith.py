@@ -8,19 +8,18 @@ flags start as one copy of a cached wheel period, tiled, that has already
 struck the multiples of the primes 3 to 13 that do not divide q, so only
 the primes from 17 up to sqrt(hi) are marked with strides, one stride per
 prime; 2 and the wheel primes of the class are added back. Von Mangoldt
-weights come from prime_power_arrays (the sparse prime powers P with
-weights W = log p, cached), von_mangoldt_table (the dense table
-Lambda(0..n)), or psi_residue_sums, which streams one class's sieve
-segments into per-residue float bincounts; prime_residue_counts streams
-them into exact integer counts. Streams add the class's higher prime
-powers p^j, j >= 2, from higher_prime_powers, which masks one list cached
-per segment-aligned cap. Residues of whole arrays go through residues(a, m), a
-floor division by a scalar of a's dtype, which numpy runs faster than %;
-while the numbers are below 2**31 they are taken on an int32 copy of each
-segment: the same integers, found faster still. The residue vectors of
-psi_residue_sums are plain float sums in a fixed order (segment by segment
-of the class sieved, fixed modulus groups), so the same call gives the
-same bits.
+weights come from von_mangoldt_table (the dense table Lambda(0..n), whose
+nonzero entries prime_power_arrays lists), or psi_residue_sums, which
+streams one class's sieve segments into per-residue float bincounts;
+prime_residue_counts streams them into exact integer counts. Streams add
+the class's higher prime powers p^j, j >= 2, from higher_prime_powers,
+which masks one list cached per segment-aligned cap. Residues of whole
+arrays go through residues(a, m), a floor division by a scalar of a's
+dtype, which numpy runs faster than %; while the numbers are below 2**31
+they are taken on an int32 copy of each segment: the same integers, found
+faster still. The residue vectors of psi_residue_sums are plain float sums
+in a fixed order (segment by segment of the class sieved, fixed modulus
+groups), so the same call gives the same bits.
 The dense phi and Möbius tables take one strided update per prime up to
 sqrt(n), then the larger primes together, one cofactor at a time
 (large_multiples); reduced_residue_mask(m) strikes one stride per
@@ -222,7 +221,7 @@ def _divide_out(m: int, primes) -> tuple[list[tuple[int, int]], int]:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact factorization for 1 <= n < 2**63."""
+    """Exact factorization for 1 <= n < 2**64."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     factors, m = _divide_out(n, _trial_primes())
@@ -253,28 +252,25 @@ def trial_divide(n: int, bound: int) -> tuple[int, int]:
     return math.prod(p for p, _ in factors), m
 
 
-def trial_radical(n: int, bound: int, rho_steps: int = 0) -> tuple[int, bool]:
-    """(radical(n), True), or (r, False) with radical(n) > r where that takes
-    splitting a cofactor >= 2**64 that rho does not split in rho_steps squarings.
+def least_root(m: int, bound: int) -> int:
+    """The least r with m = r**j for some j >= 1, for m >= 1 whose prime
+    factors all exceed bound; r has the radical of m.
 
-    The primes up to bound are divided out first (trial_divide), and the
-    cofactor m left is replaced by the least root of which it is a perfect
-    power, which has the same radical. Every prime factor of m is above
-    bound, so a root of order j needs
-    j * (bound.bit_length() - 1) < m.bit_length(). A root that is
-    neither prime nor a perfect power has two distinct prime factors above
-    bound, so r is the radical of the part divided out times bound**2.
+    A root of order j has prime factors above bound, so it needs
+    j * (bound.bit_length() - 1) < m.bit_length(): only those prime j are
+    tried, each for as long as m is a j-th power.
     """
-    rad, m = trial_divide(n, bound)
     for j in primes_in_range(0, m.bit_length() // max(bound.bit_length() - 1, 1)).tolist():
         while (root := floor_power(m, Fraction(1, j))) ** j == m:
             m = root
-    if m < 2**64:
-        return rad * radical(m), True
+    return m
+
+
+def rho_radical(m: int, steps: int) -> int | None:
+    """radical(m) for m >= 1, or None where Brent rho, given steps squarings
+    per split, leaves a composite factor unsplit."""
     hard: list[int] = []
-    if not _factor_hard(m, hard, rho_steps):
-        return rad * bound**2, False
-    return rad * math.prod(set(hard)), True
+    return math.prod(set(hard)) if _factor_hard(m, hard, steps) else None
 
 
 def euler_phi(n: int) -> int:
@@ -480,17 +476,11 @@ def _segment_cap(n: int) -> int:
 
 
 def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, W): ascending prime powers P <= limit and their weights W = log p.
-
-    Built at segment-aligned caps and sliced, so nearby limits share one
-    sieve pass.
-    """
-    if limit < 2:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.astype(np.float64)
-    P, W = _prime_power_arrays_cap(_segment_cap(limit))
-    i = int(np.searchsorted(P, limit, side="right"))
-    return P[:i], W[:i]
+    """(P, W): ascending prime powers P <= limit and their weights W = log p,
+    the nonzero entries of von_mangoldt_table(limit)."""
+    lam = von_mangoldt_table(limit)
+    P = np.flatnonzero(lam)
+    return P, lam[P]
 
 
 def higher_prime_powers(n: int, q: int = 1, a: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -518,19 +508,6 @@ def _higher_prime_powers_cap(cap: int) -> tuple[np.ndarray, np.ndarray]:
             weights.append(logp)
             pk *= p
     P, W = np.array(powers, dtype=np.int64), np.array(weights, dtype=np.float64)
-    P.setflags(write=False)
-    W.setflags(write=False)
-    return P, W
-
-
-@lru_cache(maxsize=6)
-def _prime_power_arrays_cap(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    primes = primes_in_range(1, limit)
-    higher, logs = higher_prime_powers(limit)
-    P = np.concatenate([primes, higher])
-    W = np.concatenate([np.log(primes.astype(np.float64)), logs])
-    order = np.argsort(P, kind="stable")
-    P, W = P[order], W[order]
     P.setflags(write=False)
     W.setflags(write=False)
     return P, W

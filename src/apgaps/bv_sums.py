@@ -339,8 +339,8 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
-def bdh_variance(x: float, q: int, Q: float) -> ErrorSumReport:
-    """Mean-square error over all reduced classes of moduli q*d, d <= Q/q.
+def bdh_variance(x: float, q: int, Q: float | None = None) -> ErrorSumReport:
+    """Mean-square error over all reduced classes of moduli q*d, d <= Q/q, with Q = x/log x by default.
 
     For m = q*d and T = x/phi(m) the inner sum expands as
     S2 - 2T*S1 + phi(m)*T^2, with S1 and S2 the sum and the sum of squares
@@ -353,10 +353,12 @@ def bdh_variance(x: float, q: int, Q: float) -> ErrorSumReport:
     off exactly (see _nonreduced_moments). The per-modulus terms are summed
     once, exactly rounded (_exact_sum).
     """
-    if not x > 1:
-        raise ValueError("need x > 1")
     if not math.isfinite(x):
         raise ValueError("need finite x")
+    if not x > 1:
+        raise ValueError("need x > 1")
+    if Q is None:
+        Q = x / math.log(x)
     if Q < q:
         raise ValueError("need Q >= q")
     if not Q <= x:

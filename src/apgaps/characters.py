@@ -2,9 +2,11 @@
 
 A character is an exponent vector on a fixed generator set of (Z/rZ)*,
 obtained by CRT over the prime-power factors of r. Values are exact roots
-of unity, stored as an integer exponent k with chi(n) = zeta_e^k for the
-common order e; complex rendering happens on demand, so identity checks can
-stay in exact integer arithmetic.
+of unity, read as integer exponents k with chi(n) = zeta_e^k for the
+common order e, so identity checks stay in exact integer arithmetic; no
+complex value is formed outside the FFT of the star sums. A Character
+record (group, exponents) exists only to name a character to the weight F
+of conductor_partition_check.
 
 Each group has one exponent table, K[i, u] = k with chi_i(u-th unit) =
 zeta_e^k, computed only by CharacterGroup.exponents and never stored whole
@@ -101,13 +103,10 @@ class CharacterGroup:
         self.exponent = math.lcm(*(g.order for g in gens)) if gens else 1
         self.phi = euler_phi(r)
 
-    def _exponent_vectors(self):
-        return itertools.product(*(range(g.order) for g in self.generators))
-
     @cached_property
     def coords(self) -> np.ndarray:
         """Exponent vector of each unit (and character), one row each in enumeration order."""
-        vecs = np.array(list(self._exponent_vectors()), dtype=np.int64)
+        vecs = np.array(list(itertools.product(*(range(g.order) for g in self.generators))), dtype=np.int64)
         return vecs.reshape(self.phi, len(self.generators))
 
     @cached_property
@@ -126,11 +125,6 @@ class CharacterGroup:
         index_of = np.full(self.r, -1, dtype=np.int64)
         index_of[self.unit_values] = np.arange(self.phi)
         return index_of
-
-    @cached_property
-    def zeta_powers(self) -> np.ndarray:
-        e = self.exponent
-        return np.exp(2j * np.pi * np.arange(e) / e)
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -201,17 +195,6 @@ class CharacterGroup:
             out[rows] = row
         return out
 
-    def character(self, exponents) -> "Character":
-        if len(exponents) != len(self.generators):
-            raise ValueError("exponent vector length mismatch")
-        return Character(self, tuple(int(a) % g.order for a, g in zip(exponents, self.generators)))
-
-    def characters(self) -> list["Character"]:
-        return [Character(self, ex) for ex in self._exponent_vectors()]
-
-    def __repr__(self):
-        return f"CharacterGroup(r={self.r}, phi={self.phi})"
-
 
 @lru_cache(maxsize=4096)
 def character_group(r: int) -> CharacterGroup:
@@ -223,48 +206,9 @@ class Character:
     group: CharacterGroup
     exponents: tuple[int, ...]
 
-    def __eq__(self, other):
-        return isinstance(other, Character) and (self.group.r, self.exponents) == (other.group.r, other.exponents)
-
-    def __hash__(self):
-        return hash((self.group.r, self.exponents))
-
     @property
     def modulus(self) -> int:
         return self.group.r
-
-    @cached_property
-    def _row(self) -> int:
-        """Index of this character in the group's enumeration order."""
-        i = 0
-        for a, g in zip(self.exponents, self.group.generators):
-            i = i * g.order + a
-        return i
-
-    @cached_property
-    def conductor(self) -> int:
-        """Smallest modulus f | r through which the character factors."""
-        return int(self.group.conductors[self._row])
-
-    def value_exponent(self, n: int) -> int | None:
-        """k with chi(n) = zeta_e^k, or None when gcd(n, r) > 1."""
-        u = int(self.group.index_of[n % self.group.r])
-        return None if u < 0 else int(self.group.exponents(self._row, u))
-
-    def __call__(self, n: int) -> complex:
-        k = self.value_exponent(n)
-        return 0j if k is None else complex(self.group.zeta_powers[k])
-
-    @cached_property
-    def values_vector(self) -> np.ndarray:
-        """chi(n) for n = 0..r-1 as a complex vector (zero off the units)."""
-        grp = self.group
-        vec = np.zeros(grp.r, dtype=np.complex128)
-        vec[grp.unit_values] = grp.zeta_powers[grp.exponents(self._row)]
-        return vec
-
-    def __repr__(self):
-        return f"Character(r={self.group.r}, exponents={self.exponents})"
 
 
 def phi_star_by_enumeration(r: int) -> int:
@@ -347,7 +291,7 @@ def _star_T_squares(m: int, coeffs: np.ndarray) -> float:
     s.imag = np.bincount(res, weights=coeffs.imag, minlength=m)
     s = s[grp.unit_values]
     orders = [g.order for g in grp.generators]
-    T = np.fft.fft(s) if len(orders) == 1 else np.fft.fftn(s.reshape(orders)).ravel()
+    T = np.fft.fftn(s.reshape(orders)).ravel()
     T = T[grp.star_rows]
     return float(np.sum(T.real**2 + T.imag**2))
 

@@ -29,14 +29,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import floor_power, mobius_table, von_mangoldt_table
 
 
-@lru_cache(maxsize=16)
+def _dirichlet(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Dirichlet convolution (f * g)(n) = sum over d | n of f(d) g(n/d)
+    for 1 <= n <= x = len(f) - 1, one strided update per nonzero f(d)."""
+    x = len(f) - 1
+    out = np.zeros(x + 1)
+    for d in np.flatnonzero(f).tolist():
+        out[d::d] += f[d] * g[1 : x // d + 1]
+    return out
+
+
 def hb_lambda_table(x: int, k: int) -> np.ndarray:
     """Array T with T[n] = the k-fold expansion of Lambda(n), for 0 <= n <= x."""
     if not 1 <= k <= 4:
@@ -44,33 +52,19 @@ def hb_lambda_table(x: int, k: int) -> np.ndarray:
     if x < 1:
         raise ValueError("need x >= 1")
     z = floor_power(x, Fraction(1, k))
-    mu = mobius_table(x).astype(np.float64)
+    a1 = np.zeros(x + 1)  # mu restricted to [1, z]
+    a1[1 : z + 1] = mobius_table(z)[1:]
     logs = np.zeros(x + 1)
     logs[1:] = np.log(np.arange(1, x + 1, dtype=np.float64))
-
-    # A_j: j-fold Dirichlet convolution of mu restricted to [1, z]
-    a1 = np.zeros(x + 1)
-    a1[1 : z + 1] = mu[1 : z + 1]
-    # B_j: log * 1^{*(j-1)}
-    a_j = a1.copy()
-    b_j = logs.copy()
+    ones = np.ones(x + 1)
+    # A_j: the j-fold Dirichlet convolution of a1; B_j: log * 1^{*(j-1)}
+    a_j, b_j = a1, logs
     total = np.zeros(x + 1)
     for j in range(1, k + 1):
         if j > 1:
-            a_next = np.zeros(x + 1)
-            for d in range(1, z + 1):
-                if a1[d]:
-                    a_next[d :: d] += a1[d] * a_j[1 : x // d + 1]
-            a_j = a_next
-            b_next = np.zeros(x + 1)
-            for d in range(1, x + 1):
-                b_next[d :: d] += b_j[d]
-            b_j = b_next
-        conv = np.zeros(x + 1)
-        for d in np.flatnonzero(a_j).tolist():
-            conv[d :: d] += a_j[d] * b_j[1 : x // d + 1]
-        total += (-1) ** (j - 1) * math.comb(k, j) * conv
-    total.setflags(write=False)
+            a_j = _dirichlet(a1, a_j)
+            b_j = _dirichlet(b_j, ones)
+        total += (-1) ** (j - 1) * math.comb(k, j) * _dirichlet(a_j, b_j)
     return total
 
 

@@ -375,7 +375,6 @@ def _set_partitions(s: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _powersum_expansion(partition: tuple[int, ...]) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
     """m_lambda as a rational combination of power-sum products.
 

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,9 +12,15 @@ from hypothesis import strategies as st
 import apgaps.arith as arith
 
 
+@lru_cache(maxsize=2)
+def cached_prime_power_arrays(limit):
+    """arith.prime_power_arrays, kept for oracles that read many classes or moduli at one x (read only)."""
+    return arith.prime_power_arrays(limit)
+
+
 def chebyshev_psi(x, q=1, a=0):
     """Oracle: math.fsum of the von Mangoldt weights over n <= x with n = a (mod q)."""
-    P, W = arith.prime_power_arrays(int(x))
+    P, W = cached_prime_power_arrays(int(x))
     return math.fsum(W[P % q == a % q])
 
 
@@ -62,31 +69,40 @@ def test_factorize_roundtrip(n):
 
 
 @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=2000))
-def test_trial_radical_matches_radical(n, bound):
-    assert arith.trial_radical(n, bound) == (arith.radical(n), True)
+def test_trial_division_and_least_root_give_the_radical(n, bound):
+    rad, m = arith.trial_divide(n, bound)
+    root = arith.least_root(m, bound)
+    j = 1
+    while root**j < m:
+        j += 1
+    assert root**j == m
+    assert rad * arith.radical(root) == arith.radical(n)
 
 
-def test_trial_radical_leaves_two_large_primes_unfactored():
+def test_least_root_leaves_two_large_primes_unfactored():
     p, q = 100000000000000000039, 300000000000000000053
     assert arith.is_prime(p) and arith.is_prime(q)
-    # two primes above the bound: radical > (radical of the part divided out) * bound**2
-    assert arith.trial_radical(p * q, 1000) == (1000**2, False)
-    assert arith.trial_radical(6 * p * q, 1000) == (6 * 1000**2, False)
-    assert arith.trial_radical((p * q) ** 2, 1000) == (1000**2, False)
-    # a prime cofactor, or a prime power, however large, is known
-    assert arith.trial_radical(12 * p, 1000) == (6 * p, True)
-    assert arith.trial_radical(p * p, 10) == (p, True)
-    assert arith.trial_radical(12 * p**5, 1000) == (6 * p, True)
-    assert arith.trial_radical(1000003**7, 10**6) == (1000003, True)
+    # two primes above the bound: no perfect power, or a power of their product
+    assert arith.trial_divide(6 * p * q, 1000) == (6, p * q)
+    assert arith.least_root(p * q, 1000) == p * q
+    assert arith.least_root((p * q) ** 2, 1000) == p * q
+    assert arith.least_root(p**2 * q, 1000) == p**2 * q
+    # a prime power, however large, gives its prime
+    assert arith.trial_divide(12 * p**5, 1000) == (6, p**5)
+    assert arith.least_root(p**5, 1000) == p
+    assert arith.least_root(p * p, 10) == p
+    assert arith.least_root(1000003**7, 10**6) == 1000003
+    assert arith.least_root(1, 1000) == 1
 
 
-def test_trial_radical_splits_with_a_rho_budget():
+def test_rho_radical_splits_within_a_step_budget():
     p, q = 100000000000000000039, 300000000000000000053
     # factors rho finds in few steps are split; two 21-digit primes are not
-    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 1 << 20) == ((10**9 + 7) * (10**11 + 3), True)
-    assert arith.trial_radical(2**5 * 9999991**3, 10**6, 1 << 20) == (2 * 9999991, True)
-    assert arith.trial_radical(p * q, 1000, 1 << 12) == (1000**2, False)
-    assert arith.trial_radical((10**9 + 7) * (10**11 + 3), 1000, 0) == (1000**2, False)
+    assert arith.rho_radical((10**9 + 7) * (10**11 + 3), 1 << 20) == (10**9 + 7) * (10**11 + 3)
+    assert arith.rho_radical((10**9 + 7) ** 3 * (10**11 + 3), 1 << 20) == (10**9 + 7) * (10**11 + 3)
+    assert arith.rho_radical(p, 0) == p  # a prime takes no split
+    assert arith.rho_radical(p * q, 1 << 12) is None
+    assert arith.rho_radical((10**9 + 7) * (10**11 + 3), 0) is None
     assert arith._brent_rho(p * q, 1 << 12) is None
 
 
@@ -511,7 +527,7 @@ def test_class_sieve_large_modulus_and_height():
 
 def _residue_sums_by_bincount(x, m):
     """Oracle: one bincount of all prime powers up to x by their residue mod m."""
-    P, W = arith.prime_power_arrays(int(math.floor(x)))
+    P, W = cached_prime_power_arrays(int(math.floor(x)))
     return np.bincount((P % m).astype(np.int64), weights=W, minlength=m)
 
 

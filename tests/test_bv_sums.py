@@ -20,11 +20,11 @@ from apgaps.arith import (
     von_mangoldt_table,
 )
 from apgaps.reports import ERROR_SUM_CSV_HEADER
-from test_arith import chebyshev_psi
+from test_arith import cached_prime_power_arrays, chebyshev_psi
 
 
 def _class_prime_powers(x, r, a):
-    P, W = prime_power_arrays(int(math.floor(x)))
+    P, W = cached_prime_power_arrays(int(math.floor(x)))
     return [(int(p), float(w)) for p, w in zip(P, W) if r == 1 or p % r == a % r]
 
 
@@ -490,14 +490,16 @@ def bincount_variance(x, q, Q):
 @pytest.mark.parametrize("x", [1e4, 1e5])
 @pytest.mark.parametrize("q", [1, 3, 12])
 def test_variance_against_bincount_oracle(x, q):
-    # the criterion-9 grid points within the oracle's reach
+    # the criterion-9 grid points within the oracle's reach, at the default Q = x/log x
     Q = x / math.log(x)
-    assert bv.bdh_variance(x, q, Q).value == pytest.approx(bincount_variance(x, q, Q), rel=1e-9)
+    assert bv.bdh_variance(x, q).value == pytest.approx(bincount_variance(x, q, Q), rel=1e-9)
 
 
 def test_variance_rejects_infinite_x():
-    with pytest.raises(ValueError, match="need finite x"):
-        bv.bdh_variance(math.inf, 1, 100.0)
+    for x in (math.inf, -math.inf, math.nan):  # checked first, with Q given or not
+        for Q in (100.0, None):
+            with pytest.raises(ValueError, match="need finite x"):
+                bv.bdh_variance(x, 1, Q)
 
 
 def test_variance_preconditions():
@@ -505,9 +507,10 @@ def test_variance_preconditions():
         bv.bdh_variance(1e4, 10, 5.0)
     with pytest.raises(ValueError):
         bv.bdh_variance(1e4, 1, 1e5)
-    for x in (1.0, 0.5, math.nan):  # the normalizer x * Q * log x vanishes at x = 1
-        with pytest.raises(ValueError, match="x > 1"):
-            bv.bdh_variance(x, 1, 1.0)
+    for x in (1.0, 0.5):  # the normalizer x * Q * log x vanishes at x = 1
+        for Q in (1.0, None):
+            with pytest.raises(ValueError, match="x > 1"):
+                bv.bdh_variance(x, 1, Q)
 
 
 def test_error_report_csv_row():

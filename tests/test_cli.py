@@ -271,14 +271,18 @@ def test_config_list_options_take_json_arrays(tmp_path, capsys):
 
 def test_gap_radical_of_two_large_primes_is_refused_in_time():
     # q is the product of two 21-digit primes, which Brent rho does not split in reasonable time:
-    # at C = 2 trial division decides; at C = 3 the cap is above 1e6, but q is no prime power, so
+    # at C = 2 trial division decides; at C = 3 the cap is above 1e6, but q is no perfect power, so
     # radical(q) > 1e12 decides; at C = 5 the cap is above 1e12 and rho's step budget ends the search
     argv = ["gap", "--x", "1e200", "--q", "30000000000000000017000000000000000002067", "--a", "1", "--t", "1"]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for extra, error in (
         ([], "radical(q) exceeds (log x)^C = 212076: q has a prime factor above it"),
-        (["--C", "3"], "radical(q) exceeds (log x)^C = 9.76646e+07: q has two prime factors above 1000000"),
+        (
+            ["--C", "3"],
+            "radical(q) exceeds (log x)^C = 9.76646e+07: q has a factor above 2**64 with no prime factor up to "
+            "1000000, not a perfect power, so radical(q) > 1 * 1000000**2",
+        ),
         (
             ["--C", "5"],
             "radical(q) <= (log x)^C = 2.07123e+13 is undecided: q has a factor above 2**64 with no prime factor "

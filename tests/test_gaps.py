@@ -84,6 +84,11 @@ def test_validate_config_decides_the_radical_cap_by_trial_division():
     errs = gaps.validate_config(gaps.GapConfig(x=1e300, q=10**4000 + 7, a=1, t=1))
     assert time.perf_counter() - start < 1
     assert errs[-1] == f"radical(q) exceeds (log x)^C = {math.log(1e300) ** 2:.6g}: q has a prime factor above it"
+    # above the trial cap it takes the cofactor's root, and still no primality test
+    start = time.perf_counter()
+    errs = gaps.validate_config(gaps.GapConfig(x=1e300, q=10**4000 + 7, a=1, t=1, C=3))
+    assert time.perf_counter() - start < 1
+    assert errs[-1].endswith("no prime factor up to 1000000, not a perfect power, so radical(q) > 1 * 1000000**2")
     # so does a prime-power cofactor >= 2**64 of a prime below 2**64
     errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=(2**61 - 1) ** 2, a=1, t=1))
     assert errs == [f"radical(q) exceeds (log x)^C = {math.log(1e200) ** 2:.6g}: q has a prime factor above it"]
@@ -96,12 +101,22 @@ def test_validate_config_bounds_the_radical_check_above_the_trial_cap():
     assert gaps.RADICAL_TRIAL_CAP < cap < gaps.RADICAL_TRIAL_CAP**2
     q = (10**9 + 7) * (10**11 + 3)
     errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=q, a=1, t=1, C=3))
-    assert errs == [f"radical(q) exceeds (log x)^C = {cap:.6g}: q has two prime factors above {gaps.RADICAL_TRIAL_CAP}"]
+    assert errs == [
+        f"radical(q) exceeds (log x)^C = {cap:.6g}: q has a factor above 2**64 with no prime factor "
+        f"up to {gaps.RADICAL_TRIAL_CAP}, not a perfect power, so radical(q) > 1 * {gaps.RADICAL_TRIAL_CAP}**2"
+    ]
     # a prime-power cofactor gives the radical exactly
     assert gaps.validate_config(gaps.GapConfig(x=1e200, q=2**5 * 9999991**3, a=1, t=1, C=3)) == []
     # two 21-digit primes: no prime power, so radical(q) > RADICAL_TRIAL_CAP**2 > cap
     big = 30000000000000000017000000000000000002067
     assert gaps.validate_config(gaps.GapConfig(x=1e200, q=big, a=1, t=1, C=3)) == errs
+    # so does a prime cofactor above 2**64, with no primality test
+    p = 100000000000000000039
+    errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=6 * p, a=1, t=1, C=3))
+    assert errs == [
+        f"radical(q) exceeds (log x)^C = {cap:.6g}: q has a factor above 2**64 with no prime factor "
+        f"up to {gaps.RADICAL_TRIAL_CAP}, not a perfect power, so radical(q) > 6 * {gaps.RADICAL_TRIAL_CAP}**2"
+    ]
     # the primes divided out times the cap reach (log x)^C: no root or primality test
     errs = gaps.validate_config(gaps.GapConfig(x=1e200, q=2310 * q, a=1, t=1, C=3))
     assert errs == [

@@ -3,11 +3,16 @@
 The walk starts at cli.main and at every module's import-time statements, and
 follows each name a reached definition reads (a top-level name of its module,
 a name imported from a sibling module, an attribute of an imported module) to
-a fixpoint. A definition it misses, unless ALLOWED names it, belongs in the
-test file that uses it.
+a fixpoint. A class's methods, properties and cached properties are
+definitions of their own, named Class.member: one counts as reached when a
+reached definition reads .member off anything, as types are not tracked.
+Dunder methods stay with their class, which is what calls them. A definition
+the walk misses, unless ALLOWED names it, belongs in the test file that uses
+it.
 """
 
 import ast
+import copy
 import importlib
 from pathlib import Path
 
@@ -24,8 +29,12 @@ ALLOWED = {
     ("comb_lemmas", "random_comblem_sweep"),  # tests/test_acceptance.py, criterion 4; perfbench/tracer.py
     ("arith", "primes_in_ap"),  # perfbench/tracer.py
     ("arith", "prime_power_arrays"),  # perfbench/tracer.py; bv_sums.smoothed_R and the tests' oracles
-    ("arith", "_prime_power_arrays_cap"),  # the cache behind prime_power_arrays
+    ("cli", "_Parser.error"),  # argparse calls it on a bad command line
 }
+
+
+def _is_member(stmt) -> bool:
+    return isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__")
 
 
 def package() -> dict:
@@ -35,7 +44,13 @@ def package() -> dict:
         tree = ast.parse(path.read_text())
         defs, other, modules, names = {}, [], {}, {}
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.ClassDef):
+                defined = [stmt.name]
+                for member in filter(_is_member, stmt.body):
+                    defs.setdefault(f"{stmt.name}.{member.name}", []).append(member)
+                stmt = copy.copy(stmt)  # the class alone: its members are reached by name
+                stmt.body = [s for s in stmt.body if not _is_member(s)]
+            elif isinstance(stmt, ast.FunctionDef):
                 defined = [stmt.name]
             else:
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
@@ -56,6 +71,11 @@ def package() -> dict:
 
 
 def unreached(pkg: dict) -> list:
+    members: dict = {}  # attribute name -> the (module, "Class.member") it may read
+    for m, (defs, *_) in pkg.items():
+        for name in defs:
+            if "." in name:
+                members.setdefault(name.split(".")[1], []).append((m, name))
     seen = {("cli", "main")}
     todo = [("cli", s) for s in pkg["cli"][0]["main"]] + [(m, s) for m, (_, other, *_) in pkg.items() for s in other]
     while todo:
@@ -63,14 +83,17 @@ def unreached(pkg: dict) -> list:
         defs, _, modules, names = pkg[mod]
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
-                key = (mod, node.id) if node.id in defs else names.get(node.id)
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
-                key = (modules[node.value.id], node.attr)
+                keys = [(mod, node.id) if node.id in defs else names.get(node.id)]
+            elif isinstance(node, ast.Attribute):
+                keys = members.get(node.attr, [])
+                if getattr(node.value, "id", None) in modules:
+                    keys = keys + [(modules[node.value.id], node.attr)]
             else:
                 continue
-            if key and key not in seen and key[1] in pkg.get(key[0], ({},))[0]:
-                seen.add(key)
-                todo += [(key[0], s) for s in pkg[key[0]][0][key[1]]]
+            for key in keys:
+                if key and key not in seen and key[1] in pkg.get(key[0], ({},))[0]:
+                    seen.add(key)
+                    todo += [(key[0], s) for s in pkg[key[0]][0][key[1]]]
     assert not seen & ALLOWED, f"cli.main reaches {seen & ALLOWED}: drop them from ALLOWED"
     defined = {(m, n) for m, (defs, *_) in pkg.items() for n in defs if not n.startswith("__")}
     assert ALLOWED <= defined, f"ALLOWED names {ALLOWED - defined}, which src/ does not define"
@@ -85,7 +108,9 @@ def test_walk_flags_unreferenced_definitions():
     pkg = package()
     for name in ("orphan", "_orphan"):
         pkg["arith"][0][name] = ast.parse(f"def {name}():\n    return primes_in_range(0, 10)\n").body
-    assert unreached(pkg) == [("arith", "_orphan"), ("arith", "orphan")]
+    # a method of a reached class that nothing reads
+    pkg["arith"][0]["Factorization.orphan_method"] = ast.parse("def orphan_method(self):\n    return 1\n").body
+    assert unreached(pkg) == [("arith", "Factorization.orphan_method"), ("arith", "_orphan"), ("arith", "orphan")]
 
 
 def test_benchmark_and_gate_hooks_resolve():
