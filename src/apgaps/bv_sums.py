@@ -161,6 +161,33 @@ def sandwich_check(x: float, r: int, a: int, lam: float):
     return ok, lower, psi, upper
 
 
+# Desk bounds, each checked before any modulus list, table or sieve is built.
+# compute_E_b and maynard_condition_sums sieve a class up to x (bv --x 1e9
+# takes about 7 s); bdh_variance holds a dense table of floor(x) + 1 floats
+# and its autocorrelation (about 190 MiB at x = 4e6). The residue tables of
+# the moduli m = w*d, d <= D (w = q, or 1 where each class a mod q is sieved
+# on its own), have one entry per class: at most w * D * (D + 1) / 2 in all.
+SIEVE_MAX_X = 10**10
+DENSE_MAX_X = 10**7
+RESIDUE_MAX_ENTRIES = 1 << 24
+
+
+def _check_desk_x(x: float, bound: int) -> None:
+    if not math.isfinite(x):
+        raise ValueError("need finite x")
+    if x > bound:
+        raise ValueError(f"desk-bounded to x <= {bound:g}, got x = {x:g}")
+
+
+def _check_residue_entries(w: int, D: int) -> None:
+    entries = w * D * (D + 1) // 2
+    if entries > RESIDUE_MAX_ENTRIES:
+        raise ValueError(
+            f"the moduli {w}*d, d <= {D}, need up to {entries} residue-table entries; "
+            f"desk-bounded to {RESIDUE_MAX_ENTRIES}"
+        )
+
+
 def _modulus_cutoff(x: float, q: int, e: float, name: str) -> int:
     """D = floor(x^e), after checking x^e * q <= x; both decided exactly.
 
@@ -176,6 +203,23 @@ def _modulus_cutoff(x: float, q: int, e: float, name: str) -> int:
     return floor_power(x, ef)
 
 
+def _classes_apart(x: float, q: int) -> bool:
+    """Whether compute_E_b sieves each class a mod q on its own: each spans phi(q) segments or more."""
+    return x >= euler_phi(q) * q * DEFAULT_SEGMENT
+
+
+def check_E_b_args(x: float, q: int, b: float) -> int:
+    """The cutoff D = floor(x^b) of compute_E_b, after all of its checks, desk bounds included."""
+    if not 0 < b < 0.5:
+        raise ValueError("need 0 < b < 1/2")
+    if q < 1:
+        raise ValueError("need q >= 1")
+    _check_desk_x(x, SIEVE_MAX_X)
+    D = _modulus_cutoff(x, q, b, "b")
+    _check_residue_entries(1 if _classes_apart(x, q) else q, D)
+    return D
+
+
 def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     """Worst-case error sum over moduli q*d, d <= x^b coprime to q.
 
@@ -188,14 +232,10 @@ def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     size one pass over the class 0 mod 1 bins every prime by its residue mod
     the q*d, as (q, a) = (1, 0) with moduli q*d.
     """
-    if not 0 < b < 0.5:
-        raise ValueError("need 0 < b < 1/2")
-    if q < 1:
-        raise ValueError("need q >= 1")
-    D = _modulus_cutoff(x, q, b, "b")
+    D = check_E_b_args(x, q, b)
     ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
     mains = [x / euler_phi(q * d) for d in ds]
-    if x >= euler_phi(q) * q * DEFAULT_SEGMENT:
+    if _classes_apart(x, q):
         step, classes, moduli = q, [a for a in range(q) if math.gcd(a, q) == 1], ds
     else:
         step, classes, moduli = 1, [0], [q * d for d in ds]
@@ -339,6 +379,20 @@ def _nonreduced_moments(xi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     return n1, n2
 
 
+def check_bdh_args(x: float, q: int, Q: float | None = None) -> float:
+    """The Q of bdh_variance (x/log x if None), after all of its checks, the desk bound included."""
+    _check_desk_x(x, DENSE_MAX_X)
+    if not x > 1:
+        raise ValueError("need x > 1")
+    if Q is None:
+        Q = x / math.log(x)
+    if Q < q:
+        raise ValueError("need Q >= q")
+    if not Q <= x:
+        raise ValueError("need Q <= x")
+    return Q
+
+
 def bdh_variance(x: float, q: int, Q: float | None = None) -> ErrorSumReport:
     """Mean-square error over all reduced classes of moduli q*d, d <= Q/q, with Q = x/log x by default.
 
@@ -353,16 +407,7 @@ def bdh_variance(x: float, q: int, Q: float | None = None) -> ErrorSumReport:
     off exactly (see _nonreduced_moments). The per-modulus terms are summed
     once, exactly rounded (_exact_sum).
     """
-    if not math.isfinite(x):
-        raise ValueError("need finite x")
-    if not x > 1:
-        raise ValueError("need x > 1")
-    if Q is None:
-        Q = x / math.log(x)
-    if Q < q:
-        raise ValueError("need Q >= q")
-    if not Q <= x:
-        raise ValueError("need Q <= x")
+    Q = check_bdh_args(x, q, Q)
     d = np.arange(1, int(math.floor(Q / q)) + 1)
     ms = q * d[np.gcd(d, q) == 1]
     xi = int(math.floor(x))
@@ -426,7 +471,9 @@ def maynard_condition_sums(
         raise ValueError("need q >= 1")
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
+    _check_desk_x(x, SIEVE_MAX_X)
     D = _modulus_cutoff(x, q, L, "L")
+    _check_residue_entries(q, D)
     Y = x / (2 * q)
     Y1 = log_integral_Y1(x, q)
     ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1 and mobius(d) != 0]

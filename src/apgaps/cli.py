@@ -98,6 +98,8 @@ def _emit_error_reports(reports, args, manifest) -> None:
 def cmd_bv(args) -> int:
     _require(args, "q", "b")
     xs = _xs(args)
+    for x in xs:  # every x is checked before the first is computed
+        bv_sums.check_E_b_args(x, args.q, args.b)
     manifest = _manifest("bv", {"x": xs, "q": args.q, "b": args.b}, args.seed)
     reports = [bv_sums.compute_E_b(x, args.q, args.b) for x in xs]
     _emit_error_reports(reports, args, manifest)
@@ -107,6 +109,8 @@ def cmd_bv(args) -> int:
 def cmd_bdh(args) -> int:
     _require(args, "q")
     xs = _xs(args)
+    for x in xs:  # every x is checked before the first is computed
+        bv_sums.check_bdh_args(x, args.q, args.Q)
     manifest = _manifest("bdh", {"x": xs, "q": args.q, "Q": args.Q or "x/log(x)"}, args.seed)
     reports = [bv_sums.bdh_variance(x, args.q, args.Q) for x in xs]
     _emit_error_reports(reports, args, manifest)
@@ -122,6 +126,11 @@ def cmd_maycond(args) -> int:
     return 0
 
 
+# Random weights hb draws in all, trials * (floor(x) + 1): 8 MiB of float64.
+# At the bound, x = 1e5 and k = 3 peak at about 150 MiB.
+HB_MAX_WEIGHTS = 1 << 20
+
+
 def cmd_hb(args) -> int:
     x, k, trials = args.x, args.k, args.trials
     manifest = _manifest("hb", {"x": x, "k": k, "trials": trials}, args.seed)
@@ -129,6 +138,10 @@ def cmd_hb(args) -> int:
 
     xi = int(x)
     check_decompose_args(xi, k)
+    if trials * (xi + 1) > HB_MAX_WEIGHTS:
+        raise ValueError(
+            f"hb is desk-bounded to trials * (floor(x) + 1) <= {HB_MAX_WEIGHTS} weights, got {trials * (xi + 1)}"
+        )
     rows = np.random.default_rng(args.seed).normal(size=(trials, xi + 1))
     totals, components = hb_decompose_sum_multi(x, k, rows)
     worst = 0.0
@@ -334,12 +347,17 @@ def _typed(*pairs) -> tuple:
     return tuple(_option(f"--{name}", type=typ) for name, typ in pairs)
 
 
-_ERROR_SUM_OPTIONS = (
-    *_typed(("x", float), ("q", _POSITIVE_INT)),
-    _option("--grid", type=_x_list, help="comma-separated x values"),
-    _option("--threads", type=_POSITIVE_INT, default=1, help="selects nothing (default %(default)s)"),
-    _option("--csv", action="store_true", help="CSV output"),
-)
+def _error_sum_options(max_x: int) -> tuple:
+    """The options bv and bdh share; each x, of --x or --grid, is desk-bounded by max_x."""
+    return (
+        _option("--x", type=float, help=f"at most {max_x:g}"),
+        *_typed(("q", _POSITIVE_INT)),
+        _option("--grid", type=_x_list, help=f"comma-separated x values, each at most {max_x:g}"),
+        _option("--threads", type=_POSITIVE_INT, default=1, help="selects nothing (default %(default)s)"),
+        _option("--csv", action="store_true", help="CSV output"),
+    )
+
+
 _COMMON_OPTIONS = (
     _option("--config", help="JSON file of option values, overridden by explicit flags"),
     _option("--seed", type=_integer, default=0, help="random seed (default %(default)s)"),
@@ -354,19 +372,28 @@ _COMMANDS = {
         _option("--max-r", type=_POSITIVE_INT, default=200, help="character-check moduli (default %(default)s)"),
         _option("--sandwich-trials", type=_POSITIVE_INT, default=200, help="sandwich trials (default %(default)s)"),
     )),
-    "bv": (cmd_bv, "worst-case error sum over moduli d <= x^b", (*_ERROR_SUM_OPTIONS, *_typed(("b", float)))),
+    "bv": (cmd_bv, "worst-case error sum over moduli d <= x^b", (
+        *_error_sum_options(bv_sums.SIEVE_MAX_X),
+        *_typed(("b", float)),
+    )),
     "bdh": (cmd_bdh, "mean-square error sum over moduli up to Q", (
-        *_ERROR_SUM_OPTIONS,
+        *_error_sum_options(bv_sums.DENSE_MAX_X),
         _option("--Q", type=float, help="default x/log(x)"),
     )),
     "maycond": (cmd_maycond, "squarefree tau-weighted condition sums", (
-        *_typed(("x", float), ("q", _POSITIVE_INT), ("a", _integer), ("k", _POSITIVE_INT), ("L", float)),
+        _option("--x", type=float, help=f"at most {bv_sums.SIEVE_MAX_X:g}"),
+        *_typed(("q", _POSITIVE_INT), ("a", _integer), ("k", _POSITIVE_INT), ("L", float)),
         _option("--h", type=_integer, default=0, help="shift of the prime window (default %(default)s)"),
     )),
     "hb": (cmd_hb, "dyadic decomposition check on random weights", (
         _option("--x", type=_HB_X, default=10000.0, help="sums over n <= x (default %(default)s)"),
         _option("--k", type=_integer, default=2, help="order of the identity (default %(default)s)"),
-        _option("--trials", type=_POSITIVE_INT, default=3, help="random weight vectors (default %(default)s)"),
+        _option(
+            "--trials",
+            type=_POSITIVE_INT,
+            default=3,
+            help=f"random weight vectors, trials * (floor(x) + 1) <= {HB_MAX_WEIGHTS} (default %(default)s)",
+        ),
     )),
     "comb": (cmd_comb, "subset-sum lemma scans", (
         _option("--denominator", type=_POSITIVE_INT, default=24, help="grid denominator (default %(default)s)"),

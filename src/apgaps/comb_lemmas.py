@@ -20,16 +20,24 @@ Randomized real sweeps supplement the grids but never replace them.
 simplex_batches draws uniform points of a simplex, one per column of a
 caller's buffer, in the row-major order of one exponential draw; it feeds
 both random_sweeps here and the Monte-Carlo check of every M_k certificate
-(variational.verify_certificate). random_sweeps checks both claims on each
-batch of columns, sorting no tuple it need not: the hypothesis reads the
-two largest parts from one scan of the columns, and one greedy subset sum,
-capped at 7/12, serves both claims, because the five-part window
-[5/12, 7/12] lies inside the trichotomy window [2/5, 3/5]. Only the tuples
-that greedy misses are sorted, to read the five-part conclusions and to
-reach the exact 2^14 subset scan.
+(variational.verify_certificate). With more than one usable CPU it draws
+one batch ahead on a worker thread, batches alternating between the
+caller's buffer and one spare of its shape; on one CPU, or for a single
+batch, it draws inline. The values are the same either way.
+
+random_sweeps checks both claims on each batch of columns, sorting no
+tuple it need not: the hypothesis reads the two largest parts from one
+scan of the columns, and one greedy subset sum, capped at 7/12, serves
+both claims, because the five-part window [5/12, 7/12] lies inside the
+trichotomy window [2/5, 3/5]. Only the tuples that greedy misses are
+sorted, to read the five-part conclusions and to reach the exact 2^14
+subset scan.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -82,26 +90,83 @@ def partitions_of(total: int, max_parts: int):
 _DRAW_CHUNK = 2048
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_batch(rng: np.random.Generator, batch: np.ndarray, chunk: np.ndarray) -> None:
+    """Draw batch's columns in row-major order, chunk rows at a time, and divide each by its sum."""
+    m = batch.shape[1]
+    for lo in range(0, m, len(chunk)):
+        part = chunk[: m - lo]
+        rng.standard_exponential(out=part)
+        batch[:, lo : lo + len(part)] = part.T
+    batch /= batch.sum(axis=0)
+
+
 def simplex_batches(rng: np.random.Generator, out: np.ndarray, n: int):
-    """Yield n uniform points of the unit simplex, one per column, in views of out.
+    """Yield n uniform points of the unit simplex, one per column, in views of out or of one spare.
 
     out has one row per coordinate, and each batch fills as many of its
     leading columns as remain, at most all of them. The draws are those of
     rng.exponential(size=(n, rows)), in the same order: chunks of rows are
     drawn and transposed into the batch, and each column is then divided
     by its sum.
+
+    When there is more than one batch and more than one usable CPU, one
+    worker thread draws one batch ahead: it fills batch i + 1 while the
+    caller reads batch i, and batches alternate between out and a spare
+    buffer of out's shape. The worker alone touches rng while the
+    generator runs, and the batches hold the same values as inline draws.
+    A batch is valid until the next one is requested. Closing the
+    generator, or an error while filling, which reaches the caller, stops
+    and joins the worker. Otherwise every batch is filled inline in out.
     """
     rows, width = out.shape
     chunk = np.empty((min(_DRAW_CHUNK, width, max(n, 0)), rows))
-    for start in range(0, n, width):
-        batch = out[:, : min(width, n - start)]
-        m = batch.shape[1]
-        for lo in range(0, m, len(chunk)):
-            part = chunk[: m - lo]
-            rng.standard_exponential(out=part)
-            batch[:, lo : lo + len(part)] = part.T
-        batch /= batch.sum(axis=0)
-        yield batch
+    starts = range(0, n, width)
+    if len(starts) < 2 or _usable_cpus() < 2:
+        for start in starts:
+            batch = out[:, : min(width, n - start)]
+            _fill_batch(rng, batch, chunk)
+            yield batch
+        return
+
+    buffers = (out, np.empty_like(out))
+    free = threading.Semaphore(2)  # buffers the worker may fill
+    ready = threading.Semaphore(0)  # batches filled and not yet yielded
+    stop = threading.Event()
+    errors: dict[int, BaseException] = {}  # batch index: the error that ended its fill
+
+    def fill_ahead() -> None:
+        for i, start in enumerate(starts):
+            free.acquire()
+            if stop.is_set():
+                return
+            try:
+                _fill_batch(rng, buffers[i % 2][:, : min(width, n - start)], chunk)
+            except BaseException as exc:  # raised again by the caller when it asks for batch i
+                errors[i] = exc
+                return
+            finally:
+                ready.release()
+
+    worker = threading.Thread(target=fill_ahead, name="simplex_batches", daemon=True)
+    worker.start()
+    try:
+        for i, start in enumerate(starts):
+            ready.acquire()
+            if i in errors:
+                raise errors[i]
+            yield buffers[i % 2][:, : min(width, n - start)]
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        worker.join()
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -278,6 +278,24 @@ def test_E_b_preconditions():
             bv.compute_E_b(x, 3, 0.2)
 
 
+def test_desk_bounds_admit_x_at_the_bound_and_refuse_above_it():
+    # only the checks run: nothing here sieves near the bounds
+    above = math.nextafter(bv.SIEVE_MAX_X, math.inf)
+    assert bv.check_E_b_args(float(bv.SIEVE_MAX_X), 3, 0.25) == 316
+    with pytest.raises(ValueError, match="desk-bounded to x <= 1e"):
+        bv.check_E_b_args(above, 3, 0.25)
+    with pytest.raises(ValueError, match="desk-bounded to x <= 1e"):
+        bv.maynard_condition_sums(above, 3, 1, 0, 2, 0.2)
+    assert bv.check_bdh_args(float(bv.DENSE_MAX_X), 3) == pytest.approx(1e7 / math.log(1e7))
+    with pytest.raises(ValueError, match="desk-bounded to x <= 1e"):
+        bv.check_bdh_args(math.nextafter(bv.DENSE_MAX_X, math.inf), 3)
+    # residue tables: 3 * 3343 * 3344 / 2 entries fit in 2**24, 3 * 3344 * 3345 / 2 do not
+    assert 3 * 3343 * 3344 // 2 <= bv.RESIDUE_MAX_ENTRIES < 3 * 3344 * 3345 // 2
+    bv._check_residue_entries(3, 3343)
+    with pytest.raises(ValueError, match="residue-table entries"):
+        bv._check_residue_entries(3, 3344)
+
+
 def test_E_b_cutoff_is_exact():
     # 1024^0.3 = 8 and 243^0.4 * 27 = 243 exactly; the float powers give
     # 7.999999999999999 and a product just above 243

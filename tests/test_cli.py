@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -562,10 +563,42 @@ def test_hb_rejects_bad_arguments(capsys):
         (["--x", "inf"], "x must"),
         (["--x", "2e5"], "desk-bounded"),
         (["--k", "4"], "desk-bounded"),
+        # the weight budget, checked before any weight is drawn: 1e6 trials at x = 1e5 would take 745 GiB,
+        # and 10382 trials of 101 weights are the fewest above 2**20
+        (["--x", "1e5", "--trials", "1000000"], "trials * (floor(x) + 1) <= 1048576 weights, got 100001000000"),
+        (["--trials", "10382"], "trials * (floor(x) + 1) <= 1048576 weights, got 1048582"),
     )
     for extra, message in cases:
         assert run(["hb", "--x", "100", "--k", "2", "--trials", "1"] + extra) == 2
         assert message in last_error(capsys)
+
+
+def test_sizes_above_the_desk_bounds_are_refused_before_any_work(monkeypatch, capsys):
+    # each refusal comes before a modulus list, residue table, dense table or sieve is built,
+    # for every x of a grid before the first is computed
+    from apgaps import bv_sums
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table or sieve was built")
+
+    for name in ("psi_residue_sums", "prime_residue_counts", "von_mangoldt_table", "reduced_residue_mask"):
+        monkeypatch.setattr(bv_sums, name, built)
+    cases = (
+        (["bv", "--x", "1e300", "--q", "3", "--b", "0.2"], "desk-bounded to x <= 1e+10, got x = 1e+300"),
+        (["bv", "--grid", "1e4,1e300", "--q", "3", "--b", "0.2"], "desk-bounded to x <= 1e+10, got x = 1e+300"),
+        (["bv", "--x", "1e10", "--q", "3", "--b", "0.49"], "d <= 79432, need up to 3154761028 residue-table entries"),
+        (["maycond", "--x", "1e11", "--q", "3", "--a", "1", "--k", "2", "--L", "0.2"], "desk-bounded to x <= 1e+10"),
+        (["maycond", "--x", "1e10", "--q", "1", "--a", "1", "--k", "2", "--L", "1"], "residue-table entries"),
+        (["bdh", "--x", "2e7", "--q", "3"], "desk-bounded to x <= 1e+07, got x = 2e+07"),
+        (["bdh", "--grid", "1e4,1e8", "--q", "3"], "desk-bounded to x <= 1e+07, got x = 1e+08"),
+    )
+    for argv, message in cases:
+        assert run(argv) == 2
+        assert message in last_error(capsys)
+    # the largest sizes the README, CI and benchmark run pass every check
+    assert bv_sums.check_E_b_args(1e9, 3, 0.25) == 177
+    assert bv_sums.check_E_b_args(1e7, 3, 0.45) == 1412
+    assert bv_sums.check_bdh_args(4e6, 3) == pytest.approx(4e6 / math.log(4e6))
 
 
 def test_comb_random_rows_match_two_draws(tmp_path):

@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,14 +421,150 @@ def test_simplex_batches_are_the_row_major_draws_by_column(rows):
         want /= want.sum(axis=0)
         for width in (2048, 30_000):
             out = np.empty((rows, min(width, n)))
+            buffers = [out]  # out, then at most one spare of out's shape
             batches = []
             for batch in cl.simplex_batches(np.random.default_rng(n), out, n):
-                assert np.shares_memory(batch, out)
+                if not any(np.shares_memory(batch, b) for b in buffers):
+                    assert batch.base.shape == out.shape
+                    buffers.append(batch.base)
+                assert len(buffers) <= 2
                 batches.append(batch.copy())
             full, last = divmod(n, out.shape[1])
             assert [b.shape[1] for b in batches] == [out.shape[1]] * full + ([last] if last else [])
             assert np.array_equal(np.concatenate(batches, axis=1), want), (n, width)
     assert list(cl.simplex_batches(np.random.default_rng(0), np.empty((rows, 1)), 0)) == []
+
+
+def _returns_in_time(fn, seconds=30.0):
+    """("value", fn()) or ("error", what it raised), from a helper thread that must end within seconds."""
+    result = []
+
+    def run():
+        try:
+            result.append(("value", fn()))
+        except Exception as exc:
+            result.append(("error", exc))
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), "simplex_batches hung"
+    return result[0]
+
+
+def test_simplex_batches_drawn_ahead_equal_inline_draws(monkeypatch):
+    # forced to each path, whatever this machine's CPU count; one CPU draws
+    # every batch inline in out and starts no thread
+    out = np.empty((cl.N_PARTS, 1000))
+    draws = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cl, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        threads = set()
+        draws[cpus] = []
+        for batch in cl.simplex_batches(np.random.default_rng(8), out, 4321):
+            threads.add(threading.active_count() - before)
+            assert cpus > 1 or np.shares_memory(batch, out)
+            draws[cpus].append(batch.copy())
+        assert max(threads) == cpus - 1  # the worker ends once it has filled the last batch
+        assert threading.active_count() == before
+    assert [b.shape[1] for b in draws[1]] == [1000] * 4 + [321]
+    assert all(np.array_equal(a, b) for a, b in zip(draws[1], draws[2], strict=True))
+
+
+def test_simplex_batches_of_one_batch_start_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(cl, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for n in (0, 1, 999, 1000):
+        batches = list(cl.simplex_batches(np.random.default_rng(n), np.empty((3, 1000)), n))
+        assert len(batches) == (n > 0)
+    with pytest.raises(AssertionError, match="thread was started"):  # two batches do start one
+        list(cl.simplex_batches(np.random.default_rng(0), np.empty((3, 1000)), 1001))
+
+
+def test_simplex_batches_close_stops_the_worker(monkeypatch):
+    monkeypatch.setattr(cl, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(1)
+    out = np.empty((cl.N_PARTS, 1000))
+    before = threading.active_count()
+    batches = cl.simplex_batches(rng, out, 50_000)
+    next(batches)
+    assert threading.active_count() == before + 1
+    start = time.perf_counter()
+    assert _returns_in_time(batches.close) == ("value", None)
+    assert time.perf_counter() - start < 5.0
+    assert threading.active_count() == before
+    # rng is free for another sampler, and the worker drew at most one batch ahead of the caller
+    again = [b.copy() for b in cl.simplex_batches(rng, out, 2500)]
+    assert [b.shape[1] for b in again] == [1000, 1000, 500]
+    assert threading.active_count() == before
+    draws = np.random.default_rng(1).exponential(size=(5500, cl.N_PARTS))
+    ahead = [np.ascontiguousarray(draws[1000 * k : 1000 * (k + 1)].T) for k in (1, 2)]
+    assert any(np.array_equal(again[0], e / e.sum(axis=0)) for e in ahead)
+
+
+class _FailingDraws:
+    """A generator's standard_exponential that raises on its call number fail."""
+
+    def __init__(self, fail):
+        self.rng = np.random.default_rng(0)
+        self.fail = fail
+        self.calls = 0
+
+    def standard_exponential(self, out):
+        self.calls += 1
+        if self.calls == self.fail:
+            raise FloatingPointError(f"draw {self.fail}")
+        return self.rng.standard_exponential(out=out)
+
+
+def test_simplex_batches_raise_a_fill_error_in_the_caller(monkeypatch):
+    monkeypatch.setattr(cl, "_usable_cpus", lambda: 2)
+    out = np.empty((3, 100))  # one draw call per batch of 100 columns
+    before = threading.active_count()
+    kind, exc = _returns_in_time(lambda: list(cl.simplex_batches(None, out, 1000)))
+    assert kind == "error" and isinstance(exc, AttributeError)
+    assert threading.active_count() == before
+    got = []
+
+    def read_all():
+        for batch in cl.simplex_batches(_FailingDraws(5), out, 1000):
+            got.append(batch.copy())
+
+    kind, exc = _returns_in_time(read_all)
+    assert (kind, type(exc), str(exc)) == ("error", FloatingPointError, "draw 5")
+    assert len(got) == 4
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["comb", "--denominator", "12", "--random", "300000", "--seed", "3"],
+        ["mk", "--k", "12", "--degree", "6", "--mc-samples", "100000"],
+    ],
+)
+def test_one_cpu_prints_the_same_bytes(argv):
+    # the child pins itself to one CPU, where every batch is drawn inline
+    probe = (
+        "import os, sys\n"
+        "from apgaps import cli\n"
+        "if sys.argv[1] == 'pin':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    outs = [
+        subprocess.run([sys.executable, "-c", probe, mode, *argv], env=env, capture_output=True, timeout=120)
+        for mode in ("free", "pin")
+    ]
+    assert [o.returncode for o in outs] == [0, 0], [o.stderr for o in outs]
+    assert outs[0].stdout == outs[1].stdout
 
 
 def test_five_part_window_nests_in_trichotomy_window():
