@@ -29,6 +29,7 @@ prime of m.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,13 @@ DEFAULT_SEGMENT = 1 << 20
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def is_prime(n: int) -> bool:
@@ -453,7 +461,9 @@ def class_segments(lo: int, hi: int, q: int, a: int):
         out += n0
         if seg_lo < _SMALL_PRIMES[-1]:
             out = np.concatenate([small[(seg_lo < small) & (small <= seg_hi)], out])
-        yield out
+        box = [out]  # the generator keeps no reference to the segment while the caller holds it
+        del out
+        yield box.pop()
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
@@ -567,6 +577,7 @@ def _class_residue_sums(lo: int, hi: int, q: int, a: int, moduli, weighted: bool
         for ps in class_segments(lo, hi, q, a):
             logs = np.log(ps) if weighted else None
             r = ps.astype(np.int32) if narrow else ps
+            del ps  # with r an int32 copy, the int64 segment is freed before the bincounts
             for M, vec in acc.items():
                 vec += np.bincount(residues(r, M), weights=logs, minlength=M)
         if weighted:

@@ -32,17 +32,20 @@ Measured quantities, each against its trivial normalizer:
   moduli d <= x^L.
 
 Each error sum is one correctly rounded sum of its per-modulus terms
-(math.fsum, or _exact_sum over an array), taken on one thread.
+(math.fsum, or _exact_sum over an array), taken on one thread. Only the
+class sieves of compute_E_b may run on two threads, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .arith import (
     DEFAULT_SEGMENT,
+    _usable_cpus,
     class_segments,
     euler_phi,
     exact_exponent,
@@ -220,6 +223,42 @@ def check_E_b_args(x: float, q: int, b: float) -> int:
     return D
 
 
+def _class_maxima(x: float, moduli, step: int, classes, masks, mains) -> list[float]:
+    """Per modulus, the worst |psi - main| over its reduced residues in the given classes a mod step (0.0 if none)."""
+    maxima = [0.0] * len(mains)
+    for a in classes:
+        vecs = psi_residue_sums(x, moduli, step, a)
+        for i, (vec, mask, main) in enumerate(zip(vecs, masks, mains)):
+            maxima[i] = max(maxima[i], float(np.max(np.abs(vec[mask] - main))))
+    return maxima
+
+
+def _class_maxima_on_two_threads(x: float, moduli, step: int, classes, masks, mains) -> list[float]:
+    """_class_maxima of classes[0::2] on this thread and of classes[1::2] on one worker, merged.
+
+    A maximum of non-negative floats is exact, so merging the two halves
+    entry by entry gives the bits of one pass in class order. An error in
+    the worker is raised here; the worker is joined either way.
+    """
+    done: dict[str, object] = {}
+
+    def run() -> None:
+        try:
+            done["maxima"] = _class_maxima(x, moduli, step, classes[1::2], masks, mains)
+        except BaseException as exc:  # raised again by the caller
+            done["error"] = exc
+
+    worker = threading.Thread(target=run, name="compute_E_b", daemon=True)
+    worker.start()
+    try:
+        mine = _class_maxima(x, moduli, step, classes[0::2], masks, mains)
+    finally:
+        worker.join()
+    if "error" in done:
+        raise done["error"]
+    return [max(a, b) for a, b in zip(mine, done["maxima"])]
+
+
 def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     """Worst-case error sum over moduli q*d, d <= x^b coprime to q.
 
@@ -228,9 +267,12 @@ def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     so that each class a mod q spans at least phi(q) sieve segments, each
     reduced class a is sieved on its own (psi_residue_sums(x, ds, q, a)) and
     its psi values are binned by residue mod the d alone; each d's worst
-    error is the maximum over the pairs (a, reduced r mod d). Below that
-    size one pass over the class 0 mod 1 bins every prime by its residue mod
-    the q*d, as (q, a) = (1, 0) with moduli q*d.
+    error is the maximum over the pairs (a, reduced r mod d). With two or
+    more reduced classes and two or more usable CPUs, every other class is
+    sieved on a worker thread (_class_maxima_on_two_threads); the value is
+    the same bits either way. Below that size one pass over the class 0
+    mod 1 bins every prime by its residue mod the q*d, as (q, a) = (1, 0)
+    with moduli q*d.
     """
     D = check_E_b_args(x, q, b)
     ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
@@ -240,11 +282,10 @@ def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     else:
         step, classes, moduli = 1, [0], [q * d for d in ds]
     masks = [reduced_residue_mask(m) for m in moduli]
-    maxima = [0.0] * len(ds)
-    for a in classes:
-        vecs = psi_residue_sums(x, moduli, step, a)
-        for i, (vec, mask, main) in enumerate(zip(vecs, masks, mains)):
-            maxima[i] = max(maxima[i], float(np.max(np.abs(vec[mask] - main))))
+    if len(classes) > 1 and _usable_cpus() > 1:
+        maxima = _class_maxima_on_two_threads(x, moduli, step, classes, masks, mains)
+    else:
+        maxima = _class_maxima(x, moduli, step, classes, masks, mains)
     return ErrorSumReport(
         x=x, q=q, param_name="b", param=b, value=math.fsum(maxima), normalizer=x / euler_phi(q), term_count=len(ds)
     )

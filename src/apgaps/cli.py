@@ -6,8 +6,10 @@ lists each option's default. A JSON config file (--config) supplies any
 option that takes a value and is range-checked like the flag; explicit flags
 override it, and unknown keys are ignored. The default seed is 0, and
 identical invocations produce byte-identical output files. Output paths and
-the --threads option of bv and bdh, which selects nothing (their sums run on
-one thread), are excluded from the manifest hash.
+the --threads option of bv and bdh, which selects nothing, are excluded from
+the manifest hash: bdh runs on one thread, and bv sieves its reduced classes
+a mod q on two threads wherever it may (two or more usable CPUs and
+classes), with the same bytes either way.
 """
 
 from __future__ import annotations
@@ -353,7 +355,12 @@ def _error_sum_options(max_x: int) -> tuple:
         _option("--x", type=float, help=f"at most {max_x:g}"),
         *_typed(("q", _POSITIVE_INT)),
         _option("--grid", type=_x_list, help=f"comma-separated x values, each at most {max_x:g}"),
-        _option("--threads", type=_POSITIVE_INT, default=1, help="selects nothing (default %(default)s)"),
+        _option(
+            "--threads",
+            type=_POSITIVE_INT,
+            default=1,
+            help="selects nothing; the thread count follows the usable CPUs (default %(default)s)",
+        ),
         _option("--csv", action="store_true", help="CSV output"),
     )
 

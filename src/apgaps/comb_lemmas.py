@@ -36,10 +36,11 @@ subset scan.
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
+
+from .arith import _usable_cpus
 
 N_PARTS = 14
 
@@ -88,13 +89,6 @@ def partitions_of(total: int, max_parts: int):
 # Rows drawn per generator call while a batch is transposed, so the row-major
 # draws never take a second array of the batch's size.
 _DRAW_CHUNK = 2048
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fill_batch(rng: np.random.Generator, batch: np.ndarray, chunk: np.ndarray) -> None:

@@ -348,8 +348,11 @@ def mk_lower_bound(k: int, max_degree: int) -> VariationalCertificate:
     _, c = max_rayleigh(A, B)
     if float(c @ B @ c) <= 0:
         raise RayleighError("optimizer returned a function with vanishing J mass")
+    norm = float(c @ A @ c)
+    if not norm > 0:  # the float Gram matrix A has lost its positive definiteness
+        raise RayleighError(f"optimizer returned a function with non-positive A-norm {norm:.3e}")
     # normalize for reproducibility: unit A-norm, leading significant entry positive
-    c = c / math.sqrt(float(c @ A @ c))
+    c = c / math.sqrt(norm)
     pivot = int(np.argmax(np.abs(c)))
     if c[pivot] < 0:
         c = -c

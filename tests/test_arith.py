@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -408,6 +409,17 @@ def test_class_segments_keep_their_boundaries(monkeypatch):
         assert len(segments) == 11
         for k, seg in enumerate(segments):
             assert ((lo + k * width < seg) & (seg <= lo + (k + 1) * width)).all()
+
+
+def test_class_segments_keep_no_reference_to_a_yielded_segment():
+    # a caller that drops a segment frees it before asking for the next one
+    for lo in (0, 100):  # the first segment also takes the small primes of the class
+        segments = arith.class_segments(lo, 10**7, 3, 1)
+        seg = next(segments)
+        held = weakref.ref(seg)
+        del seg
+        assert held() is None
+        segments.close()
 
 
 def test_class_segments_refuse_an_empty_range_and_a_class_out_of_range():

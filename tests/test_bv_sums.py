@@ -1,5 +1,6 @@
 import bisect
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from apgaps.arith import (
 )
 from apgaps.reports import ERROR_SUM_CSV_HEADER
 from test_arith import cached_prime_power_arrays, chebyshev_psi
+from test_comb_lemmas import _returns_in_time
 
 
 def _class_prime_powers(x, r, a):
@@ -244,12 +246,19 @@ def single_pass_E_b(x, q, b):
     )
 
 
-def test_E_b_class_path_against_single_pass():
+def test_E_b_class_path_against_single_pass(monkeypatch):
+    # forced to each path, whatever this machine's CPU count: two CPUs sieve
+    # every other class on a worker thread and must give the inline bits
     for x, q, b in ((7e6, 3, 0.25), (1e7, 4, 0.45), (2.2e7, 5, 0.25), (5e7, 7, 0.25)):
         assert x >= euler_phi(q) * q * arith.DEFAULT_SEGMENT  # each class is sieved on its own
-        rep = bv.compute_E_b(x, q, b)
-        assert rep.term_count == sum(1 for d in range(1, math.floor(x**b) + 1) if math.gcd(d, q) == 1)
-        assert rep.value == pytest.approx(single_pass_E_b(x, q, b), rel=1e-10, abs=0)
+        values = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(bv, "_usable_cpus", lambda: cpus)
+            rep = bv.compute_E_b(x, q, b)
+            assert rep.term_count == sum(1 for d in range(1, math.floor(x**b) + 1) if math.gcd(d, q) == 1)
+            values[cpus] = rep.value
+        assert values[2] == values[1], (x, q, b)
+        assert values[1] == pytest.approx(single_pass_E_b(x, q, b), rel=1e-10, abs=0)
 
 
 def test_E_b_splits_by_class_from_phi_q_q_segments(monkeypatch):
@@ -260,12 +269,56 @@ def test_E_b_splits_by_class_from_phi_q_q_segments(monkeypatch):
         return arith.psi_residue_sums(x, moduli, q, a)
 
     monkeypatch.setattr(bv, "psi_residue_sums", spy)
-    for q in (3, 4):
+    for cpus in (1, 2):
+        monkeypatch.setattr(bv, "_usable_cpus", lambda: cpus)
+        for q in (3, 4):
+            edge = euler_phi(q) * q * arith.DEFAULT_SEGMENT
+            for x, want in ((edge - 1, [(1, 0)]), (edge, [(q, a) for a in range(q) if math.gcd(a, q) == 1])):
+                calls.clear()
+                bv.compute_E_b(float(x), q, 0.06)  # x^0.06 < 3, so d <= 2
+                if cpus == 1:
+                    assert calls == want, (q, x)
+                else:  # two threads append in either order, each class once
+                    assert sorted(calls) == want, (q, x)
+
+
+def _zero_sums(x, moduli, q=1, a=0):
+    """A stand-in for psi_residue_sums that sieves nothing."""
+    return [np.zeros(m) for m in moduli]
+
+
+def test_E_b_error_on_either_thread_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(bv, "_usable_cpus", lambda: 2)
+    x = float(euler_phi(5) * 5 * arith.DEFAULT_SEGMENT)  # classes 1, 2, 3, 4 mod 5: 2 and 4 on the worker
+    for failing in (2, 1):  # the worker's class, then the caller's
+
+        def spy(x, moduli, q=1, a=0):
+            if a == failing:
+                raise FloatingPointError(f"class {a}")
+            return _zero_sums(x, moduli, q, a)
+
+        monkeypatch.setattr(bv, "psi_residue_sums", spy)
+        before = threading.active_count()
+        kind, exc = _returns_in_time(lambda: bv.compute_E_b(x, 5, 0.06))
+        assert (kind, type(exc), str(exc)) == ("error", FloatingPointError, f"class {failing}")
+        assert threading.active_count() == before
+
+
+def test_E_b_starts_no_thread_below_the_split_or_for_one_class(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(bv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bv, "psi_residue_sums", _zero_sums)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for q in (1, 2):  # a single reduced class, on either side of the split
         edge = euler_phi(q) * q * arith.DEFAULT_SEGMENT
-        for x, want in ((edge - 1, [(1, 0)]), (edge, [(q, a) for a in range(q) if math.gcd(a, q) == 1])):
-            calls.clear()
-            bv.compute_E_b(float(x), q, 0.06)  # x^0.06 < 3, so d <= 2
-            assert calls == want, (q, x)
+        for x in (edge - 1, edge, 4 * edge):
+            bv.compute_E_b(float(x), q, 0.06)
+    for q in (3, 5):
+        bv.compute_E_b(float(euler_phi(q) * q * arith.DEFAULT_SEGMENT - 1), q, 0.06)
+    with pytest.raises(AssertionError, match="thread was started"):  # at the split two classes do start one
+        bv.compute_E_b(float(euler_phi(3) * 3 * arith.DEFAULT_SEGMENT), 3, 0.06)
 
 
 def test_E_b_preconditions():

@@ -170,6 +170,14 @@ def test_solver_failure_is_json_error(monkeypatch, capsys):
         assert json.loads(err[-1]) == {"error": "Gram matrix not numerically positive definite (cond ~ 4.522e+22)"}
 
 
+def test_mk_non_positive_a_norm_is_json_error(capsys):
+    # at k = 10000 the float Gram matrix of degree 3 has lost its positive definiteness
+    assert run(["mk", "--k", "10000", "--degree", "3", "--mc-samples", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    message = json.loads(err[-1])["error"]
+    assert message.startswith("optimizer returned a function with non-positive A-norm "), message
+
+
 def test_thread_count_invariance(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

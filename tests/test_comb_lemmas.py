@@ -546,10 +546,12 @@ def test_simplex_batches_raise_a_fill_error_in_the_caller(monkeypatch):
     [
         ["comb", "--denominator", "12", "--random", "300000", "--seed", "3"],
         ["mk", "--k", "12", "--degree", "6", "--mc-samples", "100000"],
+        ["bv", "--x", "1e7", "--q", "3", "--b", "0.45"],
     ],
 )
 def test_one_cpu_prints_the_same_bytes(argv):
-    # the child pins itself to one CPU, where every batch is drawn inline
+    # the child pins itself to one CPU, where every batch is drawn inline and
+    # every reduced class of bv sieved on the caller's thread
     probe = (
         "import os, sys\n"
         "from apgaps import cli\n"
