@@ -29,7 +29,6 @@ prime of m.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,13 +40,6 @@ DEFAULT_SEGMENT = 1 << 20
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def is_prime(n: int) -> bool:
@@ -286,15 +278,6 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n).factors:
         out = out // p * (p - 1)
     return out
-
-
-def mobius(n: int) -> int:
-    sign = 1
-    for _, e in factorize(n).factors:
-        if e > 1:
-            return 0
-        sign = -sign
-    return sign
 
 
 def tau_m(m: int, d: int) -> int:

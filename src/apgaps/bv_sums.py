@@ -33,7 +33,8 @@ Measured quantities, each against its trivial normalizer:
 
 Each error sum is one correctly rounded sum of its per-modulus terms
 (math.fsum, or _exact_sum over an array), taken on one thread. Only the
-class sieves of compute_E_b may run on two threads, with the same bits.
+class sieves of compute_E_b run on two threads, where there are two reduced
+classes or more, with the bits of one thread.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 
 from .arith import (
     DEFAULT_SEGMENT,
-    _usable_cpus,
     class_segments,
     euler_phi,
     exact_exponent,
@@ -53,7 +53,7 @@ from .arith import (
     higher_prime_powers,
     large_multiples,
     log_integral_Y1,
-    mobius,
+    mobius_table,
     phi_table,
     prime_power_arrays,
     prime_residue_counts,
@@ -268,11 +268,10 @@ def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     reduced class a is sieved on its own (psi_residue_sums(x, ds, q, a)) and
     its psi values are binned by residue mod the d alone; each d's worst
     error is the maximum over the pairs (a, reduced r mod d). With two or
-    more reduced classes and two or more usable CPUs, every other class is
-    sieved on a worker thread (_class_maxima_on_two_threads); the value is
-    the same bits either way. Below that size one pass over the class 0
-    mod 1 bins every prime by its residue mod the q*d, as (q, a) = (1, 0)
-    with moduli q*d.
+    more reduced classes, every other class is sieved on a worker thread
+    (_class_maxima_on_two_threads), with the bits of one pass in class
+    order. Below that size one pass over the class 0 mod 1 bins every
+    prime by its residue mod the q*d, as (q, a) = (1, 0) with moduli q*d.
     """
     D = check_E_b_args(x, q, b)
     ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
@@ -282,7 +281,7 @@ def compute_E_b(x: float, q: int, b: float) -> ErrorSumReport:
     else:
         step, classes, moduli = 1, [0], [q * d for d in ds]
     masks = [reduced_residue_mask(m) for m in moduli]
-    if len(classes) > 1 and _usable_cpus() > 1:
+    if len(classes) > 1:
         maxima = _class_maxima_on_two_threads(x, moduli, step, classes, masks, mains)
     else:
         maxima = _class_maxima(x, moduli, step, classes, masks, mains)
@@ -517,7 +516,7 @@ def maynard_condition_sums(
     _check_residue_entries(q, D)
     Y = x / (2 * q)
     Y1 = log_integral_Y1(x, q)
-    ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1 and mobius(d) != 0]
+    ds = [d for d in np.flatnonzero(mobius_table(D)).tolist() if math.gcd(d, q) == 1]  # squarefree d
     tail_counts = prime_residue_counts(
         max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)), [q * d for d in ds], q, a % q
     )

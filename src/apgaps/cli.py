@@ -8,8 +8,8 @@ override it, and unknown keys are ignored. The default seed is 0, and
 identical invocations produce byte-identical output files. Output paths and
 the --threads option of bv and bdh, which selects nothing, are excluded from
 the manifest hash: bdh runs on one thread, and bv sieves its reduced classes
-a mod q on two threads wherever it may (two or more usable CPUs and
-classes), with the same bytes either way.
+a mod q on two threads wherever it sieves two or more of them apart, with
+the bytes of one thread.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def cmd_gap(args) -> int:
             raise ValueError(f"{args.table}: {exc}") from None
     found_gap = None
     found_primes: list[int] = []
-    if x <= 10**8:
+    if x <= gaps.CONSTELLATION_MAX_X:
         res = gaps.constellation_search(x, q, a, t)
         if res.found:
             found_gap = res.gap
@@ -359,7 +359,7 @@ def _error_sum_options(max_x: int) -> tuple:
             "--threads",
             type=_POSITIVE_INT,
             default=1,
-            help="selects nothing; the thread count follows the usable CPUs (default %(default)s)",
+            help="selects nothing; the input decides the thread count (default %(default)s)",
         ),
         _option("--csv", action="store_true", help="CSV output"),
     )
@@ -428,7 +428,8 @@ _COMMANDS = {
         _option("--table", help="certificate table (JSON lines from certify)"),
     )),
     "constellation": (cmd_constellation, "tightest window of t primes of the class", (
-        *_typed(("x", float), ("q", _POSITIVE_INT), ("a", _integer), ("t", _integer)),
+        _option("--x", type=float, help=f"at most {gaps.CONSTELLATION_MAX_X:g}"),
+        *_typed(("q", _POSITIVE_INT), ("a", _integer), ("t", _integer)),
     )),
 }
 

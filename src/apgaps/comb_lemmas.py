@@ -20,10 +20,9 @@ Randomized real sweeps supplement the grids but never replace them.
 simplex_batches draws uniform points of a simplex, one per column of a
 caller's buffer, in the row-major order of one exponential draw; it feeds
 both random_sweeps here and the Monte-Carlo check of every M_k certificate
-(variational.verify_certificate). With more than one usable CPU it draws
-one batch ahead on a worker thread, batches alternating between the
-caller's buffer and one spare of its shape; on one CPU, or for a single
-batch, it draws inline. The values are the same either way.
+(variational.verify_certificate). It draws one batch ahead on a worker
+thread, batches alternating between the caller's buffer and one spare of
+its shape, and the values are those of one inline draw.
 
 random_sweeps checks both claims on each batch of columns, sorting no
 tuple it need not: the hypothesis reads the two largest parts from one
@@ -39,8 +38,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-
-from .arith import _usable_cpus
 
 N_PARTS = 14
 
@@ -110,25 +107,17 @@ def simplex_batches(rng: np.random.Generator, out: np.ndarray, n: int):
     drawn and transposed into the batch, and each column is then divided
     by its sum.
 
-    When there is more than one batch and more than one usable CPU, one
-    worker thread draws one batch ahead: it fills batch i + 1 while the
-    caller reads batch i, and batches alternate between out and a spare
-    buffer of out's shape. The worker alone touches rng while the
+    One worker thread draws one batch ahead: it fills batch i + 1 while
+    the caller reads batch i, and batches alternate between out and a
+    spare buffer of out's shape. The worker alone touches rng while the
     generator runs, and the batches hold the same values as inline draws.
     A batch is valid until the next one is requested. Closing the
     generator, or an error while filling, which reaches the caller, stops
-    and joins the worker. Otherwise every batch is filled inline in out.
+    and joins the worker.
     """
     rows, width = out.shape
     chunk = np.empty((min(_DRAW_CHUNK, width, max(n, 0)), rows))
     starts = range(0, n, width)
-    if len(starts) < 2 or _usable_cpus() < 2:
-        for start in starts:
-            batch = out[:, : min(width, n - start)]
-            _fill_batch(rng, batch, chunk)
-            yield batch
-        return
-
     buffers = (out, np.empty_like(out))
     free = threading.Semaphore(2)  # buffers the worker may fill
     ready = threading.Semaphore(0)  # batches filled and not yet yielded

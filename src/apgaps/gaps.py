@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,8 @@ BRANCH_POINT = Fraction(2, 5)
 # splits none, the question is reported open, never guessed.
 RADICAL_TRIAL_CAP = 10**6
 RADICAL_RHO_STEPS = 1 << 20
+# constellation_search's desk bound on x; gap searches only up to it
+CONSTELLATION_MAX_X = 10**8
 
 
 def level_L_exact(theta: Fraction, eps: Fraction = Fraction(0)) -> Fraction:
@@ -123,31 +126,36 @@ def validate_config(cfg: GapConfig) -> list[str]:
     return errors
 
 
-def _radical_errors(q: int, rad_cap: float) -> list[str]:
-    """The error, if any, of radical(q) <= rad_cap, found within a bounded time."""
+@lru_cache(maxsize=8)
+def _radical_errors(q: int, rad_cap: float) -> tuple[str, ...]:
+    """The error, if any, of radical(q) <= rad_cap, found within a bounded time.
+
+    Cached, so that validating a config again (as gap_bound does after the
+    CLI has) does not repeat the trial division and rho.
+    """
     bound = min(int(rad_cap), RADICAL_TRIAL_CAP)
     rad, m = trial_divide(q, bound)
     if m >= 2**64:
         if rad * (bound + 1) > rad_cap:  # always so below the cap
             # m > bound**2, so division ran to the bound: every prime factor of m is above it
             above = "it" if bound + 1 > rad_cap else f"{bound}, so radical(q) > {rad} * {bound}"
-            return [f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above {above}"]
+            return (f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a prime factor above {above}",)
         m = least_root(m, bound)
     if m < 2**64:
         rad *= radical(m)
     elif rad * bound**2 >= rad_cap:
-        return [
+        return (
             f"radical(q) exceeds (log x)^C = {rad_cap:.6g}: q has a factor above 2**64 with no prime factor "
-            f"up to {bound}, not a perfect power, so radical(q) > {rad} * {bound}**2"
-        ]
+            f"up to {bound}, not a perfect power, so radical(q) > {rad} * {bound}**2",
+        )
     elif (rad_m := rho_radical(m, RADICAL_RHO_STEPS)) is None:
-        return [
+        return (
             f"radical(q) <= (log x)^C = {rad_cap:.6g} is undecided: q has a factor above 2**64 with "
-            f"no prime factor up to {bound} that rho did not split in {RADICAL_RHO_STEPS} steps"
-        ]
+            f"no prime factor up to {bound} that rho did not split in {RADICAL_RHO_STEPS} steps",
+        )
     else:
         rad *= rad_m
-    return [f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}"] if rad > rad_cap else []
+    return (f"radical(q) = {rad} exceeds (log x)^C = {rad_cap:.6g}",) if rad > rad_cap else ()
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +295,8 @@ def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResul
     """
     if not math.isfinite(x):
         raise ValueError("need finite x")
-    if x > 10**8:
-        raise ValueError("desk bound is x <= 1e8")
+    if x > CONSTELLATION_MAX_X:
+        raise ValueError(f"desk bound is x <= {CONSTELLATION_MAX_X:g}")
     if t < 1:
         raise ValueError("need t >= 1")
     if math.gcd(a % q if q > 1 else 0, q) != 1 and q > 1:

@@ -37,10 +37,9 @@ once. The inner t_1 integral of the J side is integrated exactly, as one
 polynomial in the power sums of the other coordinates and the powers of
 the upper limit. Both sides are sampled by one loop over
 comb_lemmas.simplex_batches, the sampler the random lemma sweeps use too,
-in batches of _MC_BATCH points. With more than one usable CPU the sampler
-draws the next batch on a worker thread while this loop evaluates the
-current one, batches alternating between two buffers; on one CPU it draws
-inline. The estimate is the same either way.
+in batches of _MC_BATCH points. The sampler draws the next batch on a
+worker thread while this loop evaluates the current one, batches
+alternating between two buffers, with the values of one inline draw.
 """
 
 from __future__ import annotations

@@ -14,14 +14,13 @@ from apgaps.arith import (
     euler_phi,
     factorize,
     log_integral_Y1,
-    mobius,
     prime_power_arrays,
     primes_in_range,
     tau_m,
     von_mangoldt_table,
 )
 from apgaps.reports import ERROR_SUM_CSV_HEADER
-from test_arith import cached_prime_power_arrays, chebyshev_psi
+from test_arith import cached_prime_power_arrays, chebyshev_psi, mobius
 from test_comb_lemmas import _returns_in_time
 
 
@@ -80,14 +79,43 @@ def test_sandwich_random(x, r, lam, data):
     assert bv.sandwich_check(x, r, a, lam)[0]
 
 
+_ORACLE_CAP = 1 << 20  # the sandwich oracle's prime-power arrays are built to multiples of this
+
+
+def prime_powers_upto(n):
+    """arith.prime_power_arrays(n), sliced from the arrays of the cap above n, which nearby n share."""
+    P, W = cached_prime_power_arrays(-(-n // _ORACLE_CAP) * _ORACLE_CAP)
+    k = int(np.searchsorted(P, n, side="right"))
+    return P[:k], W[:k]
+
+
+def oracle_smoothed_R(x, r, a):
+    """bv.smoothed_R(x, r, a), from the shared prime-power arrays."""
+    if x < 1:
+        raise ValueError("need x >= 1")
+    P, W = prime_powers_upto(int(math.floor(x)))
+    if r > 1:
+        keep = P % r == a % r
+        P, W = P[keep], W[keep]
+    if len(P) == 0:
+        return 0.0
+    return math.fsum(W * (math.log(x) - np.log(P.astype(np.float64))))
+
+
+def test_oracle_smoothed_R_is_smoothed_R():
+    for x, r, a in ((1.0, 1, 0), (10.0, 1, 0), (12345.6, 7, 3), (2**20 + 0.5, 1, 0), (2.5e6, 12, 5)):
+        assert oracle_smoothed_R(x, r, a) == bv.smoothed_R(x, r, a), (x, r, a)
+
+
 def oracle_sandwich(x, r, a, lam, slack=1e-9):
-    """The sandwich as three smoothed_R calls and one chebyshev_psi call."""
+    """The sandwich as three smoothed_R sums and one psi sum over the shared prime-power arrays."""
     if lam <= 0:
         raise ValueError("need lam > 0")
-    r_mid = bv.smoothed_R(x, r, a)
-    lower = (r_mid - bv.smoothed_R(x * math.exp(-lam), r, a)) / lam
-    upper = (bv.smoothed_R(x * math.exp(lam), r, a) - r_mid) / lam
-    psi = chebyshev_psi(x, r, a % r)
+    r_mid = oracle_smoothed_R(x, r, a)
+    lower = (r_mid - oracle_smoothed_R(x * math.exp(-lam), r, a)) / lam
+    upper = (oracle_smoothed_R(x * math.exp(lam), r, a) - r_mid) / lam
+    P, W = prime_powers_upto(int(x))
+    psi = math.fsum(W[P % r == a % r])
     ok = lower <= psi + slack and psi <= upper + slack
     return ok, lower, psi, upper
 
@@ -246,19 +274,24 @@ def single_pass_E_b(x, q, b):
     )
 
 
-def test_E_b_class_path_against_single_pass(monkeypatch):
-    # forced to each path, whatever this machine's CPU count: two CPUs sieve
-    # every other class on a worker thread and must give the inline bits
+def one_thread_class_path_E_b(x, q, b):
+    """Oracle: the class path's maxima loop over every reduced class in order, on the caller's thread."""
+    D = math.floor(x**b)
+    ds = [d for d in range(1, D + 1) if math.gcd(d, q) == 1]
+    classes = [a for a in range(q) if math.gcd(a, q) == 1]
+    masks = [arith.reduced_residue_mask(d) for d in ds]
+    mains = [x / euler_phi(q * d) for d in ds]
+    return math.fsum(bv._class_maxima(x, ds, q, classes, masks, mains))
+
+
+def test_E_b_class_path_against_single_pass():
+    # every other class is sieved on a worker thread, which gives the bits of one thread
     for x, q, b in ((7e6, 3, 0.25), (1e7, 4, 0.45), (2.2e7, 5, 0.25), (5e7, 7, 0.25)):
         assert x >= euler_phi(q) * q * arith.DEFAULT_SEGMENT  # each class is sieved on its own
-        values = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(bv, "_usable_cpus", lambda: cpus)
-            rep = bv.compute_E_b(x, q, b)
-            assert rep.term_count == sum(1 for d in range(1, math.floor(x**b) + 1) if math.gcd(d, q) == 1)
-            values[cpus] = rep.value
-        assert values[2] == values[1], (x, q, b)
-        assert values[1] == pytest.approx(single_pass_E_b(x, q, b), rel=1e-10, abs=0)
+        rep = bv.compute_E_b(x, q, b)
+        assert rep.term_count == sum(1 for d in range(1, math.floor(x**b) + 1) if math.gcd(d, q) == 1)
+        assert rep.value == one_thread_class_path_E_b(x, q, b), (x, q, b)
+        assert rep.value == pytest.approx(single_pass_E_b(x, q, b), rel=1e-10, abs=0)
 
 
 def test_E_b_splits_by_class_from_phi_q_q_segments(monkeypatch):
@@ -269,17 +302,12 @@ def test_E_b_splits_by_class_from_phi_q_q_segments(monkeypatch):
         return arith.psi_residue_sums(x, moduli, q, a)
 
     monkeypatch.setattr(bv, "psi_residue_sums", spy)
-    for cpus in (1, 2):
-        monkeypatch.setattr(bv, "_usable_cpus", lambda: cpus)
-        for q in (3, 4):
-            edge = euler_phi(q) * q * arith.DEFAULT_SEGMENT
-            for x, want in ((edge - 1, [(1, 0)]), (edge, [(q, a) for a in range(q) if math.gcd(a, q) == 1])):
-                calls.clear()
-                bv.compute_E_b(float(x), q, 0.06)  # x^0.06 < 3, so d <= 2
-                if cpus == 1:
-                    assert calls == want, (q, x)
-                else:  # two threads append in either order, each class once
-                    assert sorted(calls) == want, (q, x)
+    for q in (3, 4):
+        edge = euler_phi(q) * q * arith.DEFAULT_SEGMENT
+        for x, want in ((edge - 1, [(1, 0)]), (edge, [(q, a) for a in range(q) if math.gcd(a, q) == 1])):
+            calls.clear()
+            bv.compute_E_b(float(x), q, 0.06)  # x^0.06 < 3, so d <= 2
+            assert sorted(calls) == want, (q, x)  # two threads append in either order, each class once
 
 
 def _zero_sums(x, moduli, q=1, a=0):
@@ -288,7 +316,6 @@ def _zero_sums(x, moduli, q=1, a=0):
 
 
 def test_E_b_error_on_either_thread_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(bv, "_usable_cpus", lambda: 2)
     x = float(euler_phi(5) * 5 * arith.DEFAULT_SEGMENT)  # classes 1, 2, 3, 4 mod 5: 2 and 4 on the worker
     for failing in (2, 1):  # the worker's class, then the caller's
 
@@ -308,7 +335,6 @@ def test_E_b_starts_no_thread_below_the_split_or_for_one_class(monkeypatch):
     def refuse(self):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(bv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(bv, "psi_residue_sums", _zero_sums)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for q in (1, 2):  # a single reduced class, on either side of the split

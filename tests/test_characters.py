@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apgaps.characters as chars
-from apgaps.arith import euler_phi, mobius, prime_power_arrays
+from apgaps.arith import euler_phi, prime_power_arrays
 from apgaps.checks import check_phi_star_partition
-from test_arith import chebyshev_psi
+from test_arith import chebyshev_psi, mobius
 
 
 def characters(r):

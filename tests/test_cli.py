@@ -479,6 +479,44 @@ def test_gap_cap_exceeded(capsys):
     assert "threshold" in err
 
 
+def test_gap_decides_the_radical_once(monkeypatch, tmp_path):
+    # q = 10000000019**2 * 30000000001: trial division and the root test leave q whole, and rho
+    # finds radical(q) = 10000000019 * 30000000001 <= (log x)^8 once, for the CLI and gap_bound both
+    from apgaps import gaps
+
+    calls = []
+
+    def spy(m, steps):
+        calls.append(m)
+        return rho_radical(m, steps)
+
+    rho_radical = gaps.rho_radical
+    monkeypatch.setattr(gaps, "rho_radical", spy)
+    gaps._radical_errors.cache_clear()
+    out = tmp_path / "g.jsonl"
+    q = 10000000019**2 * 30000000001
+    assert run(["gap", "--x", "1e300", "--q", str(q), "--a", "1", "--t", "1", "--C", "8", "--out", str(out)]) == 0
+    assert calls == [q]
+    assert read_lines(out)[0]["q"] == q
+
+
+def test_gap_searches_constellations_up_to_the_desk_bound(tmp_path):
+    from apgaps import gaps
+
+    out = tmp_path / "g.jsonl"
+    for x, searched in ((gaps.CONSTELLATION_MAX_X, True), (gaps.CONSTELLATION_MAX_X + 1, False)):
+        assert run(["gap", "--x", str(x), "--q", "3", "--a", "1", "--t", "1", "--kmax", "6", "--out", str(out)]) == 0
+        row = read_lines(out)[0]
+        assert (row["found_gap"] is not None, bool(row["primes"])) == (searched, searched), x
+
+
+def test_constellation_help_states_the_desk_bound(capsys):
+    assert run(["constellation", "--help"]) == 0
+    assert "--x X at most 1e+08" in " ".join(capsys.readouterr().out.split())
+    assert run(["constellation", "--x", "100000001", "--q", "3", "--a", "1", "--t", "2"]) == 2
+    assert last_error(capsys) == "desk bound is x <= 1e+08"
+
+
 def test_constellation_cmd(tmp_path):
     out = tmp_path / "c.jsonl"
     assert run(["constellation", "--x", "100", "--q", "1", "--a", "0", "--t", "2", "--out", str(out)]) == 0

@@ -452,41 +452,27 @@ def _returns_in_time(fn, seconds=30.0):
     return result[0]
 
 
-def test_simplex_batches_drawn_ahead_equal_inline_draws(monkeypatch):
-    # forced to each path, whatever this machine's CPU count; one CPU draws
-    # every batch inline in out and starts no thread
-    out = np.empty((cl.N_PARTS, 1000))
-    draws = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(cl, "_usable_cpus", lambda: cpus)
-        before = threading.active_count()
-        threads = set()
-        draws[cpus] = []
-        for batch in cl.simplex_batches(np.random.default_rng(8), out, 4321):
-            threads.add(threading.active_count() - before)
-            assert cpus > 1 or np.shares_memory(batch, out)
-            draws[cpus].append(batch.copy())
-        assert max(threads) == cpus - 1  # the worker ends once it has filled the last batch
-        assert threading.active_count() == before
-    assert [b.shape[1] for b in draws[1]] == [1000] * 4 + [321]
-    assert all(np.array_equal(a, b) for a, b in zip(draws[1], draws[2], strict=True))
+def test_simplex_batches_drawn_ahead_equal_inline_draws():
+    # the worker fills batch i + 1 while batch i is read, alternating between
+    # out and one spare, and the batches hold the row-major exponential draws
+    n, rows = 4321, cl.N_PARTS
+    e = np.random.default_rng(8).exponential(size=(n, rows))
+    want = np.ascontiguousarray(e.T)
+    want /= want.sum(axis=0)
+    out = np.empty((rows, 1000))
+    before = threading.active_count()
+    threads, draws = set(), []
+    for i, batch in enumerate(cl.simplex_batches(np.random.default_rng(8), out, n)):
+        threads.add(threading.active_count() - before)
+        assert np.shares_memory(batch, out) == (i % 2 == 0)
+        draws.append(batch.copy())
+    assert max(threads) == 1  # the worker ends once it has filled the last batch
+    assert threading.active_count() == before
+    assert [b.shape[1] for b in draws] == [1000] * 4 + [321]
+    assert np.array_equal(np.concatenate(draws, axis=1), want)
 
 
-def test_simplex_batches_of_one_batch_start_no_thread(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(cl, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    for n in (0, 1, 999, 1000):
-        batches = list(cl.simplex_batches(np.random.default_rng(n), np.empty((3, 1000)), n))
-        assert len(batches) == (n > 0)
-    with pytest.raises(AssertionError, match="thread was started"):  # two batches do start one
-        list(cl.simplex_batches(np.random.default_rng(0), np.empty((3, 1000)), 1001))
-
-
-def test_simplex_batches_close_stops_the_worker(monkeypatch):
-    monkeypatch.setattr(cl, "_usable_cpus", lambda: 2)
+def test_simplex_batches_close_stops_the_worker():
     rng = np.random.default_rng(1)
     out = np.empty((cl.N_PARTS, 1000))
     before = threading.active_count()
@@ -521,8 +507,7 @@ class _FailingDraws:
         return self.rng.standard_exponential(out=out)
 
 
-def test_simplex_batches_raise_a_fill_error_in_the_caller(monkeypatch):
-    monkeypatch.setattr(cl, "_usable_cpus", lambda: 2)
+def test_simplex_batches_raise_a_fill_error_in_the_caller():
     out = np.empty((3, 100))  # one draw call per batch of 100 columns
     before = threading.active_count()
     kind, exc = _returns_in_time(lambda: list(cl.simplex_batches(None, out, 1000)))
@@ -550,8 +535,8 @@ def test_simplex_batches_raise_a_fill_error_in_the_caller(monkeypatch):
     ],
 )
 def test_one_cpu_prints_the_same_bytes(argv):
-    # the child pins itself to one CPU, where every batch is drawn inline and
-    # every reduced class of bv sieved on the caller's thread
+    # the child pins itself to one CPU, where the sampler's worker and bv's
+    # second class thread share that CPU with the caller
     probe = (
         "import os, sys\n"
         "from apgaps import cli\n"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import apgaps.heath_brown as hb
-from apgaps.arith import floor_power, mobius, mobius_table, von_mangoldt_table
-from test_arith import chebyshev_psi
+from apgaps.arith import floor_power, mobius_table, von_mangoldt_table
+from test_arith import chebyshev_psi, mobius
 
 
 def as_row(f, x):
