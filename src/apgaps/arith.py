@@ -295,6 +295,16 @@ def tau_m(m: int, d: int) -> int:
     return out
 
 
+def crt_unit_lift(a: int, q: int, d: int) -> int:
+    """Smallest positive n with n = a (mod q) and n = 1 (mod d); gcd(q, d) = 1."""
+    if d == 1:
+        return a % q if a % q else q
+    inv = pow(q, -1, d)
+    n = (a % q) + q * (((1 - a) * inv) % d)
+    n %= q * d
+    return n if n else q * d
+
+
 def exact_exponent(e: float | Fraction) -> Fraction:
     """A float exponent read as the decimal it prints as: Fraction(repr(e))."""
     return e if isinstance(e, Fraction) else Fraction(repr(e))

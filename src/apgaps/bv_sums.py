@@ -47,6 +47,7 @@ import numpy as np
 from .arith import (
     DEFAULT_SEGMENT,
     class_segments,
+    crt_unit_lift,
     euler_phi,
     exact_exponent,
     floor_power,
@@ -484,16 +485,6 @@ def _count_in_class(lo: float, hi: float, m: int, c: int) -> int:
     return upto(hi) - upto(lo)
 
 
-def _crt_unit_lift(a: int, q: int, d: int) -> int:
-    """Smallest positive n with n = a (mod q) and n = 1 (mod d); gcd(q, d) = 1."""
-    if d == 1:
-        return a % q if a % q else q
-    inv = pow(q, -1, d)
-    n = (a % q) + q * (((1 - a) * inv) % d)
-    n %= q * d
-    return n if n else q * d
-
-
 def maynard_condition_sums(
     x: float, q: int, a: int, h_m: int, k: int, L: float
 ) -> MaynardConditionReport:
@@ -525,7 +516,7 @@ def maynard_condition_sums(
     terms2: list[float] = []
     for d, counts in zip(ds, tail_counts):
         w = tau_m(3 * k, d)
-        b_d = _crt_unit_lift(a, q, d)
+        b_d = crt_unit_lift(a, q, d)
         m = q * d
         cnt = _count_in_class(x / 2, x, m, b_d % m)
         terms1.append(w * abs(cnt - Y / d))

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .arith import euler_phi, factorize
+from .arith import crt_unit_lift, euler_phi, factorize
 
 
 def divisors(n: int) -> list[int]:
@@ -94,11 +94,8 @@ class CharacterGroup:
         self.r = r
         gens: list[_Gen] = []
         for p, e in factorize(r).factors:
-            pe = p**e
-            cof = r // pe
-            inv = pow(pe, -1, cof)  # CRT lift: = val mod p^e, = 1 mod r/p^e (inv = 0 if cof = 1)
             for val, order in _local_generators(p, e):
-                gens.append(_Gen((val + pe * ((1 - val) * inv % cof)) % r, order))
+                gens.append(_Gen(crt_unit_lift(val, p**e, r // p**e), order))
         self.generators = tuple(gens)
         self.exponent = math.lcm(*(g.order for g in gens)) if gens else 1
         self.phi = euler_phi(r)
@@ -244,6 +241,11 @@ def conductor_partition_check(r: int, F) -> bool:
 # Farey spacing and the large sieve
 
 
+def _large_sieve_moduli(r: int, D: int) -> list[int]:
+    """The moduli r1 d with r1 | r, d <= D and (d, r) = 1, by r1 then d."""
+    return [r1 * d for r1 in divisors(r) for d in range(1, D + 1) if math.gcd(d, r) == 1]
+
+
 def farey_spacing_min(r: int, D: int) -> Fraction:
     """Exact minimum gap of {j/(d*r1) : r1 | r, d <= D, (d, r) = 1, (j, d*r1) = 1}.
 
@@ -255,7 +257,7 @@ def farey_spacing_min(r: int, D: int) -> Fraction:
         raise ValueError("enumeration bound exceeded")
     # m = d * r1 names its (r1, d): d is the part of m prime to r. So the
     # reduced pairs (j, m) are distinct points, one run of j per m.
-    dens = np.array([d * r1 for r1 in divisors(r) for d in range(1, D + 1) if math.gcd(d, r) == 1])
+    dens = np.array(_large_sieve_moduli(r, D))
     m = np.repeat(dens, dens)
     j = np.arange(1, len(m) + 1) - np.repeat(np.cumsum(dens) - dens, dens)
     keep = np.gcd(j, m) == 1
@@ -302,14 +304,7 @@ def large_sieve_check(r: int, D: int, coeffs) -> tuple[float, float, float]:
         raise ValueError("need r, D >= 1")
     a = np.asarray(coeffs, dtype=np.complex128)
     N = len(a)
-    terms = []
-    for r1 in divisors(r):
-        for d in range(1, D + 1):
-            if math.gcd(d, r) != 1:
-                continue
-            m = r1 * d
-            terms.append(m / character_group(m).phi * _star_T_squares(m, a))
-    lhs = math.fsum(terms)
+    lhs = math.fsum(m / character_group(m).phi * _star_T_squares(m, a) for m in _large_sieve_moduli(r, D))
     rhs = (N + r * D * D) * float(np.sum(np.abs(a) ** 2))
     return lhs, rhs, (lhs / rhs if rhs > 0 else 0.0)
 

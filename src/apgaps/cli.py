@@ -30,7 +30,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import bv_sums, checks, comb_lemmas, gaps, variational
+from . import bv_sums, checks, comb_lemmas, gaps, heath_brown, variational
 from .reports import ERROR_SUM_CSV_HEADER, RunManifest, default_versions, dump_csv, dump_json
 from .variational import CertificateCapExceeded, RayleighError, VariationalCertificate
 
@@ -128,27 +128,16 @@ def cmd_maycond(args) -> int:
     return 0
 
 
-# Random weights hb draws in all, trials * (floor(x) + 1): 8 MiB of float64.
-# At the bound, x = 1e5 and k = 3 peak at about 150 MiB.
-HB_MAX_WEIGHTS = 1 << 20
-
-
 def cmd_hb(args) -> int:
     x, k, trials = args.x, args.k, args.trials
     manifest = _manifest("hb", {"x": x, "k": k, "trials": trials}, args.seed)
-    from .heath_brown import check_decompose_args, direct_lambda_sum, hb_decompose_sum_multi
-
     xi = int(x)
-    check_decompose_args(xi, k)
-    if trials * (xi + 1) > HB_MAX_WEIGHTS:
-        raise ValueError(
-            f"hb is desk-bounded to trials * (floor(x) + 1) <= {HB_MAX_WEIGHTS} weights, got {trials * (xi + 1)}"
-        )
+    heath_brown.check_decompose_args(xi, k, trials)
     rows = np.random.default_rng(args.seed).normal(size=(trials, xi + 1))
-    totals, components = hb_decompose_sum_multi(x, k, rows)
+    totals, components = heath_brown.hb_decompose_sum_multi(x, k, rows)
     worst = 0.0
     for row, tot in zip(rows, totals):
-        direct = direct_lambda_sum(x, row)
+        direct = heath_brown.direct_lambda_sum(x, row)
         worst = max(worst, abs(tot - direct) / max(1.0, abs(direct)))
     ok = worst <= 1e-9
     _emit(
@@ -175,7 +164,7 @@ def cmd_comb(args) -> int:
         out_rows.append({"check": "five-part-lemma-random", "checked": c2, "counterexamples": [list(t) for t in b2]})
     text = "".join(dump_json(r, manifest) for r in out_rows)
     _emit(text, args, manifest)
-    return 0 if not tri and not five and all(not r["counterexamples"] for r in out_rows) else 1
+    return 0 if all(not r["counterexamples"] for r in out_rows) else 1
 
 
 def cmd_mk(args) -> int:
@@ -393,24 +382,29 @@ _COMMANDS = {
         _option("--h", type=_integer, default=0, help="shift of the prime window (default %(default)s)"),
     )),
     "hb": (cmd_hb, "dyadic decomposition check on random weights", (
-        _option("--x", type=_HB_X, default=10000.0, help="sums over n <= x (default %(default)s)"),
-        _option("--k", type=_integer, default=2, help="order of the identity (default %(default)s)"),
+        _option("--x", type=_HB_X, default=10000.0, help="sums over n <= x, at most 1e5 (default %(default)s)"),
+        _option("--k", type=_integer, default=2, help="order of the identity, 1 to 3 (default %(default)s)"),
         _option(
             "--trials",
             type=_POSITIVE_INT,
             default=3,
-            help=f"random weight vectors, trials * (floor(x) + 1) <= {HB_MAX_WEIGHTS} (default %(default)s)",
+            help=f"random weight vectors, trials * (floor(x) + 1) <= {heath_brown.MAX_WEIGHTS} (default %(default)s)",
         ),
     )),
     "comb": (cmd_comb, "subset-sum lemma scans", (
-        _option("--denominator", type=_POSITIVE_INT, default=24, help="grid denominator (default %(default)s)"),
+        _option(
+            "--denominator", type=_POSITIVE_INT, default=24, help="grid denominator, at most 48 (default %(default)s)"
+        ),
         _option("--random", type=_NONNEGATIVE_INT, default=0, help="random tuples to scan (default %(default)s)"),
     )),
     "mk": (cmd_mk, "variational lower bound certificate for one k", (
         *_typed(("k", _integer)),
         _DEGREE,
         _option(
-            "--mc-samples", type=_integer, default=100000, help="Monte-Carlo samples, 0 skips (default %(default)s)"
+            "--mc-samples",
+            type=_integer,
+            default=100000,
+            help="Monte-Carlo samples, 0 skips, else at least 100000 (default %(default)s)",
         ),
     )),
     "certify": (cmd_certify, "certificate table over a k range", (

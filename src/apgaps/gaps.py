@@ -208,7 +208,8 @@ def admissible_primes_past_k(k: int) -> AdmissibleTuple:
     """First k primes exceeding k, shifted to start at 0.
 
     No prime p <= k divides any chosen prime, so the class of -p_min mod p
-    is avoided by every shift; diameter grows like k log k.
+    is avoided by every shift; diameter grows like k log k. The certificate
+    is is_admissible's: the least avoided residue for each p <= k.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -217,15 +218,11 @@ def admissible_primes_past_k(k: int) -> AdmissibleTuple:
     while len(ps) < k:
         ps = primes_in_range(lo, hi).tolist()
         hi *= 2
-    ps = ps[:k]
-    base = ps[0]
-    shifts = tuple(p - base for p in ps)
-    cert = {int(p): (-base) % int(p) for p in primes_in_range(1, max(k, 1)).tolist()}
-    tup = AdmissibleTuple(shifts, cert)
+    shifts = tuple(p - ps[0] for p in ps[:k])
     check = is_admissible(shifts)
     if not check.admissible:
         raise AssertionError(f"construction produced an inadmissible tuple at p = {check.violating_prime}")
-    return tup
+    return AdmissibleTuple(shifts, check.certificate)
 
 
 # ---------------------------------------------------------------------------

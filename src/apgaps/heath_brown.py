@@ -92,10 +92,18 @@ class HBComponent:
 _CHUNK = 1 << 14
 
 
-def check_decompose_args(x: int, k: int) -> None:
-    """Raise ValueError outside 1 <= x <= 1e5, 1 <= k <= 3, the range of hb_decompose_sum_multi."""
+# Weights the decomposition takes in all, rows * (floor(x) + 1): 8 MiB of
+# float64. At the bound, x = 1e5 and k = 3 peak at about 150 MiB.
+MAX_WEIGHTS = 1 << 20
+
+
+def check_decompose_args(x: int, k: int, rows: int) -> None:
+    """Raise ValueError unless 1 <= x <= 1e5, 1 <= k <= 3 and rows * (x + 1) <= MAX_WEIGHTS."""
     if not 1 <= x <= 10**5 or not 1 <= k <= 3:
         raise ValueError("decomposition is desk-bounded to 1 <= x <= 1e5, 1 <= k <= 3")
+    weights = rows * (x + 1)
+    if weights > MAX_WEIGHTS:
+        raise ValueError(f"hb is desk-bounded to trials * (floor(x) + 1) <= {MAX_WEIGHTS} weights, got {weights}")
 
 
 class _Groups:
@@ -137,16 +145,16 @@ def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[complex], li
     direct_lambda_sum(x, weights[i]).
     """
     xi = int(math.floor(x))
-    check_decompose_args(xi, k)
     w = np.asarray(weights)
     if w.ndim != 2 or w.shape[1] != xi + 1:
         raise ValueError(f"weights must have shape (nf, {xi + 1}), got {w.shape}")
     nf = w.shape[0]
+    check_decompose_args(xi, k, nf)
     is_complex = np.iscomplexobj(w)
     # float rows: the real parts, then (complex weights only) the imaginary parts
     rows = np.concatenate([w.real, w.imag]) if is_complex else w.astype(np.float64)
     z = floor_power(xi, Fraction(1, k))
-    mu = mobius_table(xi)
+    mu = mobius_table(z)
     logs = np.zeros(xi + 1)
     logs[1:] = np.log(np.arange(1, xi + 1, dtype=np.float64))
     radix = xi.bit_length()  # box exponents run over 0 .. radix - 1

@@ -624,7 +624,7 @@ def naive_maynard_sums(x, q, a, h_m, k, L):
         if math.gcd(d, q) != 1 or mobius(d) == 0:
             continue
         w = tau_m(3 * k, d)
-        b_d = bv._crt_unit_lift(a, q, d)
+        b_d = arith.crt_unit_lift(a, q, d)
         m = q * d
         count = sum(1 for n in range(int(x / 2) + 1, int(x) + 1) if n % m == b_d % m)
         lhs1.append(w * abs(count - (x / (2 * q)) / d))
@@ -659,7 +659,7 @@ def per_modulus_maynard_sums(x, q, a, h_m, k, L):
         if math.gcd(d, q) != 1 or mobius(d) == 0:
             continue
         w = tau_m(3 * k, d)
-        b_d = bv._crt_unit_lift(a, q, d)
+        b_d = arith.crt_unit_lift(a, q, d)
         m = q * d
         cnt = bv._count_in_class(x / 2, x, m, b_d % m)
         terms1.append(w * abs(cnt - Y / d))
@@ -686,7 +686,7 @@ def test_maynard_inner_term_bound():
     # counting integers in one class of an interval is within 1 of length/modulus
     x, q, a = 1e5, 3, 1
     for d in (1, 2, 5, 7, 11):
-        b_d = bv._crt_unit_lift(a, q, d)
+        b_d = arith.crt_unit_lift(a, q, d)
         m = q * d
         count = bv._count_in_class(x / 2, x, m, b_d % m)
         assert abs(count - (x / (2 * q)) / d) < 1.0

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import apgaps.characters as chars
-from apgaps.arith import euler_phi, prime_power_arrays
+from apgaps.arith import crt_unit_lift, euler_phi, factorize, prime_power_arrays
 from apgaps.checks import check_phi_star_partition
 from test_arith import chebyshev_psi, mobius
 
@@ -180,6 +180,18 @@ def test_primitivize_agrees_on_units():
             for n in range(1, 3 * r):
                 if math.gcd(n, r) == 1:
                     assert value(chi, n) == pytest.approx(value(hat, n), abs=1e-12)
+
+
+def test_generators_are_crt_lifts_of_the_local_generators():
+    # each generator is its local generator mod p^e and 1 mod r / p^e, in [1, r)
+    for r in range(1, 2001):
+        want = []
+        for p, e in factorize(r).factors:
+            for val, order in chars._local_generators(p, e):
+                lift = crt_unit_lift(val, p**e, r // p**e)
+                assert 0 < lift < r and lift % p**e == val and lift % (r // p**e) == 1 % (r // p**e)
+                want.append((lift, order))
+        assert [(g.value, g.order) for g in chars.CharacterGroup(r).generators] == want, r
 
 
 def oracle_primitivize(chi):

@@ -517,6 +517,31 @@ def test_constellation_help_states_the_desk_bound(capsys):
     assert last_error(capsys) == "desk bound is x <= 1e+08"
 
 
+def test_hb_help_states_the_desk_bounds(capsys):
+    assert run(["hb", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--x X sums over n <= x, at most 1e5" in text
+    assert "--k K order of the identity, 1 to 3" in text
+    for extra in (["--x", "100001"], ["--k", "0"]):
+        assert run(["hb", "--x", "100", "--k", "2", "--trials", "1"] + extra) == 2
+        assert last_error(capsys) == "decomposition is desk-bounded to 1 <= x <= 1e5, 1 <= k <= 3"
+
+
+def test_comb_help_states_the_enumeration_bound(capsys):
+    assert run(["comb", "--help"]) == 0
+    assert "--denominator DENOMINATOR grid denominator, at most 48" in " ".join(capsys.readouterr().out.split())
+    assert run(["comb", "--denominator", "49"]) == 2
+    assert last_error(capsys) == "partition enumeration bound is 48"
+
+
+def test_mk_help_states_the_sample_floor(capsys):
+    assert run(["mk", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--mc-samples MC_SAMPLES Monte-Carlo samples, 0 skips, else at least 100000" in text
+    assert run(["mk", "--k", "2", "--degree", "2", "--mc-samples", "99999"]) == 2
+    assert last_error(capsys) == "need at least 1e5 samples"
+
+
 def test_constellation_cmd(tmp_path):
     out = tmp_path / "c.jsonl"
     assert run(["constellation", "--x", "100", "--q", "1", "--a", "0", "--t", "2", "--out", str(out)]) == 0

@@ -156,6 +156,12 @@ def test_admissible_construction_roundtrip(k):
         assert all(h % p != avoided for h in tup.shifts)
 
 
+def test_admissible_construction_certificate_is_the_checked_one():
+    for k in range(1, 61):
+        tup = gaps.admissible_primes_past_k(k)
+        assert tup.certificate == gaps.is_admissible(tup.shifts).certificate, k
+
+
 def test_is_admissible_examples():
     assert gaps.is_admissible((0, 2)).admissible
     r = gaps.is_admissible((0, 1))

@@ -192,6 +192,31 @@ def test_decompose_bounds():
         hb.hb_decompose_sum_multi(100, 4, np.ones((1, 101)))
 
 
+def test_decompose_refuses_more_weights_than_the_bound_before_any_work(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("the decomposition started")
+
+    monkeypatch.setattr(hb, "floor_power", built)
+    monkeypatch.setattr(hb, "mobius_table", built)
+    # 11 rows of 100001 weights are 1100011 > 2**20; 10 rows fit
+    with pytest.raises(ValueError, match="<= 1048576 weights, got 1100011"):
+        hb.hb_decompose_sum_multi(1e5, 2, np.zeros((11, 100001)))
+    hb.check_decompose_args(10**5, 3, 10)
+
+
+def test_decompose_reads_the_moebius_table_up_to_z(monkeypatch):
+    sizes = []
+
+    def spy(n):
+        sizes.append(n)
+        return mobius_table(n)
+
+    monkeypatch.setattr(hb, "mobius_table", spy)
+    for x, k in ((1000, 1), (1000, 2), (1000, 3), (7, 2)):
+        assert_same_decomposition(x, k, np.random.default_rng(x + k).normal(size=(1, x + 1)))
+    assert sizes == [1000, 31, 10, 2]
+
+
 def test_weights_must_cover_zero_to_x():
     for shape in ((101,), (1, 100), (1, 102)):
         with pytest.raises(ValueError):
