@@ -280,21 +280,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def tau_m(m: int, d: int) -> int:
-    """Number of ordered m-tuples of positive integers with product d.
-
-    Multiplicative with tau_m(p**e) = C(e + m - 1, m - 1); exact integers.
-    """
-    if m < 2:
-        raise ValueError("tau_m requires m >= 2")
-    if d < 1:
-        raise ValueError("tau_m requires d >= 1")
-    out = 1
-    for _, e in factorize(d).factors:
-        out *= math.comb(e + m - 1, m - 1)
-    return out
-
-
 def crt_unit_lift(a: int, q: int, d: int) -> int:
     """Smallest positive n with n = a (mod q) and n = 1 (mod d); gcd(q, d) = 1."""
     if d == 1:

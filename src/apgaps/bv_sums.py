@@ -29,7 +29,11 @@ Measured quantities, each against its trivial normalizer:
   the end, so they are == the math.fsum of smoothed_R and of the class's
   von Mangoldt weights.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
-  moduli d <= x^L.
+  moduli d <= x^L. Every d is squarefree, so one factorization of d gives
+  its weight tau_{3k}(d) = (3k)^omega(d) and phi(d) = prod (p - 1); the
+  integers of (x/2, x] in the class b mod m are counted in closed form,
+  (floor(x) - b)//m - (floor(x/2) - b)//m, and the prime window starts at
+  max(floor(x/2) + h, 0): every integer term is exact.
 
 Each error sum is one correctly rounded sum of its per-modulus terms
 (math.fsum, or _exact_sum over an array), taken on one thread. Only the
@@ -50,6 +54,7 @@ from .arith import (
     crt_unit_lift,
     euler_phi,
     exact_exponent,
+    factorize,
     floor_power,
     higher_prime_powers,
     large_multiples,
@@ -62,7 +67,6 @@ from .arith import (
     psi_residue_sums,
     reduced_residue_mask,
     residues,
-    tau_m,
     von_mangoldt_table,
 )
 from .reports import ErrorSumReport, MaynardConditionReport
@@ -474,17 +478,6 @@ def bdh_variance(x: float, q: int, Q: float | None = None) -> ErrorSumReport:
 # squarefree tau-weighted condition sums
 
 
-def _count_in_class(lo: float, hi: float, m: int, c: int) -> int:
-    """#{n in (lo, hi] : n >= 1, n = c (mod m)} for 0 <= c < m."""
-    c0 = c if c >= 1 else m  # smallest positive member of the class
-
-    def upto(t: float) -> int:
-        ft = int(math.floor(t))
-        return (ft - c0) // m + 1 if ft >= c0 else 0
-
-    return upto(hi) - upto(lo)
-
-
 def maynard_condition_sums(
     x: float, q: int, a: int, h_m: int, k: int, L: float
 ) -> MaynardConditionReport:
@@ -493,9 +486,11 @@ def maynard_condition_sums(
     lhs1 weighs integer counts in (x/2, x] against Y/d with Y = x/(2q);
     lhs2 weighs prime counts in (x/2 + h_m, x] against Y1/phi(d). The class
     b_d is the CRT lift of a mod q with unit second coordinate, so every
-    class read is = a (mod q). Only the primes of (x/2 + h_m, x] in the
-    class a mod q are sieved (from 0 when x/2 + h_m < 0), and they are
-    streamed: each sieve segment's primes are counted by residue class
+    class read is = a (mod q). The weight, phi(d) and the integer count
+    come from one factorization of d, as the module docstring says. Only
+    the primes of (floor(x/2) + h_m, x] in the class a mod q are sieved
+    (from 0 when floor(x/2) + h_m < 0), and they are streamed: each sieve
+    segment's primes are counted by residue class
     (arith.prime_residue_counts), so the tail is never held whole.
     """
     if q < 1:
@@ -508,20 +503,19 @@ def maynard_condition_sums(
     Y = x / (2 * q)
     Y1 = log_integral_Y1(x, q)
     ds = [d for d in np.flatnonzero(mobius_table(D)).tolist() if math.gcd(d, q) == 1]  # squarefree d
-    tail_counts = prime_residue_counts(
-        max(int(math.floor(x / 2 + h_m)), 0), int(math.floor(x)), [q * d for d in ds], q, a % q
-    )
+    hi = int(math.floor(x))
+    half = hi // 2  # floor(x/2) >= 2, as log_integral_Y1 needs x >= 4
+    tail_counts = prime_residue_counts(max(half + h_m, 0), hi, [q * d for d in ds], q, a % q)
 
     terms1: list[float] = []
     terms2: list[float] = []
     for d, counts in zip(ds, tail_counts):
-        w = tau_m(3 * k, d)
-        b_d = crt_unit_lift(a, q, d)
+        ps = factorize(d).primes
+        w = (3 * k) ** len(ps)  # tau_{3k}(d) for squarefree d
+        b_d = crt_unit_lift(a, q, d)  # 1 <= b_d <= m
         m = q * d
-        cnt = _count_in_class(x / 2, x, m, b_d % m)
-        terms1.append(w * abs(cnt - Y / d))
-        pcnt = int(counts[b_d % m])
-        terms2.append(w * abs(pcnt - Y1 / euler_phi(d)))
+        terms1.append(w * abs((hi - b_d) // m - (half - b_d) // m - Y / d))
+        terms2.append(w * abs(int(counts[b_d % m]) - Y1 / math.prod(p - 1 for p in ps)))
     return MaynardConditionReport(
         x=x,
         q=q,

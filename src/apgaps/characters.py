@@ -51,8 +51,6 @@ def divisors(n: int) -> list[int]:
 
 
 def _primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
     qs = [q for q, _ in factorize(p - 1).factors]
     g = 2
     while True:

@@ -1,10 +1,11 @@
 """Batch command surface: every experiment as a subcommand with JSON/CSV output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or solver
-failure (a JSON error as the last line on stderr). `apgaps <cmd> --help`
-lists each option's default. A JSON config file (--config) supplies any
-option that takes a value and is range-checked like the flag; explicit flags
-override it, and unknown keys are ignored. The default seed is 0, and
+Exit codes: 0 success, 1 verification failure, 2 usage error, solver
+failure or an integer too large for the computation (a JSON error as the
+last line on stderr). `apgaps <cmd> --help` lists each option's default. A
+JSON config file (--config) supplies any option that takes a value and is
+range-checked like the flag; explicit flags override it, and unknown keys
+are ignored. The default seed is 0, and
 identical invocations produce byte-identical output files. Output paths and
 the --threads option of bv and bdh, which selects nothing, are excluded from
 the manifest hash: bdh runs on one thread, and bv sieves its reduced classes
@@ -484,7 +485,7 @@ def main(argv=None) -> int:
     except CertificateCapExceeded as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "threshold": exc.threshold}) + "\n")
         return 2
-    except (RayleighError, ValueError, OSError) as exc:
+    except (RayleighError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

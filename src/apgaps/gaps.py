@@ -296,13 +296,13 @@ def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResul
         raise ValueError(f"desk bound is x <= {CONSTELLATION_MAX_X:g}")
     if t < 1:
         raise ValueError("need t >= 1")
-    if math.gcd(a % q if q > 1 else 0, q) != 1 and q > 1:
+    if q < 1:
+        raise ValueError("need q >= 1")
+    if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))
     if not 0 <= lo < hi:
         raise ValueError("need x >= 1")
-    if q < 1:
-        raise ValueError("need q >= 1")
     count, gap, window = 0, None, ()
     carry = np.empty(0, dtype=np.int64)
     for segment in class_segments(lo, hi, q, a % q):

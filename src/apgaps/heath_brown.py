@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -245,7 +246,17 @@ def direct_lambda_sum(x: float, weights) -> complex:
     w = np.asarray(weights)
     if w.shape != (xi + 1,):
         raise ValueError(f"weights must have shape ({xi + 1},), got {w.shape}")
+    idx, lam = _lambda_support(xi)
+    vals = lam * w[idx]
+    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+
+
+@lru_cache(maxsize=1)
+def _lambda_support(xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n <= xi with Lambda(n) != 0 and their Lambda(n), read only: hb
+    checks every weight row against the one table of its x."""
     lam = von_mangoldt_table(xi)
     idx = np.flatnonzero(lam)
-    vals = lam[idx] * w[idx]
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    vals = lam[idx]
+    idx.flags.writeable = vals.flags.writeable = False
+    return idx, vals

@@ -2,6 +2,7 @@ import bisect
 import math
 import threading
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from apgaps.arith import (
     log_integral_Y1,
     prime_power_arrays,
     primes_in_range,
-    tau_m,
     von_mangoldt_table,
 )
 from apgaps.reports import ERROR_SUM_CSV_HEADER
-from test_arith import cached_prime_power_arrays, chebyshev_psi, mobius
+from test_arith import cached_prime_power_arrays, chebyshev_psi, mobius, tau
 from test_comb_lemmas import _returns_in_time
 
 
@@ -623,7 +623,7 @@ def naive_maynard_sums(x, q, a, h_m, k, L):
     for d in range(1, int(math.floor(x**L)) + 1):
         if math.gcd(d, q) != 1 or mobius(d) == 0:
             continue
-        w = tau_m(3 * k, d)
+        w = tau(3 * k, d)
         b_d = arith.crt_unit_lift(a, q, d)
         m = q * d
         count = sum(1 for n in range(int(x / 2) + 1, int(x) + 1) if n % m == b_d % m)
@@ -648,6 +648,13 @@ def test_maynard_condition_sums_against_naive():
         assert rep.lhs2 == pytest.approx(want2, rel=1e-9)
 
 
+@lru_cache(maxsize=None)
+def integers_by_class(x, m):
+    """Oracle: the integers n of (x/2, x], each one reduced mod m, counted by residue (read only)."""
+    n = np.arange(math.floor(x / 2) + 1, math.floor(x) + 1)
+    return np.bincount(n % m, minlength=m)
+
+
 def per_modulus_maynard_sums(x, q, a, h_m, k, L):
     """Oracle: the whole sieved tail, one count_nonzero per modulus, as before streaming."""
     D = bv._modulus_cutoff(x, q, L, "L")
@@ -658,10 +665,10 @@ def per_modulus_maynard_sums(x, q, a, h_m, k, L):
     for d in range(1, D + 1):
         if math.gcd(d, q) != 1 or mobius(d) == 0:
             continue
-        w = tau_m(3 * k, d)
+        w = tau(3 * k, d)
         b_d = arith.crt_unit_lift(a, q, d)
         m = q * d
-        cnt = bv._count_in_class(x / 2, x, m, b_d % m)
+        cnt = int(integers_by_class(x, m)[b_d % m])
         terms1.append(w * abs(cnt - Y / d))
         pcnt = int(np.count_nonzero(tail % m == b_d % m))
         terms2.append(w * abs(pcnt - Y1 / euler_phi(d)))
@@ -688,15 +695,32 @@ def test_maynard_inner_term_bound():
     for d in (1, 2, 5, 7, 11):
         b_d = arith.crt_unit_lift(a, q, d)
         m = q * d
-        count = bv._count_in_class(x / 2, x, m, b_d % m)
+        count = int(integers_by_class(x, m)[b_d % m])
         assert abs(count - (x / (2 * q)) / d) < 1.0
+
+
+def test_maynard_factorizes_each_d_once(monkeypatch):
+    # every d is squarefree: one factorization gives its weight (3k)^omega(d) and phi(d)
+    factored = []
+
+    def spy(n):
+        factored.append(n)
+        return arith.factorize(n)
+
+    def no_phi(n):
+        raise AssertionError(f"euler_phi({n}) called")
+
+    monkeypatch.setattr(bv, "factorize", spy)
+    monkeypatch.setattr(bv, "euler_phi", no_phi)
+    rep = bv.maynard_condition_sums(1e5, 3, 1, 0, 2, 0.2)
+    assert factored == [1, 2, 5, 7, 10] and rep.term_count == 5  # squarefree d <= 10 prime to 3
 
 
 def test_maynard_lhs1_pointwise_bound():
     x, q, a, k, L = 1e5, 3, 1, 2, 0.2
     rep = bv.maynard_condition_sums(x, q, a, 0, k, L)
     cap = sum(
-        mobius(d) ** 2 * tau_m(3 * k, d)
+        mobius(d) ** 2 * tau(3 * k, d)
         for d in range(1, int(math.floor(x**L)) + 1)
         if math.gcd(d, q) == 1
     )

@@ -556,6 +556,42 @@ def test_maycond_cmd(tmp_path):
     assert row["lhs1"] > 0 and row["lhs2"] > 0 and row["term_count"] > 0
 
 
+def test_maycond_takes_any_window_shift(monkeypatch, tmp_path):
+    # the prime window (floor(x/2) + h, x] has an integer edge: --h 1e400 empties it, --h=-1e400 starts it at 0
+    from apgaps import bv_sums
+
+    counted, real = [], bv_sums.prime_residue_counts
+
+    def spy(*args):
+        counted.append(real(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(bv_sums, "prime_residue_counts", spy)
+    base = ["maycond", "--x", "1e5", "--q", "3", "--a", "1", "--k", "2", "--L", "0.2"]
+    rows = {}
+    for h in ("1e400", "-1e400", "-50000"):
+        out = tmp_path / f"{h}.jsonl"
+        assert run(base + [f"--h={h}", "--out", str(out)]) == 0
+        rows[h] = read_lines(out)[0]
+    assert not any(c.any() for c in counted[0])
+    assert rows["-1e400"]["lhs2"] == rows["-50000"]["lhs2"]
+    assert rows["1e400"]["lhs1"] == rows["-1e400"]["lhs1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        "mk --k 1e300 --mc-samples 0",
+        "certify --ks 1e300",
+        "maycond --x 1e6 --q 3 --a 1 --k 1e300 --L 0.2",
+        "constellation --x 1e6 --q 1e300 --a 1 --t 2",
+    ),
+)
+def test_integer_too_large_for_the_computation_is_json_error(argv, capsys):
+    assert run(argv.split()) == 2
+    assert last_error(capsys)
+
+
 def test_hb_cmd(tmp_path):
     out = tmp_path / "hb.jsonl"
     assert run(["hb", "--x", "2000", "--k", "2", "--trials", "2", "--out", str(out)]) == 0

@@ -225,6 +225,22 @@ def test_weights_must_cover_zero_to_x():
         hb.direct_lambda_sum(100, np.ones((1, 101)))
 
 
+def test_hb_run_builds_one_lambda_table(monkeypatch, tmp_path):
+    # each weight row is checked against the one Lambda table of its x
+    import apgaps.cli as cli
+
+    built = []
+
+    def spy(n):
+        built.append(n)
+        return von_mangoldt_table(n)
+
+    monkeypatch.setattr(hb, "von_mangoldt_table", spy)
+    hb._lambda_support.cache_clear()
+    assert cli.main(["hb", "--x", "10", "--k", "1", "--trials", "1000", "--out", str(tmp_path / "hb.jsonl")]) == 0
+    assert built == [10]
+
+
 def random_rows(x, rng, complex_rows):
     rows = rng.normal(size=(2, x + 1))
     return rows + 1j * rng.normal(size=(2, x + 1)) if complex_rows else rows
