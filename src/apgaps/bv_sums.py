@@ -70,6 +70,7 @@ from .arith import (
     von_mangoldt_table,
 )
 from .reports import ErrorSumReport, MaynardConditionReport
+from .variational import MAX_K
 
 
 def smoothed_R(x: float, r: int = 1, a: int = 0) -> float:
@@ -497,6 +498,8 @@ def maynard_condition_sums(
         raise ValueError("need q >= 1")
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
+    if k > MAX_K:
+        raise ValueError(f"desk bound is k <= {MAX_K}")
     _check_desk_x(x, SIEVE_MAX_X)
     D = _modulus_cutoff(x, q, L, "L")
     _check_residue_entries(q, D)

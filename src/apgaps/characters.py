@@ -4,9 +4,9 @@ A character is an exponent vector on a fixed generator set of (Z/rZ)*,
 obtained by CRT over the prime-power factors of r. Values are exact roots
 of unity, read as integer exponents k with chi(n) = zeta_e^k for the
 common order e, so identity checks stay in exact integer arithmetic; no
-complex value is formed outside the FFT of the star sums. A Character
-record (group, exponents) exists only to name a character to the weight F
-of conductor_partition_check.
+complex value is formed outside the FFT of the star sums. A character is
+named by its modulus and its row, the index of its exponent vector in the
+enumeration order; no per-character object exists.
 
 Each group has one exponent table, K[i, u] = k with chi_i(u-th unit) =
 zeta_e^k, computed only by CharacterGroup.exponents and never stored whole
@@ -17,7 +17,8 @@ r multiplies the conductors of its prime-power factors. Primitivization
 reads it too, one slice per conductor f at lifts of the generators mod f:
 primitive_rows gives each character's primitive inducing character as a
 row mod f, for the whole group at once. conductor_partition_check compares
-those rows with the rows of conductor r1 in each divisor group mod r1.
+those (f, row) names, as one sorted integer array, with the rows of
+conductor r1 in each divisor group mod r1.
 
 Summation conventions: phi_star_by_enumeration counts all primitive
 characters (the constant function mod 1 included), while star-restricted
@@ -196,43 +197,25 @@ def character_group(r: int) -> CharacterGroup:
     return CharacterGroup(r)
 
 
-@dataclass(frozen=True, eq=False)
-class Character:
-    group: CharacterGroup
-    exponents: tuple[int, ...]
-
-    @property
-    def modulus(self) -> int:
-        return self.group.r
-
-
 def phi_star_by_enumeration(r: int) -> int:
     return int(np.count_nonzero(character_group(r).conductors == r))
 
 
-def conductor_partition_check(r: int, F) -> bool:
-    """Exact partition of nonprincipal characters mod r by conductor.
+def conductor_partition_check(r: int) -> bool:
+    """Exact partition of the nonprincipal characters mod r by conductor.
 
-    The two sides read different tables. The left takes every nonprincipal
-    character mod r to the primitive character its conductor and primitive
-    row name (conductors[1:], primitive_rows[1:]); the right takes, for each
-    divisor r1 > 1, the characters mod r1 with conductor r1. F is applied
-    to the Character of each row.
+    Both sides are multisets of integer names f (r + 1) + row, one per
+    character: row is its row mod f, below phi(f) <= r, so distinct
+    characters have distinct names. The left names every nonprincipal
+    character mod r by its conductor and primitive row (conductors[1:],
+    primitive_rows[1:]); the right names, for each divisor r1 > 1, the
+    characters mod r1 of conductor r1 by their own rows. The two sorted
+    name arrays must be equal.
     """
-
-    def characters_at(f: int, rows) -> list[Character]:
-        grp_f = character_group(f)
-        return [Character(grp_f, ex) for ex in map(tuple, grp_f.coords[rows].tolist())]
-
     grp = character_group(r)
-    conductors, rows = grp.conductors[1:], grp.primitive_rows[1:]
-    lhs = [F(chi) for f in sorted(set(conductors.tolist())) for chi in characters_at(f, rows[conductors == f])]
-    rhs = [
-        F(chi)
-        for r1 in divisors(r)[1:]
-        for chi in characters_at(r1, character_group(r1).conductors == r1)
-    ]
-    return sum(lhs) == sum(rhs) and len(lhs) == len(rhs)
+    lhs = grp.conductors[1:].astype(np.int64) * (r + 1) + grp.primitive_rows[1:]
+    rhs = [r1 * (r + 1) + np.flatnonzero(character_group(r1).conductors == r1) for r1 in divisors(r)[1:]]
+    return np.array_equal(np.sort(lhs), np.sort(np.concatenate([np.empty(0, dtype=np.int64), *rhs])))
 
 
 # ---------------------------------------------------------------------------

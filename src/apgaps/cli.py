@@ -379,7 +379,9 @@ _COMMANDS = {
     )),
     "maycond": (cmd_maycond, "squarefree tau-weighted condition sums", (
         _option("--x", type=float, help=f"at most {bv_sums.SIEVE_MAX_X:g}"),
-        *_typed(("q", _POSITIVE_INT), ("a", _integer), ("k", _POSITIVE_INT), ("L", float)),
+        *_typed(("q", _POSITIVE_INT), ("a", _integer)),
+        _option("--k", type=_POSITIVE_INT, help=f"tuple size, at most {variational.MAX_K}"),
+        *_typed(("L", float)),
         _option("--h", type=_integer, default=0, help="shift of the prime window (default %(default)s)"),
     )),
     "hb": (cmd_hb, "dyadic decomposition check on random weights", (
@@ -399,7 +401,7 @@ _COMMANDS = {
         _option("--random", type=_NONNEGATIVE_INT, default=0, help="random tuples to scan (default %(default)s)"),
     )),
     "mk": (cmd_mk, "variational lower bound certificate for one k", (
-        *_typed(("k", _integer)),
+        _option("--k", type=_integer, help=f"tuple size, at most {variational.MAX_K}"),
         _DEGREE,
         _option(
             "--mc-samples",
@@ -410,7 +412,7 @@ _COMMANDS = {
     )),
     "certify": (cmd_certify, "certificate table over a k range", (
         _option("--kmax", type=_POSITIVE_INT, default=64, help="largest k of the default list (default %(default)s)"),
-        _option("--ks", type=_k_list, help="comma-separated explicit k list"),
+        _option("--ks", type=_k_list, help=f"comma-separated explicit k list, each at most {variational.MAX_K}"),
         _DEGREE,
     )),
     "gap": (cmd_gap, "end-to-end gap bound report", (
@@ -424,7 +426,8 @@ _COMMANDS = {
     )),
     "constellation": (cmd_constellation, "tightest window of t primes of the class", (
         _option("--x", type=float, help=f"at most {gaps.CONSTELLATION_MAX_X:g}"),
-        *_typed(("q", _POSITIVE_INT), ("a", _integer), ("t", _integer)),
+        _option("--q", type=_POSITIVE_INT, help=f"at most {gaps.CONSTELLATION_MAX_X:g}"),
+        *_typed(("a", _integer), ("t", _integer)),
     )),
 }
 

@@ -34,7 +34,8 @@ BRANCH_POINT = Fraction(2, 5)
 # splits none, the question is reported open, never guessed.
 RADICAL_TRIAL_CAP = 10**6
 RADICAL_RHO_STEPS = 1 << 20
-# constellation_search's desk bound on x; gap searches only up to it
+# constellation_search's desk bound on x, and on q (a larger q leaves at most
+# one member of its class below x); gap searches only up to it
 CONSTELLATION_MAX_X = 10**8
 
 
@@ -298,6 +299,8 @@ def constellation_search(x: float, q: int, a: int, t: int) -> ConstellationResul
         raise ValueError("need t >= 1")
     if q < 1:
         raise ValueError("need q >= 1")
+    if q > CONSTELLATION_MAX_X:
+        raise ValueError(f"desk bound is q <= {CONSTELLATION_MAX_X:g}")
     if math.gcd(a, q) != 1:
         raise ValueError("need gcd(a, q) = 1")
     lo, hi = int(math.floor(x / 2)), int(math.floor(x))

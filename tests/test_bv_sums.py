@@ -737,5 +737,9 @@ def test_maynard_preconditions():
             bv.maynard_condition_sums(1e4, q, 1, 0, 2, 0.2)
     with pytest.raises(ValueError, match="finite"):
         bv.maynard_condition_sums(math.inf, 3, 1, 0, 2, 0.2)
+    assert bv.maynard_condition_sums(1e4, 3, 1, 0, bv.MAX_K, 0.2).k == bv.MAX_K
+    for k in (bv.MAX_K + 1, 10**300):  # at 10**300 the weight (3k)^omega(d) is no float
+        with pytest.raises(ValueError, match="desk bound is k <= 10000"):
+            bv.maynard_condition_sums(1e4, 3, 1, 0, k, 0.2)
     # 243^0.4 * 27 = 243 exactly: allowed, with d <= 9
     assert bv.maynard_condition_sums(243.0, 27, 1, 0, 2, 0.4).term_count == 4

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,22 @@ from apgaps.checks import check_phi_star_partition
 from test_arith import chebyshev_psi, mobius
 
 
+@dataclass(frozen=True, eq=False)
+class Character:
+    """One character as the oracles read it: its group and exponent vector."""
+
+    group: chars.CharacterGroup
+    exponents: tuple[int, ...]
+
+    @property
+    def modulus(self) -> int:
+        return self.group.r
+
+
 def characters(r):
     """Every character mod r, in the group's enumeration order."""
     grp = chars.character_group(r)
-    return [chars.Character(grp, ex) for ex in map(tuple, grp.coords.tolist())]
+    return [Character(grp, ex) for ex in map(tuple, grp.coords.tolist())]
 
 
 def row(chi):
@@ -82,7 +95,7 @@ def is_primitive(chi):
 def primitivize(chi):
     """The primitive character mod conductor(chi) inducing chi, read from primitive_rows."""
     grp_f = chars.character_group(conductor(chi))
-    return chars.Character(grp_f, tuple(grp_f.coords[chi.group.primitive_rows[row(chi)]].tolist()))
+    return Character(grp_f, tuple(grp_f.coords[chi.group.primitive_rows[row(chi)]].tolist()))
 
 
 def conductor_split(chi, q, d):
@@ -211,19 +224,22 @@ def oracle_primitivize(chi):
         if num % e_r != 0:
             raise ArithmeticError("conductor computation inconsistent with values")
         exps.append((num // e_r) % g.order)
-    return chars.Character(grp_f, tuple(exps))
+    return Character(grp_f, tuple(exps))
 
 
-def oracle_conductor_partition_check(r, F):
-    """The list-based partition check that the row-table version replaced."""
-    lhs = [F(oracle_primitivize(chi)) for chi in characters(r) if not is_principal(chi)]
-    rhs = [
-        F(chi1)
-        for r1 in chars.divisors(r)
-        for chi1, star in zip(characters(r1), chars.character_group(r1).star_rows)
-        if star
-    ]
-    return sum(lhs) == sum(rhs) and len(lhs) == len(rhs)
+def name(chi):
+    return chi.modulus, chi.exponents
+
+
+def oracle_partition_names(r):
+    """Both sides of the conductor partition mod r, as sorted lists of (modulus, exponents) names.
+
+    The left primitivizes each nonprincipal character mod r from its values;
+    the right lists the characters of conductor r1 mod r1 for each divisor r1 > 1.
+    """
+    lhs = sorted(name(oracle_primitivize(chi)) for chi in characters(r) if not is_principal(chi))
+    rhs = sorted(name(chi) for r1 in chars.divisors(r)[1:] for chi in characters(r1) if conductor(chi) == r1)
+    return lhs, rhs
 
 
 def test_primitivize_matches_per_character_oracle():
@@ -233,26 +249,21 @@ def test_primitivize_matches_per_character_oracle():
             assert (got.modulus, got.exponents) == (want.modulus, want.exponents), chi
 
 
-def test_conductor_partition_check_matches_list_oracle():
-    rng = random.Random(5)
-    table = {}
-    seen = {"new": [], "oracle": []}
-
-    def weight(chi, side):
-        key = (chi.modulus, chi.exponents)
-        seen[side].append(key)
-        if key not in table:
-            table[key] = rng.randrange(1, 1 << 30)
-        return table[key]
-
+def test_conductor_partition_check_matches_name_oracle():
     for r in [*range(1, 201), 720, 1155]:
-        for side in seen:
-            seen[side].clear()
-        got = chars.conductor_partition_check(r, lambda chi: weight(chi, "new"))
-        want = oracle_conductor_partition_check(r, lambda chi: weight(chi, "oracle"))
-        assert got is want is True, r
-        # both checks hand F the same characters, with the same multiplicities
-        assert sorted(seen["new"]) == sorted(seen["oracle"]), r
+        lhs, rhs = oracle_partition_names(r)
+        assert chars.conductor_partition_check(r) is (lhs == rhs) is True, r
+
+
+def test_conductor_partition_of_moduli_one_and_two_is_empty():
+    for r in (1, 2):
+        assert oracle_partition_names(r) == ([], [])
+        assert chars.conductor_partition_check(r) is True
+
+
+def test_conductor_partition_names_pass_int32():
+    # the conductors are int32, and 65537 * 65538 > 2**31: names are formed in int64
+    assert chars.conductor_partition_check(65537) is True
 
 
 def test_conductor_partition_check_reads_primitive_rows(monkeypatch):
@@ -261,7 +272,17 @@ def test_conductor_partition_check_reads_primitive_rows(monkeypatch):
     i = int(np.flatnonzero(grp.conductors == 45)[0])
     rows[i] = (rows[i] + 1) % grp.phi  # one character sent to the wrong primitive
     monkeypatch.setitem(grp.__dict__, "primitive_rows", rows)
-    assert not chars.conductor_partition_check(45, lambda chi: hash((chi.modulus, chi.exponents)))
+    assert chars.conductor_partition_check(45) is False
+
+
+def test_conductor_partition_check_reads_conductors(monkeypatch):
+    grp = chars.character_group(45)
+    grp.primitive_rows  # built from the true conductors
+    conductors = grp.conductors.copy()
+    i = int(np.flatnonzero(conductors == 15)[0])
+    conductors[i] = 5  # one character named by a wrong conductor, and its row mod 15
+    monkeypatch.setitem(grp.__dict__, "conductors", conductors)
+    assert chars.conductor_partition_check(45) is False
 
 
 def test_conductor_split():
@@ -287,20 +308,6 @@ def test_phi_star_values_and_divisor_sum():
         assert phi_star(r) == chars.phi_star_by_enumeration(r)
     for r in range(1, 201):
         assert sum(phi_star(d) for d in chars.divisors(r)) == euler_phi(r)
-
-
-def test_conductor_partition_check_random_weights():
-    rng = random.Random(11)
-    for r in (45, 60, 97):
-        table = {}
-
-        def weight(chi):
-            key = (chi.modulus, chi.exponents)
-            if key not in table:
-                table[key] = rng.randrange(1, 1 << 20)
-            return table[key]
-
-        assert chars.conductor_partition_check(r, weight)
 
 
 def test_psi_chi_examples():
@@ -537,7 +544,7 @@ def test_group_memory_is_linear_in_phi():
     # phi(4096)^2 int64 exponents would take 32 MiB, phi(4099)^2 128 MiB.
     kept, peak = _traced(lambda: chars.character_group(4096).conductors)
     assert kept < 1 << 20 and peak < 8 << 20
-    kept, peak = _traced(lambda: value(chars.Character(chars.character_group(4099), (1,)), 2))
+    kept, peak = _traced(lambda: value(Character(chars.character_group(4099), (1,)), 2))
     assert kept < 1 << 20 and peak < 1 << 20
 
 

@@ -512,7 +512,8 @@ def test_gap_searches_constellations_up_to_the_desk_bound(tmp_path):
 
 def test_constellation_help_states_the_desk_bound(capsys):
     assert run(["constellation", "--help"]) == 0
-    assert "--x X at most 1e+08" in " ".join(capsys.readouterr().out.split())
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--x X at most 1e+08" in text and "--q Q at most 1e+08" in text
     assert run(["constellation", "--x", "100000001", "--q", "3", "--a", "1", "--t", "2"]) == 2
     assert last_error(capsys) == "desk bound is x <= 1e+08"
 
@@ -578,18 +579,19 @@ def test_maycond_takes_any_window_shift(monkeypatch, tmp_path):
     assert rows["1e400"]["lhs1"] == rows["-1e400"]["lhs1"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    (
-        "mk --k 1e300 --mc-samples 0",
-        "certify --ks 1e300",
-        "maycond --x 1e6 --q 3 --a 1 --k 1e300 --L 0.2",
-        "constellation --x 1e6 --q 1e300 --a 1 --t 2",
-    ),
-)
+# each refusal names the option and its desk bound
+TOO_LARGE = {
+    "mk --k 1e300 --mc-samples 0": "desk bound is k <= 10000",
+    "certify --ks 1e300": "desk bound is k <= 10000",
+    "maycond --x 1e6 --q 3 --a 1 --k 1e300 --L 0.2": "desk bound is k <= 10000",
+    "constellation --x 1e6 --q 1e300 --a 1 --t 2": "desk bound is q <= 1e+08",
+}
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE)
 def test_integer_too_large_for_the_computation_is_json_error(argv, capsys):
     assert run(argv.split()) == 2
-    assert last_error(capsys)
+    assert last_error(capsys) == TOO_LARGE[argv]
 
 
 def test_hb_cmd(tmp_path):

@@ -326,6 +326,13 @@ def test_constellation_rejects_non_finite_x():
             gaps.constellation_search(x, 4, 1, 2)
 
 
+def test_constellation_desk_bound_on_q():
+    assert not gaps.constellation_search(1e4, gaps.CONSTELLATION_MAX_X, 1, 1).found
+    for q in (gaps.CONSTELLATION_MAX_X + 1, 10**300):
+        with pytest.raises(ValueError, match=r"desk bound is q <= 1e\+08"):
+            gaps.constellation_search(1e4, q, 1, 1)
+
+
 def test_constellation_examples():
     res = gaps.constellation_search(100, 1, 0, 2)
     assert res.found and res.gap == 2 and res.primes == (59, 61)

@@ -624,6 +624,13 @@ def test_certificate_serialization_fields():
     assert d["mc_ratio"] is None and d["mc_ci"] is None
 
 
+def test_mk_lower_bound_desk_bound_on_k():
+    assert var.mk_lower_bound(var.MAX_K, 0).k == var.MAX_K
+    for k in (var.MAX_K + 1, 10**300):
+        with pytest.raises(ValueError, match="desk bound is k <= 10000"):
+            var.mk_lower_bound(k, 0)
+
+
 @pytest.mark.parametrize("k,degree", [(1, 0), (3, 2), (5, 6), (12, 6), (64, 3)])
 def test_certificate_row_reads_back(k, degree):
     cert = _mc_certificate(k, degree)
