@@ -88,6 +88,19 @@ def partitions_of(total: int, max_parts: int):
 _DRAW_CHUNK = 2048
 
 
+def column_sums(cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of each column of cols, its rows added in order from the first.
+
+    numpy adds the rows of an array of two or more columns one by one, but
+    sums a lone column pairwise once it has 8 rows or more; that column is
+    accumulated in row order instead, so a column's sum is the same float
+    whatever the number of columns beside it.
+    """
+    if cols.shape[1] == 1:
+        cols = np.add.accumulate(cols, axis=0)[-1:]
+    return np.add.reduce(cols, axis=0, out=out)
+
+
 def _fill_batch(rng: np.random.Generator, batch: np.ndarray, chunk: np.ndarray) -> None:
     """Draw batch's columns in row-major order, chunk rows at a time, and divide each by its sum."""
     m = batch.shape[1]
@@ -95,7 +108,7 @@ def _fill_batch(rng: np.random.Generator, batch: np.ndarray, chunk: np.ndarray) 
         part = chunk[: m - lo]
         rng.standard_exponential(out=part)
         batch[:, lo : lo + len(part)] = part.T
-    batch /= batch.sum(axis=0)
+    batch /= column_sums(batch)
 
 
 def simplex_batches(rng: np.random.Generator, out: np.ndarray, n: int):
@@ -105,7 +118,7 @@ def simplex_batches(rng: np.random.Generator, out: np.ndarray, n: int):
     leading columns as remain, at most all of them. The draws are those of
     rng.exponential(size=(n, rows)), in the same order: chunks of rows are
     drawn and transposed into the batch, and each column is then divided
-    by its sum.
+    by its sum (column_sums), so a point is the same at any width of out.
 
     One worker thread draws one batch ahead: it fills batch i + 1 while
     the caller reads batch i, and batches alternate between out and a

@@ -37,9 +37,11 @@ once. The inner t_1 integral of the J side is integrated exactly, as one
 polynomial in the power sums of the other coordinates and the powers of
 the upper limit. Both sides are sampled by one loop over
 comb_lemmas.simplex_batches, the sampler the random lemma sweeps use too,
-in batches of _MC_BATCH points. The sampler draws the next batch on a
-worker thread while this loop evaluates the current one, batches
-alternating between two buffers, with the values of one inline draw.
+in blocks of _MC_BLOCK_BYTES of coordinates whatever k is. The sampler
+draws the next block on a worker thread while this loop takes the power
+sums of the current one, blocks alternating between two buffers, with the
+values of one inline draw. The power sums fill groups of _MC_BATCH points,
+and both polynomials are evaluated once per group.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .comb_lemmas import partitions_of, simplex_batches
+from .comb_lemmas import column_sums, partitions_of, simplex_batches
 
 BASIS_SIZE_CAP = 200
 # Desk bound on the tuple size k of mk, certify and maycond. A certificate at
@@ -407,20 +409,20 @@ def _powersum_expansion(partition: tuple[int, ...]) -> tuple[tuple[Fraction, tup
     return tuple((c, key) for key, c in sorted(terms.items()) if c != 0)
 
 
-def _column_power_sums(cols: np.ndarray, maxpow: int, out: np.ndarray) -> np.ndarray:
+def _column_power_sums(cols: np.ndarray, maxpow: int, out: np.ndarray, power: np.ndarray) -> np.ndarray:
     """out[r - 1] = p_r, the sum over the rows of cols**r, for r = 1 .. maxpow.
 
-    cols holds one coordinate per row and one point per column. The rows
-    are added in order, each raised by repeated multiplication in a buffer
-    of one row, so no array of the size of cols is made.
+    cols holds one coordinate per row and one point per column, and power
+    is a buffer of its shape. Each power is one multiply over all of cols
+    into power (repeated multiplication), and each p_r adds the rows in
+    order (column_sums), so a point's power sums are the same floats at any
+    number of columns.
     """
-    out[:maxpow] = 0.0
-    power = np.empty(cols.shape[1])
-    for x in cols:
-        power.fill(1.0)
-        for r in range(maxpow):
-            power *= x
-            out[r] += power
+    x = cols
+    for r in range(maxpow):
+        if r:
+            x = np.multiply(x, cols, out=power)
+        column_sums(x, out=out[r])
     return out
 
 
@@ -516,11 +518,17 @@ class _PowerSumPolynomial:
         return out
 
 
-# Monte-Carlo samples drawn per batch. The batch sums are added in order, so
-# this value is part of the bit pattern of every Monte-Carlo result; the
-# trial function is evaluated one batch at a time, so it also sizes the
-# evaluation buffers.
+# Monte-Carlo samples per group. The polynomials are evaluated one group at
+# a time and the group sums are added in order, so this value is part of the
+# bit pattern of every Monte-Carlo result. It sizes the power-sum and
+# evaluation buffers, which do not grow with k.
 _MC_BATCH = 20_000
+# Bytes of coordinates per sampled block: the block, the sampler's spare
+# and the power buffer hold (k + 1) x width floats each, with width the
+# largest divisor of _MC_BATCH within this budget over the k + 1 rows. A
+# point's power sums do not depend on the width, so this value sets the
+# memory and no result.
+_MC_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -544,13 +552,18 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     """Independent Monte-Carlo estimate of the certified quotient.
 
     Uniform simplex sampling by exponential spacings (simplex_batches).
-    Each batch holds one coordinate per row. F is evaluated as one
-    polynomial in the power sums p_1 ... p_D of the batch's points, and the
-    inner t_1 integral of the J side as one polynomial in the power sums
-    q_r of the other coordinates and the powers of the upper limit u,
-    integrated exactly (_inner_integral), with no quadrature nodes. Both
-    sides run through one sampling loop: the I side draws k + 1 coordinates
-    per point, the J side k, each from the same generator in turn.
+    Each block holds one coordinate per row, and its width comes from
+    _MC_BLOCK_BYTES over the k + 1 rows, so the sampler's memory does not
+    grow with k; the width divides _MC_BATCH, so blocks tile the groups of
+    _MC_BATCH points. A block's power sums take one pass over it per power
+    and fill its columns of one power-sum buffer of a group. F is
+    evaluated once per group, as one polynomial in the power sums
+    p_1 ... p_D of its points, and the inner t_1 integral of the J side as
+    one polynomial in the power sums q_r of the other coordinates and the
+    powers of the upper limit u, integrated exactly (_inner_integral), with
+    no quadrature nodes. Both sides run through one sampling loop: the I
+    side draws k + 1 coordinates per point, the J side k, each from the
+    same generator in turn.
     """
     if sample_count < 10**5:
         raise ValueError("need at least 1e5 samples")
@@ -558,43 +571,58 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
         raise ValueError("zero trial function")
     k = cert.k
     rng = np.random.default_rng(seed)
-    width = min(_MC_BATCH, sample_count)
+    group = min(_MC_BATCH, sample_count)
+    # the widest block within the budget that tiles a group
+    cap = min(group, max(1, _MC_BLOCK_BYTES // (8 * (k + 1))))
+    width = next(w for w in range(cap, 0, -1) if group % w == 0)
     exact = _trial_coefficients(cert.coefficients, cert.basis)
-    F = _PowerSumPolynomial(exact, width)
-    G = _PowerSumPolynomial(_inner_integral(exact), width)
+    F = _PowerSumPolynomial(exact, group)
+    G = _PowerSumPolynomial(_inner_integral(exact), group)
     D = F.max_power
     # rows below D: p_r for F, q_r for G; rows D and up: u, u^2, ... for G
-    psums = np.empty((G.max_power, width))
+    psums = np.empty((G.max_power, group))
     draws = np.empty((k + 1, width))
+    power = np.empty((k, width))
 
-    def mean_square(rows: int, values) -> tuple[float, float]:
-        """The mean of values(batch)**2 over all samples and the variance of that mean.
+    def mean_square(rows: int, block_sums, values) -> tuple[float, float]:
+        """The mean of values(group)**2 over all samples and the variance of that mean.
 
-        Each batch holds `rows` coordinates of uniform simplex points.
+        Each block holds `rows` coordinates of uniform simplex points.
+        block_sums(block, out) writes their power sums into out, the block's
+        columns of psums, and values(rows) evaluates a full group's.
         """
         tot = 0.0
         tot_sq = 0.0
-        for batch in simplex_batches(rng, draws[:rows], sample_count):
-            v = values(batch) ** 2
-            tot += float(np.sum(v))
-            tot_sq += float(np.sum(v * v))
+        done = fill = 0  # samples summed, and those of the current group
+        for block in simplex_batches(rng, draws[:rows], sample_count):
+            block_sums(block, psums[:, fill : fill + block.shape[1]])
+            fill += block.shape[1]
+            done += block.shape[1]
+            if fill == group or done == sample_count:
+                v = values(psums[:, :fill]) ** 2
+                tot += float(np.sum(v))
+                tot_sq += float(np.sum(v * v))
+                fill = 0
         mean = tot / sample_count
         return mean, max(tot_sq / sample_count - mean**2, 0.0) / sample_count
 
-    def trial_function(e: np.ndarray) -> np.ndarray:
-        return F(_column_power_sums(e[:k], D, psums[:, : e.shape[1]]))
+    def trial_sums(block: np.ndarray, out: np.ndarray) -> None:
+        _column_power_sums(block[:k], D, out, power[:, : block.shape[1]])
 
-    def inner_integral(e: np.ndarray) -> np.ndarray:
-        rest = e[: k - 1]
-        rows = _column_power_sums(rest, D, psums[:, : e.shape[1]])
-        np.subtract(1.0, rest.sum(axis=0), out=rows[D])
+    def inner_sums(block: np.ndarray, out: np.ndarray) -> None:
+        rest = block[: k - 1]
+        _column_power_sums(rest, D, out, power[: k - 1, : block.shape[1]])
+        # u = 1 - q_1, the sum of the other coordinates
+        np.subtract(1.0, out[0] if D else column_sums(rest), out=out[D])
+
+    def inner_integral(rows: np.ndarray) -> np.ndarray:
         for r in range(D + 1, len(rows)):
             np.multiply(rows[r - 1], rows[D], out=rows[r])
         return G(rows)
 
     # Probability-measure means: the simplex volumes cancel in the quotient,
     # quotient = k^2 * E[(inner integral)^2] / E[F^2], so no factorial appears.
-    mean_i, var_i = mean_square(k + 1, trial_function)
+    mean_i, var_i = mean_square(k + 1, trial_sums, F)
     if k == 1:
         # no other coordinates: q = 0 and u = 1
         point = np.zeros((G.max_power, 1))
@@ -603,7 +631,7 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
         mean_j = inner * inner
         var_j = 0.0
     else:
-        mean_j, var_j = mean_square(k, inner_integral)
+        mean_j, var_j = mean_square(k, inner_sums, inner_integral)
 
     ratio = k * k * mean_j / mean_i
     rel = math.sqrt(var_j / mean_j**2 + var_i / mean_i**2) if mean_j > 0 else math.sqrt(var_i) / mean_i

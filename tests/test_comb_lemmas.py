@@ -410,20 +410,25 @@ def test_fused_batch_runs_exact_fallback_like_oracle(monkeypatch):
     assert tri == five == [third]
 
 
-@pytest.mark.parametrize("rows", [cl.N_PARTS, 3])
+@pytest.mark.parametrize("rows", [3, cl.N_PARTS, 101])
 def test_simplex_batches_are_the_row_major_draws_by_column(rows):
-    # the columns of rng.exponential(size=(n, rows)), each divided by its sum,
-    # in views of out that hold out's width of them; n around the 2048-row
-    # draw chunk, and partial last batches at both widths
-    for n in (1, 2047, 2048, 2049, 45_000):
-        e = np.random.default_rng(n).exponential(size=(n, rows))
+    # the columns of rng.exponential(size=(n, rows)), each divided by its sum
+    # with the rows added in order, in views of out that hold out's width of
+    # them; n around the 2048-row draw chunk, and partial last batches at
+    # both widths. n = 1, and n = 2049 at width 2048, end in a one-column
+    # batch, which numpy alone would sum pairwise from 8 rows up: 20 seeds
+    # each.
+    many = 45_000 if rows <= cl.N_PARTS else 4_500
+    cases = [(n, n) for n in (2047, 2048, many)] + [(n, seed) for n in (1, 2049) for seed in range(20)]
+    for n, seed in cases:
+        e = np.random.default_rng(seed).exponential(size=(n, rows))
         want = np.ascontiguousarray(e.T)
-        want /= want.sum(axis=0)
+        want /= np.add.accumulate(want, axis=0)[-1]
         for width in (2048, 30_000):
             out = np.empty((rows, min(width, n)))
             buffers = [out]  # out, then at most one spare of out's shape
             batches = []
-            for batch in cl.simplex_batches(np.random.default_rng(n), out, n):
+            for batch in cl.simplex_batches(np.random.default_rng(seed), out, n):
                 if not any(np.shares_memory(batch, b) for b in buffers):
                     assert batch.base.shape == out.shape
                     buffers.append(batch.base)
@@ -431,8 +436,19 @@ def test_simplex_batches_are_the_row_major_draws_by_column(rows):
                 batches.append(batch.copy())
             full, last = divmod(n, out.shape[1])
             assert [b.shape[1] for b in batches] == [out.shape[1]] * full + ([last] if last else [])
-            assert np.array_equal(np.concatenate(batches, axis=1), want), (n, width)
+            assert np.array_equal(np.concatenate(batches, axis=1), want), (n, seed, width)
     assert list(cl.simplex_batches(np.random.default_rng(0), np.empty((rows, 1)), 0)) == []
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8, 14, 101])
+def test_column_sums_add_the_rows_in_order_at_every_width(rows):
+    cols = np.random.default_rng(rows).exponential(size=(rows, 5))
+    want = np.add.accumulate(cols, axis=0)[-1]
+    for width in range(1, 6):
+        assert np.array_equal(cl.column_sums(cols[:, :width]), want[:width])
+        out = np.empty(width)
+        assert cl.column_sums(cols[:, :width], out=out) is out
+        assert np.array_equal(out, want[:width])
 
 
 def _returns_in_time(fn, seconds=30.0):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,7 +51,7 @@ def _eval_monomial_sym(partition, pts):
     pts = np.asarray(pts, dtype=np.float64)
     poly = var._PowerSumPolynomial(var._trial_coefficients((1.0,), (tuple(partition),)), len(pts))
     cols = np.ascontiguousarray(pts.T)
-    return poly(var._column_power_sums(cols, poly.max_power, np.empty((poly.max_power, len(pts)))))
+    return poly(var._column_power_sums(cols, poly.max_power, np.empty((poly.max_power, len(pts))), np.empty_like(cols)))
 
 
 def _gram_I_all_placements(k, basis):
@@ -430,7 +431,8 @@ def test_power_sum_polynomial_matches_per_function_oracle():
         n = len(pts)
         F = var._PowerSumPolynomial(var._trial_coefficients(cert.coefficients, cert.basis), n)
         assert F.max_power == degree and len(F.keys) <= len(cert.basis)
-        got = F(var._column_power_sums(np.ascontiguousarray(pts.T), degree, np.empty((degree, n))))
+        cols = np.ascontiguousarray(pts.T)
+        got = F(var._column_power_sums(cols, degree, np.empty((degree, n)), np.empty_like(cols)))
         row_sums = _row_power_sums(pts, degree)
         want = _row_eval_F(cert, row_sums, n)
         # F cancels heavily, so the scale is the sum of the absolute terms
@@ -455,14 +457,15 @@ def test_inner_integral_matches_gauss_legendre(k, degree):
     e = rng.exponential(size=(k + 1, n))
     rest = e[: k - 1] / e.sum(axis=0)
     u = rng.uniform(size=n) * (1.0 - rest.sum(axis=0))  # any upper limit on the simplex
-    rows = var._column_power_sums(rest, P, np.empty((G.max_power, n)))
+    rows = var._column_power_sums(rest, P, np.empty((G.max_power, n)), np.empty_like(rest))
     rows[P:] = u ** np.arange(1, G.max_power - P + 1)[:, None]
     got = G(rows).copy()
     want = np.zeros(n)
     scale = np.zeros(n)
     nodes, weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
     for g, w in zip(nodes, weights):
-        psums = var._column_power_sums(np.vstack([(g + 1) / 2 * u, rest]), P, np.empty((P, n)))
+        cols = np.vstack([(g + 1) / 2 * u, rest])
+        psums = var._column_power_sums(cols, P, np.empty((P, n)), np.empty_like(cols))
         want += w * F(psums)
         scale += w * F_abs(psums)
     want *= u / 2
@@ -710,6 +713,45 @@ def test_verify_certificate_matches_row_major_oracle(k, degree):
             assert mc.samples == sample_count
             assert mc.ratio == pytest.approx(ratio, rel=1e-9, abs=0)
             assert mc.sigma == pytest.approx(sigma, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("k,degree,columns", [(1, 4, 2), (1, 4, 3001), (5, 6, 2), (5, 6, 3001), (12, 6, 3001), (120, 3, 3001)])
+def test_verify_certificate_does_not_depend_on_the_block_budget(k, degree, columns, monkeypatch):
+    # A budget of `columns` columns over the k + 1 rows, against one block
+    # per group of _MC_BATCH samples and against the default budget. 3001
+    # columns do not divide a group, so the blocks are the 2500 that do.
+    # n = 100_001 ends in a one-column block at every width.
+    cert = _mc_certificate(k, degree)
+    budgets = (8 * (k + 1) * var._MC_BATCH, var._MC_BLOCK_BYTES, 8 * (k + 1) * columns)
+    simplex_batches = var.simplex_batches
+    widths = []
+
+    def spy(rng, out, n):
+        widths.append(out.shape[1])
+        return simplex_batches(rng, out, n)
+
+    monkeypatch.setattr(var, "simplex_batches", spy)
+    for n in (100_001,) if columns == 2 else (100_000, 100_001):
+        results = set()
+        for budget in budgets:
+            monkeypatch.setattr(var, "_MC_BLOCK_BYTES", budget)
+            widths.clear()
+            mc = var.verify_certificate(cert, n, seed=n)
+            results.add((mc.ratio, mc.sigma))
+        assert len(results) == 1, (n, results)
+    assert widths == [min(columns, 2500)] * (1 if k == 1 else 2)
+
+
+def test_verify_certificate_memory_does_not_grow_with_k():
+    # a sample buffer of (k + 1) x _MC_BATCH floats and its spare would take 64 MB
+    cert = _mc_certificate(200, 3)
+    tracemalloc.start()
+    try:
+        var.verify_certificate(cert, 100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_min_k_for():
