@@ -108,7 +108,7 @@ def check_sandwich(trials: int = 200, seed: int = 0) -> CheckResult:
 
 def run_identity_suite(max_r: int = 200, seed: int = 0, sandwich_trials: int = 200) -> list[CheckResult]:
     return [
-        check_phi_star_partition(max_r=max(max_r, 100)),
+        check_phi_star_partition(max_r=max_r),
         check_conductor_partition(max_r=min(max_r, 200)),
         check_orthogonality(max_r=min(max_r, 100), seed=seed),
         check_large_sieve(seed=seed),

@@ -366,7 +366,14 @@ _DEGREE = _option("--degree", type=_NONNEGATIVE_INT, default=3, help="basis degr
 # name: (handler, help, its options before the common ones), in the order --help lists them
 _COMMANDS = {
     "verify-identities": (cmd_verify_identities, "run the exact-identity suites", (
-        _option("--max-r", type=_POSITIVE_INT, default=200, help="character-check moduli (default %(default)s)"),
+        _option(
+            "--max-r",
+            type=_POSITIVE_INT,
+            default=200,
+            help="character-check moduli: phi* divisor sums for r <= MAX_R, the conductor partition for r <="
+            " min(MAX_R, 200), orthogonality for r <= min(MAX_R, 100); the large-sieve (100 trials), Farey"
+            " (r <= 20, D <= 10) and hb-identity (n <= 2000) checks keep their sizes (default %(default)s)",
+        ),
         _option("--sandwich-trials", type=_POSITIVE_INT, default=200, help="sandwich trials (default %(default)s)"),
     )),
     "bv": (cmd_bv, "worst-case error sum over moduli d <= x^b", (

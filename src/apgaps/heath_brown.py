@@ -7,9 +7,9 @@ The k-fold form expands Lambda(n), for n <= x, as
 
 with the Moebius factors truncated at z = floor(x^(1/k)). hb_lambda_table
 evaluates the right-hand side at every n <= x (it must reproduce Lambda
-exactly);
-hb_decompose_sum_multi splits sum_{n<=x} Lambda(n) f(n) into dyadic boxes,
-one component per (j, box vector), and reports a per-component breakdown.
+exactly); hb_decompose_sum_multi splits sum_{n<=x} Lambda(n) f(n), for real
+weight rows f, into dyadic boxes: one structured array of components, a row
+per (j, box vector).
 
 The decomposition enumerates every j-tuple as numpy arrays, one slot at a
 time in the order v_1 .. v_j, u_2 .. u_j, u_1. A prefix is held as its
@@ -17,17 +17,17 @@ product, its coefficient (-1)^(j-1) C(k,j) mu(v_1)...mu(v_i) and an integer
 box key; a slot expands each prefix over its values (squarefree v <= z, or
 u <= x / product) with a ragged repeat. The last slot, u_1, gives n and the
 weight coeff * log(u_1), and one bincount per weight row sums the tuples of
-each box. Box keys are mixed-radix digits in the order u_1 .. u_j,
-v_1 .. v_j, so sorted keys are the components in (j, u_boxes, v_boxes)
-order. Expansion is depth-first in chunks of at most _CHUNK tuples, and
-per-chunk box sums are merged in bounded batches, so memory does not grow
-with the number of tuples (about 1.5e8 at x = 1e5, k = 3).
+each box. Box keys are mixed-radix digits, the box exponents of
+u_1 .. u_j, v_1 .. v_j, so sorted keys are the components in
+(j, u_boxes, v_boxes) order. Expansion is depth-first in chunks of at most
+_CHUNK tuples, and per-chunk box sums are merged in bounded batches, so
+memory does not grow with the number of tuples (about 1.5e8 at x = 1e5,
+k = 3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,32 +69,13 @@ def hb_lambda_table(x: int, k: int) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class HBComponent:
-    """One dyadic component of the decomposed sum.
-
-    u_boxes[i] and v_boxes[i] are the exponents b of the dyadic boxes
-    [2^b, 2^(b+1)); slot u_1 carries the log factor, every v slot carries a
-    Moebius factor truncated at z.
-    """
-
-    k: int
-    j: int
-    sign: int
-    weight: int
-    u_boxes: tuple[int, ...]
-    v_boxes: tuple[int, ...]
-    tuple_count: int
-    values: tuple[complex, ...]
-
-
 # Tuples expanded per chunk of the decomposition. The chunk size bounds the
 # working set; it changes neither the components nor their tuple counts.
 _CHUNK = 1 << 14
 
 
 # Weights the decomposition takes in all, rows * (floor(x) + 1): 8 MiB of
-# float64. At the bound, x = 1e5 and k = 3 peak at about 150 MiB.
+# float64. At the bound, x = 1e5 and k = 3 peak at about 90 MiB.
 MAX_WEIGHTS = 1 << 20
 
 
@@ -137,23 +118,32 @@ class _Groups:
         return self.chunks[0]
 
 
-def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[complex], list[HBComponent]]:
-    """Decompose sum_{n<=x} Lambda(n) f(n) for several weight rows f at once.
+def _real(w: np.ndarray) -> np.ndarray:
+    """w as float64; complex or empty weights raise ValueError."""
+    if np.iscomplexobj(w) or w.size == 0:
+        hint = "pass a complex f as two rows, its real and imaginary parts"
+        raise ValueError(f"weights must be real and non-empty, got {w.dtype} of shape {w.shape}; {hint}")
+    return w.astype(np.float64, copy=False)
 
-    weights has shape (nf, floor(x) + 1), real or complex; weights[i, n] is
-    f_i(n) (column 0 is never read). Returns (totals, components); totals[i]
-    is the fsum of component values for row i and must match
-    direct_lambda_sum(x, weights[i]).
+
+def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[float], np.ndarray]:
+    """Decompose sum_{n<=x} Lambda(n) f(n) for several real weight rows f at once.
+
+    weights has shape (nf, floor(x) + 1) with nf >= 1; weights[i, n] is f_i(n)
+    (column 0 is never read). Returns (totals, components); totals[i] is the
+    fsum of component values for row i and must match
+    direct_lambda_sum(x, weights[i]). components is a structured array, one
+    row per (j, box vector) in (j, u_boxes, v_boxes) order, with fields j;
+    u_boxes and v_boxes, the k exponents b of the dyadic boxes [2^b, 2^(b+1))
+    of u_1 .. u_j and v_1 .. v_j, -1 past j; tuple_count; and values, one sum
+    per weight row with the factor (-1)^(j-1) C(k, j) included.
     """
     xi = int(math.floor(x))
     w = np.asarray(weights)
     if w.ndim != 2 or w.shape[1] != xi + 1:
         raise ValueError(f"weights must have shape (nf, {xi + 1}), got {w.shape}")
-    nf = w.shape[0]
-    check_decompose_args(xi, k, nf)
-    is_complex = np.iscomplexobj(w)
-    # float rows: the real parts, then (complex weights only) the imaginary parts
-    rows = np.concatenate([w.real, w.imag]) if is_complex else w.astype(np.float64)
+    rows = _real(w)
+    check_decompose_args(xi, k, len(rows))
     z = floor_power(xi, Fraction(1, k))
     mu = mobius_table(z)
     logs = np.zeros(xi + 1)
@@ -203,8 +193,10 @@ def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[complex], li
             sums = np.array([np.bincount(local, weights=row[p] * wt, minlength=nbins)[hit] for row in rows])
             groups.add(prefixes[hit // radix] + hit % radix * place, counts[hit], sums)
 
-    totals_parts = []
-    components = []
+    dtype = [("j", np.int64), ("u_boxes", np.int64, (k,)), ("v_boxes", np.int64, (k,))]
+    dtype += [("tuple_count", np.int64), ("values", np.float64, (len(rows),))]
+    one = np.ones(1, dtype=np.int64)
+    parts = []
     for j in range(1, k + 1):
         # key digits, most significant first: u_1 .. u_j, then v_1 .. v_j, so
         # sorted keys are sorted (u_boxes, v_boxes); slots are filled v_1 .. v_j,
@@ -213,42 +205,30 @@ def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[complex], li
         slots += [("u", radix ** (2 * j - i)) for i in range(2, j + 1)]
         slots.append(("u", radix ** (2 * j - 1)))
         groups = _Groups()
-        one = np.ones(1, dtype=np.int64)
         expand(slots, one, (-1) ** (j - 1) * math.comb(k, j) * one, 0 * one, groups)
         keys, counts, sums = groups.merge()
-        totals_parts.append(sums)
         digits = (keys[:, None] // radix ** np.arange(2 * j - 1, -1, -1)) % radix
-        vals = sums[:nf] + 1j * sums[nf:] if is_complex else sums
-        for d, count, col in zip(digits.tolist(), counts.tolist(), vals.T.tolist()):
-            components.append(
-                HBComponent(
-                    k=k,
-                    j=j,
-                    sign=(-1) ** (j - 1),
-                    weight=math.comb(k, j),
-                    u_boxes=tuple(d[:j]),
-                    v_boxes=tuple(d[j:]),
-                    tuple_count=count,
-                    values=tuple(complex(v) for v in col),
-                )
-            )
-    row_sums = [math.fsum(r) for r in np.concatenate(totals_parts, axis=1)]
-    totals = [complex(row_sums[i], row_sums[nf + i] if is_complex else 0.0) for i in range(nf)]
-    return totals, components
+        part = np.empty(len(keys), dtype)
+        part["j"], part["tuple_count"], part["values"] = j, counts, sums.T
+        part["u_boxes"] = part["v_boxes"] = -1  # the padding past j
+        part["u_boxes"][:, :j], part["v_boxes"][:, :j] = digits[:, :j], digits[:, j:]
+        parts.append(part)
+    components = np.concatenate(parts)
+    return [math.fsum(r.tolist()) for r in components["values"].T], components
 
 
-def direct_lambda_sum(x: float, weights) -> complex:
+def direct_lambda_sum(x: float, weights) -> float:
     """Oracle side: sum_{n<=x} Lambda(n) f(n) straight from the Lambda table.
 
-    weights is one row of length floor(x) + 1 with weights[n] = f(n).
+    weights is one real row of length floor(x) + 1 with weights[n] = f(n).
     """
     xi = int(math.floor(x))
     w = np.asarray(weights)
     if w.shape != (xi + 1,):
         raise ValueError(f"weights must have shape ({xi + 1},), got {w.shape}")
+    w = _real(w)
     idx, lam = _lambda_support(xi)
-    vals = lam * w[idx]
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    return math.fsum((lam * w[idx]).tolist())
 
 
 @lru_cache(maxsize=1)

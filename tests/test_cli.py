@@ -738,10 +738,13 @@ def test_comb_rejects_bad_arguments(tmp_path, capsys):
 def test_verify_identities_reduced_scope(tmp_path):
     out = tmp_path / "ids.jsonl"
     assert (
-        run(["verify-identities", "--max-r", "40", "--sandwich-trials", "20", "--out", str(out)]) == 0
+        run(["verify-identities", "--max-r", "50", "--sandwich-trials", "20", "--out", str(out)]) == 0
     )
     rows = read_lines(out)
-    names = {r["name"] for r in rows if "name" in r}
+    detail = {r["name"]: r["detail"] for r in rows if "name" in r}
+    # --max-r bounds every character check
+    assert detail["phi-star-divisor-sum"] == detail["conductor-partition"] == "all r <= 50"
+    assert detail["orthogonality"].startswith("all r <= 50,")
     assert {
         "phi-star-divisor-sum",
         "conductor-partition",
@@ -750,7 +753,7 @@ def test_verify_identities_reduced_scope(tmp_path):
         "farey-spacing",
         "hb-identity",
         "smoothed-sandwich",
-    } == names
+    } == set(detail)
     assert rows[-1]["all_passed"] is True
 
 

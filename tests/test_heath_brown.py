@@ -15,16 +15,18 @@ def as_row(f, x):
 
 
 def component_constraints_ok(comp, x):
-    """Dyadic and truncation constraints for one component."""
-    z = floor_power(x, Fraction(1, comp.k))
-    if not 1 <= comp.j <= comp.k:
+    """Dyadic, truncation and padding constraints for one row of the components array."""
+    u_boxes, v_boxes = comp["u_boxes"].tolist(), comp["v_boxes"].tolist()
+    k, j = len(u_boxes), int(comp["j"])
+    if not 1 <= j <= k or len(v_boxes) != k:
         return False
-    if comp.weight != math.comb(comp.k, comp.j):
+    if u_boxes[j:] + v_boxes[j:] != [-1] * (2 * (k - j)) or min(u_boxes[:j] + v_boxes[:j]) < 0:
         return False
-    if any(2**b > z for b in comp.v_boxes):
+    z = floor_power(x, Fraction(1, k))
+    if any(2**b > z for b in v_boxes[:j]):
         return False
     prod = 1
-    for b in comp.u_boxes + comp.v_boxes:
+    for b in u_boxes[:j] + v_boxes[:j]:
         prod <<= b
     return prod <= x
 
@@ -34,7 +36,7 @@ def decompose_by_recursion(x, k, weights):
     xi = int(math.floor(x))
     z = floor_power(xi, Fraction(1, k))
     nf = len(weights)
-    farr = np.asarray(weights, dtype=np.complex128)
+    farr = np.asarray(weights, dtype=np.float64)
     mu = mobius_table(xi)
     logs = np.zeros(xi + 1)
     logs[1:] = np.log(np.arange(1, xi + 1, dtype=np.float64))
@@ -80,26 +82,15 @@ def decompose_by_recursion(x, k, weights):
         base = (-1) ** (j - 1) * math.comb(k, j)
         v_rec(j, 1, base, 1, ())
 
-    components = []
-    for key in sorted(acc):
-        j, u_boxes, v_boxes = key
-        count, vals = acc[key]
-        components.append(
-            hb.HBComponent(
-                k=k,
-                j=j,
-                sign=(-1) ** (j - 1),
-                weight=math.comb(k, j),
-                u_boxes=u_boxes,
-                v_boxes=v_boxes,
-                tuple_count=count,
-                values=tuple(complex(v) for v in vals),
-            )
-        )
-    totals = [
-        complex(math.fsum(c.values[i].real for c in components), math.fsum(c.values[i].imag for c in components))
-        for i in range(nf)
-    ]
+    def pad(boxes):
+        return boxes + (-1,) * (k - len(boxes))
+
+    dtype = [("j", np.int64), ("u_boxes", np.int64, (k,)), ("v_boxes", np.int64, (k,))]
+    dtype += [("tuple_count", np.int64), ("values", np.float64, (nf,))]
+    components = np.array(
+        [(j, pad(u), pad(v), acc[j, u, v][0], acc[j, u, v][1]) for j, u, v in sorted(acc)], dtype=dtype
+    )
+    totals = [math.fsum(col.tolist()) for col in components["values"].T]
     return totals, components
 
 
@@ -136,23 +127,28 @@ def test_hb_lambda_rejects_bad_args():
 def test_decompose_zero_function():
     (total,), comps = hb.hb_decompose_sum_multi(200, 2, np.zeros((1, 201)))
     assert total == 0
-    assert all(v == 0 for c in comps for v in c.values)
+    assert len(comps) and not comps["values"].any()
 
 
 def test_decompose_constant_recovers_psi():
     (total,), comps = hb.hb_decompose_sum_multi(100, 2, np.ones((1, 101)))
-    assert total.real == pytest.approx(chebyshev_psi(100), rel=1e-12)
-    assert total.imag == pytest.approx(0.0, abs=1e-12)
-    assert comps
+    assert total == pytest.approx(chebyshev_psi(100), rel=1e-12)
+    assert len(comps)
 
 
 def test_decompose_character_weight():
     from test_characters import characters, value
 
+    # a complex f goes in as two rows, its real and imaginary parts
     chi = next(c for c in characters(4) if any(c.exponents))
-    row = as_row(lambda n: value(chi, n) * math.log(500 / n), 500)
-    (total,), _ = hb.hb_decompose_sum_multi(500, 2, row[None])
-    assert abs(total - hb.direct_lambda_sum(500, row)) <= 1e-9
+    f = as_row(lambda n: value(chi, n) * math.log(500 / n), 500)
+    assert f.imag.any()
+    rows = np.array([f.real, f.imag])
+    totals, _ = hb.hb_decompose_sum_multi(500, 2, rows)
+    for row, total in zip(rows, totals):
+        assert abs(total - hb.direct_lambda_sum(500, row)) <= 1e-9
+    lam = von_mangoldt_table(500)
+    assert abs(complex(*totals) - complex(np.sum(lam * f))) <= 1e-9
 
 
 def test_decompose_three_fold():
@@ -166,12 +162,13 @@ def test_component_structure():
     x = 1000
     _, comps = hb.hb_decompose_sum_multi(x, 2, np.ones((1, x + 1)))
     z = floor_power(x, Fraction(1, 2))
+    assert comps.dtype.names == ("j", "u_boxes", "v_boxes", "tuple_count", "values")
+    assert comps["u_boxes"].shape == comps["v_boxes"].shape == (len(comps), 2)
+    assert comps["values"].shape == (len(comps), 1)
+    assert set(comps["j"].tolist()) == {1, 2}
+    assert (comps["v_boxes"][comps["j"] == 1, 1] == -1).all()
     for c in comps:
-        assert 1 <= c.j <= 2
-        assert c.sign == (-1) ** (c.j - 1)
-        assert c.weight == math.comb(2, c.j)
-        assert len(c.u_boxes) == c.j and len(c.v_boxes) == c.j
-        assert all(2**b <= z for b in c.v_boxes)
+        assert all(2**b <= z for b in c["v_boxes"][: c["j"]].tolist())
         assert component_constraints_ok(c, x)
     # dyadic boxing keeps the component count polylogarithmic
     assert len(comps) <= (x.bit_length() + 1) ** 4
@@ -225,6 +222,39 @@ def test_weights_must_cover_zero_to_x():
         hb.direct_lambda_sum(100, np.ones((1, 101)))
 
 
+def test_complex_and_empty_weights_raise():
+    # a complex f goes in as two real rows, even with a zero imaginary part
+    hint = "pass a complex f as two rows, its real and imaginary parts"
+    for bad in (np.ones((1, 101), dtype=complex), np.zeros((0, 101))):
+        with pytest.raises(ValueError, match=hint):
+            hb.hb_decompose_sum_multi(100, 2, bad)
+        with pytest.raises(ValueError):
+            hb.direct_lambda_sum(100, bad)
+    for bad in (np.ones(101, dtype=complex), np.zeros(0)):
+        with pytest.raises(ValueError, match=hint):
+            hb.direct_lambda_sum(len(bad) - 1, bad)
+
+
+def test_hb_prints_the_number_of_component_rows(monkeypatch, tmp_path):
+    # the count hb prints is len(components), one row per (j, box vector)
+    import json
+
+    import apgaps.cli as cli
+
+    seen = []
+    real = hb.hb_decompose_sum_multi
+
+    def spy(*args):
+        result = real(*args)
+        seen.append(len(result[1]))
+        return result
+
+    monkeypatch.setattr(hb, "hb_decompose_sum_multi", spy)
+    out = tmp_path / "hb.jsonl"
+    assert cli.main(["hb", "--x", "3000", "--k", "3", "--trials", "2", "--out", str(out)]) == 0
+    assert seen == [json.loads(out.read_text())["components"]] and seen[0] > 0
+
+
 def test_hb_run_builds_one_lambda_table(monkeypatch, tmp_path):
     # each weight row is checked against the one Lambda table of its x
     import apgaps.cli as cli
@@ -241,37 +271,36 @@ def test_hb_run_builds_one_lambda_table(monkeypatch, tmp_path):
     assert built == [10]
 
 
-def random_rows(x, rng, complex_rows):
+def random_rows(x, rng, split_complex):
+    """Two random rows; with split_complex, a random complex f as its two real rows, then its two imaginary rows."""
     rows = rng.normal(size=(2, x + 1))
-    return rows + 1j * rng.normal(size=(2, x + 1)) if complex_rows else rows
+    return np.concatenate([rows, rng.normal(size=(2, x + 1))]) if split_complex else rows
 
 
 def assert_same_decomposition(x, k, rows):
     totals, comps = hb.hb_decompose_sum_multi(x, k, rows)
     want_totals, want = decompose_by_recursion(x, k, rows)
-    assert [(c.k, c.j, c.sign, c.weight, c.u_boxes, c.v_boxes, c.tuple_count) for c in comps] == [
-        (c.k, c.j, c.sign, c.weight, c.u_boxes, c.v_boxes, c.tuple_count) for c in want
-    ]
-    for c, w in zip(comps, want):
-        assert len(c.values) == len(w.values)
-        for v, u in zip(c.values, w.values):
-            assert abs(v - u) <= 1e-12 * max(1.0, abs(u))
+    assert comps.dtype == want.dtype
+    for field in ("j", "u_boxes", "v_boxes", "tuple_count"):
+        assert np.array_equal(comps[field], want[field]), field
+    assert (np.abs(comps["values"] - want["values"]) <= 1e-12 * np.maximum(1.0, np.abs(want["values"]))).all()
+    assert len(totals) == len(want_totals) == len(rows)
     for t, u in zip(totals, want_totals):
         assert abs(t - u) <= 1e-12 * max(1.0, abs(u))
 
 
-@pytest.mark.parametrize("complex_rows", [False, True])
+@pytest.mark.parametrize("split_complex", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("x", [1, 2, 3, 7, 64, 500, 1000])
-def test_decompose_matches_recursion_oracle(x, k, complex_rows):
-    rng = np.random.default_rng(1000 * x + 10 * k + complex_rows)
-    assert_same_decomposition(x, k, random_rows(x, rng, complex_rows))
+def test_decompose_matches_recursion_oracle(x, k, split_complex):
+    rng = np.random.default_rng(1000 * x + 10 * k + split_complex)
+    assert_same_decomposition(x, k, random_rows(x, rng, split_complex))
 
 
-@pytest.mark.parametrize("complex_rows", [False, True])
-def test_decompose_matches_recursion_oracle_large(complex_rows):
-    rng = np.random.default_rng(10**4 + complex_rows)
-    assert_same_decomposition(10**4, 2, random_rows(10**4, rng, complex_rows))
+@pytest.mark.parametrize("split_complex", [False, True])
+def test_decompose_matches_recursion_oracle_large(split_complex):
+    rng = np.random.default_rng(10**4 + split_complex)
+    assert_same_decomposition(10**4, 2, random_rows(10**4, rng, split_complex))
 
 
 @pytest.mark.parametrize("x, k", [(64, 3), (500, 2), (300, 3)])
