@@ -23,7 +23,9 @@ groups), so the same call gives the same bits.
 The dense phi and Möbius tables take one strided update per prime up to
 sqrt(n), then the larger primes together, one cofactor at a time
 (large_multiples); reduced_residue_mask(m) strikes one stride per
-prime of m.
+prime of m. A float array's exact sum is one integer (_exact_int, by
+error-free extraction over a buffer of at most _EXTRACT_CHUNK terms),
+rounded once by _exact_sum: == math.fsum, for bv_sums and heath_brown.
 """
 
 from __future__ import annotations
@@ -630,6 +632,60 @@ def log_integral_Y1(x: float, q: int = 1) -> float:
     whole = (b - a) / 6 * (fa + 4 * fm + fb)
     val = _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, 1e-13 * rough, 60)
     return val / euler_phi(q)
+
+
+# ---------------------------------------------------------------------------
+# exact float sums
+
+_EXTRACT_CHUNK = 1 << 14  # terms per extraction buffer (see _exact_int)
+
+
+def _exact_int(a: np.ndarray) -> int:
+    """The exact sum of a finite float array as an integer count of 2**-1126, a unit below every float's ulp.
+
+    The terms are copied _EXTRACT_CHUNK at a time into one reused buffer t
+    and summed there by error-free extraction (Rump, Ogita and Oishi). With
+    top < 2**E the largest |t| and n + 1 <= 2**M, sigma = 2**(E + M) splits
+    each t exactly into q = (t + sigma) - sigma, a multiple of
+    2**(E + M - 53) with |q| <= 2**E, and a residual t - q of at most
+    2**(E + M - 53). Any partial sum of the q stays on that grid below
+    2**(E + M), so sum(q) is exact in any order. The residuals repeat the
+    step until they are all 0; each level lowers E by at least 52 - M.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    buf = np.empty((2, min(a.size, _EXTRACT_CHUNK)))
+    total = 0
+    for lo in range(0, a.size, _EXTRACT_CHUNK):
+        t, q = buf[:, : min(_EXTRACT_CHUNK, a.size - lo)]
+        t[:] = a[lo : lo + t.size]
+        M = t.size.bit_length()
+        while top := max(t.max(), -t.min()):
+            if not math.isfinite(top):
+                raise ValueError("need finite terms")
+            E = math.frexp(top)[1]
+            if E + M > 1023:  # sigma would overflow: the terms >= 2**K go in their own pass, scaled by 2**-K
+                K = 1023 - M
+                big = np.where(np.abs(t) >= 2.0**K, t, 0.0)
+                t -= big
+                total += _exact_int(big * 2.0**-K) << K  # exact: every nonzero scaled term is >= 1
+                continue
+            sigma = 2.0 ** (E + M)
+            np.add(t, sigma, out=q)
+            q -= sigma
+            t -= q
+            num, den = q.sum().as_integer_ratio()
+            total += num << (1127 - den.bit_length())
+    return total
+
+
+def _round_exact(total: int) -> float:
+    """The float nearest total * 2**-1126: one rounding of a sum from _exact_int."""
+    return total / (1 << 1126)
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """The correctly rounded sum of a finite float array; == math.fsum(a) unless that overflows."""
+    return _round_exact(_exact_int(a))
 
 
 # ---------------------------------------------------------------------------

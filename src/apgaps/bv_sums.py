@@ -25,9 +25,9 @@ Measured quantities, each against its trivial normalizer:
   from the class sieve (arith.class_segments), up to x e^lam, in O(segment)
   memory, and reads its three smoothed sums and psi from prefixes of each
   segment, then from the class's higher prime powers. Each sum is one
-  Python int, mantissas binned by exponent (_exact_int), rounded once at
-  the end, so they are == the math.fsum of smoothed_R and of the class's
-  von Mangoldt weights.
+  exact Python int (arith._exact_int, by error-free extraction over a
+  cache-sized buffer), rounded once at the end, so they are == the
+  math.fsum of smoothed_R and of the class's von Mangoldt weights.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
   moduli d <= x^L. Every d is squarefree, so one factorization of d gives
   its weight tau_{3k}(d) = (3k)^omega(d) and phi(d) = prod (p - 1); the
@@ -36,7 +36,7 @@ Measured quantities, each against its trivial normalizer:
   max(floor(x/2) + h, 0): every integer term is exact.
 
 Each error sum is one correctly rounded sum of its per-modulus terms
-(math.fsum, or _exact_sum over an array), taken on one thread. Only the
+(math.fsum, or arith._exact_sum over an array), taken on one thread. Only the
 class sieves of compute_E_b run on two threads, where there are two reduced
 classes or more, with the bits of one thread.
 """
@@ -50,6 +50,9 @@ import numpy as np
 
 from .arith import (
     DEFAULT_SEGMENT,
+    _exact_int,
+    _exact_sum,
+    _round_exact,
     class_segments,
     crt_unit_lift,
     euler_phi,
@@ -86,46 +89,6 @@ def smoothed_R(x: float, r: int = 1, a: int = 0) -> float:
     return math.fsum(W * (math.log(x) - np.log(P.astype(np.float64))))
 
 
-_SUM_CHUNK = 1 << 26  # terms per bincount, so every bin's float sum stays exact (see _exact_int)
-
-
-def _exact_int(a: np.ndarray) -> int:
-    """The exact sum of a finite float array as an integer count of 2**-1126, a unit below every float's ulp.
-
-    Each term is m * 2**E with 1/2 <= |m| < 1 and E >= -1073; m * 2**27
-    splits into its floor h, |h| <= 2**27, and a fraction f in [0, 1) that is
-    a multiple of 2**-26. The h and the f are summed per exponent E by two
-    float bincounts, exact while a bin holds at most 2**26 terms (hence the
-    chunks): partial sums stay within 2**53 and on their grid. The bins
-    combine as Python ints.
-    """
-    mant, exps = np.frexp(np.asarray(a, dtype=np.float64))
-    if not mant.size:
-        return 0
-    base = int(exps.min())
-    exps -= base
-    mant = np.ldexp(mant, 27, out=mant)
-    high = np.floor(mant)
-    mant -= high  # the fraction f, in [0, 1)
-    total = 0
-    for lo in range(0, mant.size, _SUM_CHUNK):
-        cut = slice(lo, lo + _SUM_CHUNK)
-        highs = np.bincount(exps[cut], high[cut]).tolist()
-        fracs = np.bincount(exps[cut], mant[cut]).tolist()
-        total += sum(((int(h) << 26) + int(f * 2**26)) << k for k, (h, f) in enumerate(zip(highs, fracs)) if h or f)
-    return total << (base + 1073)
-
-
-def _round_exact(total: int) -> float:
-    """The float nearest total * 2**-1126: one rounding of a sum from _exact_int."""
-    return total / (1 << 1126)
-
-
-def _exact_sum(a: np.ndarray) -> float:
-    """The correctly rounded sum of a finite float array; == math.fsum(a) unless that overflows."""
-    return _round_exact(_exact_int(a))
-
-
 def sandwich_check(x: float, r: int, a: int, lam: float):
     """Difference-quotient bounds for psi from the smoothed sum.
 
@@ -134,9 +97,10 @@ def sandwich_check(x: float, r: int, a: int, lam: float):
     The class is streamed from the class sieve up to x e^lam
     (arith.class_segments), its higher prime powers taken after the last
     segment. Each part adds its terms of R(x e^-lam), R(x), R(x e^lam) and
-    psi(x) to four exact integer sums (_exact_int), rounded once at the
-    end; so every value equals (==) its smoothed_R call, or the math.fsum
-    of the class's weights up to x.
+    psi(x) to four exact integer sums (arith._exact_int, which extracts
+    each part's sum without rounding), rounded once at the end; so every
+    value equals (==) its smoothed_R call, or the math.fsum of the class's
+    weights up to x.
     """
     if lam <= 0:
         raise ValueError("need lam > 0")

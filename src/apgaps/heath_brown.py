@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import floor_power, mobius_table, von_mangoldt_table
+from .arith import _exact_sum, floor_power, mobius_table, von_mangoldt_table
 
 
 def _dirichlet(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -131,7 +131,8 @@ def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[float], np.n
 
     weights has shape (nf, floor(x) + 1) with nf >= 1; weights[i, n] is f_i(n)
     (column 0 is never read). Returns (totals, components); totals[i] is the
-    fsum of component values for row i and must match
+    correctly rounded sum (arith._exact_sum, == math.fsum) of the component
+    values for row i and must match
     direct_lambda_sum(x, weights[i]). components is a structured array, one
     row per (j, box vector) in (j, u_boxes, v_boxes) order, with fields j;
     u_boxes and v_boxes, the k exponents b of the dyadic boxes [2^b, 2^(b+1))
@@ -214,13 +215,14 @@ def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[float], np.n
         part["u_boxes"][:, :j], part["v_boxes"][:, :j] = digits[:, :j], digits[:, j:]
         parts.append(part)
     components = np.concatenate(parts)
-    return [math.fsum(r.tolist()) for r in components["values"].T], components
+    return [_exact_sum(r) for r in components["values"].T], components
 
 
 def direct_lambda_sum(x: float, weights) -> float:
     """Oracle side: sum_{n<=x} Lambda(n) f(n) straight from the Lambda table.
 
     weights is one real row of length floor(x) + 1 with weights[n] = f(n).
+    The terms are summed with one rounding (arith._exact_sum, == math.fsum).
     """
     xi = int(math.floor(x))
     w = np.asarray(weights)
@@ -228,7 +230,7 @@ def direct_lambda_sum(x: float, weights) -> float:
         raise ValueError(f"weights must have shape ({xi + 1},), got {w.shape}")
     w = _real(w)
     idx, lam = _lambda_support(xi)
-    return math.fsum((lam * w[idx]).tolist())
+    return _exact_sum(lam * w[idx])
 
 
 @lru_cache(maxsize=1)

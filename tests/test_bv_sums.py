@@ -19,6 +19,7 @@ from apgaps.arith import (
     primes_in_range,
     von_mangoldt_table,
 )
+from apgaps.checks import check_sandwich
 from apgaps.reports import ERROR_SUM_CSV_HEADER
 from test_arith import cached_prime_power_arrays, chebyshev_psi, mobius, tau
 from test_comb_lemmas import _returns_in_time
@@ -167,37 +168,141 @@ def test_sandwich_rejects_a_modulus_below_one_and_a_nonfinite_x():
             bv.sandwich_check(x, 3, 1, 0.1)
 
 
-# finite floats from 2**-1074 (subnormal) to below 2**1000 in magnitude, both signs
+# finite floats from 2**-1074 (subnormal) to the largest float in magnitude, both signs
+_MAX_FLOAT = 1.7976931348623157e308
 _wide_floats = st.one_of(
-    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1070, 1000)),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.0, -1.0]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.integers(-1070, 1024)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.0, -1.0, _MAX_FLOAT, -_MAX_FLOAT]),
 )
+
+
+def bincount_exact_int(a):
+    """Oracle: the former _exact_int, mantissas binned by binary exponent.
+
+    Each term is m * 2**E with 1/2 <= |m| < 1 and E >= -1073; m * 2**27
+    splits into its floor h, |h| <= 2**27, and a fraction f in [0, 1) that is
+    a multiple of 2**-26. The h and the f are summed per exponent E by two
+    float bincounts, exact while a bin holds at most 2**26 terms; the bins
+    combine as Python ints, in units of 2**-1126.
+    """
+    mant, exps = np.frexp(np.asarray(a, dtype=np.float64))
+    if not mant.size:
+        return 0
+    assert mant.size <= 1 << 26
+    base = int(exps.min())
+    exps -= base
+    mant = np.ldexp(mant, 27, out=mant)
+    high = np.floor(mant)
+    mant -= high  # the fraction f, in [0, 1)
+    highs = np.bincount(exps, high).tolist()
+    fracs = np.bincount(exps, mant).tolist()
+    total = sum(((int(h) << 26) + int(f * 2**26)) << k for k, (h, f) in enumerate(zip(highs, fracs)) if h or f)
+    return total << (base + 1073)
+
+
+def assert_exact_sum(a):
+    """_exact_sum(a) == math.fsum(a); where fsum's partial sums overflow (they can on a finite
+    exact sum), _exact_int(a) is the oracle's integer instead."""
+    try:
+        want = math.fsum(a)
+    except OverflowError:
+        assert arith._exact_int(a) == bincount_exact_int(a)
+    else:
+        assert arith._exact_sum(a) == want
 
 
 @settings(max_examples=200)
 @given(st.lists(_wide_floats, max_size=60))
 def test_exact_sum_equals_fsum(terms):
     a = np.array(terms, dtype=np.float64)
-    assert bv._exact_sum(a) == math.fsum(a)
+    assert_exact_sum(a)
     # full cancellation, mixed signs
-    both = np.concatenate([a, -a[::-1]])
-    assert bv._exact_sum(both) == math.fsum(both) == 0.0
+    assert arith._exact_sum(np.concatenate([a, -a[::-1]])) == 0.0
 
 
 def test_exact_sum_edges():
-    assert bv._exact_sum(np.array([])) == math.fsum([]) == 0.0
-    for terms in ([5e-324], [5e-324] * 3, [1e-310, -5e-324], [1.0, 1e-16, 1e-16], [2.0**1000, -(2.0**1000), 2.0**-1070]):
-        assert bv._exact_sum(np.array(terms)) == math.fsum(terms)
+    assert arith._exact_sum(np.array([])) == math.fsum([]) == 0.0
+    for terms in (
+        [5e-324],
+        [5e-324] * 3,
+        [1e-310, -5e-324],
+        [-0.0],
+        [1.0, 1e-16, 1e-16],
+        [2.0**1000, -(2.0**1000), 2.0**-1070],
+        [2.0**1023, -(2.0**1023), 5e-324],
+        [_MAX_FLOAT, -_MAX_FLOAT, -5e-324],
+        [_MAX_FLOAT, -(2.0**970), 2.0**970],
+    ):
+        assert arith._exact_sum(np.array(terms)) == math.fsum(terms)
+    # partial sums past the float range, exact sum inside it
+    terms = [_MAX_FLOAT] * 3 + [-_MAX_FLOAT] * 3 + [5e-324]
+    assert arith._exact_int(np.array(terms)) == bincount_exact_int(terms) == 1 << 52
+    assert arith._exact_sum(np.array(terms)) == 5e-324
+    # a sum past the float range still overflows
+    for terms in ([_MAX_FLOAT, _MAX_FLOAT], [_MAX_FLOAT, 2.0**970]):
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
+        with pytest.raises(OverflowError):
+            arith._exact_sum(np.array(terms))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^need finite terms$"):
+            arith._exact_int(np.array([1.0, bad]))
 
 
 @settings(max_examples=30)
 @given(st.lists(_wide_floats, min_size=1, max_size=40), st.integers(1, 7))
 def test_exact_sum_chunked_path(terms, chunk):
-    # a chunk shorter than the input sends it through several bincounts
+    # a chunk shorter than the input sends it through several extraction buffers
     a = np.array(terms * 3, dtype=np.float64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bv, "_SUM_CHUNK", min(chunk, len(a) - 1))
-        assert bv._exact_sum(a) == math.fsum(a)
+        mp.setattr(arith, "_EXTRACT_CHUNK", min(chunk, len(a) - 1))
+        assert_exact_sum(a)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 8).flatmap(lambda c: st.tuples(st.just(c), st.lists(_wide_floats, min_size=1, max_size=3 * c))))
+def test_exact_int_matches_bincount_oracle(chunk_and_terms):
+    # arrays of one to three chunks; the input is read, not overwritten
+    chunk, terms = chunk_and_terms
+    a = np.array(terms, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_EXTRACT_CHUNK", chunk)
+        assert arith._exact_int(a) == bincount_exact_int(terms)
+    assert a.tolist() == terms
+
+
+def test_exact_int_matches_bincount_oracle_across_real_chunks():
+    rng = np.random.default_rng(5)
+    for lo, hi in ((-900, 900), (-1074, 1024), (-60, 10), (1000, 1024), (-1074, -1000)):
+        n = int(rng.integers(20_000, 60_000))  # two to four chunks
+        a = np.ldexp(rng.uniform(-1, 1, n), rng.integers(lo, hi, n, endpoint=True))
+        assert arith._exact_int(a) == bincount_exact_int(a)
+
+
+def test_exact_int_matches_bincount_oracle_on_every_sandwich_call(monkeypatch):
+    calls = []
+
+    def checked(a):
+        got = arith._exact_int(a)
+        assert got == bincount_exact_int(a)
+        calls.append(len(a))
+        return got
+
+    monkeypatch.setattr(bv, "_exact_int", checked)
+    assert check_sandwich(200, 0).passed
+    assert len(calls) == 1616 and sum(calls) == 4_348_812
+
+
+def test_exact_int_memory_stays_within_a_few_chunks():
+    a = np.random.default_rng(0).standard_normal(1 << 20)  # 8 MiB of terms
+    tracemalloc.start()
+    try:
+        got = arith._exact_int(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert got == bincount_exact_int(a)
 
 
 def test_sandwich_rejects_x_below_one_like_oracle():
@@ -555,7 +660,7 @@ def test_multiple_sums_against_strided_loop(n, q, Q):
 def test_psi_total_is_fsum_of_the_table():
     for n in (2, 3, 10, 10**4, 2 * 10**5):
         lam = von_mangoldt_table(n)
-        assert bv._exact_sum(lam[lam != 0]) == math.fsum(lam)
+        assert arith._exact_sum(lam[lam != 0]) == math.fsum(lam)
 
 
 def bincount_variance(x, q, Q):
