@@ -40,8 +40,9 @@ comb_lemmas.simplex_batches, the sampler the random lemma sweeps use too,
 in blocks of _MC_BLOCK_BYTES of coordinates whatever k is. The sampler
 draws the next block on a worker thread while this loop takes the power
 sums of the current one, blocks alternating between two buffers, with the
-values of one inline draw. The power sums fill groups of _MC_BATCH points,
-and both polynomials are evaluated once per group.
+values of one inline draw. The power sums fill slices of whole blocks, at
+most half a group of _MC_BATCH points, and both polynomials are evaluated
+once per slice into one vector of a group's values.
 """
 
 from __future__ import annotations
@@ -494,15 +495,15 @@ class _PowerSumPolynomial:
         depth = max((len(key) for key in self.keys), default=1)
         self._products = np.empty((depth - 1, width))
         self._term = np.empty(width)
-        self._out = np.empty(width)
 
-    def __call__(self, psums: np.ndarray) -> np.ndarray:
+    def __call__(self, psums: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """F at n points from psums[r - 1] = p_r, shape (>= max_power, n).
 
-        The result is a buffer that the next call overwrites.
+        The values go into out, of length n (a new array if None), which is
+        returned. A point's value does not depend on n.
         """
         n = psums.shape[1]
-        out = self._out[:n]
+        out = np.empty(n) if out is None else out
         term = self._term[:n]
         products = self._products[:, :n]
         out.fill(self.constant)
@@ -518,17 +519,28 @@ class _PowerSumPolynomial:
         return out
 
 
-# Monte-Carlo samples per group. The polynomials are evaluated one group at
-# a time and the group sums are added in order, so this value is part of the
-# bit pattern of every Monte-Carlo result. It sizes the power-sum and
-# evaluation buffers, which do not grow with k.
+# Monte-Carlo samples per group. The values of a group's points fill one
+# vector of this length, squared in place, and the group sums are added in
+# order, so this value is part of the bit pattern of every Monte-Carlo
+# result. The power sums and polynomials are evaluated on slices of at most
+# half a group (_mc_slice), so only that vector has a group's length, and
+# nothing grows with k.
 _MC_BATCH = 20_000
 # Bytes of coordinates per sampled block: the block, the sampler's spare
 # and the power buffer hold (k + 1) x width floats each, with width the
 # largest divisor of _MC_BATCH within this budget over the k + 1 rows. A
-# point's power sums do not depend on the width, so this value sets the
-# memory and no result.
+# point's power sums and values do not depend on the width, so this value
+# sets the memory and no result.
 _MC_BLOCK_BYTES = 256 * 1024
+
+
+def _mc_slice(width: int) -> int:
+    """Points per evaluation slice: whole blocks of `width`, at most half a group unless one block is more.
+
+    A point's value does not depend on the slice, so this sets the memory
+    of the power-sum and polynomial buffers and no result.
+    """
+    return width * max(1, (_MC_BATCH // 2) // width)
 
 
 @dataclass(frozen=True)
@@ -556,14 +568,17 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     _MC_BLOCK_BYTES over the k + 1 rows, so the sampler's memory does not
     grow with k; the width divides _MC_BATCH, so blocks tile the groups of
     _MC_BATCH points. A block's power sums take one pass over it per power
-    and fill its columns of one power-sum buffer of a group. F is
-    evaluated once per group, as one polynomial in the power sums
-    p_1 ... p_D of its points, and the inner t_1 integral of the J side as
-    one polynomial in the power sums q_r of the other coordinates and the
-    powers of the upper limit u, integrated exactly (_inner_integral), with
-    no quadrature nodes. Both sides run through one sampling loop: the I
-    side draws k + 1 coordinates per point, the J side k, each from the
-    same generator in turn.
+    and fill its columns of a slice of whole blocks (_mc_slice, at most
+    10,000 points). F is evaluated on each full slice and at each group's
+    end, as one polynomial in the power sums p_1 ... p_D of its points,
+    and the inner t_1 integral of the J side as one polynomial in the power
+    sums q_r of the other coordinates and the powers of the upper limit u,
+    integrated exactly (_inner_integral), with no quadrature nodes. The
+    values land in one vector of a group's length, which is squared in
+    place for the group's sums of v^2 and v^4, so a point's value and a
+    group's sums do not depend on the slice. Both sides run through one
+    sampling loop: the I side draws k + 1 coordinates per point, the J side
+    k, each from the same generator in turn.
     """
     if sample_count < 10**5:
         raise ValueError("need at least 1e5 samples")
@@ -575,34 +590,42 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
     # the widest block within the budget that tiles a group
     cap = min(group, max(1, _MC_BLOCK_BYTES // (8 * (k + 1))))
     width = next(w for w in range(cap, 0, -1) if group % w == 0)
+    span = _mc_slice(width)
     exact = _trial_coefficients(cert.coefficients, cert.basis)
-    F = _PowerSumPolynomial(exact, group)
-    G = _PowerSumPolynomial(_inner_integral(exact), group)
+    F = _PowerSumPolynomial(exact, span)
+    G = _PowerSumPolynomial(_inner_integral(exact), span)
     D = F.max_power
     # rows below D: p_r for F, q_r for G; rows D and up: u, u^2, ... for G
-    psums = np.empty((G.max_power, group))
+    psums = np.empty((G.max_power, span))
+    vals = np.empty(group)
     draws = np.empty((k + 1, width))
     power = np.empty((k, width))
 
     def mean_square(rows: int, block_sums, values) -> tuple[float, float]:
-        """The mean of values(group)**2 over all samples and the variance of that mean.
+        """The mean of v**2 over all samples and the variance of that mean.
 
         Each block holds `rows` coordinates of uniform simplex points.
         block_sums(block, out) writes their power sums into out, the block's
-        columns of psums, and values(rows) evaluates a full group's.
+        columns of psums, and values(psums, out) evaluates a slice's into
+        its part of vals.
         """
         tot = 0.0
         tot_sq = 0.0
-        done = fill = 0  # samples summed, and those of the current group
+        done = fill = start = 0  # samples summed, those of the current group, and its slice's first
         for block in simplex_batches(rng, draws[:rows], sample_count):
-            block_sums(block, psums[:, fill : fill + block.shape[1]])
+            at = fill - start
+            block_sums(block, psums[:, at : at + block.shape[1]])
             fill += block.shape[1]
             done += block.shape[1]
-            if fill == group or done == sample_count:
-                v = values(psums[:, :fill]) ** 2
+            end = fill == group or done == sample_count
+            if end or fill - start == span:
+                values(psums[:, : fill - start], vals[start:fill])
+                start = fill
+            if end:
+                v = np.square(vals[:fill], out=vals[:fill])
                 tot += float(np.sum(v))
-                tot_sq += float(np.sum(v * v))
-                fill = 0
+                tot_sq += float(np.sum(np.square(v, out=v)))
+                fill = start = 0
         mean = tot / sample_count
         return mean, max(tot_sq / sample_count - mean**2, 0.0) / sample_count
 
@@ -615,10 +638,10 @@ def verify_certificate(cert: VariationalCertificate, sample_count: int = 100_000
         # u = 1 - q_1, the sum of the other coordinates
         np.subtract(1.0, out[0] if D else column_sums(rest), out=out[D])
 
-    def inner_integral(rows: np.ndarray) -> np.ndarray:
+    def inner_integral(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         for r in range(D + 1, len(rows)):
             np.multiply(rows[r - 1], rows[D], out=rows[r])
-        return G(rows)
+        return G(rows, out)
 
     # Probability-measure means: the simplex volumes cancel in the quotient,
     # quotient = k^2 * E[(inner integral)^2] / E[F^2], so no factorial appears.

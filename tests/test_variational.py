@@ -742,16 +742,51 @@ def test_verify_certificate_does_not_depend_on_the_block_budget(k, degree, colum
     assert widths == [min(columns, 2500)] * (1 if k == 1 else 2)
 
 
-def test_verify_certificate_memory_does_not_grow_with_k():
-    # a sample buffer of (k + 1) x _MC_BATCH floats and its spare would take 64 MB
-    cert = _mc_certificate(200, 3)
+@pytest.mark.parametrize("k,degree", [(1, 4), (5, 6), (12, 6), (120, 3)])
+def test_verify_certificate_does_not_depend_on_the_slice(k, degree, monkeypatch):
+    # One block per slice, one whole group per slice (the group-wide
+    # evaluation, kept as the slow-path oracle) and the default slice.
+    # n = 100_001 and 123_457 end in a partial group and a short block.
+    cert = _mc_certificate(k, degree)
+    default = var._mc_slice
+    spans = []
+    results = {}
+    for rule in (lambda width: width, lambda width: var._MC_BATCH, default):
+
+        def spy(width, rule=rule):
+            spans.append((width, rule(width)))
+            return spans[-1][1]
+
+        monkeypatch.setattr(var, "_mc_slice", spy)
+        for n in (100_000, 100_001, 123_457):
+            mc = var.verify_certificate(cert, n, seed=n)
+            results.setdefault(n, []).append((mc.ratio, mc.sigma))
+    for n, got in results.items():
+        assert got[0] == got[1] == got[2], (n, got)
+    width = spans[0][0]
+    assert {span for _, span in spans} == {width, var._MC_BATCH, default(width)}
+    assert default(width) <= var._MC_BATCH // 2 and default(width) % width == 0
+
+
+def _traced_peak(cert, sample_count):
+    """The traced peak of one verify_certificate call, in bytes."""
+    np.random.default_rng(0)  # numpy.random imports on first use; keep that out of the peak
     tracemalloc.start()
     try:
-        var.verify_certificate(cert, 100_000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        var.verify_certificate(cert, sample_count, seed=0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_verify_certificate_memory_does_not_grow_with_k():
+    # a sample buffer of (k + 1) x _MC_BATCH floats and its spare would take 64 MB
+    assert _traced_peak(_mc_certificate(200, 3), 100_000) < 3 * 2**20
+
+
+def test_verify_certificate_memory_at_degree_8():
+    # 17 power-sum rows and two product stacks: slices keep them at 10,000 points
+    assert _traced_peak(_mc_certificate(5, 8), 100_000) < 4 * 2**20
 
 
 def test_min_k_for():
