@@ -9,9 +9,10 @@ struck the multiples of the primes 3 to 13 that do not divide q, so only
 the primes from 17 up to sqrt(hi) are marked with strides, one stride per
 prime; 2 and the wheel primes of the class are added back. Von Mangoldt
 weights come from von_mangoldt_table (the dense table Lambda(0..n), whose
-nonzero entries prime_power_arrays lists), or psi_residue_sums, which
-streams one class's sieve segments into per-residue float bincounts;
-prime_residue_counts streams them into exact integer counts. Streams add
+nonzero entries prime_power_arrays lists, cached read only for the last
+n), or psi_residue_sums, which streams one class's sieve segments into
+per-residue float bincounts; prime_residue_counts streams them into exact
+integer counts. Streams add
 the class's higher prime powers p^j, j >= 2, from higher_prime_powers,
 which masks one list cached per segment-aligned cap. Residues of whole
 arrays go through residues(a, m), a floor division by a scalar of a's
@@ -465,12 +466,17 @@ def _segment_cap(n: int) -> int:
     return -(-n // DEFAULT_SEGMENT) * DEFAULT_SEGMENT
 
 
+@lru_cache(maxsize=1)
 def prime_power_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, W): ascending prime powers P <= limit and their weights W = log p,
-    the nonzero entries of von_mangoldt_table(limit)."""
+    the nonzero entries of von_mangoldt_table(limit). Cached for the last
+    limit, read only: heath_brown checks every weight row of a run against them."""
     lam = von_mangoldt_table(limit)
     P = np.flatnonzero(lam)
-    return P, lam[P]
+    W = lam[P]
+    P.setflags(write=False)
+    W.setflags(write=False)
+    return P, W
 
 
 def higher_prime_powers(n: int, q: int = 1, a: int = 0) -> tuple[np.ndarray, np.ndarray]:

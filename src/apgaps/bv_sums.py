@@ -21,13 +21,14 @@ Measured quantities, each against its trivial normalizer:
   few nonreduced classes that carry mass hold only powers of primes
   dividing m, and are subtracted exactly, for all moduli at once.
 - smoothed_R / sandwich_check: the log-smoothed weighted sum and the
-  two-sided bounds it implies for psi. sandwich_check streams the class
-  from the class sieve (arith.class_segments), up to x e^lam, in O(segment)
-  memory, and reads its three smoothed sums and psi from prefixes of each
-  segment, then from the class's higher prime powers. Each sum is one
-  exact Python int (arith._exact_int, by error-free extraction over a
-  cache-sized buffer), rounded once at the end, so they are == the
-  math.fsum of smoothed_R and of the class's von Mangoldt weights.
+  two-sided bounds it implies for psi, both from one kernel (_class_sums).
+  It streams the class from the class sieve (arith.class_segments) in
+  O(segment) memory and reads each sum from prefixes of each segment, then
+  from the class's higher prime powers: R(y) at one y for smoothed_R; at
+  x e^-lam, x and x e^lam, and psi(x), in one pass for sandwich_check.
+  Each sum is one exact Python int (arith._exact_int, by error-free
+  extraction over a cache-sized buffer), rounded once at the end, so it is
+  == the math.fsum of its terms.
 - maynard_condition_sums: squarefree tau-weighted condition sums over
   moduli d <= x^L. Every d is squarefree, so one factorization of d gives
   its weight tau_{3k}(d) = (3k)^omega(d) and phi(d) = prod (p - 1); the
@@ -64,29 +65,45 @@ from .arith import (
     log_integral_Y1,
     mobius_table,
     phi_table,
-    prime_power_arrays,
     prime_residue_counts,
     primes_in_range,
     psi_residue_sums,
     reduced_residue_mask,
-    residues,
     von_mangoldt_table,
 )
 from .reports import ErrorSumReport, MaynardConditionReport
 from .variational import MAX_K
 
 
+def _class_sums(r: int, a: int, smoothed, psi=()) -> list[int]:
+    """Exact sums over the prime powers n = a (mod r), each one Python int
+    (arith._exact_int): R(y) = sum_{n <= y} Lambda(n) (log y - log n) for
+    each y of smoothed, then sum_{n <= y} Lambda(n) for each y of psi.
+    One pass streams the class up to the largest y, then its higher prime powers."""
+    cuts = [int(math.floor(y)) for y in (*smoothed, *psi)]
+    log_ys = [math.log(y) for y in smoothed]
+    sums = [0] * len(cuts)
+
+    def add(W: np.ndarray, logs: np.ndarray, parts) -> None:
+        """Add the terms of each sum; parts[k] selects the prime powers up to cuts[k]."""
+        for k, part in enumerate(parts):
+            sums[k] += _exact_int(W[part] * (log_ys[k] - logs[part]) if k < len(log_ys) else W[part])
+
+    for P in class_segments(0, max(cuts), r, a % r):
+        logs = np.log(P.astype(np.float64))
+        add(logs, logs, [slice(int(np.searchsorted(P, cut, side="right"))) for cut in cuts])
+    P, W = higher_prime_powers(max(cuts), r, a % r)
+    add(W, np.log(P.astype(np.float64)), [P <= cut for cut in cuts])
+    return sums
+
+
 def smoothed_R(x: float, r: int = 1, a: int = 0) -> float:
-    """Sum of Lambda(n) * log(x/n) over n <= x with n = a (mod r)."""
-    if x < 1:
-        raise ValueError("need x >= 1")
-    P, W = prime_power_arrays(int(math.floor(x)))
-    if r > 1:
-        keep = residues(P, r) == a % r
-        P, W = P[keep], W[keep]
-    if len(P) == 0:
-        return 0.0
-    return math.fsum(W * (math.log(x) - np.log(P.astype(np.float64))))
+    """Sum of Lambda(n) * log(x/n) over n <= x with n = a (mod r), rounded once (== its math.fsum)."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if not 1 <= x < math.inf:
+        raise ValueError("need finite x >= 1")
+    return _round_exact(_class_sums(r, a, (x,))[0])
 
 
 def sandwich_check(x: float, r: int, a: int, lam: float):
@@ -94,11 +111,8 @@ def sandwich_check(x: float, r: int, a: int, lam: float):
 
     Returns (ok, lower, psi, upper) for
     (R(x) - R(x e^-lam))/lam <= psi(x; r, a) <= (R(x e^lam) - R(x))/lam.
-    The class is streamed from the class sieve up to x e^lam
-    (arith.class_segments), its higher prime powers taken after the last
-    segment. Each part adds its terms of R(x e^-lam), R(x), R(x e^lam) and
-    psi(x) to four exact integer sums (arith._exact_int, which extracts
-    each part's sum without rounding), rounded once at the end; so every
+    R(x e^-lam), R(x), R(x e^lam) and psi(x) are four exact sums of one
+    streamed pass over the class (_class_sums), each rounded once; so every
     value equals (==) its smoothed_R call, or the math.fsum of the class's
     weights up to x.
     """
@@ -111,23 +125,7 @@ def sandwich_check(x: float, r: int, a: int, lam: float):
     x_lo, x_hi = x * math.exp(-lam), x * math.exp(lam)
     if not x_lo >= 1:
         raise ValueError("need x * exp(-lam) >= 1")
-    ys = (x_lo, x, x_hi)
-    cuts = [int(math.floor(y)) for y in ys]
-    log_ys = [math.log(y) for y in ys]
-    sums = [0, 0, 0, 0]  # R(x e^-lam), R(x), R(x e^lam), psi(x)
-
-    def add(W: np.ndarray, logs: np.ndarray, parts) -> None:
-        """Add the terms of each sum; parts[k] selects the prime powers up to cuts[k]."""
-        for k, (part, log_y) in enumerate(zip(parts, log_ys)):
-            sums[k] += _exact_int(W[part] * (log_y - logs[part]))
-        sums[3] += _exact_int(W[parts[1]])
-
-    for P in class_segments(0, cuts[2], r, a % r):
-        logs = np.log(P.astype(np.float64))
-        add(logs, logs, [slice(int(np.searchsorted(P, cut, side="right"))) for cut in cuts])
-    P, W = higher_prime_powers(cuts[2], r, a % r)
-    add(W, np.log(P.astype(np.float64)), [P <= cut for cut in cuts])
-    r_lo, r_mid, r_hi, psi = map(_round_exact, sums)
+    r_lo, r_mid, r_hi, psi = map(_round_exact, _class_sums(r, a, (x_lo, x, x_hi), (x,)))
     lower = (r_mid - r_lo) / lam
     upper = (r_hi - r_mid) / lam
     ok = lower <= psi + 1e-9 and psi <= upper + 1e-9  # an absolute slack for the rounding of the sums

@@ -9,7 +9,8 @@ with the Moebius factors truncated at z = floor(x^(1/k)). hb_lambda_table
 evaluates the right-hand side at every n <= x (it must reproduce Lambda
 exactly); hb_decompose_sum_multi splits sum_{n<=x} Lambda(n) f(n), for real
 weight rows f, into dyadic boxes: one structured array of components, a row
-per (j, box vector).
+per (j, box vector). direct_lambda_sum, the oracle side, reads the same sum
+off the prime powers of x (arith.prime_power_arrays, cached per x).
 
 The decomposition enumerates every j-tuple as numpy arrays, one slot at a
 time in the order v_1 .. v_j, u_2 .. u_j, u_1. A prefix is held as its
@@ -29,11 +30,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .arith import _exact_sum, floor_power, mobius_table, von_mangoldt_table
+from .arith import _exact_sum, floor_power, mobius_table, prime_power_arrays
 
 
 def _dirichlet(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -219,7 +219,7 @@ def hb_decompose_sum_multi(x: float, k: int, weights) -> tuple[list[float], np.n
 
 
 def direct_lambda_sum(x: float, weights) -> float:
-    """Oracle side: sum_{n<=x} Lambda(n) f(n) straight from the Lambda table.
+    """Oracle side: sum_{n<=x} Lambda(n) f(n) over the prime powers n <= x.
 
     weights is one real row of length floor(x) + 1 with weights[n] = f(n).
     The terms are summed with one rounding (arith._exact_sum, == math.fsum).
@@ -229,16 +229,5 @@ def direct_lambda_sum(x: float, weights) -> float:
     if w.shape != (xi + 1,):
         raise ValueError(f"weights must have shape ({xi + 1},), got {w.shape}")
     w = _real(w)
-    idx, lam = _lambda_support(xi)
-    return _exact_sum(lam * w[idx])
-
-
-@lru_cache(maxsize=1)
-def _lambda_support(xi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n <= xi with Lambda(n) != 0 and their Lambda(n), read only: hb
-    checks every weight row against the one table of its x."""
-    lam = von_mangoldt_table(xi)
-    idx = np.flatnonzero(lam)
-    vals = lam[idx]
-    idx.flags.writeable = vals.flags.writeable = False
-    return idx, vals
+    P, W = prime_power_arrays(xi)
+    return _exact_sum(W * w[P])

@@ -29,6 +29,8 @@ power of two, so both forms are integer quadratic forms. The reported
 float (lower_bound, the "lambda" column) is that rational rounded down;
 k is selected from the rational. A certificate's table row is written
 (row), read back (from_row) and re-derived (check_exact_bound) here alone.
+Every basis, read back or computed, comes from basis_partitions, which
+holds k to the desk bound MAX_K.
 
 Monte-Carlo integration gives an independent check of every certificate.
 The trial function F = sum c_lambda m_lambda is one polynomial in the
@@ -58,8 +60,8 @@ import numpy as np
 from .comb_lemmas import column_sums, partitions_of, simplex_batches
 
 BASIS_SIZE_CAP = 200
-# Desk bound on the tuple size k of mk, certify and maycond. A certificate at
-# k = 10**4 and degree <= 2 takes under 0.2 s; the Gram factorials grow with k.
+# Desk bound on k for every certificate (basis_partitions) and for maycond. A
+# certificate at k = 10**4 and degree <= 2 takes under 0.2 s; the Gram factorials grow with k.
 MAX_K = 10**4
 
 ExactGram = tuple[list[list[int]], int]  # Python-int numerators over one denominator
@@ -73,7 +75,11 @@ def _factorial_product(exponents) -> int:
 
 
 def basis_partitions(k: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of degree <= max_degree with at most k parts, low degree first."""
+    """All partitions of degree <= max_degree with at most k parts, low degree first; 1 <= k <= MAX_K."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if k > MAX_K:
+        raise ValueError(f"desk bound is k <= {MAX_K}")
     parts = itertools.chain.from_iterable(partitions_of(d, min(k, d) if d else 0) for d in range(max_degree + 1))
     out = tuple(itertools.islice(parts, BASIS_SIZE_CAP + 1))
     if len(out) > BASIS_SIZE_CAP:
@@ -299,8 +305,8 @@ class VariationalCertificate:
     def from_row(cls, row: dict) -> VariationalCertificate:
         """The certificate a row() holds, its k, degree, basis and coefficients checked; exact_bound as written."""
         k, degree = row["k"], row["degree"]
-        if type(k) is not int or type(degree) is not int or k < 1 or degree < 0:
-            raise ValueError("k must be an integer >= 1 and degree one >= 0")
+        if type(k) is not int or type(degree) is not int or degree < 0:
+            raise ValueError("k and degree must be integers, degree >= 0")
         basis = tuple(tuple(p) for p in row["basis"])
         if basis != basis_partitions(k, degree):
             raise ValueError(f"basis is not the degree-{degree} basis at k = {k}")
@@ -345,10 +351,6 @@ def _exact_quotient(c, A_exact, B_exact) -> Fraction:
 
 def mk_lower_bound(k: int, max_degree: int) -> VariationalCertificate:
     """Best quotient over the symmetric polynomial basis of bounded degree."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if k > MAX_K:
-        raise ValueError(f"desk bound is k <= {MAX_K}")
     basis = basis_partitions(k, max_degree)
     A_exact, B_exact = gram_I(k, basis), gram_J(k, basis)
     A, B = _float_gram(k, A_exact), _float_gram(k, B_exact)

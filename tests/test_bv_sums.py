@@ -91,7 +91,7 @@ def prime_powers_upto(n):
 
 
 def oracle_smoothed_R(x, r, a):
-    """bv.smoothed_R(x, r, a), from the shared prime-power arrays."""
+    """bv.smoothed_R(x, r, a) from the shared prime-power arrays: the dense class, one math.fsum."""
     if x < 1:
         raise ValueError("need x >= 1")
     P, W = prime_powers_upto(int(math.floor(x)))
@@ -106,6 +106,21 @@ def oracle_smoothed_R(x, r, a):
 def test_oracle_smoothed_R_is_smoothed_R():
     for x, r, a in ((1.0, 1, 0), (10.0, 1, 0), (12345.6, 7, 3), (2**20 + 0.5, 1, 0), (2.5e6, 12, 5)):
         assert oracle_smoothed_R(x, r, a) == bv.smoothed_R(x, r, a), (x, r, a)
+
+
+def test_smoothed_R_streams_its_class():
+    # one streamed exact sum (bv._class_sums): a few MiB traced at x = 4e6, where a dense Lambda table takes 37 MiB
+    for r, a in ((1, 0), (3, 1), (30, 7)):
+        tracemalloc.start()
+        try:
+            got = bv.smoothed_R(4e6, r, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, (r, a, peak)
+        assert got == oracle_smoothed_R(4e6, r, a), (r, a)
+        for x in (1.0, 1.5):
+            assert bv.smoothed_R(x, r, a) == oracle_smoothed_R(x, r, a) == 0.0, (x, r, a)
 
 
 def oracle_sandwich(x, r, a, lam, slack=1e-9):

@@ -369,6 +369,25 @@ def test_gap_malformed_table_row_is_json_error(tmp_path, capsys):
         assert f"{path}, line 2" in last_error(capsys)
 
 
+def test_gap_table_row_past_the_desk_bound_on_k_is_refused(tmp_path, capsys):
+    # a sound degree-1 certificate at k = MAX_K + 1, built from the internals that basis_partitions guards
+    var = apgaps.variational
+    k, basis = var.MAX_K + 1, ((), (1,))
+    A_exact, B_exact = var.gram_I(k, basis), var.gram_J(k, basis)
+    _, c = var.max_rayleigh(var._float_gram(k, A_exact), var._float_gram(k, B_exact))
+    cert = var.VariationalCertificate(
+        k=k, degree=1, basis=basis, coefficients=tuple(map(float, c)), exact_bound=var._exact_quotient(c, A_exact, B_exact)
+    )
+    cert.check_exact_bound()
+    row = json.loads(json.dumps(cert.row()))
+    with pytest.raises(ValueError, match="desk bound is k <= 10000"):
+        var.VariationalCertificate.from_row(row)
+    table = tmp_path / "table.jsonl"
+    table.write_text(json.dumps(row) + "\n")
+    assert run(["gap", "--x", "1e5", "--q", "2", "--a", "1", "--t", "1", "--table", str(table)]) == 2
+    assert "desk bound is k <= 10000" in last_error(capsys)
+
+
 def test_gap_rederives_the_selected_exact_bound(tmp_path, capsys):
     table = tmp_path / "table.jsonl"
     assert run(["certify", "--ks", "1,2,3", "--degree", "2", "--out", str(table)]) == 0

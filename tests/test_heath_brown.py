@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import apgaps.arith as arith
 import apgaps.heath_brown as hb
 from apgaps.arith import floor_power, mobius_table, von_mangoldt_table
 from test_arith import chebyshev_psi, mobius
@@ -256,7 +257,7 @@ def test_hb_prints_the_number_of_component_rows(monkeypatch, tmp_path):
 
 
 def test_hb_run_builds_one_lambda_table(monkeypatch, tmp_path):
-    # each weight row is checked against the one Lambda table of its x
+    # each weight row is checked against the one cached prime-power table of its x, which is read only
     import apgaps.cli as cli
 
     built = []
@@ -265,10 +266,14 @@ def test_hb_run_builds_one_lambda_table(monkeypatch, tmp_path):
         built.append(n)
         return von_mangoldt_table(n)
 
-    monkeypatch.setattr(hb, "von_mangoldt_table", spy)
-    hb._lambda_support.cache_clear()
+    monkeypatch.setattr(arith, "von_mangoldt_table", spy)
+    arith.prime_power_arrays.cache_clear()
     assert cli.main(["hb", "--x", "10", "--k", "1", "--trials", "1000", "--out", str(tmp_path / "hb.jsonl")]) == 0
     assert built == [10]
+    assert arith.prime_power_arrays.cache_info().misses == 1
+    for array in arith.prime_power_arrays(10):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def random_rows(x, rng, split_complex):

@@ -28,7 +28,6 @@ ALLOWED = {
     ("comb_lemmas", "random_trichotomy_sweep"),  # tests/test_acceptance.py, criterion 4; perfbench/tracer.py
     ("comb_lemmas", "random_comblem_sweep"),  # tests/test_acceptance.py, criterion 4; perfbench/tracer.py
     ("arith", "primes_in_ap"),  # perfbench/tracer.py
-    ("arith", "prime_power_arrays"),  # perfbench/tracer.py; bv_sums.smoothed_R and the tests' oracles
     ("cli", "_Parser.error"),  # argparse calls it on a bad command line
 }
 

@@ -632,6 +632,11 @@ def test_mk_lower_bound_desk_bound_on_k():
     for k in (var.MAX_K + 1, 10**300):
         with pytest.raises(ValueError, match="desk bound is k <= 10000"):
             var.mk_lower_bound(k, 0)
+        with pytest.raises(ValueError, match="desk bound is k <= 10000"):
+            var.basis_partitions(k, 1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=r"^need k >= 1$"):
+            var.basis_partitions(k, 1)
 
 
 @pytest.mark.parametrize("k,degree", [(1, 0), (3, 2), (5, 6), (12, 6), (64, 3)])
